@@ -16,7 +16,6 @@ from .connection import (
     Tabulated,
     connect_prob,
     parse_model,
-    sample_edge,
 )
 from .distances import (
     JointPdfCase,
@@ -38,14 +37,12 @@ from .distances import (
 from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import (
     DiskDomain,
-    Point2D,
     TriangleQuantities,
     TriangleSides,
     pair_count,
     pair_from_index,
     pair_index,
     phi,
-    sample_point_in_disk,
     sample_points_in_disk,
     triangle_quantities,
 )
@@ -70,7 +67,6 @@ from .montecarlo import (
     estimate_entropy,
     estimate_entropy_sweep_hard,
     estimate_pmf,
-    sample_graph,
     substream,
 )
 from .quadrature import QuadratureResult, QuadratureSettings, integrate, integrate_many
@@ -92,7 +88,6 @@ __all__ = [
     "Histogram3",
     "JointPdfCase",
     "McSettings",
-    "Point2D",
     "QuadratureResult",
     "QuadratureSettings",
     "Tabulated",
@@ -134,9 +129,6 @@ __all__ = [
     "prob_complete",
     "prob_connected",
     "relabel_orbit_map",
-    "sample_edge",
-    "sample_graph",
-    "sample_point_in_disk",
     "sample_points_in_disk",
     "shearer_factor",
     "substream",

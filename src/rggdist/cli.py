@@ -37,12 +37,13 @@ from .geometry import (
     triangle_quantities,
 )
 from .graphdist import (
-    connected_outcome_mask,
     entropy_bits,
     entropy_error_bound,
     exact_pmf,
     pmf_n2,
     pmf_n3,
+    prob_complete,
+    prob_connected,
 )
 from .montecarlo import (
     RNG_NAME,
@@ -141,8 +142,8 @@ def _cmd_pmf(args) -> int:
         "method": pmf.method,
         "probs": [_jnum(p) for p in pmf.probs],
         "error_estimate": _jnum(pmf.error_estimate),
-        "p_connected": _jnum(float(np.sum(pmf.probs[connected_outcome_mask(pmf.n)]))),
-        "p_complete": _jnum(float(pmf.probs[-1])),
+        "p_connected": _jnum(prob_connected(pmf)),
+        "p_complete": _jnum(prob_complete(pmf)),
         "entropy_bits": _jnum(entropy_bits(pmf)),
         "settings": {
             "model": model.spec_string(),
@@ -277,6 +278,18 @@ def _check_sweep_n(args) -> None:
         )
 
 
+def _point_mc_settings(args, count) -> list[McSettings]:
+    """Monte Carlo settings of each grid point, seeded ``seed + idx``.
+
+    Built for the whole grid up front, so that a seed running past
+    2**64 - 1 is refused before any sampling.
+    """
+    return [
+        McSettings(samples=args.samples, seed=args.seed + idx, workers=args.workers)
+        for idx in range(count)
+    ]
+
+
 def _sweep_settings_pairs(args, D):
     stop = args.r0_stop if args.r0_stop is not None else D
     return [
@@ -299,25 +312,17 @@ def _cmd_sweep_connectivity(args) -> int:
     _check_sweep_n(args)
     grid = _sweep_grid(args, domain.diameter)
     quad = _quad_settings(args)
+    point_mc = _point_mc_settings(args, len(grid)) if args.mc else None
     rows = []
     for idx, r0 in enumerate(grid):
         model = _sweep_model(args, float(r0))
         if args.mc:
-            mc = McSettings(samples=args.samples, seed=args.seed + idx, workers=args.workers)
-            pmf = estimate_pmf(args.n, model, domain, mc)
-            method = "monte_carlo"
+            pmf = estimate_pmf(args.n, model, domain, point_mc[idx])
         else:
             pmf = exact_pmf(args.n, model, domain, quad)
-            method = "quadrature"
-        mask = connected_outcome_mask(pmf.n)
         rows.append(
-            (
-                float(r0),
-                float(np.sum(pmf.probs[mask])),
-                float(pmf.probs[-1]),
-                method,
-                float(pmf.error_estimate),
-            )
+            (float(r0), prob_connected(pmf), prob_complete(pmf), pmf.method,
+             float(pmf.error_estimate))
         )
     _emit_csv(
         args,
@@ -334,30 +339,27 @@ def _cmd_sweep_entropy(args) -> int:
     grid = _sweep_grid(args, domain.diameter)
     quad = _quad_settings(args)
     n = args.n
-    mc_estimates = None
+    mc_estimates = point_mc = None
     if args.mc and args.model_kind == "hard":
         # Hard-disk sweeps share one distance pool across the grid.
         mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
         mc_estimates = estimate_entropy_sweep_hard(n, grid, domain, mc)
+    elif args.mc:
+        point_mc = _point_mc_settings(args, len(grid))
     rows = []
     for idx, r0 in enumerate(grid):
         model = _sweep_model(args, float(r0))
-        h2 = entropy_bits(pmf_n2(model, domain, quad))
-        h3 = entropy_bits(pmf_n3(model, domain, quad)) if n >= 3 else None
+        pmf2 = pmf_n2(model, domain, quad)
+        pmf3 = pmf_n3(model, domain, quad) if n >= 3 else None
         if mc_estimates is not None:
             h, std = mc_estimates[idx]
         elif args.mc:
-            mc = McSettings(samples=args.samples, seed=args.seed + idx, workers=args.workers)
-            est = estimate_entropy(n, model, domain, mc)
-            h, std = est.bits, est.std_error
-        elif n == 2:
-            pmf = pmf_n2(model, domain, quad)
-            h, std = entropy_bits(pmf), entropy_error_bound(pmf)
+            h, std = estimate_entropy(n, model, domain, point_mc[idx])
         else:
-            pmf = pmf_n3(model, domain, quad)
+            pmf = pmf2 if n == 2 else pmf3
             h, std = entropy_bits(pmf), entropy_error_bound(pmf)
-        bound3 = float(shearer_factor(n, 3) * Fraction(h3)) if n > 3 else float("nan")
-        bound2 = float(shearer_factor(n, 2) * Fraction(h2)) if n > 2 else float("nan")
+        bound3 = float(shearer_factor(n, 3) * Fraction(entropy_bits(pmf3))) if n > 3 else np.nan
+        bound2 = float(shearer_factor(n, 2) * Fraction(entropy_bits(pmf2))) if n > 2 else np.nan
         rows.append((float(r0), h, std, bound3, bound2))
     _emit_csv(
         args,

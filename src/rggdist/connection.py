@@ -122,12 +122,6 @@ def connect_prob(model: ConnectionModel, r: float) -> float:
     return float(model.probability(rf))
 
 
-def sample_edge(model: ConnectionModel, r: float, rng: np.random.Generator) -> int:
-    """One Bernoulli edge indicator; always consumes exactly one draw."""
-    p = connect_prob(model, r)
-    return int(rng.random() < p)
-
-
 def parse_model(text: str) -> ConnectionModel:
     """Build a model from its textual spec (see module docstring)."""
     if ":" not in text:

@@ -125,12 +125,10 @@ def _density_outscribed(c, d, D):
     return 128.0 * d / (_PI2 * D**4) * _phi_clipped(c / D)
 
 
-def _pdf3_batch(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=False):
-    """Vectorized four-branch evaluation; assumes inputs already validated.
-
-    Sides are sorted per point before evaluation so the result is exactly
-    invariant under permutations of the three arguments.
-    """
+def _sorted_sides(r12, r13, r23):
+    """Broadcast and flatten the sides, sorted ascending per triple, so that
+    densities built on them are exactly permutation invariant.  Returns
+    (a, b, c, Q, broadcast shape)."""
     triples = np.stack(np.broadcast_arrays(
         np.asarray(r12, float), np.asarray(r13, float), np.asarray(r23, float)
     ), axis=-1)
@@ -138,8 +136,13 @@ def _pdf3_batch(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=Fal
     triples = triples.reshape(-1, 3)
     triples.sort(axis=1)
     a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-
     q = (a + b + c) * (b + c - a) * (a + c - b) * (a + b - c)
+    return a, b, c, q, shape
+
+
+def _pdf3_batch(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=False):
+    """Vectorized four-branch evaluation; assumes inputs already validated."""
+    a, b, c, q, shape = _sorted_sides(r12, r13, r23)
     valid = (c > 0.0) & (c <= D) & (q > degenerate_eps * (c * c) ** 2)
 
     out = np.zeros(len(a))
@@ -289,16 +292,8 @@ def _cond_pdf3_batch(r12, r13, r23, s, degenerate_eps=DEGENERATE_Q_EPS):
     obtuse angle cannot lie on the circle), and acute triples with
     ``d > s`` have density zero.
     """
-    triples = np.stack(np.broadcast_arrays(
-        np.asarray(r12, float), np.asarray(r13, float), np.asarray(r23, float)
-    ), axis=-1)
-    s_arr = np.broadcast_to(np.asarray(s, float), triples.shape[:-1]).reshape(-1)
-    shape = triples.shape[:-1]
-    triples = triples.reshape(-1, 3)
-    triples = np.sort(triples, axis=1)
-    a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-
-    q = (a + b + c) * (b + c - a) * (a + c - b) * (a + b - c)
+    a, b, c, q, shape = _sorted_sides(r12, r13, r23)
+    s_arr = np.broadcast_to(np.asarray(s, float), shape).reshape(-1)
     valid = (c > 0.0) & (c <= s_arr) & (q > degenerate_eps * (c * c) ** 2)
 
     out = np.zeros(len(a))
@@ -392,8 +387,7 @@ def joint_pdf3_via_conditioning_many(
             6.0 * svals**5 / D**6
         )
 
-    values, errors = integrate_many(integrand, intervals, settings, breakpoints=breaks)
-    return values, errors
+    return integrate_many(integrand, intervals, settings, breakpoints=breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -428,40 +422,21 @@ def _inner_breakpoint_candidates(p, q, D):
     return np.stack([right_lo, right_hi, t_d_lo, t_d_hi], axis=-1)
 
 
-def _inner_lines(
-    p, q, lo, hi, D,
-    weight=None,
-    extra_breaks=(),
-    line_tol=1e-11,
-    max_rounds=6,
-):
-    """Integrals over the third side t of joint density times weight.
+def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
+    """Refined pieces of the third-side integrals of the joint density.
 
-    One line per (p, q) pair, integrated over [lo, hi] intersected with
-    the triangle-inequality interval and [0, D].  Each smooth piece is
-    mapped through ``t = mid - half*cos(pi*u)``, whose Jacobian vanishes
-    like u at the endpoints and therefore cancels the ``1/sqrt`` blow-up
-    of the density at degenerate triples.  Pieces whose embedded-rule
-    error exceeds the per-line budget are bisected for up to
-    ``max_rounds`` rounds.  Returns (values, error_estimates).
+    One line per (p, q) pair, integrated over [a, b] and split at the
+    case-boundary points and at the per-line ``breaks`` (shape ``(k, j)``).
+    Each smooth piece is mapped through ``t = mid - half*cos(pi*u)``, whose
+    Jacobian vanishes like u at the endpoints and therefore cancels the
+    ``1/sqrt`` blow-up of the density at degenerate triples.  Pieces whose
+    embedded-rule error exceeds the per-line budget
+    ``max(line_tol, 1e-13*|line value|)`` are bisected for up to
+    ``max_rounds`` rounds.  Returns the pieces as (lo, hi, owning line,
+    value, error estimate) arrays.
     """
-    p = np.asarray(p, float).ravel()
-    q = np.asarray(q, float).ravel()
     k = len(p)
-    lo = np.broadcast_to(np.asarray(lo, float), (k,))
-    hi = np.broadcast_to(np.asarray(hi, float), (k,))
-
-    tri_lo = np.abs(p - q)
-    tri_hi = p + q
-    a = np.maximum(lo, tri_lo)
-    b = np.minimum(np.minimum(hi, tri_hi), D)
-
-    cands = _inner_breakpoint_candidates(p, q, D)
-    if extra_breaks:
-        extra = np.broadcast_to(
-            np.asarray(extra_breaks, float), (k, len(extra_breaks))
-        )
-        cands = np.concatenate([cands, extra], axis=1)
+    cands = np.concatenate([_inner_breakpoint_candidates(p, q, D), breaks], axis=1)
     cands = np.clip(cands, a[:, None], b[:, None])
     edges = np.sort(np.concatenate([a[:, None], cands, b[:, None]], axis=1), axis=1)
 
@@ -470,11 +445,6 @@ def _inner_lines(
     owner = np.repeat(np.arange(k), edges.shape[1] - 1)
     keep = seg_hi > seg_lo
     seg_lo, seg_hi, owner = seg_lo[keep], seg_hi[keep], owner[keep]
-
-    values = np.zeros(k)
-    errors = np.zeros(k)
-    if len(owner) == 0:
-        return values, errors
 
     def eval_segments(s_lo, s_hi, own):
         half = 0.5 * (s_hi - s_lo)
@@ -486,9 +456,7 @@ def _inner_lines(
         if weight is not None:
             g = g * weight(t)
         g = g * jac
-        vals = g @ GK15_WEIGHTS01
-        errs = np.abs(g @ (GK15_WEIGHTS01 - G7_WEIGHTS01))
-        return vals, errs
+        return g @ GK15_WEIGHTS01, np.abs(g @ (GK15_WEIGHTS01 - G7_WEIGHTS01))
 
     seg_val, seg_err = eval_segments(seg_lo, seg_hi, owner)
     for _ in range(max_rounds):
@@ -502,19 +470,44 @@ def _inner_lines(
         split = needy_line[owner] & (seg_err > budget[owner] / np.maximum(nsegs[owner], 1))
         if not np.any(split):
             break
-        keep_lo, keep_hi = seg_lo[~split], seg_hi[~split]
-        keep_own, keep_val, keep_err = owner[~split], seg_val[~split], seg_err[~split]
         mid = 0.5 * (seg_lo[split] + seg_hi[split])
         new_lo = np.concatenate([seg_lo[split], mid])
         new_hi = np.concatenate([mid, seg_hi[split]])
         new_own = np.concatenate([owner[split], owner[split]])
         new_val, new_err = eval_segments(new_lo, new_hi, new_own)
-        seg_lo = np.concatenate([keep_lo, new_lo])
-        seg_hi = np.concatenate([keep_hi, new_hi])
-        owner = np.concatenate([keep_own, new_own])
-        seg_val = np.concatenate([keep_val, new_val])
-        seg_err = np.concatenate([keep_err, new_err])
+        seg_lo = np.concatenate([seg_lo[~split], new_lo])
+        seg_hi = np.concatenate([seg_hi[~split], new_hi])
+        owner = np.concatenate([owner[~split], new_own])
+        seg_val = np.concatenate([seg_val[~split], new_val])
+        seg_err = np.concatenate([seg_err[~split], new_err])
+    return seg_lo, seg_hi, owner, seg_val, seg_err
 
+
+def _inner_lines(
+    p, q, lo, hi, D,
+    weight=None,
+    extra_breaks=(),
+    line_tol=1e-11,
+    max_rounds=6,
+):
+    """Integrals over the third side t of joint density times weight.
+
+    One line per (p, q) pair, integrated over [lo, hi] intersected with
+    the triangle-inequality interval and [0, D], by the substituted
+    piecewise rule of :func:`_line_segments`.  Returns (values,
+    error_estimates).
+    """
+    p = np.asarray(p, float).ravel()
+    q = np.asarray(q, float).ravel()
+    k = len(p)
+    lo = np.broadcast_to(np.asarray(lo, float), (k,))
+    hi = np.broadcast_to(np.asarray(hi, float), (k,))
+    a = np.maximum(lo, np.abs(p - q))
+    b = np.minimum(np.minimum(hi, p + q), D)
+    breaks = np.broadcast_to(np.asarray(extra_breaks, float), (k, len(extra_breaks)))
+    _, _, owner, seg_val, seg_err = _line_segments(
+        p, q, a, b, D, breaks, weight, line_tol, max_rounds
+    )
     values = np.bincount(owner, weights=seg_val, minlength=k)
     errors = np.bincount(owner, weights=seg_err, minlength=k)
     return values, errors
@@ -639,61 +632,15 @@ def _per_cell_line_integrals(p, q, edges, D, line_tol=1e-9, max_rounds=4):
     q = np.asarray(q, float).ravel()
     k = len(p)
     nb = len(edges) - 1
-
-    a = np.abs(p - q)
-    b = np.minimum(p + q, min(edges[-1], D))
-
-    cands = _inner_breakpoint_candidates(p, q, D)
     grid = np.broadcast_to(edges[1:-1], (k, nb - 1))
-    cands = np.concatenate([cands, grid], axis=1)
-    cands = np.clip(cands, a[:, None], b[:, None])
-    seg_edges = np.sort(
-        np.concatenate([a[:, None], cands, b[:, None]], axis=1), axis=1
+    seg_lo, seg_hi, owner, seg_val, _ = _line_segments(
+        p, q, np.abs(p - q), np.minimum(p + q, min(edges[-1], D)), D,
+        grid, None, line_tol, max_rounds,
     )
-
-    seg_lo = seg_edges[:, :-1].ravel()
-    seg_hi = seg_edges[:, 1:].ravel()
-    owner = np.repeat(np.arange(k), seg_edges.shape[1] - 1)
-    keep = seg_hi > seg_lo
-    seg_lo, seg_hi, owner = seg_lo[keep], seg_hi[keep], owner[keep]
-
-    out = np.zeros((k, nb))
-    if len(owner) == 0:
-        return out
-
-    def eval_segments(s_lo, s_hi, own):
-        half = 0.5 * (s_hi - s_lo)
-        mid = 0.5 * (s_hi + s_lo)
-        u = GK15_NODES01[None, :]
-        t = mid[:, None] - half[:, None] * np.cos(math.pi * u)
-        jac = half[:, None] * math.pi * np.sin(math.pi * u)
-        g = _pdf3_batch(p[own][:, None], q[own][:, None], t, D) * jac
-        return g @ GK15_WEIGHTS01, np.abs(g @ (GK15_WEIGHTS01 - G7_WEIGHTS01))
-
-    seg_val, seg_err = eval_segments(seg_lo, seg_hi, owner)
-    for _ in range(max_rounds):
-        line_err = np.bincount(owner, weights=seg_err, minlength=k)
-        needy_line = line_err > line_tol
-        if not np.any(needy_line):
-            break
-        nsegs = np.bincount(owner, minlength=k)
-        split = needy_line[owner] & (seg_err > line_tol / np.maximum(nsegs[owner], 1))
-        if not np.any(split):
-            break
-        mid = 0.5 * (seg_lo[split] + seg_hi[split])
-        new_lo = np.concatenate([seg_lo[split], mid])
-        new_hi = np.concatenate([mid, seg_hi[split]])
-        new_own = np.concatenate([owner[split], owner[split]])
-        new_val, new_err = eval_segments(new_lo, new_hi, new_own)
-        seg_lo = np.concatenate([seg_lo[~split], new_lo])
-        seg_hi = np.concatenate([seg_hi[~split], new_hi])
-        owner = np.concatenate([owner[~split], new_own])
-        seg_val = np.concatenate([seg_val[~split], new_val])
-        seg_err = np.concatenate([seg_err[~split], new_err])
-
     cell = np.clip(
         np.searchsorted(edges, 0.5 * (seg_lo + seg_hi), side="right") - 1, 0, nb - 1
     )
+    out = np.zeros((k, nb))
     np.add.at(out, (owner, cell), seg_val)
     return out
 

@@ -52,11 +52,6 @@ class DiskDomain:
         return 0.5 * self.diameter
 
 
-class Point2D(NamedTuple):
-    x: float
-    y: float
-
-
 def _validate_length(name, value):
     v = float(value)
     if not math.isfinite(v) or v < 0.0:
@@ -142,20 +137,6 @@ def triangle_quantities(
         return TriangleQuantities(q=q, longest=c, circumdiameter=None, obtuse=obtuse)
     d = 2.0 * a * b * c / math.sqrt(q)
     return TriangleQuantities(q=q, longest=c, circumdiameter=d, obtuse=obtuse)
-
-
-def sample_point_in_disk(domain: DiskDomain, rng: np.random.Generator) -> Point2D:
-    """One point uniform over the disk.
-
-    Uses the exact inverse-CDF construction (radius = R*sqrt(u), then a
-    uniform angle), so the output is a deterministic function of the stream
-    state: two draws per point, radius first.
-    """
-    u = rng.random()
-    v = rng.random()
-    rho = domain.radius * math.sqrt(u)
-    ang = 2.0 * math.pi * v
-    return Point2D(rho * math.cos(ang), rho * math.sin(ang))
 
 
 def sample_points_in_disk(domain: DiskDomain, rng: np.random.Generator, count: int) -> np.ndarray:

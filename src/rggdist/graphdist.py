@@ -27,6 +27,7 @@ estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -273,43 +274,25 @@ def entropy_error_bound(pmf: GraphPmf) -> float:
     return float(per_entry * np.sum(sens))
 
 
-class _UnionFind:
-    """Array union-find with path halving; enough for tiny graphs."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
-def _outcome_is_connected(n, code, pairs) -> bool:
-    uf = _UnionFind(n)
-    for k in range(len(pairs)):
-        if (code >> k) & 1:
-            uf.union(int(pairs[k, 0]), int(pairs[k, 1]))
-    root = uf.find(0)
-    return all(uf.find(v) == root for v in range(1, n))
+def _outcome_edge_bits(n: int):
+    """Node pairs in slot order and the ``(2**m, m)`` 0/1 matrix of edge
+    indicators of every outcome code."""
+    pairs = pair_array(n)
+    codes = np.arange(1 << len(pairs), dtype=np.int64)
+    return pairs, (codes[:, None] >> np.arange(len(pairs), dtype=np.int64)) & 1
 
 
 def connected_outcome_mask(n: int) -> np.ndarray:
     """Boolean mask over all outcomes: is the decoded graph connected?"""
-    pairs = pair_array(n)
-    m = pair_count(n)
-    return np.fromiter(
-        (_outcome_is_connected(n, code, pairs) for code in range(1 << m)),
-        dtype=bool,
-        count=1 << m,
-    )
+    pairs, bits = _outcome_edge_bits(n)
+    # Bit set of the nodes reached from node 0, for every outcome at once.
+    # Each pass over the edges extends every path by at least one hop, and
+    # a shortest path has at most n - 1 hops.
+    reach = np.ones(len(bits), dtype=np.int64)
+    for _ in range(n - 1):
+        for k, (i, j) in enumerate(pairs):
+            reach |= bits[:, k] * ((((reach >> i) & 1) << j) | (((reach >> j) & 1) << i))
+    return reach == (1 << n) - 1
 
 
 def prob_connected(pmf: GraphPmf) -> float:
@@ -327,30 +310,14 @@ def relabel_orbit_map(n: int) -> np.ndarray:
     """Canonical orbit representative of each outcome under node relabeling.
 
     Two outcomes share a representative exactly when some permutation of
-    the node labels maps one edge set onto the other.  Used to test the
-    exchangeability of computed pmfs.
+    the node labels maps one edge set onto the other; the representative
+    is the smallest code in the orbit.  Used to test the exchangeability
+    of computed pmfs.
     """
-    from itertools import permutations
-
-    pairs = pair_array(n)
-    m = pair_count(n)
+    pairs, bits = _outcome_edge_bits(n)
     slot = {(int(i), int(j)): k for k, (i, j) in enumerate(pairs)}
-    perm_maps = []
+    reps = np.arange(len(bits), dtype=np.int64)
     for perm in permutations(range(n)):
-        mapping = np.empty(m, dtype=np.intp)
-        for k, (i, j) in enumerate(pairs):
-            a, b = perm[int(i)], perm[int(j)]
-            mapping[k] = slot[(min(a, b), max(a, b))]
-        perm_maps.append(mapping)
-
-    reps = np.empty(1 << m, dtype=np.int64)
-    for code in range(1 << m):
-        best = code
-        for mapping in perm_maps:
-            image = 0
-            for k in range(m):
-                if (code >> k) & 1:
-                    image |= 1 << int(mapping[k])
-            best = min(best, image)
-        reps[code] = best
+        image_slots = [slot[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
+        np.minimum(reps, bits @ (np.int64(1) << np.asarray(image_slots, np.int64)), out=reps)
     return reps

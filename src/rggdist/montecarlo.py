@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .connection import ConnectionModel, HardDisk, sample_edge
+from .connection import ConnectionModel, HardDisk
 from .errors import DomainError, UnsupportedError
 from .geometry import DiskDomain, pair_array, pair_count
-from .graphdist import EdgeVector, GraphPmf
+from .graphdist import GraphPmf
 
 RNG_NAME = "philox"
 
@@ -76,91 +76,79 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(index))
 
 
-def _worker_share(total: int, workers: int) -> list[int]:
-    base, extra = divmod(total, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+def _fan_out(mc: McSettings, work):
+    """Sum of ``work(substream(mc.seed, w), share_w)`` over the workers.
+
+    Worker ``w`` gets its own substream and its share of ``mc.samples``;
+    the partial results are added in worker order, so the total does not
+    depend on scheduling.
+    """
+    base, extra = divmod(mc.samples, mc.workers)
+    shares = [base + (1 if w < extra else 0) for w in range(mc.workers)]
+    if mc.workers == 1:
+        return work(substream(mc.seed, 0), shares[0])
+    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
+        parts = list(
+            pool.map(lambda w: work(substream(mc.seed, w), shares[w]), range(mc.workers))
+        )
+    return sum(parts[1:], parts[0])
 
 
-def sample_graph(
-    n: int, model: ConnectionModel, domain: DiskDomain, rng: np.random.Generator
-) -> EdgeVector:
-    """One realized graph: n uniform points, one Bernoulli draw per pair."""
-    if n < 2:
-        raise DomainError(f"need at least two nodes, got n={n}")
-    u = rng.random(n)
-    v = rng.random(n)
-    rho = domain.radius * np.sqrt(u)
-    ang = 2.0 * math.pi * v
-    xs = rho * np.cos(ang)
-    ys = rho * np.sin(ang)
-    bits = []
-    for i, j in pair_array(n):
-        r = math.hypot(xs[i] - xs[j], ys[i] - ys[j])
-        bits.append(sample_edge(model, r, rng))
-    return EdgeVector(n=n, bits=tuple(bits))
-
-
-def _distance_sq_chunk(n, domain, rng, count, pairs):
-    """Squared pair distances of ``count`` sampled point sets.
+def _distance_sq_chunks(n, domain, rng, count):
+    """Squared pair distances of ``count`` sampled point sets, one chunk of
+    at most ``_CHUNK`` sets at a time.
 
     Squared form so that hard-disk thresholding can skip the square root.
+    The caller may draw from ``rng`` between chunks.
     """
-    u = rng.random((count, n))
-    v = rng.random((count, n))
-    rho = domain.radius * np.sqrt(u)
-    ang = 2.0 * math.pi * v
-    xs = rho * np.cos(ang)
-    ys = rho * np.sin(ang)
-    dx = xs[:, pairs[:, 0]] - xs[:, pairs[:, 1]]
-    dy = ys[:, pairs[:, 0]] - ys[:, pairs[:, 1]]
-    return dx * dx + dy * dy
-
-
-def _worker_outcome_counts(n, model, domain, seed, windex, count):
     pairs = pair_array(n)
-    m = len(pairs)
-    pows = (np.int64(1) << np.arange(m, dtype=np.int64))
-    rng = substream(seed, windex)
-    counts = np.zeros(1 << m, dtype=np.int64)
-    hard = isinstance(model, HardDisk)
-    remaining = count
-    while remaining > 0:
-        c = min(remaining, _CHUNK)
-        dist_sq = _distance_sq_chunk(n, domain, rng, c, pairs)
-        if hard:
-            # The indicator can be evaluated exactly on squared distances;
-            # no per-edge uniforms are consumed.
-            bits = dist_sq < model.r0 * model.r0
-        else:
-            dists = np.sqrt(dist_sq)
-            bits = rng.random(dists.shape) < model.probability(dists)
-        codes = bits.astype(np.int64) @ pows
-        counts += np.bincount(codes, minlength=1 << m)
-        remaining -= c
-    return counts
+    for start in range(0, count, _CHUNK):
+        c = min(_CHUNK, count - start)
+        u = rng.random((c, n))
+        v = rng.random((c, n))
+        rho = domain.radius * np.sqrt(u)
+        ang = 2.0 * math.pi * v
+        xs = rho * np.cos(ang)
+        ys = rho * np.sin(ang)
+        dx = xs[:, pairs[:, 0]] - xs[:, pairs[:, 1]]
+        dy = ys[:, pairs[:, 0]] - ys[:, pairs[:, 1]]
+        dist_sq = dx * dx + dy * dy
+        # Free the temporaries while the caller works on the chunk.
+        del u, v, rho, ang, xs, ys, dx, dy
+        yield dist_sq
 
 
-def _outcome_counts(n, model, domain, mc: McSettings) -> np.ndarray:
+def _outcome_bits(n: int) -> int:
+    """Number of edge slots of an n-node outcome, refused when its table
+    would exceed ``2**MAX_OUTCOME_BITS`` entries."""
     m = pair_count(n)
     if m > MAX_OUTCOME_BITS:
         raise UnsupportedError(
             f"outcome table for n={n} has 2**{m} entries; "
             f"only up to 2**{MAX_OUTCOME_BITS} is supported"
         )
-    shares = _worker_share(mc.samples, mc.workers)
-    if mc.workers == 1:
-        return _worker_outcome_counts(n, model, domain, mc.seed, 0, shares[0])
-    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-        parts = list(
-            pool.map(
-                lambda w: _worker_outcome_counts(n, model, domain, mc.seed, w, shares[w]),
-                range(mc.workers),
-            )
-        )
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total
+    return m
+
+
+def _outcome_counts(n, model, domain, mc: McSettings) -> np.ndarray:
+    m = _outcome_bits(n)
+    pows = (np.int64(1) << np.arange(m, dtype=np.int64))
+    hard = isinstance(model, HardDisk)
+
+    def work(rng, count):
+        counts = np.zeros(1 << m, dtype=np.int64)
+        for dist_sq in _distance_sq_chunks(n, domain, rng, count):
+            if hard:
+                # The indicator can be evaluated exactly on squared distances;
+                # no per-edge uniforms are consumed.
+                bits = dist_sq < model.r0 * model.r0
+            else:
+                dists = np.sqrt(dist_sq)
+                bits = rng.random(dists.shape) < model.probability(dists)
+            counts += np.bincount(bits.astype(np.int64) @ pows, minlength=1 << m)
+        return counts
+
+    return _fan_out(mc, work)
 
 
 def estimate_pmf(
@@ -200,6 +188,21 @@ def _entropy_bits_from_counts(counts, total, bias_correction) -> float:
     return h
 
 
+def _bootstrap_entropy(counts, total, bias_correction, resamples, rng) -> EntropyEstimate:
+    """Entropy of an outcome table with a multinomial-bootstrap standard
+    error drawn from ``rng``; a degenerate table returns exactly (0, 0)
+    and draws nothing."""
+    nz = counts[counts > 0]
+    if len(nz) <= 1:
+        return EntropyEstimate(0.0, 0.0)
+    h = _entropy_bits_from_counts(counts, total, bias_correction)
+    resampled = rng.multinomial(total, nz / total, size=resamples)
+    hs = np.array([
+        _entropy_bits_from_counts(row, total, bias_correction) for row in resampled
+    ])
+    return EntropyEstimate(h, float(np.std(hs, ddof=1)))
+
+
 def estimate_entropy(
     n: int,
     model: ConnectionModel,
@@ -218,17 +221,8 @@ def estimate_entropy(
     if bootstrap_resamples < 2:
         raise DomainError("bootstrap_resamples must be at least 2")
     counts = _outcome_counts(n, model, domain, mc)
-    h = _entropy_bits_from_counts(counts, mc.samples, bias_correction)
-    nz = counts[counts > 0]
-    if len(nz) <= 1:
-        return EntropyEstimate(0.0, 0.0)
-    rng = substream(mc.seed, mc.workers)
-    phat = nz / mc.samples
-    resampled = rng.multinomial(mc.samples, phat, size=bootstrap_resamples)
-    hs = np.array([
-        _entropy_bits_from_counts(row, mc.samples, bias_correction) for row in resampled
-    ])
-    return EntropyEstimate(h, float(np.std(hs, ddof=1)))
+    boot_rng = substream(mc.seed, mc.workers)
+    return _bootstrap_entropy(counts, mc.samples, bias_correction, bootstrap_resamples, boot_rng)
 
 
 def estimate_entropy_sweep_hard(
@@ -254,57 +248,24 @@ def estimate_entropy_sweep_hard(
     r0_arr = np.asarray(list(r0_values), dtype=float)
     if np.any(~np.isfinite(r0_arr)) or np.any(r0_arr < 0):
         raise DomainError("r0 values must be finite and nonnegative")
-    m = pair_count(n)
-    if m > MAX_OUTCOME_BITS:
-        raise UnsupportedError(
-            f"outcome table for n={n} has 2**{m} entries; "
-            f"only up to 2**{MAX_OUTCOME_BITS} is supported"
-        )
-    pairs = pair_array(n)
+    m = _outcome_bits(n)
     pows = (np.int64(1) << np.arange(m, dtype=np.int64))
     r0_sq = r0_arr * r0_arr
 
-    def worker(windex, count):
-        rng = substream(mc.seed, windex)
+    def work(rng, count):
         counts = np.zeros((len(r0_arr), 1 << m), dtype=np.int64)
-        remaining = count
-        while remaining > 0:
-            c = min(remaining, _CHUNK)
-            dist_sq = _distance_sq_chunk(n, domain, rng, c, pairs)
+        for dist_sq in _distance_sq_chunks(n, domain, rng, count):
             for i, rsq in enumerate(r0_sq):
                 codes = (dist_sq < rsq).astype(np.int64) @ pows
                 counts[i] += np.bincount(codes, minlength=1 << m)
-            remaining -= c
         return counts
 
-    shares = _worker_share(mc.samples, mc.workers)
-    if mc.workers == 1:
-        counts = worker(0, shares[0])
-    else:
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            parts = list(pool.map(lambda w: worker(w, shares[w]), range(mc.workers)))
-        counts = parts[0]
-        for part in parts[1:]:
-            counts = counts + part
-
+    counts = _fan_out(mc, work)
     boot_rng = substream(mc.seed, mc.workers)
-    estimates = []
-    for i in range(len(r0_arr)):
-        row = counts[i]
-        h = _entropy_bits_from_counts(row, mc.samples, bias_correction)
-        nz = row[row > 0]
-        if len(nz) <= 1:
-            estimates.append(EntropyEstimate(0.0, 0.0))
-            continue
-        resampled = boot_rng.multinomial(
-            mc.samples, nz / mc.samples, size=bootstrap_resamples
-        )
-        hs = np.array([
-            _entropy_bits_from_counts(rrow, mc.samples, bias_correction)
-            for rrow in resampled
-        ])
-        estimates.append(EntropyEstimate(h, float(np.std(hs, ddof=1))))
-    return estimates
+    return [
+        _bootstrap_entropy(row, mc.samples, bias_correction, bootstrap_resamples, boot_rng)
+        for row in counts
+    ]
 
 
 def distance_histogram3(
@@ -319,35 +280,21 @@ def distance_histogram3(
     if bins < 2:
         raise DomainError(f"need at least 2 bins per axis, got {bins}")
     D = domain.diameter
-    pairs = pair_array(3)
     edges = np.linspace(0.0, D, bins + 1)
 
-    def worker(windex, count):
-        rng = substream(mc.seed, windex)
+    def work(rng, count):
         counts = np.zeros(bins**3, dtype=np.int64)
-        remaining = count
-        while remaining > 0:
-            c = min(remaining, _CHUNK)
-            dists = np.sqrt(_distance_sq_chunk(3, domain, rng, c, pairs))
+        for dist_sq in _distance_sq_chunks(3, domain, rng, count):
+            dists = np.sqrt(dist_sq)
             if sorted_triples:
                 dists = np.sort(dists, axis=1)
             idx = np.minimum((dists / D * bins).astype(np.int64), bins - 1)
             flat = (idx[:, 0] * bins + idx[:, 1]) * bins + idx[:, 2]
             counts += np.bincount(flat, minlength=bins**3)
-            remaining -= c
         return counts
 
-    shares = _worker_share(mc.samples, mc.workers)
-    if mc.workers == 1:
-        total_counts = worker(0, shares[0])
-    else:
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            parts = list(pool.map(lambda w: worker(w, shares[w]), range(mc.workers)))
-        total_counts = parts[0]
-        for part in parts[1:]:
-            total_counts = total_counts + part
     return Histogram3(
         bin_edges=edges,
-        counts=total_counts.reshape(bins, bins, bins),
+        counts=_fan_out(mc, work).reshape(bins, bins, bins),
         total=mc.samples,
     )

@@ -1,4 +1,4 @@
-"""Deterministic adaptive quadrature in one to three dimensions.
+"""Deterministic one-dimensional adaptive Gauss-Kronrod quadrature.
 
 The building block is a 15-point Kronrod rule with its embedded 7-point
 Gauss rule; the difference of the two estimates on a panel is the panel's
@@ -7,15 +7,10 @@ tie-break (panel lower bound, then upper bound), so identical inputs give
 bit-identical results.  Supplied breakpoints become initial panel edges,
 which restores fast convergence on piecewise-smooth integrands.
 
-Boxes in two or three dimensions are integrated as iterated 1-d integrals
-(last axis innermost), with inner levels run to a tolerance that keeps
-their contribution a small fraction of the requested one.  Iterated
-refinement concentrates panels geometrically around integrable
-singularities, which axis-aligned box bisection cannot do at the
-tolerances needed here.
-
-Integrands are evaluated in batches: a 1-d integrand receives an array of
-abscissae, an n-d integrand an array of shape ``(npoints, ndim)``.
+Integrands are evaluated in batches of abscissae.  Many integrals can be
+refined in lockstep (:func:`integrate_many`); multi-dimensional integrals
+are built by nesting these calls, as the density integrators in
+:mod:`rggdist.distances` do.
 """
 
 from __future__ import annotations
@@ -85,9 +80,10 @@ _DIFF_WEIGHTS = GK15_WEIGHTS - G7_WEIGHTS
 class QuadratureSettings:
     """Tolerances and refinement budget for :func:`integrate`.
 
-    ``breakpoints`` holds one sorted sequence per axis; values outside the
-    integration interval are ignored.  ``max_subdivisions`` bounds the
-    number of panel bisections per 1-d integration.
+    ``breakpoints[0]``, when present, holds interior panel edges for the
+    one axis of :func:`integrate`; values outside the integration interval
+    are ignored.  ``max_subdivisions`` bounds the number of panel
+    bisections per integral.
     """
 
     abs_tol: float = 1e-10
@@ -232,86 +228,23 @@ def integrate_many(
     return totals, errors
 
 
-def _scaled_inner(settings: QuadratureSettings, width: float) -> QuadratureSettings:
-    # Inner integrals feed the outer integrand; keep their contribution to
-    # a quarter of the outer budget.
-    abs_tol = settings.abs_tol * 0.25 / max(width, 1.0) if settings.abs_tol > 0 else 0.0
-    rel_tol = settings.rel_tol * 0.25 if settings.rel_tol > 0 else 0.0
-    if abs_tol == 0 and rel_tol == 0:
-        abs_tol = 1e-14
-    return QuadratureSettings(
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        max_subdivisions=settings.max_subdivisions,
-    )
-
-
 def integrate(
     f: Callable,
     box: Sequence[tuple[float, float]],
     settings: QuadratureSettings = QuadratureSettings(),
 ) -> QuadratureResult:
-    """Adaptive integration of ``f`` over an axis-aligned box in <= 3 dims.
+    """Adaptive integration of ``f`` over a one-axis box ``[(lo, hi)]``.
 
-    In one dimension ``f`` receives an array of abscissae; in higher
-    dimensions an array of shape ``(npoints, ndim)``.  The reported error
-    estimate includes the budget allotted to inner levels.
+    ``f`` receives an array of abscissae; ``settings.breakpoints[0]``,
+    when given, supplies the interior panel edges.
     """
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    ndim = len(box)
-    if ndim < 1 or ndim > 3:
-        raise DomainError(f"box must have 1 to 3 axes, got {ndim}")
-    for lo, hi in box:
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-            raise DomainError(f"box axis ({lo}, {hi}) is degenerate")
-
-    breaks = settings.breakpoints
-
-    def axis_breaks(axis):
-        if breaks and axis < len(breaks) and breaks[axis]:
-            return tuple(breaks[axis])
-        return ()
-
-    if ndim == 1:
-        def g(x, which):
-            return np.asarray(f(x), dtype=float)
-
-        values, errors = integrate_many(
-            g, [box[0]], settings, breakpoints=[axis_breaks(0)]
-        )
-        return QuadratureResult(float(values[0]), float(errors[0]))
-
-    def level(prefixes: np.ndarray, axis: int, lvl_settings: QuadratureSettings) -> np.ndarray:
-        """Integrate out axes ``axis:`` for every prefix row; returns values."""
-        n_int = len(prefixes)
-        width = box[axis][1] - box[axis][0]
-        if axis == ndim - 1:
-            def g(x, which):
-                pts = np.column_stack((prefixes[which], x))
-                return np.asarray(f(pts), dtype=float)
-        else:
-            inner = _scaled_inner(lvl_settings, width)
-
-            def g(x, which):
-                new_prefixes = np.column_stack((prefixes[which], x))
-                return level(new_prefixes, axis + 1, inner)
-
-        values, _ = integrate_many(
-            g, [box[axis]] * n_int, lvl_settings, breakpoints=[axis_breaks(axis)] * n_int
-        )
-        return values
-
-    top = _scaled_inner(settings, 1.0)  # budget split mirrors the 1-d case
-
-    def g_top(x, which):
-        prefixes = x[:, None]
-        return level(prefixes, 1, top)
-
+    if len(box) != 1:
+        raise DomainError(f"box must have exactly 1 axis, got {len(box)}")
+    lo, hi = float(box[0][0]), float(box[0][1])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+        raise DomainError(f"box axis ({lo}, {hi}) is degenerate")
     values, errors = integrate_many(
-        g_top, [box[0]], settings, breakpoints=[axis_breaks(0)]
+        lambda x, which: np.asarray(f(x), dtype=float), [(lo, hi)], settings,
+        breakpoints=[settings.breakpoints[0] if settings.breakpoints else ()],
     )
-    value = float(values[0])
-    # Inner levels were run to a fraction of the requested tolerance; fold
-    # that budget into the reported estimate.
-    budget = (settings.abs_tol + settings.rel_tol * abs(value)) / 3.0
-    return QuadratureResult(value, float(errors[0]) + budget)
+    return QuadratureResult(float(values[0]), float(errors[0]))

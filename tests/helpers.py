@@ -1,8 +1,28 @@
-"""Shared oracle helpers for the test suite."""
+"""Shared oracle helpers for the test suite, including reference code
+only tests use: iterated n-d quadrature, scalar samplers, and loop
+versions of the outcome-table maps."""
+
+import math
+import os
+import subprocess
+import sys
+from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
-from rggdist import DiskDomain, McSettings, estimate_pmf
+import rggdist
+from rggdist import (
+    DiskDomain,
+    McSettings,
+    QuadratureResult,
+    QuadratureSettings,
+    connect_prob,
+    estimate_pmf,
+)
+from rggdist.geometry import pair_array
+from rggdist.graphdist import EdgeVector
+from rggdist.quadrature import integrate_many
 
 
 def obtuse_boundary_triples(count, rng, diameter=1.0):
@@ -73,4 +93,106 @@ def mc_pmf_tolerance(exact_probs, samples):
 def sample_pmf(n, model, seed, samples, workers=1, diameter=1.0):
     return estimate_pmf(
         n, model, DiskDomain(diameter), McSettings(samples=samples, seed=seed, workers=workers)
+    )
+
+
+def run_cli_process(*argv):
+    """Run ``python -m rggdist ARGV`` in a fresh interpreter that imports
+    the same rggdist as the test process; returns the completed process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rggdist.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "rggdist", *argv],
+        capture_output=True,
+        timeout=600,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def integrate_nd(f, box, settings):
+    """Iterated adaptive integration of ``f`` over an axis-aligned box.
+
+    ``f`` receives an array of shape ``(npoints, ndim)``.  Axes are
+    integrated as nested 1-d integrals, last axis innermost, every level
+    refined in lockstep by ``integrate_many``; inner levels run to a
+    quarter of the budget of the level above, and the reported error
+    estimate includes that budget.
+    """
+    box = [(float(lo), float(hi)) for lo, hi in box]
+
+    def level(prefixes, axis, lvl):
+        """Integrate out axes ``axis:`` for every prefix row."""
+        if axis == len(box) - 1:
+            def g(x, which):
+                return np.asarray(f(np.column_stack((prefixes[which], x))), dtype=float)
+        else:
+            width = max(box[axis][1] - box[axis][0], 1.0)
+            inner = QuadratureSettings(
+                abs_tol=lvl.abs_tol * 0.25 / width, rel_tol=lvl.rel_tol * 0.25,
+                max_subdivisions=lvl.max_subdivisions,
+            )
+
+            def g(x, which):
+                return level(np.column_stack((prefixes[which], x)), axis + 1, inner)[0]
+
+        return integrate_many(g, [box[axis]] * len(prefixes), lvl)
+
+    values, errors = level(np.empty((1, 0)), 0, settings)
+    budget = (settings.abs_tol + settings.rel_tol * abs(values[0])) / 3.0
+    return QuadratureResult(float(values[0]), float(errors[0]) + budget)
+
+
+class Point2D(NamedTuple):
+    x: float
+    y: float
+
+
+def sample_point_in_disk(domain, rng):
+    """One point uniform over the disk: radius ``R*sqrt(u)`` from the
+    first draw, a uniform angle from the second."""
+    u = rng.random()
+    v = rng.random()
+    rho = domain.radius * math.sqrt(u)
+    ang = 2.0 * math.pi * v
+    return Point2D(rho * math.cos(ang), rho * math.sin(ang))
+
+
+def sample_edge(model, r, rng):
+    """One Bernoulli edge indicator; always consumes exactly one draw."""
+    return int(rng.random() < connect_prob(model, r))
+
+
+def sample_graph(n, model, domain, rng):
+    """One realized graph: n uniform points, one Bernoulli draw per pair."""
+    u = rng.random(n)
+    v = rng.random(n)
+    rho = domain.radius * np.sqrt(u)
+    ang = 2.0 * math.pi * v
+    xs = rho * np.cos(ang)
+    ys = rho * np.sin(ang)
+    bits = [
+        sample_edge(model, math.hypot(xs[i] - xs[j], ys[i] - ys[j]), rng)
+        for i, j in pair_array(n)
+    ]
+    return EdgeVector(n=n, bits=tuple(bits))
+
+
+def outcome_is_connected(n, code):
+    """Grow the component of node 0 over the edges of ``code`` until it
+    stops changing."""
+    edges = [(i, j) for k, (i, j) in enumerate(pair_array(n)) if (code >> k) & 1]
+    seen, size = {0}, 0
+    while len(seen) != size:
+        size = len(seen)
+        seen |= {b for i, j in edges for a, b in ((i, j), (j, i)) if a in seen}
+    return len(seen) == n
+
+
+def orbit_representative(n, code):
+    """Smallest code among the images of ``code`` under all relabelings."""
+    pairs = [(int(i), int(j)) for i, j in pair_array(n)]
+    present = [p for k, p in enumerate(pairs) if (code >> k) & 1]
+    return min(
+        sum(1 << pairs.index(tuple(sorted((perm[i], perm[j])))) for i, j in present)
+        for perm in permutations(range(n))
     )

@@ -9,8 +9,6 @@ The heavy Monte Carlo fixtures use fixed seeds and two workers; every
 criterion states its tolerance inline.
 """
 
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -48,6 +46,7 @@ from helpers import (
     mc_pmf_tolerance,
     obtuse_boundary_triples,
     right_triangles,
+    run_cli_process,
     sample_pmf,
     valid_triple_grid,
 )
@@ -320,14 +319,7 @@ def test_10_cli_byte_determinism():
     ]
     failures = []
     for argv in commands:
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "rggdist", *argv],
-                capture_output=True,
-                timeout=600,
-            )
-            for _ in range(2)
-        ]
+        runs = [run_cli_process(*argv) for _ in range(2)]
         if runs[0].stdout != runs[1].stdout or runs[0].returncode != runs[1].returncode:
             failures.append(argv[0])
         elif runs[0].returncode != 0 or not runs[0].stdout:

@@ -1,13 +1,14 @@
 """Command-line interface: formats, exit codes, and byte determinism."""
 
 import json
-import subprocess
-import sys
 
 import pytest
 
 from rggdist import DiskDomain, TriangleSides, joint_pdf3, pair_pdf
+from rggdist import cli
 from rggdist.cli import main
+
+from helpers import run_cli_process
 
 
 def run_cli(capsys, *argv):
@@ -17,11 +18,7 @@ def run_cli(capsys, *argv):
 
 
 def run_cli_bytes(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "rggdist", *argv],
-        capture_output=True,
-        timeout=600,
-    )
+    proc = run_cli_process(*argv)
     return proc.returncode, proc.stdout
 
 
@@ -184,6 +181,28 @@ class TestSweepCommands:
             h = float(row[1])
             bound2 = float(row[4])
             assert h <= bound2 + 1e-9
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep-connectivity", "--n", "3", "--mc"),
+            ("sweep-entropy", "--n", "3", "--mc", "--model-kind", "exp", "--r0-start", "0.1"),
+        ],
+    )
+    def test_grid_seed_overflow_refused_before_sampling(self, capsys, monkeypatch, argv):
+        # Grid point idx is seeded seed + idx; the last one would pass 2**64 - 1.
+        def estimator(*args, **kwargs):
+            raise AssertionError("sampled before refusing the seed")
+
+        monkeypatch.setattr(cli, "estimate_pmf", estimator)
+        monkeypatch.setattr(cli, "estimate_entropy", estimator)
+        code, out, err = run_cli(
+            capsys, *argv, "--samples", "200000", "--steps", "3",
+            "--seed", str(2**64 - 2),
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
 
     def test_invalid_grid(self, capsys):
         code, _, _ = run_cli(

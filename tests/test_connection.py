@@ -14,9 +14,10 @@ from rggdist import (
     Tabulated,
     connect_prob,
     parse_model,
-    sample_edge,
 )
 from rggdist.montecarlo import substream
+
+from helpers import sample_edge
 
 
 class TestHardDisk:

@@ -29,6 +29,8 @@ from rggdist.distances import (
     _density_inscribed,
     _density_obtuse_extra,
     _density_outscribed,
+    _inner_lines,
+    _per_cell_line_integrals,
 )
 from rggdist.montecarlo import substream
 from rggdist.quadrature import QuadratureSettings, integrate, integrate_many
@@ -327,6 +329,20 @@ class TestViaConditioning:
         with pytest.raises(AccuracyError) as excinfo:
             joint_pdf3_via_conditioning(TriangleSides(0.5, 0.5, 0.9), DOMAIN, starved)
         assert excinfo.value.error_estimate is not None
+
+
+class TestLineIntegrals:
+    def test_per_cell_sums_match_whole_lines(self):
+        # The two reductions of the line integrator: per-cell pieces summed
+        # over the cells give the whole-line integral, within the sum of
+        # the two line tolerances.
+        rng = np.random.default_rng(3)
+        p = np.concatenate([rng.uniform(0.01, 0.99, 40), [0.5, 0.3, 0.7071, 0.9]])
+        q = np.concatenate([rng.uniform(0.01, 0.99, 40), [0.5, 0.4, 0.7071, 0.2]])
+        cells = _per_cell_line_integrals(p, q, np.linspace(0.0, 1.0, 21), 1.0, line_tol=1e-9)
+        whole, _ = _inner_lines(p, q, 0.0, 1.0, 1.0, line_tol=1e-11)
+        assert np.all(whole > 0.0)
+        assert np.max(np.abs(cells.sum(axis=1) - whole)) <= 1e-9 + 1e-11
 
 
 class TestMarginal:

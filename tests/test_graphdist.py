@@ -25,7 +25,7 @@ from rggdist import (
 )
 from rggdist.quadrature import QuadratureSettings
 
-from helpers import mc_pmf_tolerance, sample_pmf
+from helpers import mc_pmf_tolerance, orbit_representative, outcome_is_connected, sample_pmf
 
 DOMAIN = DiskDomain(1.0)
 
@@ -198,6 +198,16 @@ class TestConnectivityEvents:
         assert mask[0b110]
         assert mask[0b111]
 
+    def test_connected_counts(self):
+        # Labelled connected graphs on n = 2..6 nodes (OEIS A001187); the
+        # bitwise reach sets agree with a graph search on every outcome.
+        for n, count in zip(range(2, 7), (1, 4, 38, 728, 26704)):
+            mask = connected_outcome_mask(n)
+            assert mask.shape == (1 << (n * (n - 1) // 2),)
+            assert int(mask.sum()) == count
+            if n <= 5:
+                assert mask.tolist() == [outcome_is_connected(n, c) for c in range(len(mask))]
+
     def test_four_term_sum(self):
         pmf = pmf_n3(HardDisk(r0=0.6), DOMAIN)
         explicit = float(
@@ -217,9 +227,13 @@ class TestConnectivityEvents:
 
 class TestOrbits:
     def test_orbit_counts(self):
-        # Unlabeled graphs: 4 on three vertices, 11 on four vertices.
-        assert len(np.unique(relabel_orbit_map(3))) == 4
-        assert len(np.unique(relabel_orbit_map(4))) == 11
+        # Unlabeled graphs on n = 2..6 vertices (OEIS A000088); the bitwise
+        # relabeling agrees with a per-outcome loop over all permutations.
+        for n, count in zip(range(2, 7), (2, 4, 11, 34, 156)):
+            orbits = relabel_orbit_map(n)
+            assert len(np.unique(orbits)) == count
+            if n <= 4:
+                assert orbits.tolist() == [orbit_representative(n, c) for c in range(len(orbits))]
 
     def test_orbit_invariance_under_all_permutations(self):
         orbits = relabel_orbit_map(3)

@@ -18,9 +18,10 @@ from rggdist import (
     estimate_entropy_sweep_hard,
     estimate_pmf,
     pmf_n3,
-    sample_graph,
 )
 from rggdist.montecarlo import _entropy_bits_from_counts, substream
+
+from helpers import sample_graph
 
 DOMAIN = DiskDomain(1.0)
 
@@ -232,3 +233,43 @@ class TestDistanceHistogram:
     def test_bins_validation(self):
         with pytest.raises(DomainError):
             distance_histogram3(DOMAIN, McSettings(samples=10, seed=1), bins=1)
+
+
+class TestPinnedStreams:
+    """Outputs pinned to recorded values: any change of the stream layout
+    (draw order, chunking, worker split, bootstrap substream) fails here."""
+
+    SAMPLES = 2**19 + 3  # crosses a chunk boundary in the first worker
+
+    @pytest.mark.parametrize(
+        "model, counts",
+        [
+            (HardDisk(r0=0.4), [88131, 90965, 90839, 30709, 90797, 30431, 30797, 71622]),
+            (
+                ExponentialSoft(r0=0.3, beta=2.0),
+                [227949, 75499, 75753, 18571, 75917, 18304, 18326, 13972],
+            ),
+        ],
+    )
+    def test_pmf_counts(self, model, counts):
+        mc = McSettings(samples=self.SAMPLES, seed=2024, workers=3)
+        probs = estimate_pmf(3, model, DOMAIN, mc).probs
+        assert np.rint(probs * self.SAMPLES).astype(int).tolist() == counts
+
+    def test_entropy_sweep(self):
+        mc = McSettings(samples=50_000, seed=2024, workers=3)
+        est = estimate_entropy_sweep_hard(3, [0.2, 0.5], DOMAIN, mc)
+        expected = [
+            (1.679565952942806, 0.006842426575045969),
+            (2.8411683877934624, 0.0029849062696696953),
+        ]
+        for (bits, se), (want_bits, want_se) in zip(est, expected):
+            assert bits == pytest.approx(want_bits, rel=1e-12)
+            assert se == pytest.approx(want_se, rel=1e-9)
+
+    def test_histogram_counts(self):
+        mc = McSettings(samples=self.SAMPLES, seed=2024, workers=3)
+        hist = distance_histogram3(DOMAIN, mc, bins=2)
+        assert hist.counts.ravel().tolist() == [
+            144659, 46884, 46834, 69372, 47216, 69429, 69105, 30792,
+        ]

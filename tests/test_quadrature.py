@@ -7,6 +7,8 @@ from rggdist import AccuracyError, DiskDomain, DomainError, pair_pdf
 from rggdist.distances import joint_pdf3_values
 from rggdist.quadrature import QuadratureSettings, integrate, integrate_many
 
+from helpers import integrate_nd
+
 TIGHT = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=50)
 
 
@@ -20,7 +22,7 @@ def test_settings_validation():
 
 
 def test_unit_cube():
-    res = integrate(lambda p: np.ones(len(p)), [(0, 1), (0, 1), (0, 1)], TIGHT)
+    res = integrate_nd(lambda p: np.ones(len(p)), [(0, 1), (0, 1), (0, 1)], TIGHT)
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -39,7 +41,7 @@ def test_polynomial_exact_single_panel_1d(deg):
 
 def test_two_dimensional_box():
     settings = QuadratureSettings(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=100)
-    res = integrate(
+    res = integrate_nd(
         lambda p: np.exp(p[:, 0]) * np.sin(p[:, 1]), [(0, 1), (0, np.pi)], settings
     )
     assert res.value == pytest.approx(2.0 * (np.e - 1.0), rel=1e-9)
@@ -49,7 +51,7 @@ def test_two_dimensional_box():
 def test_polynomial_exact_per_axis_3d(degs):
     a, b, c = degs
     settings = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=4)
-    res = integrate(
+    res = integrate_nd(
         lambda p: p[:, 0] ** a * p[:, 1] ** b * p[:, 2] ** c,
         [(0, 1), (0, 1), (0, 1)],
         settings,
@@ -130,7 +132,7 @@ def test_joint_density_normalization_generic_path():
     # The three-distance joint density has an integrable blow-up toward
     # collinear triples; the iterated adaptive path must still reach 1e-3.
     domain = DiskDomain(1.0)
-    res = integrate(
+    res = integrate_nd(
         lambda pts: joint_pdf3_values(pts[:, 0], pts[:, 1], pts[:, 2], domain),
         [(0, 1), (0, 1), (0, 1)],
         QuadratureSettings(abs_tol=1e-3, rel_tol=0.0, max_subdivisions=2000),
