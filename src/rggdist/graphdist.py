@@ -26,6 +26,7 @@ estimates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -126,7 +127,7 @@ def _pair_connect_prob(model, domain, settings) -> tuple[float, float]:
         abs_tol=settings.abs_tol,
         rel_tol=settings.rel_tol,
         max_subdivisions=settings.max_subdivisions,
-        breakpoints=(breaks,),
+        breakpoints=breaks,
     )
     return integrate(integrand, [(0.0, D)], settings)
 
@@ -283,7 +284,15 @@ def _outcome_edge_bits(n: int):
 
 
 def connected_outcome_mask(n: int) -> np.ndarray:
-    """Boolean mask over all outcomes: is the decoded graph connected?"""
+    """Boolean mask over all outcomes: is the decoded graph connected?
+
+    Built once per ``n`` and shared between calls, so it is read-only.
+    """
+    return _connected_mask(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _connected_mask(n: int) -> np.ndarray:
     pairs, bits = _outcome_edge_bits(n)
     # Bit set of the nodes reached from node 0, for every outcome at once.
     # Each pass over the edges extends every path by at least one hop, and
@@ -292,7 +301,9 @@ def connected_outcome_mask(n: int) -> np.ndarray:
     for _ in range(n - 1):
         for k, (i, j) in enumerate(pairs):
             reach |= bits[:, k] * ((((reach >> i) & 1) << j) | (((reach >> j) & 1) << i))
-    return reach == (1 << n) - 1
+    mask = reach == (1 << n) - 1
+    mask.flags.writeable = False
+    return mask
 
 
 def prob_connected(pmf: GraphPmf) -> float:

@@ -11,11 +11,22 @@ after the workers.  Jumps advance the counter by 2**128 draws, so the
 streams cannot overlap, and a fixed (samples, seed, workers) triple gives
 bit-identical results no matter how the work is scheduled.  The generator
 name is recorded in every estimate so outputs are auditable.
+
+Memory: each worker draws its uniforms one chunk of ``_CHUNK`` (2**19)
+point sets at a time and runs the pair stage (polar to Cartesian, pair
+differences, squared distances) over row blocks of at most ``_BLOCK``
+sets, so a worker holds two ``_CHUNK x n`` uniform arrays plus a few
+block-sized temporaries.  ``Generator.random`` yields the same numbers
+whether a draw is made in one call or split over several, so the stream
+does not depend on ``_BLOCK``.  Threads are capped at ``os.cpu_count()``;
+``workers`` stays the logical split into substreams, so peak memory
+grows with the cores in use, not with ``workers``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,6 +41,9 @@ from .graphdist import GraphPmf
 RNG_NAME = "philox"
 
 _CHUNK = 1 << 19
+# Rows of the pair stage per block: small enough for its temporaries to
+# stay in cache, large enough to amortise numpy's per-call overhead.
+_BLOCK = 1 << 13
 
 # Largest exponent of the outcome table kept in memory (2**20 entries).
 MAX_OUTCOME_BITS = 20
@@ -81,13 +95,14 @@ def _fan_out(mc: McSettings, work):
 
     Worker ``w`` gets its own substream and its share of ``mc.samples``;
     the partial results are added in worker order, so the total does not
-    depend on scheduling.
+    depend on scheduling.  At most ``os.cpu_count()`` threads run the
+    workers.
     """
     base, extra = divmod(mc.samples, mc.workers)
     shares = [base + (1 if w < extra else 0) for w in range(mc.workers)]
     if mc.workers == 1:
         return work(substream(mc.seed, 0), shares[0])
-    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(mc.workers, os.cpu_count() or 1)) as pool:
         parts = list(
             pool.map(lambda w: work(substream(mc.seed, w), shares[w]), range(mc.workers))
         )
@@ -95,27 +110,31 @@ def _fan_out(mc: McSettings, work):
 
 
 def _distance_sq_chunks(n, domain, rng, count):
-    """Squared pair distances of ``count`` sampled point sets, one chunk of
-    at most ``_CHUNK`` sets at a time.
+    """Squared pair distances of ``count`` sampled point sets, one block of
+    at most ``_BLOCK`` sets at a time.
 
-    Squared form so that hard-disk thresholding can skip the square root.
-    The caller may draw from ``rng`` between chunks.
+    Uniforms are drawn per chunk of at most ``_CHUNK`` sets (all radial
+    uniforms of the chunk, then all angular ones); the pair stage then
+    runs block by block over the chunk's rows, so its temporaries never
+    exceed ``_BLOCK`` rows.  Squared form so that hard-disk thresholding
+    can skip the square root.  The caller may draw from ``rng`` between
+    blocks; those draws follow the chunk's uniforms in block order, so a
+    fixed number of draws per row gives the same stream whatever
+    ``_BLOCK`` is.
     """
     pairs = pair_array(n)
     for start in range(0, count, _CHUNK):
         c = min(_CHUNK, count - start)
         u = rng.random((c, n))
         v = rng.random((c, n))
-        rho = domain.radius * np.sqrt(u)
-        ang = 2.0 * math.pi * v
-        xs = rho * np.cos(ang)
-        ys = rho * np.sin(ang)
-        dx = xs[:, pairs[:, 0]] - xs[:, pairs[:, 1]]
-        dy = ys[:, pairs[:, 0]] - ys[:, pairs[:, 1]]
-        dist_sq = dx * dx + dy * dy
-        # Free the temporaries while the caller works on the chunk.
-        del u, v, rho, ang, xs, ys, dx, dy
-        yield dist_sq
+        for b in range(0, c, _BLOCK):
+            rho = domain.radius * np.sqrt(u[b:b + _BLOCK])
+            ang = 2.0 * math.pi * v[b:b + _BLOCK]
+            xs = rho * np.cos(ang)
+            ys = rho * np.sin(ang)
+            dx = xs[:, pairs[:, 0]] - xs[:, pairs[:, 1]]
+            dy = ys[:, pairs[:, 0]] - ys[:, pairs[:, 1]]
+            yield dx * dx + dy * dy
 
 
 def _outcome_bits(n: int) -> int:

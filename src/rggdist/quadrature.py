@@ -80,16 +80,16 @@ _DIFF_WEIGHTS = GK15_WEIGHTS - G7_WEIGHTS
 class QuadratureSettings:
     """Tolerances and refinement budget for :func:`integrate`.
 
-    ``breakpoints[0]``, when present, holds interior panel edges for the
-    one axis of :func:`integrate`; values outside the integration interval
-    are ignored.  ``max_subdivisions`` bounds the number of panel
+    ``breakpoints`` holds interior panel edges for the one axis of
+    :func:`integrate`; values outside the integration interval are
+    ignored.  ``max_subdivisions`` bounds the number of panel
     bisections per integral.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 1000
-    breakpoints: tuple[tuple[float, ...], ...] = ()
+    breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.abs_tol < 0 or self.rel_tol < 0:
@@ -235,8 +235,8 @@ def integrate(
 ) -> QuadratureResult:
     """Adaptive integration of ``f`` over a one-axis box ``[(lo, hi)]``.
 
-    ``f`` receives an array of abscissae; ``settings.breakpoints[0]``,
-    when given, supplies the interior panel edges.
+    ``f`` receives an array of abscissae; ``settings.breakpoints``
+    supplies the interior panel edges.
     """
     if len(box) != 1:
         raise DomainError(f"box must have exactly 1 axis, got {len(box)}")
@@ -245,6 +245,6 @@ def integrate(
         raise DomainError(f"box axis ({lo}, {hi}) is degenerate")
     values, errors = integrate_many(
         lambda x, which: np.asarray(f(x), dtype=float), [(lo, hi)], settings,
-        breakpoints=[settings.breakpoints[0] if settings.breakpoints else ()],
+        breakpoints=[settings.breakpoints],
     )
     return QuadratureResult(float(values[0]), float(errors[0]))

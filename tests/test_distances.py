@@ -294,7 +294,7 @@ class TestConditionalDensity:
             integrand,
             [(0.4, 1.0)],
             QuadratureSettings(
-                abs_tol=0.0, rel_tol=1e-9, max_subdivisions=300, breakpoints=((d,),)
+                abs_tol=0.0, rel_tol=1e-9, max_subdivisions=300, breakpoints=(d,)
             ),
         )
         assert res.value == pytest.approx(target, rel=1e-6)

@@ -23,6 +23,7 @@ from rggdist import (
     prob_connected,
     relabel_orbit_map,
 )
+from rggdist import graphdist
 from rggdist.quadrature import QuadratureSettings
 
 from helpers import mc_pmf_tolerance, orbit_representative, outcome_is_connected, sample_pmf
@@ -207,6 +208,24 @@ class TestConnectivityEvents:
             assert int(mask.sum()) == count
             if n <= 5:
                 assert mask.tolist() == [outcome_is_connected(n, c) for c in range(len(mask))]
+
+    def test_mask_built_once_and_read_only(self, monkeypatch):
+        builds = []
+        real = graphdist._outcome_edge_bits
+
+        def counting(n):
+            builds.append(n)
+            return real(n)
+
+        monkeypatch.setattr(graphdist, "_outcome_edge_bits", counting)
+        graphdist._connected_mask.cache_clear()
+        first = connected_outcome_mask(4)
+        second = connected_outcome_mask(4)
+        assert builds == [4]
+        assert second is first
+        with pytest.raises(ValueError):
+            first[0] = True
+        graphdist._connected_mask.cache_clear()
 
     def test_four_term_sum(self):
         pmf = pmf_n3(HardDisk(r0=0.6), DOMAIN)

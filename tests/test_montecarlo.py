@@ -1,6 +1,7 @@
 """Monte Carlo estimators: determinism, convergence, and cross-checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from rggdist import (
     estimate_pmf,
     pmf_n3,
 )
-from rggdist.montecarlo import _entropy_bits_from_counts, substream
+from rggdist import montecarlo
+from rggdist.montecarlo import _distance_sq_chunks, _entropy_bits_from_counts, substream
 
 from helpers import sample_graph
 
@@ -107,6 +109,53 @@ class TestEstimatePmf:
         mc = McSettings(samples=100_001, seed=13, workers=3)
         pmf = estimate_pmf(2, HardDisk(r0=0.5), DOMAIN, mc)
         assert float(np.sum(pmf.probs * mc.samples)) == mc.samples
+
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        # ``workers`` stays the logical split: 64 substreams and shares,
+        # run on at most ``os.cpu_count()`` threads.  The executor is a
+        # serial stand-in, so no thread starts.
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        model = HardDisk(r0=0.4)
+        mc = McSettings(samples=10_007, seed=15, workers=64)
+        probs = estimate_pmf(3, model, DOMAIN, mc).probs
+        assert pools == [2]
+        expected = np.zeros(8, dtype=np.int64)
+        base, extra = divmod(mc.samples, mc.workers)
+        for w in range(mc.workers):
+            share = base + (1 if w < extra else 0)
+            for dist_sq in _distance_sq_chunks(3, DOMAIN, substream(mc.seed, w), share):
+                codes = (dist_sq < model.r0**2).astype(np.int64) @ np.array([1, 2, 4])
+                expected += np.bincount(codes, minlength=8)
+        assert np.rint(probs * mc.samples).astype(np.int64).tolist() == expected.tolist()
+
+    def test_peak_memory_bounded(self):
+        # One worker, one full chunk of six-node point sets with per-edge
+        # uniforms: the pair stage runs in blocks, so the traced peak stays
+        # near the chunk's two uniform arrays (2 x 2**19 x 6 doubles, 48 MiB).
+        mc = McSettings(samples=2**19, seed=1, workers=1)
+        tracemalloc.start()
+        try:
+            estimate_pmf(6, ExponentialSoft(r0=0.3, beta=2.0), DOMAIN, mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2**20
 
     def test_worker_counts_statistically_equivalent(self):
         # The split changes which substream produces which sample, not the
@@ -239,7 +288,9 @@ class TestPinnedStreams:
     """Outputs pinned to recorded values: any change of the stream layout
     (draw order, chunking, worker split, bootstrap substream) fails here."""
 
-    SAMPLES = 2**19 + 3  # crosses a chunk boundary in the first worker
+    # At 3 workers each share (about 174,763) stays inside one chunk;
+    # the single-worker pin below crosses a chunk boundary.
+    SAMPLES = 2**19 + 3
 
     @pytest.mark.parametrize(
         "model, counts",
@@ -255,6 +306,15 @@ class TestPinnedStreams:
         mc = McSettings(samples=self.SAMPLES, seed=2024, workers=3)
         probs = estimate_pmf(3, model, DOMAIN, mc).probs
         assert np.rint(probs * self.SAMPLES).astype(int).tolist() == counts
+
+    def test_pmf_counts_across_chunk_boundary(self):
+        # One worker draws a full 2**19-set chunk and then 3 more sets; the
+        # per-edge uniforms of the soft model interleave with the blocks.
+        mc = McSettings(samples=self.SAMPLES, seed=2024, workers=1)
+        probs = estimate_pmf(3, ExponentialSoft(r0=0.3, beta=2.0), DOMAIN, mc).probs
+        assert np.rint(probs * self.SAMPLES).astype(int).tolist() == [
+            227716, 75825, 75980, 18430, 76009, 18218, 18355, 13758,
+        ]
 
     def test_entropy_sweep(self):
         mc = McSettings(samples=50_000, seed=2024, workers=3)

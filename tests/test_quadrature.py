@@ -80,7 +80,7 @@ def test_refinement_monotonicity():
 
 def test_breakpoint_handles_kink():
     settings = QuadratureSettings(
-        abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=2, breakpoints=((0.3,),)
+        abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=2, breakpoints=(0.3,)
     )
     res = integrate(lambda x: np.abs(x - 0.3), [(0.0, 1.0)], settings)
     assert res.value == pytest.approx(0.5 * 0.3**2 + 0.5 * 0.7**2, abs=1e-14)
