@@ -27,6 +27,16 @@ triples; that rim is integrable.  The integration helpers below therefore
 split the innermost axis at the analytic case-boundary points and map
 each piece through a cosine substitution that absorbs the rim
 singularity, which keeps every panel smooth.
+
+Both closed-form kernels (:func:`_pdf3_batch` and the conditional
+:func:`_cond_pdf3_batch`) run in one straight-line pass.  A 3-element
+min/max network sorts the sides of every triple; each phi (or arccos)
+term is evaluated once on every triple and shared by the branches that
+use it; a masked select (``np.where``, or ``np.copyto`` in place) picks
+the branch; and a final masked select zeroes the triples outside the
+support instead of gathering the support first.  Every formula keeps its
+operation order, so the values are bit-identical to evaluating each
+branch on the gathered support.
 """
 
 from __future__ import annotations
@@ -53,6 +63,11 @@ from .quadrature import (
 )
 
 _PI2 = math.pi * math.pi
+
+# cos(pi*u) and sin(pi*u) at the GK15 nodes of the cosine substitution
+# ``t = mid - half*cos(pi*u)`` used by :func:`_line_segments`.
+_GK15_COS = np.cos(math.pi * GK15_NODES01)
+_GK15_SIN = np.sin(math.pi * GK15_NODES01)
 
 
 class JointPdfCase(Enum):
@@ -102,74 +117,103 @@ def pair_pdf(r, domain: DiskDomain):
 # three-point joint density (closed form)
 # ---------------------------------------------------------------------------
 
-def _density_inscribed(a, b, c, d, D):
-    """Common part of the two d <= D branches; sides sorted ascending."""
-    d2D2 = (d / D) ** 2
-    s_outer = _phi_clipped(a / D) + _phi_clipped(b / D) + _phi_clipped(c / D)
-    s_inner = _phi_clipped(a / d) + _phi_clipped(b / d) + _phi_clipped(c / d)
-    return (
-        64.0
-        * d
-        / (_PI2 * D**4)
-        * (s_outer - d2D2 * s_inner - 0.5 * math.pi * (1.0 - d2D2))
-    )
-
-
-def _density_obtuse_extra(c, d, D):
-    """Term added to the inscribed density when the triangle is obtuse."""
-    return 64.0 * d / (_PI2 * D**4) * 2.0 * (d / D) ** 2 * _phi_clipped(c / d)
-
-
-def _density_outscribed(c, d, D):
-    """Obtuse branch for d > D: only the longest side matters."""
-    return 128.0 * d / (_PI2 * D**4) * _phi_clipped(c / D)
-
-
 def _sorted_sides(r12, r13, r23):
-    """Broadcast and flatten the sides, sorted ascending per triple, so that
-    densities built on them are exactly permutation invariant.  Returns
-    (a, b, c, Q, broadcast shape)."""
-    triples = np.stack(np.broadcast_arrays(
-        np.asarray(r12, float), np.asarray(r13, float), np.asarray(r23, float)
-    ), axis=-1)
-    shape = triples.shape[:-1]
-    triples = triples.reshape(-1, 3)
-    triples.sort(axis=1)
-    a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-    q = (a + b + c) * (b + c - a) * (a + c - b) * (a + b - c)
+    """Sides sorted ascending per triple by a min/max network, broadcast
+    and flattened, so that densities built on them are exactly
+    permutation invariant.  Returns (a, b, c, Q, broadcast shape)."""
+    x = np.asarray(r12, float)
+    y = np.asarray(r13, float)
+    z = np.asarray(r23, float)
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    a = np.minimum(lo, z)
+    c = np.maximum(hi, z)
+    b = np.maximum(lo, np.minimum(hi, z))
+    shape = np.shape(a)
+    a, b, c = np.ravel(a), np.ravel(b), np.ravel(c)
+    # Q = (a+b+c) * (b+c-a) * (a+c-b) * (a+b-c), left to right, in two buffers.
+    q = a + b
+    q += c
+    t = b + c
+    t -= a
+    q *= t
+    q *= np.subtract(np.add(a, c, out=t), b, out=t)
+    q *= np.subtract(np.add(a, b, out=t), c, out=t)
     return a, b, c, q, shape
 
 
 def _pdf3_batch(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=False):
-    """Vectorized four-branch evaluation; assumes inputs already validated."""
+    """Four-branch evaluation in one pass; assumes inputs already validated.
+
+    Every quantity is computed on every triple: the circumdiameter, the
+    obtuse and inscribed flags, and the six phi terms ``phi(a/D)``,
+    ``phi(b/D)``, ``phi(c/D)``, ``phi(a/d)``, ``phi(b/d)``, ``phi(c/d)``,
+    each once (the obtuse extra term reuses ``phi(c/d)``, the outscribed
+    branch ``phi(c/D)``).  ``np.where`` picks the branch (as in-place
+    ``np.copyto``), and a final one zeroes the triples outside the
+    support, whose NaN and infinite intermediates are never read.  Each
+    formula keeps the operation order of its closed form, so the values
+    do not depend on which triples share the batch.  Buffers are reused
+    in place, which keeps the peak memory of a call, and with it the page
+    faults of large batches, low.  With ``with_case`` also returns uint8
+    case codes (0 outside the support).
+    """
     a, b, c, q, shape = _sorted_sides(r12, r13, r23)
-    valid = (c > 0.0) & (c <= D) & (q > degenerate_eps * (c * c) ** 2)
-
-    out = np.zeros(len(a))
-    codes = np.zeros(len(a), dtype=np.uint8)
-    if np.any(valid):
-        va, vb, vc, vq = a[valid], b[valid], c[valid], q[valid]
-        d = 2.0 * va * vb * vc / np.sqrt(vq)
-        obtuse = vc * vc > va * va + vb * vb
+    scale = _PI2 * D**4
+    with np.errstate(all="ignore"):
+        valid = (c > 0.0) & (c <= D) & (q > degenerate_eps * (c * c) ** 2)
+        obtuse = c * c > a * a + b * b
+        d = 2.0 * a
+        d *= b
+        d *= c
+        d /= np.sqrt(q, out=q)
         inscribed = d <= D
-        base = _density_inscribed(va, vb, vc, d, D)
-        vals = np.where(
-            inscribed,
-            base + np.where(obtuse, _density_obtuse_extra(vc, d, D), 0.0),
-            np.where(obtuse, _density_outscribed(vc, d, D), 0.0),
-        )
-        out[valid] = np.maximum(vals, 0.0)
-        vcodes = np.where(
-            inscribed,
-            np.where(obtuse, 1, 2),
-            np.where(obtuse, 3, 0),
-        ).astype(np.uint8)
-        codes[valid] = vcodes
 
-    out = out.reshape(shape)
-    codes = codes.reshape(shape)
+        # The six phi terms, each once; q holds the ratios.
+        s_outer = _phi_clipped(np.divide(a, D, out=q))
+        s_inner = _phi_clipped(np.divide(a, d, out=q))
+        s_outer += _phi_clipped(np.divide(b, D, out=q))
+        s_inner += _phi_clipped(np.divide(b, d, out=q))
+        del a, b
+        phi_cD = _phi_clipped(np.divide(c, D, out=q))
+        phi_cd = _phi_clipped(np.divide(c, d, out=q))
+        s_outer += phi_cD
+        s_inner += phi_cd
+
+        # Obtuse, d > D: (128*d / (pi**2 * D**4)) * phi(c/D).
+        outscribed = phi_cD
+        outscribed *= np.divide(np.multiply(d, 128.0, out=q), scale, out=q)
+
+        # d <= D: pref * (s_outer - d2D2*s_inner - pi/2*(1 - d2D2)), plus
+        # pref * 2 * d2D2 * phi(c/d) where obtuse.
+        d2D2 = np.divide(d, D, out=q)
+        d2D2 *= d2D2
+        pref = np.divide(np.multiply(d, 64.0, out=c), scale, out=c)
+        s_inner *= d2D2
+        s_outer -= s_inner
+        half_pi_term = np.subtract(1.0, d2D2, out=s_inner)
+        half_pi_term *= 0.5 * math.pi
+        s_outer -= half_pi_term
+        inscribed_vals = np.multiply(s_outer, pref, out=s_outer)
+        obtuse_extra = np.multiply(pref, 2.0, out=s_inner)
+        obtuse_extra *= d2D2
+        obtuse_extra *= phi_cd
+        np.copyto(obtuse_extra, 0.0, where=~obtuse)
+        inscribed_vals += obtuse_extra
+
+        vals = outscribed
+        np.copyto(vals, 0.0, where=~obtuse)
+        np.copyto(vals, inscribed_vals, where=inscribed)
+        np.maximum(vals, 0.0, out=vals)
+        np.copyto(vals, 0.0, where=~valid)
+    out = vals.reshape(shape)
     if with_case:
-        return out, codes
+        codes = np.where(
+            valid,
+            np.where(inscribed, np.where(obtuse, 1, 2), np.where(obtuse, 3, 0)),
+            0,
+        ).astype(np.uint8)
+        return out, codes.reshape(shape)
     return out
 
 
@@ -290,29 +334,30 @@ def _cond_pdf3_batch(r12, r13, r23, s, degenerate_eps=DEGENERATE_Q_EPS):
     Three branches: ``d <= s`` uses the sum of arccos(r/s) minus pi/2;
     ``d > s`` is possible only for obtuse triangles (the vertex at the
     obtuse angle cannot lie on the circle), and acute triples with
-    ``d > s`` have density zero.
+    ``d > s`` have density zero.  One pass like :func:`_pdf3_batch`:
+    ``arccos(c/s)`` is computed once and shared by both branches, and the
+    triples outside the support are zeroed at the end.
     """
     a, b, c, q, shape = _sorted_sides(r12, r13, r23)
-    s_arr = np.broadcast_to(np.asarray(s, float), shape).reshape(-1)
-    valid = (c > 0.0) & (c <= s_arr) & (q > degenerate_eps * (c * c) ** 2)
-
-    out = np.zeros(len(a))
-    if np.any(valid):
-        va, vb, vc, vq, vs = a[valid], b[valid], c[valid], q[valid], s_arr[valid]
-        d = 2.0 * va * vb * vc / np.sqrt(vq)
-        obtuse = vc * vc > va * va + vb * vb
+    # Contiguous, so that ``s**4`` runs the same numpy loop on every element.
+    s_arr = np.ascontiguousarray(np.broadcast_to(np.asarray(s, float), shape)).reshape(-1)
+    with np.errstate(all="ignore"):
+        valid = (c > 0.0) & (c <= s_arr) & (q > degenerate_eps * (c * c) ** 2)
+        d = 2.0 * a * b * c / np.sqrt(q)
+        obtuse = c * c > a * a + b * b
+        acos_c = np.arccos(np.clip(c / s_arr, 0.0, 1.0))
         acos_sum = (
-            np.arccos(np.clip(va / vs, 0.0, 1.0))
-            + np.arccos(np.clip(vb / vs, 0.0, 1.0))
-            + np.arccos(np.clip(vc / vs, 0.0, 1.0))
+            np.arccos(np.clip(a / s_arr, 0.0, 1.0))
+            + np.arccos(np.clip(b / s_arr, 0.0, 1.0))
+            + acos_c
         )
-        pref = 64.0 * d / (3.0 * _PI2 * vs**4)
+        pref = 64.0 * d / (3.0 * _PI2 * s_arr**4)
         vals = np.where(
-            d <= vs,
+            d <= s_arr,
             pref * (acos_sum - 0.5 * math.pi),
-            np.where(obtuse, 2.0 * pref * np.arccos(np.clip(vc / vs, 0.0, 1.0)), 0.0),
+            np.where(obtuse, 2.0 * pref * acos_c, 0.0),
         )
-        out[valid] = np.maximum(vals, 0.0)
+        out = np.where(valid, np.maximum(vals, 0.0), 0.0)
     return out.reshape(shape)
 
 
@@ -449,9 +494,8 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
     def eval_segments(s_lo, s_hi, own):
         half = 0.5 * (s_hi - s_lo)
         mid = 0.5 * (s_hi + s_lo)
-        u = GK15_NODES01[None, :]
-        t = mid[:, None] - half[:, None] * np.cos(math.pi * u)
-        jac = half[:, None] * math.pi * np.sin(math.pi * u)
+        t = mid[:, None] - half[:, None] * _GK15_COS
+        jac = half[:, None] * math.pi * _GK15_SIN
         g = _pdf3_batch(p[own][:, None], q[own][:, None], t, D)
         if weight is not None:
             g = g * weight(t)

@@ -108,9 +108,19 @@ def phi(x):
 
 
 def _phi_clipped(x):
-    # Hot path used by the density evaluators: clamps silently.
-    x = np.clip(x, 0.0, 1.0)
-    return np.arccos(x) - x * np.sqrt(1.0 - x * x)
+    # Hot path used by the density evaluators: clamps silently.  Works in
+    # two buffers, the clipped copy of x and one temporary, both allocated
+    # as arrays so that 0-d and scalar input work too (numpy scalars take
+    # no ``out=``).  Returns an array of the shape of x.
+    clipped = np.empty(np.shape(x))
+    np.clip(x, 0.0, 1.0, out=clipped)
+    x = clipped
+    t = np.multiply(x, x, out=np.empty_like(x))
+    np.subtract(1.0, t, out=t)
+    np.sqrt(t, out=t)
+    np.multiply(x, t, out=t)
+    np.arccos(x, out=x)
+    return np.subtract(x, t, out=x)
 
 
 def triangle_quantities(

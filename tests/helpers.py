@@ -1,6 +1,7 @@
 """Shared oracle helpers for the test suite, including reference code
-only tests use: iterated n-d quadrature, scalar samplers, and loop
-versions of the outcome-table maps."""
+only tests use: iterated n-d quadrature, scalar samplers, loop versions
+of the outcome-table maps, and the sort-and-mask form of the closed-form
+density kernels with their per-branch terms."""
 
 import math
 import os
@@ -20,7 +21,7 @@ from rggdist import (
     connect_prob,
     estimate_pmf,
 )
-from rggdist.geometry import pair_array
+from rggdist.geometry import DEGENERATE_Q_EPS, pair_array
 from rggdist.graphdist import EdgeVector
 from rggdist.quadrature import integrate_many
 
@@ -196,3 +197,114 @@ def orbit_representative(n, code):
         sum(1 << pairs.index(tuple(sorted((perm[i], perm[j])))) for i, j in present)
         for perm in permutations(range(n))
     )
+
+
+# ---------------------------------------------------------------------------
+# reference density kernels: sort each triple, evaluate every branch on the
+# masked support, scatter back; the library kernels must match bit for bit
+# ---------------------------------------------------------------------------
+
+_PI2 = math.pi * math.pi
+
+
+def phi_reference(x):
+    """Allocating ``arccos(x) - x*sqrt(1 - x**2)`` on x clipped to [0, 1]."""
+    x = np.clip(x, 0.0, 1.0)
+    return np.arccos(x) - x * np.sqrt(1.0 - x * x)
+
+
+def _density_inscribed(a, b, c, d, D):
+    """Common part of the two d <= D branches; sides sorted ascending."""
+    d2D2 = (d / D) ** 2
+    s_outer = phi_reference(a / D) + phi_reference(b / D) + phi_reference(c / D)
+    s_inner = phi_reference(a / d) + phi_reference(b / d) + phi_reference(c / d)
+    return (
+        64.0
+        * d
+        / (_PI2 * D**4)
+        * (s_outer - d2D2 * s_inner - 0.5 * math.pi * (1.0 - d2D2))
+    )
+
+
+def _density_obtuse_extra(c, d, D):
+    """Term added to the inscribed density when the triangle is obtuse."""
+    return 64.0 * d / (_PI2 * D**4) * 2.0 * (d / D) ** 2 * phi_reference(c / d)
+
+
+def _density_outscribed(c, d, D):
+    """Obtuse branch for d > D: only the longest side matters."""
+    return 128.0 * d / (_PI2 * D**4) * phi_reference(c / D)
+
+
+def sorted_sides_reference(r12, r13, r23):
+    """Broadcast, flatten and ``np.sort`` the sides per triple; returns
+    (a, b, c, Q, broadcast shape)."""
+    triples = np.stack(np.broadcast_arrays(
+        np.asarray(r12, float), np.asarray(r13, float), np.asarray(r23, float)
+    ), axis=-1)
+    shape = triples.shape[:-1]
+    triples = triples.reshape(-1, 3)
+    triples.sort(axis=1)
+    a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
+    q = (a + b + c) * (b + c - a) * (a + c - b) * (a + b - c)
+    return a, b, c, q, shape
+
+
+def pdf3_batch_reference(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=False):
+    """Four-branch joint density evaluated on the gathered support only."""
+    a, b, c, q, shape = sorted_sides_reference(r12, r13, r23)
+    valid = (c > 0.0) & (c <= D) & (q > degenerate_eps * (c * c) ** 2)
+
+    out = np.zeros(len(a))
+    codes = np.zeros(len(a), dtype=np.uint8)
+    if np.any(valid):
+        va, vb, vc, vq = a[valid], b[valid], c[valid], q[valid]
+        d = 2.0 * va * vb * vc / np.sqrt(vq)
+        obtuse = vc * vc > va * va + vb * vb
+        inscribed = d <= D
+        base = _density_inscribed(va, vb, vc, d, D)
+        vals = np.where(
+            inscribed,
+            base + np.where(obtuse, _density_obtuse_extra(vc, d, D), 0.0),
+            np.where(obtuse, _density_outscribed(vc, d, D), 0.0),
+        )
+        out[valid] = np.maximum(vals, 0.0)
+        vcodes = np.where(
+            inscribed,
+            np.where(obtuse, 1, 2),
+            np.where(obtuse, 3, 0),
+        ).astype(np.uint8)
+        codes[valid] = vcodes
+
+    out = out.reshape(shape)
+    codes = codes.reshape(shape)
+    if with_case:
+        return out, codes
+    return out
+
+
+def cond_pdf3_batch_reference(r12, r13, r23, s, degenerate_eps=DEGENERATE_Q_EPS):
+    """Conditional joint density given the enclosing diameter s, evaluated
+    on the gathered support only."""
+    a, b, c, q, shape = sorted_sides_reference(r12, r13, r23)
+    s_arr = np.broadcast_to(np.asarray(s, float), shape).reshape(-1)
+    valid = (c > 0.0) & (c <= s_arr) & (q > degenerate_eps * (c * c) ** 2)
+
+    out = np.zeros(len(a))
+    if np.any(valid):
+        va, vb, vc, vq, vs = a[valid], b[valid], c[valid], q[valid], s_arr[valid]
+        d = 2.0 * va * vb * vc / np.sqrt(vq)
+        obtuse = vc * vc > va * va + vb * vb
+        acos_sum = (
+            np.arccos(np.clip(va / vs, 0.0, 1.0))
+            + np.arccos(np.clip(vb / vs, 0.0, 1.0))
+            + np.arccos(np.clip(vc / vs, 0.0, 1.0))
+        )
+        pref = 64.0 * d / (3.0 * _PI2 * vs**4)
+        vals = np.where(
+            d <= vs,
+            pref * (acos_sum - 0.5 * math.pi),
+            np.where(obtuse, 2.0 * pref * np.arccos(np.clip(vc / vs, 0.0, 1.0)), 0.0),
+        )
+        out[valid] = np.maximum(vals, 0.0)
+    return out.reshape(shape)

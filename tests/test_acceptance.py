@@ -35,14 +35,12 @@ from rggdist import (
     relabel_orbit_map,
     shearer_factor,
 )
-from rggdist.distances import (
+from rggdist.distances import triple_product_integral
+
+from helpers import (
     _density_inscribed,
     _density_obtuse_extra,
     _density_outscribed,
-    triple_product_integral,
-)
-
-from helpers import (
     mc_pmf_tolerance,
     obtuse_boundary_triples,
     right_triangles,

@@ -25,17 +25,18 @@ from rggdist import (
     pair_pdf_on_circle,
     sample_points_in_disk,
 )
-from rggdist.distances import (
-    _density_inscribed,
-    _density_obtuse_extra,
-    _density_outscribed,
-    _inner_lines,
-    _per_cell_line_integrals,
-)
+from rggdist.distances import _inner_lines, _per_cell_line_integrals
 from rggdist.montecarlo import substream
 from rggdist.quadrature import QuadratureSettings, integrate, integrate_many
 
-from helpers import obtuse_boundary_triples, right_triangles, valid_triple_grid
+from helpers import (
+    _density_inscribed,
+    _density_obtuse_extra,
+    _density_outscribed,
+    obtuse_boundary_triples,
+    right_triangles,
+    valid_triple_grid,
+)
 
 DOMAIN = DiskDomain(1.0)
 TIGHT = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)

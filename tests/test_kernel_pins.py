@@ -1,0 +1,122 @@
+"""Bit-for-bit pins of the single-pass density kernels against the
+sort-and-mask reference kernels in ``helpers``: values and case codes
+must be equal byte for byte, with the same dtype and shape."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from rggdist.distances import _cond_pdf3_batch, _pdf3_batch
+from rggdist.geometry import _phi_clipped
+
+from helpers import (
+    cond_pdf3_batch_reference,
+    obtuse_boundary_triples,
+    pdf3_batch_reference,
+    phi_reference,
+    right_triangles,
+)
+
+lengths = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+diameters = st.sampled_from([1.0, 0.7, 2.5]) | st.floats(min_value=0.05, max_value=5.0)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+PERMUTATIONS = ([0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0])
+
+
+def assert_identical(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.dtype == ref.dtype
+    assert new.shape == ref.shape
+    # Bytes, not values: equal values could still differ in the sign of zero.
+    assert new.tobytes() == ref.tobytes()
+
+
+def assert_pdf3_pinned(r12, r13, r23, D):
+    assert_identical(_pdf3_batch(r12, r13, r23, D), pdf3_batch_reference(r12, r13, r23, D))
+    vals, codes = _pdf3_batch(r12, r13, r23, D, with_case=True)
+    ref_vals, ref_codes = pdf3_batch_reference(r12, r13, r23, D, with_case=True)
+    assert_identical(vals, ref_vals)
+    assert_identical(codes, ref_codes)
+
+
+def with_edge_rows(triples, D):
+    """The triples plus, for each, a collinear row, a row with a zero side
+    and a row whose longest side exceeds D, in all six orders."""
+    x, y, _ = triples.T
+    extra = np.concatenate([
+        triples,
+        np.column_stack([x, y, x + y]),
+        np.column_stack([x, y, np.zeros_like(x)]),
+        np.column_stack([x, y, np.full_like(x, 1.5 * D)]),
+        [[0.0, 0.0, 0.0]],
+    ])
+    return np.concatenate([extra[:, perm] for perm in PERMUTATIONS])
+
+
+class TestPdf3Pins:
+    @given(st.lists(st.tuples(lengths, lengths, lengths), min_size=1, max_size=40), diameters)
+    @settings(max_examples=200)
+    def test_random_triples(self, triples, D):
+        rows = with_edge_rows(np.asarray(triples, float) * D, D)
+        assert_pdf3_pinned(rows[:, 0], rows[:, 1], rows[:, 2], D)
+
+    @given(seeds, diameters)
+    def test_case_boundary_families(self, seed, D):
+        rng = np.random.default_rng(seed)
+        for family in (obtuse_boundary_triples, right_triangles):
+            rows = np.asarray(family(20, rng, diameter=D))
+            for perm in PERMUTATIONS:
+                assert_pdf3_pinned(rows[:, perm[0]], rows[:, perm[1]], rows[:, perm[2]], D)
+
+    @given(st.integers(min_value=1, max_value=12), diameters, st.data())
+    def test_broadcast_shapes(self, k, D, data):
+        # The line integrator's layout: (k, 1) sides against (k, 15) nodes.
+        column = hnp.arrays(np.float64, (k, 1), elements=lengths)
+        p, q = data.draw(column) * D, data.draw(column) * D
+        t = data.draw(hnp.arrays(np.float64, (k, 15), elements=lengths)) * D
+        assert_pdf3_pinned(p, q, t, D)
+        assert_pdf3_pinned(t, p, q, D)
+        assert_pdf3_pinned(p, t, p, D)
+
+    @given(lengths, lengths, lengths, diameters)
+    @settings(max_examples=200)
+    def test_zero_dimensional(self, x, y, z, D):
+        assert_pdf3_pinned(np.float64(x), np.float64(y), np.float64(z), D)
+        assert_pdf3_pinned(np.float64(x), np.float64(y), np.float64(x + y), D)
+
+
+class TestCondPdf3Pins:
+    @given(
+        st.lists(st.tuples(lengths, lengths, lengths, lengths), min_size=1, max_size=40)
+    )
+    @settings(max_examples=200)
+    def test_random_triples_and_scales(self, rows):
+        arr = np.asarray(rows, float)
+        sides = with_edge_rows(arr[:, :3], 1.0)
+        s = np.resize(arr[:, 3] + 1e-3, len(sides))
+        r12, r13, r23 = sides.T
+        assert_identical(
+            _cond_pdf3_batch(r12, r13, r23, s), cond_pdf3_batch_reference(r12, r13, r23, s)
+        )
+        assert_identical(
+            _cond_pdf3_batch(r12, r13, r23, s[0]),
+            cond_pdf3_batch_reference(r12, r13, r23, s[0]),
+        )
+
+    @given(lengths, lengths, lengths, st.floats(min_value=1e-3, max_value=3.0))
+    def test_zero_dimensional(self, x, y, z, s):
+        args = (np.float64(x), np.float64(y), np.float64(z), s)
+        assert_identical(_cond_pdf3_batch(*args), cond_pdf3_batch_reference(*args))
+
+
+class TestPhiPins:
+    @given(hnp.arrays(np.float64, st.integers(0, 50), elements=st.floats(-0.5, 1.5)))
+    def test_arrays(self, x):
+        assert_identical(_phi_clipped(x), phi_reference(x))
+
+    @given(st.floats(min_value=-0.5, max_value=1.5))
+    def test_scalars(self, x):
+        assert_identical(_phi_clipped(x), phi_reference(x))
+        assert_identical(_phi_clipped(np.float64(x)), phi_reference(np.float64(x)))
+        assert_identical(_phi_clipped(np.asarray(x)), phi_reference(np.asarray(x)))
