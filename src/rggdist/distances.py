@@ -37,11 +37,26 @@ the branch; and a final masked select zeroes the triples outside the
 support instead of gathering the support first.  Every formula keeps its
 operation order, so the values are bit-identical to evaluating each
 branch on the gathered support.
+
+Memory: the line integrator (:func:`_line_segments`) evaluates the
+density ``_LINE_BLOCK`` (1024) pieces at a time, 15,360 points, and every
+block runs in one :class:`_Workspace` of preallocated buffers: nine float
+and four bool arrays for the kernel, the block's abscissae and Jacobian,
+and a grow-only matrix of one call's integrand rows, about 2 MiB per
+thread in all.  Each thread keeps its own workspace (``threading.local``)
+and reuses it across blocks, refinement rounds and calls, so after the
+first call of a given size the integrator allocates nothing of block
+size, and large calls no longer fault their working set back in.  A
+kernel result computed in a workspace is a view into it and stays valid
+only until the next kernel call on that thread.  Without a workspace
+(``joint_pdf3_values`` and the scalar entry points) the kernel allocates
+its buffers per call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from enum import Enum
 
 import numpy as np
@@ -68,6 +83,13 @@ _PI2 = math.pi * math.pi
 # ``t = mid - half*cos(pi*u)`` used by :func:`_line_segments`.
 _GK15_COS = np.cos(math.pi * GK15_NODES01)
 _GK15_SIN = np.sin(math.pi * GK15_NODES01)
+_GK15_MINUS_G7 = GK15_WEIGHTS01 - G7_WEIGHTS01
+_NODES = len(GK15_NODES01)
+
+# Pieces (lines of 15 GK15 nodes) per density-kernel block of the line
+# integrator: 1024 keeps each workspace buffer at 15,360 doubles (120 KiB),
+# under glibc's default 128 KiB mmap threshold.
+_LINE_BLOCK = 1024
 
 
 class JointPdfCase(Enum):
@@ -117,32 +139,86 @@ def pair_pdf(r, domain: DiskDomain):
 # three-point joint density (closed form)
 # ---------------------------------------------------------------------------
 
-def _sorted_sides(r12, r13, r23):
+# Float and bool buffers one :func:`_pdf3_batch` call draws.
+_KERNEL_FLOATS = 9
+_KERNEL_FLAGS = 4
+
+
+class _Workspace:
+    """One thread's preallocated buffers for the line integrator.
+
+    ``floats``/``flags`` serve the density kernel (see :func:`_buffers`),
+    ``nodes``/``jac`` hold a block's GK15 abscissae and Jacobian, and
+    ``rows`` is the grow-only ``(lines, 15)`` matrix of integrand values
+    that one call of :func:`_line_segments` reduces to its GK15 sums.
+    """
+
+    def __init__(self, lines):
+        self.lines = lines
+        self.floats = [np.empty(lines * _NODES) for _ in range(_KERNEL_FLOATS)]
+        self.flags = [np.empty(lines * _NODES, bool) for _ in range(_KERNEL_FLAGS)]
+        self.nodes = np.empty((lines, _NODES))
+        self.jac = np.empty((lines, _NODES))
+        self._rows = np.empty((0, _NODES))
+
+    def rows(self, count):
+        if len(self._rows) < count:
+            self._rows = np.empty((count, _NODES))
+        return self._rows[:count]
+
+
+_local = threading.local()
+
+
+def _workspace():
+    """This thread's workspace, rebuilt only if ``_LINE_BLOCK`` changed."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.lines != _LINE_BLOCK:
+        ws = _local.workspace = _Workspace(_LINE_BLOCK)
+    return ws
+
+
+def _buffers(ws, n):
+    """Source of ``n``-element scratch arrays for one kernel call.
+
+    ``take()`` returns a float buffer and ``take(bool)`` a flag buffer:
+    fresh arrays without a workspace, else the workspace's buffers in
+    turn, so results live in the workspace until its next kernel call.
+    """
+    if ws is None:
+        return lambda dtype=float: np.empty(n, dtype)
+    pools = {float: iter(ws.floats), bool: iter(ws.flags)}
+    return lambda dtype=float: next(pools[dtype])[:n]
+
+
+def _sorted_sides(r12, r13, r23, ws=None):
     """Sides sorted ascending per triple by a min/max network, broadcast
     and flattened, so that densities built on them are exactly
-    permutation invariant.  Returns (a, b, c, Q, broadcast shape)."""
+    permutation invariant.  Returns (a, b, c, Q, broadcast shape, take),
+    where ``take`` hands out the call's further buffers (:func:`_buffers`)."""
     x = np.asarray(r12, float)
     y = np.asarray(r13, float)
     z = np.asarray(r23, float)
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
-    a = np.minimum(lo, z)
-    c = np.maximum(hi, z)
-    b = np.maximum(lo, np.minimum(hi, z))
-    shape = np.shape(a)
-    a, b, c = np.ravel(a), np.ravel(b), np.ravel(c)
+    shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
+    take = _buffers(ws, math.prod(shape))
+    a, b, c, q, t = (take() for _ in range(5))
+    lo = np.minimum(x, y, out=q.reshape(shape))
+    hi = np.maximum(x, y, out=t.reshape(shape))
+    np.minimum(lo, z, out=a.reshape(shape))
+    np.maximum(hi, z, out=c.reshape(shape))
+    np.maximum(lo, np.minimum(hi, z, out=b.reshape(shape)), out=b.reshape(shape))
     # Q = (a+b+c) * (b+c-a) * (a+c-b) * (a+b-c), left to right, in two buffers.
-    q = a + b
+    np.add(a, b, out=q)
     q += c
-    t = b + c
+    np.add(b, c, out=t)
     t -= a
     q *= t
     q *= np.subtract(np.add(a, c, out=t), b, out=t)
     q *= np.subtract(np.add(a, b, out=t), c, out=t)
-    return a, b, c, q, shape
+    return a, b, c, q, shape, take
 
 
-def _pdf3_batch(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=False):
+def _pdf3_batch(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=False, ws=None):
     """Four-branch evaluation in one pass; assumes inputs already validated.
 
     Every quantity is computed on every triple: the circumdiameter, the
@@ -153,30 +229,42 @@ def _pdf3_batch(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=Fal
     ``np.copyto``), and a final one zeroes the triples outside the
     support, whose NaN and infinite intermediates are never read.  Each
     formula keeps the operation order of its closed form, so the values
-    do not depend on which triples share the batch.  Buffers are reused
-    in place, which keeps the peak memory of a call, and with it the page
-    faults of large batches, low.  With ``with_case`` also returns uint8
-    case codes (0 outside the support).
+    do not depend on which triples share the batch.  Every temporary is
+    written through ``out=`` into the call's buffers (:func:`_buffers`):
+    fresh arrays, or with a :class:`_Workspace` ``ws`` its preallocated
+    ones, and then the result is a view into ``ws`` that the next call
+    overwrites.  With ``with_case`` also returns uint8 case codes (0
+    outside the support).
     """
-    a, b, c, q, shape = _sorted_sides(r12, r13, r23)
+    a, b, c, q, shape, take = _sorted_sides(r12, r13, r23, ws)
+    d, s_outer, s_inner, tmp = take(), take(), take(), take()
+    valid, obtuse, inscribed, flag = take(bool), take(bool), take(bool), take(bool)
     scale = _PI2 * D**4
     with np.errstate(all="ignore"):
-        valid = (c > 0.0) & (c <= D) & (q > degenerate_eps * (c * c) ** 2)
-        obtuse = c * c > a * a + b * b
-        d = 2.0 * a
+        # valid = (c > 0) & (c <= D) & (q > degenerate_eps * (c*c)**2)
+        np.greater(c, 0.0, out=valid)
+        valid &= np.less_equal(c, D, out=flag)
+        c4 = np.multiply(c, c, out=tmp)
+        np.square(c4, out=c4)
+        valid &= np.greater(q, np.multiply(degenerate_eps, c4, out=c4), out=flag)
+        # obtuse = c*c > a*a + b*b
+        sum_sq = np.multiply(a, a, out=s_outer)
+        sum_sq += np.multiply(b, b, out=s_inner)
+        np.greater(np.multiply(c, c, out=tmp), sum_sq, out=obtuse)
+        np.multiply(2.0, a, out=d)
         d *= b
         d *= c
         d /= np.sqrt(q, out=q)
-        inscribed = d <= D
+        np.less_equal(d, D, out=inscribed)
 
-        # The six phi terms, each once; q holds the ratios.
-        s_outer = _phi_clipped(np.divide(a, D, out=q))
-        s_inner = _phi_clipped(np.divide(a, d, out=q))
-        s_outer += _phi_clipped(np.divide(b, D, out=q))
-        s_inner += _phi_clipped(np.divide(b, d, out=q))
-        del a, b
-        phi_cD = _phi_clipped(np.divide(c, D, out=q))
-        phi_cd = _phi_clipped(np.divide(c, d, out=q))
+        # The six phi terms, each once; q holds the ratios, a and b take
+        # phi(c/D) and phi(c/d) once their own terms are done.
+        _phi_clipped(np.divide(a, D, out=q), out=s_outer, tmp=tmp)
+        _phi_clipped(np.divide(a, d, out=q), out=s_inner, tmp=tmp)
+        s_outer += _phi_clipped(np.divide(b, D, out=q), out=q, tmp=tmp)
+        s_inner += _phi_clipped(np.divide(b, d, out=q), out=q, tmp=tmp)
+        phi_cD = _phi_clipped(np.divide(c, D, out=q), out=a, tmp=tmp)
+        phi_cd = _phi_clipped(np.divide(c, d, out=q), out=b, tmp=tmp)
         s_outer += phi_cD
         s_inner += phi_cd
 
@@ -198,14 +286,14 @@ def _pdf3_batch(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=Fal
         obtuse_extra = np.multiply(pref, 2.0, out=s_inner)
         obtuse_extra *= d2D2
         obtuse_extra *= phi_cd
-        np.copyto(obtuse_extra, 0.0, where=~obtuse)
+        np.copyto(obtuse_extra, 0.0, where=np.logical_not(obtuse, out=flag))
         inscribed_vals += obtuse_extra
 
         vals = outscribed
-        np.copyto(vals, 0.0, where=~obtuse)
+        np.copyto(vals, 0.0, where=flag)
         np.copyto(vals, inscribed_vals, where=inscribed)
         np.maximum(vals, 0.0, out=vals)
-        np.copyto(vals, 0.0, where=~valid)
+        np.copyto(vals, 0.0, where=np.logical_not(valid, out=flag))
     out = vals.reshape(shape)
     if with_case:
         codes = np.where(
@@ -338,7 +426,7 @@ def _cond_pdf3_batch(r12, r13, r23, s, degenerate_eps=DEGENERATE_Q_EPS):
     ``arccos(c/s)`` is computed once and shared by both branches, and the
     triples outside the support are zeroed at the end.
     """
-    a, b, c, q, shape = _sorted_sides(r12, r13, r23)
+    a, b, c, q, shape, _ = _sorted_sides(r12, r13, r23)
     # Contiguous, so that ``s**4`` runs the same numpy loop on every element.
     s_arr = np.ascontiguousarray(np.broadcast_to(np.asarray(s, float), shape)).reshape(-1)
     with np.errstate(all="ignore"):
@@ -471,16 +559,18 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
     """Refined pieces of the third-side integrals of the joint density.
 
     One line per (p, q) pair, integrated over [a, b] and split at the
-    case-boundary points and at the per-line ``breaks`` (shape ``(k, j)``).
-    Each smooth piece is mapped through ``t = mid - half*cos(pi*u)``, whose
-    Jacobian vanishes like u at the endpoints and therefore cancels the
-    ``1/sqrt`` blow-up of the density at degenerate triples.  Pieces whose
+    case-boundary points and at the per-line ``breaks`` (shape ``(k, j)``);
+    a line with ``a > b`` is empty and gets no pieces.  Each smooth piece
+    is mapped through ``t = mid - half*cos(pi*u)``, whose Jacobian
+    vanishes like u at the endpoints and therefore cancels the ``1/sqrt``
+    blow-up of the density at degenerate triples.  Pieces whose
     embedded-rule error exceeds the per-line budget
     ``max(line_tol, 1e-13*|line value|)`` are bisected for up to
     ``max_rounds`` rounds.  Returns the pieces as (lo, hi, owning line,
     value, error estimate) arrays.
     """
     k = len(p)
+    b = np.maximum(a, b)
     cands = np.concatenate([_inner_breakpoint_candidates(p, q, D), breaks], axis=1)
     cands = np.clip(cands, a[:, None], b[:, None])
     edges = np.sort(np.concatenate([a[:, None], cands, b[:, None]], axis=1), axis=1)
@@ -490,17 +580,31 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
     owner = np.repeat(np.arange(k), edges.shape[1] - 1)
     keep = seg_hi > seg_lo
     seg_lo, seg_hi, owner = seg_lo[keep], seg_hi[keep], owner[keep]
+    ws = _workspace()
 
     def eval_segments(s_lo, s_hi, own):
+        # The integrand is evaluated _LINE_BLOCK pieces at a time in the
+        # workspace, but its rows are summed in one matrix-vector product
+        # per call: OpenBLAS picks the summation kernel (and thread) of a
+        # row by its position in the matrix, so per-block products would
+        # round some rows differently.
         half = 0.5 * (s_hi - s_lo)
         mid = 0.5 * (s_hi + s_lo)
-        t = mid[:, None] - half[:, None] * _GK15_COS
-        jac = half[:, None] * math.pi * _GK15_SIN
-        g = _pdf3_batch(p[own][:, None], q[own][:, None], t, D)
-        if weight is not None:
-            g = g * weight(t)
-        g = g * jac
-        return g @ GK15_WEIGHTS01, np.abs(g @ (GK15_WEIGHTS01 - G7_WEIGHTS01))
+        half_pi = half * math.pi
+        p_own = p[own]
+        q_own = q[own]
+        g = ws.rows(len(s_lo))
+        for lo in range(0, len(s_lo), _LINE_BLOCK):
+            blk = slice(lo, lo + _LINE_BLOCK)
+            m = len(g[blk])
+            t = np.multiply(half[blk, None], _GK15_COS, out=ws.nodes[:m])
+            np.subtract(mid[blk, None], t, out=t)
+            jac = np.multiply(half_pi[blk, None], _GK15_SIN, out=ws.jac[:m])
+            g_blk = _pdf3_batch(p_own[blk, None], q_own[blk, None], t, D, ws=ws)
+            if weight is not None:
+                g_blk *= weight(t)
+            np.multiply(g_blk, jac, out=g[blk])
+        return g @ GK15_WEIGHTS01, np.abs(g @ _GK15_MINUS_G7)
 
     seg_val, seg_err = eval_segments(seg_lo, seg_hi, owner)
     for _ in range(max_rounds):

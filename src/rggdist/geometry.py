@@ -107,15 +107,19 @@ def phi(x):
     return out
 
 
-def _phi_clipped(x):
+def _phi_clipped(x, out=None, tmp=None):
     # Hot path used by the density evaluators: clamps silently.  Works in
-    # two buffers, the clipped copy of x and one temporary, both allocated
-    # as arrays so that 0-d and scalar input work too (numpy scalars take
-    # no ``out=``).  Returns an array of the shape of x.
-    clipped = np.empty(np.shape(x))
-    np.clip(x, 0.0, 1.0, out=clipped)
-    x = clipped
-    t = np.multiply(x, x, out=np.empty_like(x))
+    # two buffers, ``out`` (the clipped copy of x, which may be x itself)
+    # and ``tmp``, both arrays of the shape of x.  Either one left out is
+    # allocated, as an array so that 0-d and scalar input work too (numpy
+    # scalars take no ``out=``).  Returns ``out``.
+    if out is None:
+        out = np.empty(np.shape(x))
+    if tmp is None:
+        tmp = np.empty(np.shape(x))
+    np.clip(x, 0.0, 1.0, out=out)
+    x = out
+    t = np.multiply(x, x, out=tmp)
     np.subtract(1.0, t, out=t)
     np.sqrt(t, out=t)
     np.multiply(x, t, out=t)

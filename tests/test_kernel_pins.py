@@ -1,13 +1,28 @@
 """Bit-for-bit pins of the single-pass density kernels against the
 sort-and-mask reference kernels in ``helpers``: values and case codes
-must be equal byte for byte, with the same dtype and shape."""
+must be equal byte for byte, with the same dtype and shape.  The blocked
+line integrator is pinned the same way: its results must not depend on
+the block size, on what an earlier call left in the workspace, or on
+another thread using the integrator at the same time."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rggdist.distances import _cond_pdf3_batch, _pdf3_batch
+from rggdist import DiskDomain, ExponentialSoft, HardDisk, pmf_n3
+from rggdist import distances
+from rggdist.distances import (
+    _cond_pdf3_batch,
+    _inner_lines,
+    _pdf3_batch,
+    _per_cell_line_integrals,
+    _Workspace,
+)
 from rggdist.geometry import _phi_clipped
 
 from helpers import (
@@ -120,3 +135,65 @@ class TestPhiPins:
         assert_identical(_phi_clipped(x), phi_reference(x))
         assert_identical(_phi_clipped(np.float64(x)), phi_reference(np.float64(x)))
         assert_identical(_phi_clipped(np.asarray(x)), phi_reference(np.asarray(x)))
+
+
+class TestBlockedLinePins:
+    @given(st.integers(1, 12), st.integers(1, 12), diameters, st.data())
+    def test_workspace_kernel_line_layout(self, k1, k2, D, data):
+        # Two calls in a row through one workspace, the second smaller
+        # than the first, so that stale buffer contents would show.
+        ws = _Workspace(12)
+        for k in (max(k1, k2), min(k1, k2)):
+            column = hnp.arrays(np.float64, (k, 1), elements=lengths)
+            p, q = data.draw(column) * D, data.draw(column) * D
+            t = data.draw(hnp.arrays(np.float64, (k, 15), elements=lengths)) * D
+            ref_vals, ref_codes = pdf3_batch_reference(p, q, t, D, with_case=True)
+            assert_identical(_pdf3_batch(p, q, t, D, ws=ws).copy(), ref_vals)
+            vals, codes = _pdf3_batch(p, q, t, D, with_case=True, ws=ws)
+            assert_identical(vals, ref_vals)
+            assert_identical(codes, ref_codes)
+
+    @staticmethod
+    def line_results():
+        rng = np.random.default_rng(11)
+        p, q = rng.uniform(0.0, 1.0, (2, 40))
+        weight = ExponentialSoft(r0=0.3, beta=2.0).probability
+        inner = _inner_lines(p, q, 0.0, 1.0, 1.0, weight=weight, extra_breaks=(0.3,))
+        cells = _per_cell_line_integrals(p, q, np.linspace(0.0, 1.0, 6), 1.0)
+        return inner, cells
+
+    @pytest.mark.parametrize("block", [1, 7, 8192])
+    def test_results_do_not_depend_on_block_size(self, block, monkeypatch):
+        (values, errors), cells = self.line_results()
+        monkeypatch.setattr(distances, "_LINE_BLOCK", block)
+        kernel_lines = []
+
+        def recording_kernel(r12, r13, r23, *args, **kwargs):
+            kernel_lines.append(len(r23))
+            return _pdf3_batch(r12, r13, r23, *args, **kwargs)
+
+        monkeypatch.setattr(distances, "_pdf3_batch", recording_kernel)
+        (b_values, b_errors), b_cells = self.line_results()
+        assert max(kernel_lines) == block if block < 8192 else max(kernel_lines) < block
+        assert_identical(b_values, values)
+        assert_identical(b_errors, errors)
+        assert_identical(b_cells, cells)
+
+    def test_concurrent_threads_match_serial(self):
+        # More threads than cores and a short switch interval, so that the
+        # threads interleave inside the kernel; a workspace shared between
+        # threads would mix their buffers.
+        domain = DiskDomain(1.0)
+        models = [HardDisk(r0=0.4), ExponentialSoft(r0=0.3, beta=2.0)] * 3
+        serial = [pmf_n3(m, domain) for m in models]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(models)) as pool:
+                futures = [pool.submit(pmf_n3, m, domain) for m in models]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert_identical(b.probs, a.probs)
+            assert float(b.error_estimate).hex() == float(a.error_estimate).hex()
