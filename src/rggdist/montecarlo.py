@@ -12,15 +12,20 @@ streams cannot overlap, and a fixed (samples, seed, workers) triple gives
 bit-identical results no matter how the work is scheduled.  The generator
 name is recorded in every estimate so outputs are auditable.
 
-Memory: each worker draws its uniforms one chunk of ``_CHUNK`` (2**19)
-point sets at a time and runs the pair stage (polar to Cartesian, pair
-differences, squared distances) over row blocks of at most ``_BLOCK``
-sets, so a worker holds two ``_CHUNK x n`` uniform arrays plus a few
-block-sized temporaries.  ``Generator.random`` yields the same numbers
-whether a draw is made in one call or split over several, so the stream
-does not depend on ``_BLOCK``.  Threads are capped at ``os.cpu_count()``;
-``workers`` stays the logical split into substreams, so peak memory
-grows with the cores in use, not with ``workers``.
+Memory: a worker's stream is laid out per chunk of ``_CHUNK`` (2**19)
+point sets: all radial uniforms of the chunk, then all angular ones, then
+whatever the caller draws per block (the soft model's per-edge
+uniforms).  Philox is counter-based, so the chunk is read in place one
+row block of at most ``_BLOCK`` sets at a time: one generator reads the
+radial uniforms from the chunk's start, a second reads the angular ones
+from ``c * n`` words further on, and the worker's own generator is moved
+to ``2 * c * n`` words on for the caller's draws (:func:`_philox_at`).
+A worker therefore holds a few block-sized arrays and its outcome table,
+never a whole chunk; the stream, and every output, is the one the
+whole-chunk draw gives.  Bootstrap resamples are drawn in groups of at
+most ``_BOOTSTRAP_BYTES``.  Threads are capped at ``os.cpu_count()`` and
+the per-worker results are added as they arrive, so peak memory grows
+with the cores in use, not with ``workers`` (at most ``MAX_WORKERS``).
 """
 
 from __future__ import annotations
@@ -40,13 +45,21 @@ from .graphdist import GraphPmf
 
 RNG_NAME = "philox"
 
+# Point sets per chunk of the stream layout (see the module docstring):
+# changing it changes every output.
 _CHUNK = 1 << 19
 # Rows of the pair stage per block: small enough for its temporaries to
 # stay in cache, large enough to amortise numpy's per-call overhead.
 _BLOCK = 1 << 13
 
+# Largest bootstrap resample table drawn at once, in bytes.
+_BOOTSTRAP_BYTES = 2 << 20
+
 # Largest exponent of the outcome table kept in memory (2**20 entries).
 MAX_OUTCOME_BITS = 20
+
+# Largest worker split (substreams) of one run.
+MAX_WORKERS = 1024
 
 
 @dataclass(frozen=True)
@@ -64,6 +77,8 @@ class McSettings:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
+        if self.workers > MAX_WORKERS:
+            raise DomainError(f"workers must be at most {MAX_WORKERS}, got {self.workers}")
 
 
 class EntropyEstimate(NamedTuple):
@@ -96,40 +111,73 @@ def _fan_out(mc: McSettings, work):
     Worker ``w`` gets its own substream and its share of ``mc.samples``;
     the partial results are added in worker order, so the total does not
     depend on scheduling.  At most ``os.cpu_count()`` threads run the
-    workers.
+    workers, one window of that many at a time, and each window's parts
+    are folded into the total before the next starts, so at most one
+    window of parts is held at once.
     """
     base, extra = divmod(mc.samples, mc.workers)
     shares = [base + (1 if w < extra else 0) for w in range(mc.workers)]
     if mc.workers == 1:
         return work(substream(mc.seed, 0), shares[0])
-    with ThreadPoolExecutor(max_workers=min(mc.workers, os.cpu_count() or 1)) as pool:
-        parts = list(
-            pool.map(lambda w: work(substream(mc.seed, w), shares[w]), range(mc.workers))
-        )
-    return sum(parts[1:], parts[0])
+    threads = min(mc.workers, os.cpu_count() or 1)
+    total = 0
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for lo in range(0, mc.workers, threads):
+            window = range(lo, min(lo + threads, mc.workers))
+            for part in pool.map(lambda w: work(substream(mc.seed, w), shares[w]), window):
+                total += part
+    return total
+
+
+def _philox_at(state, words):
+    """A Philox bit generator at ``state`` moved on by ``words`` 64-bit
+    outputs, in exactly the state that drawing them one by one leaves.
+
+    ``Generator.random`` takes one 64-bit output per double, so ``words``
+    doubles are skipped.  Philox makes its outputs four at a time from a
+    counter: the rest of the current four-word buffer is used up, whole
+    blocks are skipped with ``advance`` (four words each), and the last,
+    partly used block is drawn so that the buffer matches a sequential
+    draw.
+    """
+    bg = np.random.Philox(key=0)
+    bg.state = state
+    head = min(words, 4 - state["buffer_pos"])
+    bg.random_raw(head)
+    rest = words - head
+    if rest:
+        bg.advance((rest - 1) // 4)
+        bg.random_raw((rest - 1) % 4 + 1)
+    return bg
 
 
 def _distance_sq_chunks(n, domain, rng, count):
     """Squared pair distances of ``count`` sampled point sets, one block of
     at most ``_BLOCK`` sets at a time.
 
-    Uniforms are drawn per chunk of at most ``_CHUNK`` sets (all radial
-    uniforms of the chunk, then all angular ones); the pair stage then
-    runs block by block over the chunk's rows, so its temporaries never
-    exceed ``_BLOCK`` rows.  Squared form so that hard-disk thresholding
-    can skip the square root.  The caller may draw from ``rng`` between
-    blocks; those draws follow the chunk's uniforms in block order, so a
-    fixed number of draws per row gives the same stream whatever
-    ``_BLOCK`` is.
+    The stream is laid out per chunk of at most ``_CHUNK`` sets ``c``: all
+    radial uniforms of the chunk (``c * n`` doubles), then all angular
+    ones, then the caller's draws.  Each block reads its rows at their
+    offsets in that layout from two generators positioned at the chunk's
+    radial and angular uniforms, so no chunk-sized array exists; the
+    worker's generator ``rng`` is moved past both at the chunk's start.
+    The caller may draw from ``rng`` between blocks; those draws follow
+    the chunk's uniforms in block order, so a fixed number of draws per
+    row gives the same stream whatever ``_BLOCK`` is.  ``rng`` must be a
+    Philox generator.  Squared form so that hard-disk thresholding can
+    skip the square root.
     """
     pairs = pair_array(n)
     for start in range(0, count, _CHUNK):
         c = min(_CHUNK, count - start)
-        u = rng.random((c, n))
-        v = rng.random((c, n))
+        state = rng.bit_generator.state
+        u = np.random.Generator(_philox_at(state, 0))
+        v = np.random.Generator(_philox_at(state, c * n))
+        rng.bit_generator.state = _philox_at(state, 2 * c * n).state
         for b in range(0, c, _BLOCK):
-            rho = domain.radius * np.sqrt(u[b:b + _BLOCK])
-            ang = 2.0 * math.pi * v[b:b + _BLOCK]
+            rows = min(_BLOCK, c - b)
+            rho = domain.radius * np.sqrt(u.random((rows, n)))
+            ang = 2.0 * math.pi * v.random((rows, n))
             xs = rho * np.cos(ang)
             ys = rho * np.sin(ang)
             dx = xs[:, pairs[:, 0]] - xs[:, pairs[:, 1]]
@@ -210,15 +258,24 @@ def _entropy_bits_from_counts(counts, total, bias_correction) -> float:
 def _bootstrap_entropy(counts, total, bias_correction, resamples, rng) -> EntropyEstimate:
     """Entropy of an outcome table with a multinomial-bootstrap standard
     error drawn from ``rng``; a degenerate table returns exactly (0, 0)
-    and draws nothing."""
+    and draws nothing.
+
+    The resamples are drawn in groups of at most ``_BOOTSTRAP_BYTES``.
+    ``Generator.multinomial`` draws its rows in order from one stream, so
+    the groups give the same rows, and leave ``rng`` in the same state,
+    as one call for all of them.
+    """
     nz = counts[counts > 0]
     if len(nz) <= 1:
         return EntropyEstimate(0.0, 0.0)
     h = _entropy_bits_from_counts(counts, total, bias_correction)
-    resampled = rng.multinomial(total, nz / total, size=resamples)
-    hs = np.array([
-        _entropy_bits_from_counts(row, total, bias_correction) for row in resampled
-    ])
+    p = nz / total
+    group = max(1, _BOOTSTRAP_BYTES // (8 * len(nz)))
+    hs = np.empty(resamples)
+    for lo in range(0, resamples, group):
+        rows = rng.multinomial(total, p, size=min(group, resamples - lo))
+        for i, row in enumerate(rows, start=lo):
+            hs[i] = _entropy_bits_from_counts(row, total, bias_correction)
     return EntropyEstimate(h, float(np.std(hs, ddof=1)))
 
 

@@ -1,7 +1,8 @@
 """Shared oracle helpers for the test suite, including reference code
-only tests use: iterated n-d quadrature, scalar samplers, loop versions
-of the outcome-table maps, and the sort-and-mask form of the closed-form
-density kernels with their per-branch terms."""
+only tests use: iterated n-d quadrature, scalar samplers, the whole-chunk
+Monte Carlo point generator, loop versions of the outcome-table maps,
+and the sort-and-mask form of the closed-form density kernels with their
+per-branch terms."""
 
 import math
 import os
@@ -95,6 +96,27 @@ def sample_pmf(n, model, seed, samples, workers=1, diameter=1.0):
     return estimate_pmf(
         n, model, DiskDomain(diameter), McSettings(samples=samples, seed=seed, workers=workers)
     )
+
+
+def distance_sq_chunks_reference(n, domain, rng, count, chunk, block):
+    """Whole-chunk form of ``montecarlo._distance_sq_chunks``: per chunk of
+    at most ``chunk`` sets, draw all radial then all angular uniforms from
+    ``rng`` as two arrays, then yield the squared pair distances in row
+    blocks of at most ``block`` sets.  Defines the stream layout the
+    offset-addressed generator must reproduce."""
+    pairs = pair_array(n)
+    for start in range(0, count, chunk):
+        c = min(chunk, count - start)
+        u = rng.random((c, n))
+        v = rng.random((c, n))
+        for b in range(0, c, block):
+            rho = domain.radius * np.sqrt(u[b:b + block])
+            ang = 2.0 * math.pi * v[b:b + block]
+            xs = rho * np.cos(ang)
+            ys = rho * np.sin(ang)
+            dx = xs[:, pairs[:, 0]] - xs[:, pairs[:, 1]]
+            dy = ys[:, pairs[:, 0]] - ys[:, pairs[:, 1]]
+            yield dx * dx + dy * dy
 
 
 def run_cli_process(*argv):

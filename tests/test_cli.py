@@ -7,6 +7,7 @@ import pytest
 from rggdist import DiskDomain, TriangleSides, joint_pdf3, pair_pdf
 from rggdist import cli
 from rggdist.cli import main
+from rggdist.montecarlo import MAX_WORKERS
 
 from helpers import run_cli_process
 
@@ -101,6 +102,20 @@ class TestEntropyCommands:
         rec = json.loads(out)
         assert rec["settings"]["rng"] == "philox"
         assert rec["std_error"] > 0.0
+
+    def test_mc_too_many_workers_refused_before_sampling(self, capsys, monkeypatch):
+        def estimator(*args, **kwargs):
+            raise AssertionError("sampled before refusing the worker count")
+
+        monkeypatch.setattr(cli, "estimate_entropy", estimator)
+        code, out, err = run_cli(
+            capsys,
+            "entropy-mc", "--n", "4", "--model", "hard:r0=0.4", "--samples", "1000",
+            "--workers", str(MAX_WORKERS + 1),
+        )
+        assert code == 2
+        assert out == ""
+        assert "workers" in err
 
     def test_mc_too_many_nodes(self, capsys):
         code, _, _ = run_cli(

@@ -1,5 +1,6 @@
 """Monte Carlo estimators: determinism, convergence, and cross-checks."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -21,11 +22,40 @@ from rggdist import (
     pmf_n3,
 )
 from rggdist import montecarlo
-from rggdist.montecarlo import _distance_sq_chunks, _entropy_bits_from_counts, substream
+from rggdist.montecarlo import (
+    _bootstrap_entropy,
+    _distance_sq_chunks,
+    _entropy_bits_from_counts,
+    _philox_at,
+    substream,
+)
 
-from helpers import sample_graph
+from helpers import distance_sq_chunks_reference, sample_graph
 
 DOMAIN = DiskDomain(1.0)
+
+
+def traced_peak(fn):
+    """Peak traced allocation, in bytes, while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def philox_state(bit_generator):
+    """The whole state of a Philox bit generator as comparable values."""
+    s = bit_generator.state
+    return (
+        s["state"]["counter"].tolist(),
+        s["state"]["key"].tolist(),
+        s["buffer"].tolist(),
+        s["buffer_pos"],
+        s["has_uint32"],
+        s["uinteger"],
+    )
 
 
 class TestMcSettings:
@@ -36,6 +66,7 @@ class TestMcSettings:
             dict(samples=10, seed=-1),
             dict(samples=10, seed=2**64),
             dict(samples=10, seed=1, workers=0),
+            dict(samples=10, seed=1, workers=montecarlo.MAX_WORKERS + 1),
         ],
     )
     def test_validation(self, kwargs):
@@ -146,8 +177,9 @@ class TestEstimatePmf:
 
     def test_peak_memory_bounded(self):
         # One worker, one full chunk of six-node point sets with per-edge
-        # uniforms: the pair stage runs in blocks, so the traced peak stays
-        # near the chunk's two uniform arrays (2 x 2**19 x 6 doubles, 48 MiB).
+        # uniforms: the chunk is read in blocks, so no chunk-sized array
+        # (a chunk's uniforms alone are 2 x 2**19 x 6 doubles, 48 MiB) is
+        # held; TestConstantMemory bounds the same run tighter.
         mc = McSettings(samples=2**19, seed=1, workers=1)
         tracemalloc.start()
         try:
@@ -156,6 +188,14 @@ class TestEstimatePmf:
         finally:
             tracemalloc.stop()
         assert peak < 96 * 2**20
+
+    def test_peak_memory_independent_of_workers(self, monkeypatch):
+        # 256 substreams on two threads: each worker's 2**15-entry table
+        # (256 KiB) is added to the total as its window finishes, instead
+        # of all 256 tables (64 MiB) being held until the end.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        mc = McSettings(samples=5000, seed=1, workers=256)
+        assert traced_peak(lambda: estimate_pmf(6, HardDisk(r0=0.4), DOMAIN, mc)) < 8 * 2**20
 
     def test_worker_counts_statistically_equivalent(self):
         # The split changes which substream produces which sample, not the
@@ -333,3 +373,83 @@ class TestPinnedStreams:
         assert hist.counts.ravel().tolist() == [
             144659, 46884, 46834, 69372, 47216, 69429, 69105, 30792,
         ]
+
+
+class TestConstantMemory:
+    @pytest.mark.parametrize("estimator", [estimate_pmf, estimate_entropy])
+    def test_full_chunk_n6_soft(self, estimator):
+        # One worker, one full 2**19-set chunk of six-node point sets with
+        # per-edge uniforms, plus the bootstrap for the entropy: a worker
+        # holds block-sized arrays, its 2**15-entry table and one bounded
+        # group of resamples, never a chunk's 48 MiB of uniforms.
+        mc = McSettings(samples=2**19, seed=1, workers=1)
+        model = ExponentialSoft(r0=0.3, beta=2.0)
+        assert traced_peak(lambda: estimator(6, model, DOMAIN, mc)) < 16 * 2**20
+
+
+class TestOffsetReads:
+    """The block reader of ``_distance_sq_chunks`` against the whole-chunk
+    reference of the stream layout, byte for byte."""
+
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("chunk, block", [(7, 3), (5, 11), (9, 2)])
+    @pytest.mark.parametrize("n, count", [(2, 17), (3, 23), (6, 13)])
+    def test_matches_whole_chunk_reference(self, monkeypatch, n, count, chunk, block, soft):
+        # Odd chunk sizes make c * n odd or 2 mod 4, so chunks start in the
+        # middle of Philox's four-word buffer; with ``soft`` the caller
+        # draws one uniform per pair between blocks, as the soft model does.
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        rng, ref_rng = substream(77, 1), substream(77, 1)
+        got = _distance_sq_chunks(n, DOMAIN, rng, count)
+        want = distance_sq_chunks_reference(n, DOMAIN, ref_rng, count, chunk, block)
+        rows = 0
+        for a, b in itertools.zip_longest(got, want):
+            assert a is not None and b is not None
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+            if soft:
+                assert rng.random(a.shape).tobytes() == ref_rng.random(b.shape).tobytes()
+            rows += len(a)
+        assert rows == count
+        assert philox_state(rng.bit_generator) == philox_state(ref_rng.bit_generator)
+
+    @pytest.mark.parametrize("drawn", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("words", [0, 1, 3, 4, 5, 2**19 * 6 + 3])
+    def test_skip_equals_sequential_draws(self, drawn, words):
+        # ``drawn`` words already taken leave the buffer at every position.
+        seq = np.random.Philox(key=5).jumped(2)
+        seq.random_raw(drawn)
+        skipped = _philox_at(seq.state, words)
+        seq.random_raw(words)
+        assert philox_state(skipped) == philox_state(seq)
+        assert skipped.random_raw(9).tolist() == seq.random_raw(9).tolist()
+
+
+class TestBootstrapGroups:
+    """Resamples drawn in groups equal one multinomial call for all rows."""
+
+    COUNTS = np.bincount(substream(3, 0).integers(0, 700, size=20_000), minlength=1024)
+
+    @pytest.mark.parametrize("bias_correction", [True, False])
+    @pytest.mark.parametrize("rows_per_group", [1, 3])
+    def test_groups_match_one_call(self, monkeypatch, rows_per_group, bias_correction):
+        counts = self.COUNTS
+        total = int(counts.sum())
+        nz = counts[counts > 0]
+        monkeypatch.setattr(montecarlo, "_BOOTSTRAP_BYTES", rows_per_group * 8 * len(nz))
+        rng, ref_rng = substream(4, 9), substream(4, 9)
+        got = _bootstrap_entropy(counts, total, bias_correction, 100, rng)
+        resampled = ref_rng.multinomial(total, nz / total, size=100)
+        hs = np.array([_entropy_bits_from_counts(row, total, bias_correction) for row in resampled])
+        want = (_entropy_bits_from_counts(counts, total, bias_correction), float(np.std(hs, ddof=1)))
+        assert got == want
+        assert philox_state(rng.bit_generator) == philox_state(ref_rng.bit_generator)
+
+    def test_sweep_shares_one_stream(self, monkeypatch):
+        # Every grid point's bootstrap continues the previous one's stream.
+        grid = np.linspace(0.2, 0.8, 5)
+        mc = McSettings(samples=40_000, seed=8, workers=2)
+        whole = estimate_entropy_sweep_hard(4, grid, DOMAIN, mc)
+        monkeypatch.setattr(montecarlo, "_BOOTSTRAP_BYTES", 8)
+        assert estimate_entropy_sweep_hard(4, grid, DOMAIN, mc) == whole
