@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,6 @@ from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import (
     DiskDomain,
     TriangleSides,
-    sample_points_in_disk,
     triangle_quantities,
 )
 from .graphdist import (
@@ -48,6 +48,7 @@ from .graphdist import (
 from .montecarlo import (
     RNG_NAME,
     McSettings,
+    _pair_distances,
     distance_histogram3,
     estimate_entropy,
     estimate_entropy_sweep_hard,
@@ -333,31 +334,63 @@ def _cmd_sweep_connectivity(args) -> int:
     return EXIT_OK
 
 
+def _mc_entropy_column(args, grid, models, domain):
+    """A call that gives the Monte Carlo (H, std error) of every grid point.
+
+    Its settings are built here, so that a seed running past 2**64 - 1 is
+    refused before any work starts.
+    """
+    if args.model_kind == "hard":
+        # Hard-disk sweeps share one distance pool across the grid.
+        mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
+        return lambda: estimate_entropy_sweep_hard(args.n, grid, domain, mc)
+    point_mc = _point_mc_settings(args, len(grid))
+    return lambda: [
+        estimate_entropy(args.n, model, domain, mc) for model, mc in zip(models, point_mc)
+    ]
+
+
+def _beside(background, foreground):
+    """``(foreground(), background())``, with ``background`` running on a
+    second thread while ``foreground`` runs on this one.
+
+    Both have finished when this returns or raises.  An error of
+    ``background`` is raised in preference to one of ``foreground``, as if
+    it had run first.
+    """
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(background)
+        try:
+            front = foreground()
+        except Exception:
+            future.result()
+            raise
+        return front, future.result()
+
+
 def _cmd_sweep_entropy(args) -> int:
     domain = DiskDomain(args.diameter)
     _check_sweep_n(args)
     grid = _sweep_grid(args, domain.diameter)
     quad = _quad_settings(args)
     n = args.n
-    mc_estimates = point_mc = None
-    if args.mc and args.model_kind == "hard":
-        # Hard-disk sweeps share one distance pool across the grid.
-        mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
-        mc_estimates = estimate_entropy_sweep_hard(n, grid, domain, mc)
-    elif args.mc:
-        point_mc = _point_mc_settings(args, len(grid))
+    models = [_sweep_model(args, float(r0)) for r0 in grid]
+
+    def exact_pmfs():
+        return [
+            (pmf_n2(model, domain, quad), pmf_n3(model, domain, quad) if n >= 3 else None)
+            for model in models
+        ]
+
+    if args.mc:
+        # The exact bound columns are computed while the sampler runs.
+        pmfs, estimates = _beside(_mc_entropy_column(args, grid, models, domain), exact_pmfs)
+    else:
+        pmfs = exact_pmfs()
+        exact = [pmf2 if n == 2 else pmf3 for pmf2, pmf3 in pmfs]
+        estimates = [(entropy_bits(pmf), entropy_error_bound(pmf)) for pmf in exact]
     rows = []
-    for idx, r0 in enumerate(grid):
-        model = _sweep_model(args, float(r0))
-        pmf2 = pmf_n2(model, domain, quad)
-        pmf3 = pmf_n3(model, domain, quad) if n >= 3 else None
-        if mc_estimates is not None:
-            h, std = mc_estimates[idx]
-        elif args.mc:
-            h, std = estimate_entropy(n, model, domain, point_mc[idx])
-        else:
-            pmf = pmf2 if n == 2 else pmf3
-            h, std = entropy_bits(pmf), entropy_error_bound(pmf)
+    for r0, (pmf2, pmf3), (h, std) in zip(grid, pmfs, estimates):
         bound3 = float(shearer_factor(n, 3) * Fraction(entropy_bits(pmf3))) if n > 3 else np.nan
         bound2 = float(shearer_factor(n, 2) * Fraction(entropy_bits(pmf2))) if n > 2 else np.nan
         rows.append((float(r0), h, std, bound3, bound2))
@@ -378,17 +411,10 @@ def _validate_pair(args, domain) -> dict:
     nbins = 50
     D = domain.diameter
     edges = np.linspace(0.0, D, nbins + 1)
-    rng = substream(args.seed, 0)
     counts = np.zeros(nbins, dtype=np.int64)
-    remaining = args.samples
-    while remaining > 0:
-        c = min(remaining, 1 << 19)
-        p1 = sample_points_in_disk(domain, rng, c)
-        p2 = sample_points_in_disk(domain, rng, c)
-        r = np.hypot(p1[:, 0] - p2[:, 0], p1[:, 1] - p2[:, 1])
+    for r in _pair_distances(domain, substream(args.seed, 0), args.samples):
         idx = np.minimum((r / D * nbins).astype(np.int64), nbins - 1)
         counts += np.bincount(idx, minlength=nbins)
-        remaining -= c
 
     settings = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
     masses, _ = integrate_many(

@@ -22,10 +22,20 @@ from ``c * n`` words further on, and the worker's own generator is moved
 to ``2 * c * n`` words on for the caller's draws (:func:`_philox_at`).
 A worker therefore holds a few block-sized arrays and its outcome table,
 never a whole chunk; the stream, and every output, is the one the
-whole-chunk draw gives.  Bootstrap resamples are drawn in groups of at
-most ``_BOOTSTRAP_BYTES``.  Threads are capped at ``os.cpu_count()`` and
-the per-worker results are added as they arrive, so peak memory grows
-with the cores in use, not with ``workers`` (at most ``MAX_WORKERS``).
+whole-chunk draw gives.  The block arrays are allocated once per worker
+and reused for every block, so the hot loop neither allocates nor
+page-faults them afresh: uniforms are drawn into them in place, and the
+pair stage is pair-major (coordinates ``(n, block)``, squared distances
+``(m, block)``), so each pair is a difference of two contiguous rows and
+each block is yielded as a ``(rows, m)`` view that is valid until the
+next block.  Outcome codes are ``bits @ 2**arange(m)`` taken in float64
+(:class:`_Encoder`): every partial sum is an integer below
+``2**MAX_OUTCOME_BITS``, far below ``2**53``, so the product is exact in
+any summation order and does not depend on the BLAS or its threads.
+Bootstrap resamples are drawn in groups of at most ``_BOOTSTRAP_BYTES``.
+Threads are capped at ``os.cpu_count()`` and the per-worker results are
+added as they arrive, so peak memory grows with the cores in use, not
+with ``workers`` (at most ``MAX_WORKERS``).
 """
 
 from __future__ import annotations
@@ -151,6 +161,17 @@ def _philox_at(state, words):
     return bg
 
 
+def _chunk_readers(rng, words, parts):
+    """``parts`` generators positioned at consecutive runs of ``words``
+    doubles of ``rng``'s stream, starting at its current position; ``rng``
+    itself is moved past all of them.  ``rng`` must be a Philox generator.
+    """
+    state = rng.bit_generator.state
+    readers = [np.random.Generator(_philox_at(state, k * words)) for k in range(parts)]
+    rng.bit_generator.state = _philox_at(state, parts * words).state
+    return readers
+
+
 def _distance_sq_chunks(n, domain, rng, count):
     """Squared pair distances of ``count`` sampled point sets, one block of
     at most ``_BLOCK`` sets at a time.
@@ -166,23 +187,102 @@ def _distance_sq_chunks(n, domain, rng, count):
     row gives the same stream whatever ``_BLOCK`` is.  ``rng`` must be a
     Philox generator.  Squared form so that hard-disk thresholding can
     skip the square root.
+
+    The block buffers are allocated once per call and are pair-major:
+    coordinates are stored ``(n, block)`` and differences ``(m, block)``,
+    so pair (i, j) is the row difference ``x[i] - x[j]`` of contiguous
+    rows, written slot by slot in the lexicographic order of
+    :func:`pair_array`.  Every element is the same IEEE operation on the
+    same operands as the row-major form, so the values are bit-identical.
+    Each step yields a ``(rows, m)`` view of a reused buffer: it is valid
+    until the next step, which rewrites it, so the caller may overwrite it
+    in place and must copy it to keep it.
     """
-    pairs = pair_array(n)
+    m = len(pair_array(n))
+    width = min(_BLOCK, count)
+    rho, ang = np.empty((width, n)), np.empty((width, n))
+    xs, ys = np.empty((n, width)), np.empty((n, width))
+    dx, dy = np.empty((m, width)), np.empty((m, width))
     for start in range(0, count, _CHUNK):
         c = min(_CHUNK, count - start)
-        state = rng.bit_generator.state
-        u = np.random.Generator(_philox_at(state, 0))
-        v = np.random.Generator(_philox_at(state, c * n))
-        rng.bit_generator.state = _philox_at(state, 2 * c * n).state
+        u, v = _chunk_readers(rng, c * n, 2)
         for b in range(0, c, _BLOCK):
             rows = min(_BLOCK, c - b)
-            rho = domain.radius * np.sqrt(u.random((rows, n)))
-            ang = 2.0 * math.pi * v.random((rows, n))
-            xs = rho * np.cos(ang)
-            ys = rho * np.sin(ang)
-            dx = xs[:, pairs[:, 0]] - xs[:, pairs[:, 1]]
-            dy = ys[:, pairs[:, 0]] - ys[:, pairs[:, 1]]
-            yield dx * dx + dy * dy
+            r, a = u.random(out=rho[:rows]), v.random(out=ang[:rows])
+            np.multiply(domain.radius, np.sqrt(r, out=r), out=r)
+            np.multiply(2.0 * math.pi, a, out=a)
+            x, y = xs[:, :rows], ys[:, :rows]
+            np.multiply(r.T, np.cos(a.T, out=x), out=x)
+            np.multiply(r.T, np.sin(a.T, out=y), out=y)
+            ddx, ddy = dx[:, :rows], dy[:, :rows]
+            slot = 0
+            for i in range(n - 1):
+                k = n - 1 - i
+                np.subtract(x[i], x[i + 1:], out=ddx[slot:slot + k])
+                np.subtract(y[i], y[i + 1:], out=ddy[slot:slot + k])
+                slot += k
+            np.multiply(ddx, ddx, out=ddx)
+            np.multiply(ddy, ddy, out=ddy)
+            yield np.add(ddx, ddy, out=ddx).T
+
+
+def _pair_distances(domain, rng, count):
+    """Distances between the two points of ``count`` sampled pairs, one
+    block of at most ``_BLOCK`` pairs at a time.
+
+    The stream is laid out per chunk of at most ``_CHUNK`` pairs ``c``:
+    the first points' radial then angular uniforms, then the second
+    points' (``c`` doubles each).  As in :func:`_distance_sq_chunks`, each
+    block reads its rows at their offsets from four generators, and
+    ``rng`` is moved past the chunk at its start.  Each step yields a
+    fresh array.
+    """
+    for start in range(0, count, _CHUNK):
+        c = min(_CHUNK, count - start)
+        u1, v1, u2, v2 = _chunk_readers(rng, c, 4)
+        for b in range(0, c, _BLOCK):
+            rows = min(_BLOCK, c - b)
+            x1, y1 = _disk_points(domain, u1, v1, rows)
+            x2, y2 = _disk_points(domain, u2, v2, rows)
+            yield np.hypot(x1 - x2, y1 - y2)
+
+
+def _disk_points(domain, u, v, rows):
+    """Coordinates of ``rows`` uniform points in the disk from radial
+    uniforms ``u`` and angular ones ``v``."""
+    rho = domain.radius * np.sqrt(u.random(rows))
+    ang = 2.0 * math.pi * v.random(rows)
+    return rho * np.cos(ang), rho * np.sin(ang)
+
+
+class _Encoder:
+    """Outcome codes of 0/1 edge rows through buffers reused block after
+    block.
+
+    The caller writes a block's edge indicators as float64 0/1 values into
+    ``bits(rows)``, a ``(rows, m)`` view of a pair-major ``(m, width)``
+    buffer; ``codes(bits)`` returns ``bits @ 2**arange(m)`` as int64.  The
+    product runs in float64 as one matrix-vector product, and it is exact
+    in any summation order: every partial sum is an integer below
+    ``2**m <= 2**MAX_OUTCOME_BITS``, far below ``2**53``.  So the codes
+    equal the integer product whatever the BLAS and its thread count do.
+    """
+
+    def __init__(self, m, width):
+        self.pows = np.ldexp(1.0, np.arange(m))
+        self._bits = np.empty((m, width))
+        self._sums = np.empty(width)
+        self._codes = np.empty(width, dtype=np.int64)
+
+    def bits(self, rows):
+        return self._bits[:, :rows].T
+
+    def codes(self, bits):
+        rows = len(bits)
+        sums = np.matmul(bits, self.pows, out=self._sums[:rows])
+        codes = self._codes[:rows]
+        np.copyto(codes, sums, casting="unsafe")
+        return codes
 
 
 def _outcome_bits(n: int) -> int:
@@ -199,20 +299,23 @@ def _outcome_bits(n: int) -> int:
 
 def _outcome_counts(n, model, domain, mc: McSettings) -> np.ndarray:
     m = _outcome_bits(n)
-    pows = (np.int64(1) << np.arange(m, dtype=np.int64))
     hard = isinstance(model, HardDisk)
 
     def work(rng, count):
         counts = np.zeros(1 << m, dtype=np.int64)
+        encoder = _Encoder(m, min(_BLOCK, count))
+        uniforms = None if hard else np.empty((min(_BLOCK, count), m))
         for dist_sq in _distance_sq_chunks(n, domain, rng, count):
             if hard:
                 # The indicator can be evaluated exactly on squared distances;
                 # no per-edge uniforms are consumed.
-                bits = dist_sq < model.r0 * model.r0
+                bits = np.less(dist_sq, model.r0 * model.r0, out=encoder.bits(len(dist_sq)))
             else:
-                dists = np.sqrt(dist_sq)
-                bits = rng.random(dists.shape) < model.probability(dists)
-            counts += np.bincount(bits.astype(np.int64) @ pows, minlength=1 << m)
+                # Row-major like the stream: compared in place, the uniforms
+                # become the bits.
+                u = rng.random(out=uniforms[:len(dist_sq)])
+                bits = np.less(u, model.probability(np.sqrt(dist_sq, out=dist_sq)), out=u)
+            counts += np.bincount(encoder.codes(bits), minlength=1 << m)
         return counts
 
     return _fan_out(mc, work)
@@ -325,15 +428,16 @@ def estimate_entropy_sweep_hard(
     if np.any(~np.isfinite(r0_arr)) or np.any(r0_arr < 0):
         raise DomainError("r0 values must be finite and nonnegative")
     m = _outcome_bits(n)
-    pows = (np.int64(1) << np.arange(m, dtype=np.int64))
     r0_sq = r0_arr * r0_arr
 
     def work(rng, count):
         counts = np.zeros((len(r0_arr), 1 << m), dtype=np.int64)
+        encoder = _Encoder(m, min(_BLOCK, count))
         for dist_sq in _distance_sq_chunks(n, domain, rng, count):
+            bits = encoder.bits(len(dist_sq))
             for i, rsq in enumerate(r0_sq):
-                codes = (dist_sq < rsq).astype(np.int64) @ pows
-                counts[i] += np.bincount(codes, minlength=1 << m)
+                np.less(dist_sq, rsq, out=bits)
+                counts[i] += np.bincount(encoder.codes(bits), minlength=1 << m)
         return counts
 
     counts = _fan_out(mc, work)
@@ -360,12 +464,20 @@ def distance_histogram3(
 
     def work(rng, count):
         counts = np.zeros(bins**3, dtype=np.int64)
+        cells = np.empty((3, min(_BLOCK, count)), dtype=np.int64)
         for dist_sq in _distance_sq_chunks(3, domain, rng, count):
-            dists = np.sqrt(dist_sq)
+            dists = np.sqrt(dist_sq, out=dist_sq)
             if sorted_triples:
-                dists = np.sort(dists, axis=1)
-            idx = np.minimum((dists / D * bins).astype(np.int64), bins - 1)
-            flat = (idx[:, 0] * bins + idx[:, 1]) * bins + idx[:, 2]
+                dists.sort(axis=1)
+            np.multiply(np.divide(dists, D, out=dists), bins, out=dists)
+            idx = cells[:, :len(dists)]
+            np.copyto(idx, dists.T, casting="unsafe")
+            np.minimum(idx, bins - 1, out=idx)
+            flat = idx[0]
+            flat *= bins
+            flat += idx[1]
+            flat *= bins
+            flat += idx[2]
             counts += np.bincount(flat, minlength=bins**3)
         return counts
 

@@ -119,6 +119,17 @@ def distance_sq_chunks_reference(n, domain, rng, count, chunk, block):
             yield dx * dx + dy * dy
 
 
+def pair_distances_reference(domain, rng, count, chunk):
+    """Whole-chunk form of ``montecarlo._pair_distances``: per chunk of at
+    most ``chunk`` pairs, sample the first points, then the second points,
+    with ``sample_points_in_disk`` and yield the chunk's distances."""
+    for start in range(0, count, chunk):
+        c = min(chunk, count - start)
+        p1 = rggdist.sample_points_in_disk(domain, rng, c)
+        p2 = rggdist.sample_points_in_disk(domain, rng, c)
+        yield np.hypot(p1[:, 0] - p2[:, 0], p1[:, 1] - p2[:, 1])
+
+
 def run_cli_process(*argv):
     """Run ``python -m rggdist ARGV`` in a fresh interpreter that imports
     the same rggdist as the test process; returns the completed process."""

@@ -1,10 +1,32 @@
 """Command-line interface: formats, exit codes, and byte determinism."""
 
 import json
+import sys
+import threading
+import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rggdist import DiskDomain, TriangleSides, joint_pdf3, pair_pdf
+from rggdist import (
+    AccuracyError,
+    DiskDomain,
+    DomainError,
+    ExponentialSoft,
+    HardDisk,
+    McSettings,
+    TriangleSides,
+    UnsupportedError,
+    entropy_bits,
+    estimate_entropy,
+    estimate_entropy_sweep_hard,
+    joint_pdf3,
+    pair_pdf,
+    pmf_n2,
+    pmf_n3,
+    shearer_factor,
+)
 from rggdist import cli
 from rggdist.cli import main
 from rggdist.montecarlo import MAX_WORKERS
@@ -254,6 +276,134 @@ class TestValidateCommand:
         )
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+
+class TestValidatePairBlocks:
+    # ``validate pair --samples 524291 --seed 5`` as the whole-chunk
+    # sampler printed it; the sample count crosses a 2**19-pair chunk.
+    RECORDED = (
+        '{\n  "target": "pair",\n  "pass": true,\n  "checks": [\n    {\n'
+        '      "name": "pair-distance histogram vs density",\n      "pass": true,\n'
+        '      "bins_checked": 50,\n      "worst_z": 2.23527616022\n    }\n  ],\n'
+        '  "settings": {\n    "diameter": 1.0,\n    "seed": 5,\n    "samples": 524291,\n'
+        '    "workers": 1,\n    "model": null,\n    "rng": "philox"\n  }\n}\n'
+    )
+
+    def test_output_recorded(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "pair", "--samples", str(2**19 + 3), "--seed", "5")
+        assert code == 0
+        assert out == self.RECORDED
+
+    def test_peak_memory(self, capsys):
+        # Read a block at a time, never a 2**19-pair chunk (56.9 MiB traced
+        # for the whole-chunk sampler).
+        tracemalloc.start()
+        try:
+            code = main(["validate", "pair", "--samples", "2000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 8 * 2**20
+
+
+def serial_sweep_entropy(kind, r0_start, samples, steps, seed, workers):
+    """``sweep-entropy --n 4 --mc`` stdout built from the library calls, one
+    after the other."""
+    domain = DiskDomain(1.0)
+    grid = np.linspace(r0_start, 1.0, steps)
+    if kind == "hard":
+        models = [HardDisk(r0=float(r0)) for r0 in grid]
+        mc = McSettings(samples=samples, seed=seed, workers=workers)
+        estimates = estimate_entropy_sweep_hard(4, grid, domain, mc)
+    else:
+        models = [ExponentialSoft(r0=float(r0), beta=2.0) for r0 in grid]
+        estimates = [
+            estimate_entropy(4, model, domain, McSettings(samples=samples, seed=seed + i, workers=workers))
+            for i, model in enumerate(models)
+        ]
+    lines = [
+        f"# seed={seed} diameter=1 n=4 model-kind={kind} beta=2 r0-start={r0_start:.12g} r0-stop=1 "
+        f"steps={steps} mc=true samples={samples} workers={workers} rng=philox",
+        "r0,H_exact_or_mc,H_std_err,bound_from_G3,bound_from_G2",
+    ]
+    for r0, model, (h, std) in zip(grid, models, estimates):
+        bound3 = float(shearer_factor(4, 3) * Fraction(entropy_bits(pmf_n3(model, domain))))
+        bound2 = float(shearer_factor(4, 2) * Fraction(entropy_bits(pmf_n2(model, domain))))
+        lines.append(",".join(format(float(x), ".12g") for x in (r0, h, std, bound3, bound2)))
+    return "\n".join(lines) + "\n"
+
+
+class TestSweepEntropyOverlap:
+    """The Monte Carlo column runs on a second thread beside the exact
+    bound columns; the output and the errors are those of a serial run."""
+
+    ARGV = ("sweep-entropy", "--n", "4", "--mc", "--samples", "20000", "--steps", "3",
+            "--seed", "13", "--workers", "2")
+    KINDS = [("hard", 0.0), ("exp", 0.1)]
+
+    def run(self, capsys, kind, r0_start):
+        return run_cli(capsys, *self.ARGV, "--model-kind", kind, "--r0-start", str(r0_start))
+
+    @pytest.mark.parametrize("kind, r0_start", KINDS)
+    def test_matches_serial_library_rows(self, capsys, kind, r0_start):
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            code, out, _ = self.run(capsys, kind, r0_start)
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        assert out == serial_sweep_entropy(kind, r0_start, 20000, 3, 13, 2)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("kind, r0_start", KINDS)
+    @pytest.mark.parametrize(
+        "error, exit_code",
+        [(DomainError, 2), (UnsupportedError, 3), (AccuracyError, 1)],
+    )
+    def test_sampler_error(self, capsys, monkeypatch, kind, r0_start, error, exit_code):
+        def sampler(*args, **kwargs):
+            raise error("sampler failed")
+
+        monkeypatch.setattr(cli, "estimate_entropy_sweep_hard", sampler)
+        monkeypatch.setattr(cli, "estimate_entropy", sampler)
+        threads = threading.active_count()
+        code, out, err = self.run(capsys, kind, r0_start)
+        assert code == exit_code
+        assert out == ""
+        assert "sampler failed" in err
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("kind, r0_start", KINDS)
+    def test_exact_column_error(self, capsys, monkeypatch, kind, r0_start):
+        def quadrature(*args, **kwargs):
+            raise AccuracyError("quadrature failed")
+
+        monkeypatch.setattr(cli, "pmf_n3", quadrature)
+        threads = threading.active_count()
+        code, out, err = self.run(capsys, kind, r0_start)
+        assert code == 1
+        assert out == ""
+        assert "quadrature failed" in err
+        assert threading.active_count() == threads
+
+    def test_hard_sampler_error_reported_first(self, capsys, monkeypatch):
+        # As when the shared pool was sampled before the exact columns.
+        def sampler(*args, **kwargs):
+            raise DomainError("sampler failed")
+
+        def quadrature(*args, **kwargs):
+            raise AccuracyError("quadrature failed")
+
+        monkeypatch.setattr(cli, "estimate_entropy_sweep_hard", sampler)
+        monkeypatch.setattr(cli, "pmf_n3", quadrature)
+        code, out, err = self.run(capsys, "hard", 0.0)
+        assert code == 2
+        assert out == ""
+        assert "sampler failed" in err
 
 
 class TestOutputFile:

@@ -25,12 +25,14 @@ from rggdist import montecarlo
 from rggdist.montecarlo import (
     _bootstrap_entropy,
     _distance_sq_chunks,
+    _Encoder,
     _entropy_bits_from_counts,
+    _pair_distances,
     _philox_at,
     substream,
 )
 
-from helpers import distance_sq_chunks_reference, sample_graph
+from helpers import distance_sq_chunks_reference, pair_distances_reference, sample_graph
 
 DOMAIN = DiskDomain(1.0)
 
@@ -453,3 +455,47 @@ class TestBootstrapGroups:
         whole = estimate_entropy_sweep_hard(4, grid, DOMAIN, mc)
         monkeypatch.setattr(montecarlo, "_BOOTSTRAP_BYTES", 8)
         assert estimate_entropy_sweep_hard(4, grid, DOMAIN, mc) == whole
+
+
+class TestPairDistances:
+    """The block reader of ``_pair_distances`` against the whole-chunk
+    sampler it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("chunk, block", [(7, 3), (5, 11), (9, 2)])
+    @pytest.mark.parametrize("count", [1, 17, 23])
+    def test_matches_whole_chunk_reference(self, monkeypatch, count, chunk, block):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        rng, ref_rng = substream(78, 0), substream(78, 0)
+        got = np.concatenate(list(_pair_distances(DOMAIN, rng, count)))
+        want = np.concatenate(list(pair_distances_reference(DOMAIN, ref_rng, count, chunk)))
+        assert got.tobytes() == want.tobytes()
+        assert philox_state(rng.bit_generator) == philox_state(ref_rng.bit_generator)
+
+
+class TestEncoder:
+    """The float64 outcome encoder equals the integer product it replaced."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_matches_integer_product(self, m, order):
+        # Random rows, then an all-zero and an all-one row (code 2**m - 1).
+        bits = substream(m, 0).integers(0, 2, size=(300, m)).astype(float)
+        bits[-2] = 0.0
+        bits[-1] = 1.0
+        bits = np.asarray(bits, order=order)
+        pows = np.int64(1) << np.arange(m, dtype=np.int64)
+        codes = _Encoder(m, 300).codes(bits)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == (bits.astype(np.int64) @ pows).tolist()
+        assert codes[-2:].tolist() == [0, 2**m - 1]
+
+    def test_pair_major_rows_of_a_wider_buffer(self):
+        # A short last block: the rows fill part of the encoder's buffer.
+        m = 20
+        bits = substream(21, 0).integers(0, 2, size=(37, m)).astype(float)
+        encoder = _Encoder(m, 64)
+        view = encoder.bits(len(bits))
+        np.copyto(view, bits)
+        pows = np.int64(1) << np.arange(m, dtype=np.int64)
+        assert encoder.codes(view).tolist() == (bits.astype(np.int64) @ pows).tolist()
