@@ -65,8 +65,9 @@ from .montecarlo import (
     McSettings,
     distance_histogram3,
     estimate_entropy,
-    estimate_entropy_sweep_hard,
+    estimate_entropy_sweep,
     estimate_pmf,
+    estimate_pmf_sweep,
     substream,
 )
 from .quadrature import QuadratureResult, QuadratureSettings, integrate, integrate_many
@@ -106,8 +107,9 @@ __all__ = [
     "entropy_bits",
     "entropy_error_bound",
     "estimate_entropy",
-    "estimate_entropy_sweep_hard",
+    "estimate_entropy_sweep",
     "estimate_pmf",
+    "estimate_pmf_sweep",
     "exact_pmf",
     "integrate",
     "integrate_many",

@@ -48,11 +48,13 @@ from .graphdist import (
 from .montecarlo import (
     RNG_NAME,
     McSettings,
+    _outcome_bits,
     _pair_distances,
     distance_histogram3,
     estimate_entropy,
-    estimate_entropy_sweep_hard,
+    estimate_entropy_sweep,
     estimate_pmf,
+    estimate_pmf_sweep,
     substream,
 )
 from .quadrature import QuadratureSettings, integrate_many
@@ -61,8 +63,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
-
-MAX_MC_SWEEP_NODES = 6
 
 
 def _fmt(x) -> str:
@@ -269,26 +269,15 @@ def _sweep_model(args, r0):
 
 def _check_sweep_n(args) -> None:
     if args.mc:
-        if not (2 <= args.n <= MAX_MC_SWEEP_NODES):
-            raise UnsupportedError(
-                f"Monte Carlo sweeps support 2 <= n <= {MAX_MC_SWEEP_NODES}, got n={args.n}"
-            )
+        if args.n < 2:
+            raise UnsupportedError(f"Monte Carlo sweeps need n >= 2, got n={args.n}")
+        # One outcome table per grid point, each of at most
+        # 2**MAX_OUTCOME_BITS entries (n <= 6), refused before any work.
+        _outcome_bits(args.n, args.steps)
     elif args.n not in (2, 3):
         raise UnsupportedError(
             f"exact sweeps support n in (2, 3); pass --mc for n={args.n}"
         )
-
-
-def _point_mc_settings(args, count) -> list[McSettings]:
-    """Monte Carlo settings of each grid point, seeded ``seed + idx``.
-
-    Built for the whole grid up front, so that a seed running past
-    2**64 - 1 is refused before any sampling.
-    """
-    return [
-        McSettings(samples=args.samples, seed=args.seed + idx, workers=args.workers)
-        for idx in range(count)
-    ]
 
 
 def _sweep_settings_pairs(args, D):
@@ -312,19 +301,17 @@ def _cmd_sweep_connectivity(args) -> int:
     domain = DiskDomain(args.diameter)
     _check_sweep_n(args)
     grid = _sweep_grid(args, domain.diameter)
-    quad = _quad_settings(args)
-    point_mc = _point_mc_settings(args, len(grid)) if args.mc else None
-    rows = []
-    for idx, r0 in enumerate(grid):
-        model = _sweep_model(args, float(r0))
-        if args.mc:
-            pmf = estimate_pmf(args.n, model, domain, point_mc[idx])
-        else:
-            pmf = exact_pmf(args.n, model, domain, quad)
-        rows.append(
-            (float(r0), prob_connected(pmf), prob_complete(pmf), pmf.method,
-             float(pmf.error_estimate))
-        )
+    models = [_sweep_model(args, float(r0)) for r0 in grid]
+    if args.mc:
+        mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
+        pmfs = estimate_pmf_sweep(args.n, models, domain, mc)
+    else:
+        quad = _quad_settings(args)
+        pmfs = [exact_pmf(args.n, model, domain, quad) for model in models]
+    rows = [
+        (float(r0), prob_connected(pmf), prob_complete(pmf), pmf.method, float(pmf.error_estimate))
+        for r0, pmf in zip(grid, pmfs)
+    ]
     _emit_csv(
         args,
         _sweep_settings_pairs(args, domain.diameter),
@@ -332,22 +319,6 @@ def _cmd_sweep_connectivity(args) -> int:
         rows,
     )
     return EXIT_OK
-
-
-def _mc_entropy_column(args, grid, models, domain):
-    """A call that gives the Monte Carlo (H, std error) of every grid point.
-
-    Its settings are built here, so that a seed running past 2**64 - 1 is
-    refused before any work starts.
-    """
-    if args.model_kind == "hard":
-        # Hard-disk sweeps share one distance pool across the grid.
-        mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
-        return lambda: estimate_entropy_sweep_hard(args.n, grid, domain, mc)
-    point_mc = _point_mc_settings(args, len(grid))
-    return lambda: [
-        estimate_entropy(args.n, model, domain, mc) for model, mc in zip(models, point_mc)
-    ]
 
 
 def _beside(background, foreground):
@@ -384,7 +355,10 @@ def _cmd_sweep_entropy(args) -> int:
 
     if args.mc:
         # The exact bound columns are computed while the sampler runs.
-        pmfs, estimates = _beside(_mc_entropy_column(args, grid, models, domain), exact_pmfs)
+        mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
+        pmfs, estimates = _beside(
+            lambda: estimate_entropy_sweep(n, models, domain, mc), exact_pmfs
+        )
     else:
         pmfs = exact_pmfs()
         exact = [pmf2 if n == 2 else pmf3 for pmf2, pmf3 in pmfs]

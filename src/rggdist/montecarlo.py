@@ -12,6 +12,13 @@ streams cannot overlap, and a fixed (samples, seed, workers) triple gives
 bit-identical results no matter how the work is scheduled.  The generator
 name is recorded in every estimate so outputs are auditable.
 
+Sweeps: :func:`estimate_pmf_sweep` and :func:`estimate_entropy_sweep`
+count a list of connection models on one shared pool of point sets, in
+one table of at most ``MAX_TABLE_ENTRIES`` entries (a larger one is
+refused before anything is allocated).  Row k equals the single-model
+estimate of ``models[k]`` at the same settings (for entropies, row 0: the
+bootstraps share one substream in list order).
+
 Memory: a worker's stream is laid out per chunk of ``_CHUNK`` (2**19)
 point sets: all radial uniforms of the chunk, then all angular ones, then
 whatever the caller draws per block (the soft model's per-edge
@@ -67,6 +74,10 @@ _BOOTSTRAP_BYTES = 2 << 20
 
 # Largest exponent of the outcome table kept in memory (2**20 entries).
 MAX_OUTCOME_BITS = 20
+
+# Largest count table of one call, in entries over all its models (int64:
+# 64 MiB, or 256 models at n=6).
+MAX_TABLE_ENTRIES = 1 << 23
 
 # Largest worker split (substreams) of one run.
 MAX_WORKERS = 1024
@@ -285,40 +296,86 @@ class _Encoder:
         return codes
 
 
-def _outcome_bits(n: int) -> int:
-    """Number of edge slots of an n-node outcome, refused when its table
-    would exceed ``2**MAX_OUTCOME_BITS`` entries."""
+def _outcome_bits(n: int, tables: int = 1) -> int:
+    """Number of edge slots of an n-node outcome, refused when one table
+    would exceed ``2**MAX_OUTCOME_BITS`` entries or ``tables`` of them
+    together ``MAX_TABLE_ENTRIES``."""
     m = pair_count(n)
     if m > MAX_OUTCOME_BITS:
         raise UnsupportedError(
             f"outcome table for n={n} has 2**{m} entries; "
             f"only up to 2**{MAX_OUTCOME_BITS} is supported"
         )
+    if tables << m > MAX_TABLE_ENTRIES:
+        raise UnsupportedError(
+            f"{tables} outcome tables of 2**{m} entries exceed "
+            f"{MAX_TABLE_ENTRIES} entries; use fewer models or grid points"
+        )
     return m
 
 
-def _outcome_counts(n, model, domain, mc: McSettings) -> np.ndarray:
-    m = _outcome_bits(n)
-    hard = isinstance(model, HardDisk)
+def _outcome_counts(n, models, domain, mc: McSettings) -> np.ndarray:
+    """``(len(models), 2**m)`` outcome counts of every model on one shared
+    pool of ``mc.samples`` point sets; row k equals the count of
+    ``[models[k]]`` alone.  All-hard-disk lists threshold the squared
+    distances and draw nothing more; other lists draw one uniform per edge
+    and set, once for all models, and compare it with each probability.
+    """
+    if not models:
+        raise DomainError("need at least one connection model")
+    m = _outcome_bits(n, len(models))
+    hard = all(isinstance(model, HardDisk) for model in models)
 
     def work(rng, count):
-        counts = np.zeros(1 << m, dtype=np.int64)
-        encoder = _Encoder(m, min(_BLOCK, count))
-        uniforms = None if hard else np.empty((min(_BLOCK, count), m))
+        counts = np.zeros((len(models), 1 << m), dtype=np.int64)
+        width = min(_BLOCK, count)
+        encoder = _Encoder(m, width)
+        if not hard:
+            # Row-major like the stream's per-edge uniforms: comparing into
+            # the pair-major encoder buffer instead is four times slower.  A
+            # single model needs no uniform twice, so it compares in place.
+            uniforms = np.empty((width, m))
+            soft_bits = uniforms if len(models) == 1 else np.empty((width, m))
         for dist_sq in _distance_sq_chunks(n, domain, rng, count):
+            rows = len(dist_sq)
             if hard:
-                # The indicator can be evaluated exactly on squared distances;
-                # no per-edge uniforms are consumed.
-                bits = np.less(dist_sq, model.r0 * model.r0, out=encoder.bits(len(dist_sq)))
+                bits = encoder.bits(rows)
             else:
-                # Row-major like the stream: compared in place, the uniforms
-                # become the bits.
-                u = rng.random(out=uniforms[:len(dist_sq)])
-                bits = np.less(u, model.probability(np.sqrt(dist_sq, out=dist_sq)), out=u)
-            counts += np.bincount(encoder.codes(bits), minlength=1 << m)
+                # Drawn once per block for all models.
+                u = rng.random(out=uniforms[:rows])
+                r = np.sqrt(dist_sq, out=dist_sq)
+                bits = soft_bits[:rows]
+            for k, model in enumerate(models):
+                if hard:
+                    # The indicator can be evaluated exactly on squared
+                    # distances; no per-edge uniforms are consumed.
+                    np.less(dist_sq, model.r0 * model.r0, out=bits)
+                else:
+                    np.less(u, model.probability(r), out=bits)
+                counts[k] += np.bincount(encoder.codes(bits), minlength=1 << m)
         return counts
 
     return _fan_out(mc, work)
+
+
+def estimate_pmf_sweep(
+    n: int, models, domain: DiskDomain, mc: McSettings
+) -> list[GraphPmf]:
+    """Empirical outcome distributions of several connection models from
+    one shared pool of sampled point sets.
+
+    Each model gets a full ``mc.samples``-sample estimate, with common
+    random numbers across the list; entry k equals
+    ``estimate_pmf(n, models[k], domain, mc)`` byte for byte.
+    """
+    ingredients = {"samples": mc.samples, "seed": mc.seed, "workers": mc.workers, "rng": RNG_NAME}
+    pmfs = []
+    for row in _outcome_counts(n, list(models), domain, mc):
+        probs = row / mc.samples
+        se = np.sqrt(probs * (1.0 - probs) / mc.samples)
+        pmfs.append(GraphPmf(n=n, probs=probs, method="monte_carlo",
+                             error_estimate=float(np.max(se)), ingredients=dict(ingredients)))
+    return pmfs
 
 
 def estimate_pmf(
@@ -330,21 +387,7 @@ def estimate_pmf(
     construction); the error estimate is the largest per-entry binomial
     standard error.
     """
-    counts = _outcome_counts(n, model, domain, mc)
-    probs = counts / mc.samples
-    se = np.sqrt(probs * (1.0 - probs) / mc.samples)
-    return GraphPmf(
-        n=n,
-        probs=probs,
-        method="monte_carlo",
-        error_estimate=float(np.max(se)),
-        ingredients={
-            "samples": mc.samples,
-            "seed": mc.seed,
-            "workers": mc.workers,
-            "rng": RNG_NAME,
-        },
-    )
+    return estimate_pmf_sweep(n, [model], domain, mc)[0]
 
 
 def _entropy_bits_from_counts(counts, total, bias_correction) -> float:
@@ -382,6 +425,32 @@ def _bootstrap_entropy(counts, total, bias_correction, resamples, rng) -> Entrop
     return EntropyEstimate(h, float(np.std(hs, ddof=1)))
 
 
+def estimate_entropy_sweep(
+    n: int,
+    models,
+    domain: DiskDomain,
+    mc: McSettings,
+    bias_correction: bool = True,
+    bootstrap_resamples: int = 100,
+) -> list[EntropyEstimate]:
+    """Entropy estimates of several connection models from one shared pool
+    of sampled point sets (see :func:`estimate_pmf_sweep`).
+
+    Each model gets a full ``mc.samples``-sample estimate; the estimates
+    are correlated across the list and identically distributed to
+    independent runs.  The bootstraps draw from one substream in list
+    order, so entry 0 equals :func:`estimate_entropy` of ``models[0]``.
+    """
+    if bootstrap_resamples < 2:
+        raise DomainError("bootstrap_resamples must be at least 2")
+    counts = _outcome_counts(n, list(models), domain, mc)
+    boot_rng = substream(mc.seed, mc.workers)
+    return [
+        _bootstrap_entropy(row, mc.samples, bias_correction, bootstrap_resamples, boot_rng)
+        for row in counts
+    ]
+
+
 def estimate_entropy(
     n: int,
     model: ConnectionModel,
@@ -397,55 +466,9 @@ def estimate_entropy(
     standard error comes from a multinomial bootstrap of the observed
     counts (a degenerate table returns exactly (0, 0)).
     """
-    if bootstrap_resamples < 2:
-        raise DomainError("bootstrap_resamples must be at least 2")
-    counts = _outcome_counts(n, model, domain, mc)
-    boot_rng = substream(mc.seed, mc.workers)
-    return _bootstrap_entropy(counts, mc.samples, bias_correction, bootstrap_resamples, boot_rng)
-
-
-def estimate_entropy_sweep_hard(
-    n: int,
-    r0_values,
-    domain: DiskDomain,
-    mc: McSettings,
-    bias_correction: bool = True,
-    bootstrap_resamples: int = 100,
-) -> list[EntropyEstimate]:
-    """Hard-disk entropy estimates at many connection ranges from one
-    shared pool of sampled distances.
-
-    Point sets are sampled once per worker and thresholded at every
-    ``r0``; each grid point therefore gets a full ``mc.samples``-sample
-    estimate, with common random numbers across the grid (the estimates
-    are correlated between grid points, identically distributed to
-    independent runs at each one).  Far cheaper than calling
-    :func:`estimate_entropy` per point.
-    """
-    if bootstrap_resamples < 2:
-        raise DomainError("bootstrap_resamples must be at least 2")
-    r0_arr = np.asarray(list(r0_values), dtype=float)
-    if np.any(~np.isfinite(r0_arr)) or np.any(r0_arr < 0):
-        raise DomainError("r0 values must be finite and nonnegative")
-    m = _outcome_bits(n)
-    r0_sq = r0_arr * r0_arr
-
-    def work(rng, count):
-        counts = np.zeros((len(r0_arr), 1 << m), dtype=np.int64)
-        encoder = _Encoder(m, min(_BLOCK, count))
-        for dist_sq in _distance_sq_chunks(n, domain, rng, count):
-            bits = encoder.bits(len(dist_sq))
-            for i, rsq in enumerate(r0_sq):
-                np.less(dist_sq, rsq, out=bits)
-                counts[i] += np.bincount(encoder.codes(bits), minlength=1 << m)
-        return counts
-
-    counts = _fan_out(mc, work)
-    boot_rng = substream(mc.seed, mc.workers)
-    return [
-        _bootstrap_entropy(row, mc.samples, bias_correction, bootstrap_resamples, boot_rng)
-        for row in counts
-    ]
+    return estimate_entropy_sweep(
+        n, [model], domain, mc, bias_correction, bootstrap_resamples
+    )[0]
 
 
 def distance_histogram3(

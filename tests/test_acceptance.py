@@ -22,7 +22,7 @@ from rggdist import (
     entropy_bits,
     entropy_error_bound,
     estimate_entropy,
-    estimate_entropy_sweep_hard,
+    estimate_entropy_sweep,
     joint_pdf3_cell_masses,
     joint_pdf3_values,
     joint_pdf3_via_conditioning_many,
@@ -206,8 +206,9 @@ def test_07_entropy_sweep_with_bounds(sweep_pmfs):
     h2 = np.array(
         [entropy_bits(pmf_n2(HardDisk(r0=float(r0)), DOMAIN)) for r0 in grid]
     )
-    estimates = estimate_entropy_sweep_hard(
-        5, grid, DOMAIN, McSettings(samples=10_000_000, seed=SEED, workers=2)
+    estimates = estimate_entropy_sweep(
+        5, [HardDisk(r0=float(r0)) for r0 in grid], DOMAIN,
+        McSettings(samples=10_000_000, seed=SEED, workers=2),
     )
     h5 = np.array([e.bits for e in estimates])
     se5 = np.array([e.std_error for e in estimates])

@@ -19,15 +19,17 @@ from rggdist import (
     TriangleSides,
     UnsupportedError,
     entropy_bits,
-    estimate_entropy,
-    estimate_entropy_sweep_hard,
+    estimate_entropy_sweep,
+    estimate_pmf,
     joint_pdf3,
     pair_pdf,
     pmf_n2,
     pmf_n3,
+    prob_complete,
+    prob_connected,
     shearer_factor,
 )
-from rggdist import cli
+from rggdist import cli, montecarlo
 from rggdist.cli import main
 from rggdist.montecarlo import MAX_WORKERS
 
@@ -182,6 +184,12 @@ class TestSweepCommands:
         code, _, _ = run_cli(capsys, "sweep-connectivity", "--n", "4", "--steps", "3")
         assert code == 3
 
+    @pytest.mark.parametrize("n", ["1", "7"])
+    def test_mc_sweep_node_range(self, capsys, n):
+        code, out, _ = run_cli(capsys, "sweep-connectivity", "--n", n, "--mc", "--steps", "3")
+        assert code == 3
+        assert out == ""
+
     def test_connectivity_mc_path(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -226,20 +234,56 @@ class TestSweepCommands:
             ("sweep-entropy", "--n", "3", "--mc", "--model-kind", "exp", "--r0-start", "0.1"),
         ],
     )
-    def test_grid_seed_overflow_refused_before_sampling(self, capsys, monkeypatch, argv):
-        # Grid point idx is seeded seed + idx; the last one would pass 2**64 - 1.
-        def estimator(*args, **kwargs):
-            raise AssertionError("sampled before refusing the seed")
-
-        monkeypatch.setattr(cli, "estimate_pmf", estimator)
-        monkeypatch.setattr(cli, "estimate_entropy", estimator)
-        code, out, err = run_cli(
-            capsys, *argv, "--samples", "200000", "--steps", "3",
-            "--seed", str(2**64 - 2),
+    def test_largest_seed_accepted(self, capsys, argv):
+        # Every grid point samples the one pool seeded --seed.
+        code, out, _ = run_cli(
+            capsys, *argv, "--samples", "2000", "--steps", "3", "--seed", str(2**64 - 1),
         )
-        assert code == 2
+        assert code == 0
+        assert out.startswith(f"# seed={2**64 - 1} ")
+
+    @pytest.mark.parametrize("command", ["sweep-connectivity", "sweep-entropy"])
+    def test_mc_table_too_large_refused_before_work(self, capsys, monkeypatch, command):
+        # 257 grid points of 2**15-entry tables at n=6 exceed 2**23 entries;
+        # neither the sampler nor the exact bound columns start.
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("worked before refusing the table")
+
+        monkeypatch.setattr(montecarlo, "_fan_out", refuse)
+        monkeypatch.setattr(cli, "pmf_n2", refuse)
+        monkeypatch.setattr(cli, "pmf_n3", refuse)
+        code, out, err = run_cli(
+            capsys, command, "--n", "6", "--mc", "--samples", "1000", "--steps", "257",
+        )
+        assert code == 3
         assert out == ""
-        assert "seed" in err
+        assert "outcome tables" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("kind, r0_start", [("hard", 0.0), ("exp", 0.1)])
+    def test_connectivity_mc_rows_equal_single_model_estimates(self, capsys, kind, r0_start):
+        code, out, _ = run_cli(
+            capsys, "sweep-connectivity", "--n", "4", "--mc", "--samples", "20000",
+            "--steps", "4", "--seed", "17", "--workers", "2",
+            "--model-kind", kind, "--r0-start", str(r0_start),
+        )
+        assert code == 0
+        domain = DiskDomain(1.0)
+        mc = McSettings(samples=20000, seed=17, workers=2)
+        rows = ["r0,p_connected,p_complete,method,err_est"]
+        for r0 in np.linspace(r0_start, 1.0, 4):
+            if kind == "hard":
+                model = HardDisk(r0=float(r0))
+            else:
+                model = ExponentialSoft(r0=float(r0), beta=2.0)
+            pmf = estimate_pmf(4, model, domain, mc)
+            cells = (r0, prob_connected(pmf), prob_complete(pmf), pmf.error_estimate)
+            r0_, pconn, pcomp, err = (format(float(c), ".12g") for c in cells)
+            rows.append(f"{r0_},{pconn},{pcomp},monte_carlo,{err}")
+        assert out.split("\n")[1:] == rows + [""]
 
     def test_invalid_grid(self, capsys):
         code, _, _ = run_cli(
@@ -315,14 +359,10 @@ def serial_sweep_entropy(kind, r0_start, samples, steps, seed, workers):
     grid = np.linspace(r0_start, 1.0, steps)
     if kind == "hard":
         models = [HardDisk(r0=float(r0)) for r0 in grid]
-        mc = McSettings(samples=samples, seed=seed, workers=workers)
-        estimates = estimate_entropy_sweep_hard(4, grid, domain, mc)
     else:
         models = [ExponentialSoft(r0=float(r0), beta=2.0) for r0 in grid]
-        estimates = [
-            estimate_entropy(4, model, domain, McSettings(samples=samples, seed=seed + i, workers=workers))
-            for i, model in enumerate(models)
-        ]
+    mc = McSettings(samples=samples, seed=seed, workers=workers)
+    estimates = estimate_entropy_sweep(4, models, domain, mc)
     lines = [
         f"# seed={seed} diameter=1 n=4 model-kind={kind} beta=2 r0-start={r0_start:.12g} r0-stop=1 "
         f"steps={steps} mc=true samples={samples} workers={workers} rng=philox",
@@ -368,8 +408,7 @@ class TestSweepEntropyOverlap:
         def sampler(*args, **kwargs):
             raise error("sampler failed")
 
-        monkeypatch.setattr(cli, "estimate_entropy_sweep_hard", sampler)
-        monkeypatch.setattr(cli, "estimate_entropy", sampler)
+        monkeypatch.setattr(cli, "estimate_entropy_sweep", sampler)
         threads = threading.active_count()
         code, out, err = self.run(capsys, kind, r0_start)
         assert code == exit_code
@@ -398,7 +437,7 @@ class TestSweepEntropyOverlap:
         def quadrature(*args, **kwargs):
             raise AccuracyError("quadrature failed")
 
-        monkeypatch.setattr(cli, "estimate_entropy_sweep_hard", sampler)
+        monkeypatch.setattr(cli, "estimate_entropy_sweep", sampler)
         monkeypatch.setattr(cli, "pmf_n3", quadrature)
         code, out, err = self.run(capsys, "hard", 0.0)
         assert code == 2

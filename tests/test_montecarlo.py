@@ -17,9 +17,12 @@ from rggdist import (
     distance_histogram3,
     entropy_bits,
     estimate_entropy,
-    estimate_entropy_sweep_hard,
+    estimate_entropy_sweep,
     estimate_pmf,
+    estimate_pmf_sweep,
     pmf_n3,
+    prob_complete,
+    prob_connected,
 )
 from rggdist import montecarlo
 from rggdist.montecarlo import (
@@ -35,6 +38,10 @@ from rggdist.montecarlo import (
 from helpers import distance_sq_chunks_reference, pair_distances_reference, sample_graph
 
 DOMAIN = DiskDomain(1.0)
+
+
+def hard_disks(r0_values):
+    return [HardDisk(r0=float(r0)) for r0 in r0_values]
 
 
 def traced_peak(fn):
@@ -254,7 +261,7 @@ class TestEntropySweepShared:
     def test_matches_pointwise_estimates(self):
         grid = [0.3, 0.6]
         mc = McSettings(samples=300_000, seed=31)
-        sweep = estimate_entropy_sweep_hard(3, grid, DOMAIN, mc)
+        sweep = estimate_entropy_sweep(3, hard_disks(grid), DOMAIN, mc)
         for r0, est in zip(grid, sweep):
             solo = estimate_entropy(
                 3, HardDisk(r0=r0), DOMAIN, McSettings(samples=300_000, seed=77)
@@ -263,8 +270,8 @@ class TestEntropySweepShared:
             assert abs(est.bits - solo.bits) <= tol
 
     def test_endpoints_exact_zero(self):
-        sweep = estimate_entropy_sweep_hard(
-            4, [0.0, 1.0], DOMAIN, McSettings(samples=50_000, seed=32)
+        sweep = estimate_entropy_sweep(
+            4, hard_disks([0.0, 1.0]), DOMAIN, McSettings(samples=50_000, seed=32)
         )
         assert sweep[0] == (0.0, 0.0)
         assert sweep[1] == (0.0, 0.0)
@@ -272,9 +279,106 @@ class TestEntropySweepShared:
     def test_deterministic(self):
         grid = np.linspace(0.2, 0.8, 4)
         mc = McSettings(samples=100_000, seed=33, workers=2)
-        a = estimate_entropy_sweep_hard(5, grid, DOMAIN, mc)
-        b = estimate_entropy_sweep_hard(5, grid, DOMAIN, mc)
+        a = estimate_entropy_sweep(5, hard_disks(grid), DOMAIN, mc)
+        b = estimate_entropy_sweep(5, hard_disks(grid), DOMAIN, mc)
         assert a == b
+
+
+class TestSharedPoolSweeps:
+    """Every model of a list is counted on one shared pool; each row is the
+    single-model estimate at the same settings."""
+
+    GRID = [0.0, 0.15, 0.3, 0.45, 0.7, 1.0]
+    LISTS = {
+        "hard": hard_disks(GRID),
+        "exp": [ExponentialSoft(r0=r0, beta=2.0) for r0 in GRID[1:]],
+    }
+
+    @staticmethod
+    def assert_same_pmf(a, b):
+        assert a.probs.tobytes() == b.probs.tobytes()
+        assert (a.n, a.method, a.error_estimate, a.ingredients) == (
+            b.n, b.method, b.error_estimate, b.ingredients
+        )
+
+    @pytest.mark.parametrize("kind", ["hard", "exp"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_rows_equal_single_model_pmf(self, n, workers, kind):
+        models = self.LISTS[kind]
+        mc = McSettings(samples=10_007, seed=51, workers=workers)
+        sweep = estimate_pmf_sweep(n, models, DOMAIN, mc)
+        assert len(sweep) == len(models)
+        for model, pmf in zip(models, sweep):
+            self.assert_same_pmf(pmf, estimate_pmf(n, model, DOMAIN, mc))
+
+    @pytest.mark.parametrize("kind", ["hard", "exp"])
+    def test_rows_equal_single_model_pmf_across_chunks(self, kind):
+        # One worker's share crosses a 2**19-set chunk and ends in a short
+        # block; the soft list draws its per-edge uniforms between blocks.
+        models = self.LISTS[kind][1:4]
+        mc = McSettings(samples=2**19 + 2**13 + 7, seed=52, workers=1)
+        for model, pmf in zip(models, estimate_pmf_sweep(3, models, DOMAIN, mc)):
+            self.assert_same_pmf(pmf, estimate_pmf(3, model, DOMAIN, mc))
+
+    def test_hard_pool_draws_no_edge_uniforms(self):
+        # Thresholding the bare point stream gives the counts, across a
+        # chunk boundary too: no per-edge uniform shifts the next chunk.
+        models = self.LISTS["hard"][1:4]
+        samples = 2**19 + 2**13 + 7
+        mc = McSettings(samples=samples, seed=52, workers=1)
+        expected = np.zeros((len(models), 8), dtype=np.int64)
+        for dist_sq in _distance_sq_chunks(3, DOMAIN, substream(52, 0), samples):
+            for row, model in zip(expected, models):
+                codes = (dist_sq < model.r0**2).astype(np.int64) @ [1, 2, 4]
+                row += np.bincount(codes, minlength=8)
+        sweep = estimate_pmf_sweep(3, models, DOMAIN, mc)
+        counts = [np.rint(pmf.probs * samples).astype(np.int64).tolist() for pmf in sweep]
+        assert counts == expected.tolist()
+
+    @pytest.mark.parametrize("kind", ["hard", "exp"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_entropy_row_equals_single_model(self, kind, workers):
+        # Later rows' bootstraps continue the first row's stream.
+        models = self.LISTS[kind][1:]
+        mc = McSettings(samples=20_011, seed=53, workers=workers)
+        sweep = estimate_entropy_sweep(4, models, DOMAIN, mc)
+        assert sweep[0] == estimate_entropy(4, models[0], DOMAIN, mc)
+
+    def test_hard_connectivity_monotone_on_shared_pool(self):
+        # Each sampled graph only gains edges as r0 grows, so on a shared
+        # pool the connected and complete counts never decrease.
+        samples = 20_000
+        mc = McSettings(samples=samples, seed=54, workers=2)
+        sweep = estimate_pmf_sweep(5, hard_disks(np.linspace(0.0, 1.0, 21)), DOMAIN, mc)
+        for prob in (prob_connected, prob_complete):
+            counts = [int(np.rint(prob(pmf) * samples)) for pmf in sweep]
+            assert counts[0] == 0 and counts[-1] == samples
+            assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+    def test_empty_list_refused(self):
+        with pytest.raises(DomainError):
+            estimate_pmf_sweep(3, [], DOMAIN, McSettings(samples=10, seed=1))
+
+    @pytest.mark.parametrize("estimator", [estimate_pmf_sweep, estimate_entropy_sweep])
+    def test_table_too_large_refused_before_sampling(self, monkeypatch, estimator):
+        # 257 tables of 2**15 entries at n=6 exceed 2**23 entries (64 MiB).
+        def fan_out(*args):
+            raise AssertionError("sampled before refusing the table")
+
+        monkeypatch.setattr(montecarlo, "_fan_out", fan_out)
+        assert montecarlo.MAX_TABLE_ENTRIES == 2**23
+        models = hard_disks(np.linspace(0.0, 1.0, 257))
+        with pytest.raises(UnsupportedError, match="outcome tables"):
+            estimator(6, models, DOMAIN, McSettings(samples=10, seed=1))
+
+    def test_table_limit_counts_entries(self, monkeypatch):
+        # Two 8-entry tables at n=3 fit a 16-entry limit; three do not.
+        monkeypatch.setattr(montecarlo, "MAX_TABLE_ENTRIES", 16)
+        mc = McSettings(samples=100, seed=1)
+        assert len(estimate_pmf_sweep(3, hard_disks([0.2, 0.5]), DOMAIN, mc)) == 2
+        with pytest.raises(UnsupportedError):
+            estimate_pmf_sweep(3, hard_disks([0.2, 0.5, 0.8]), DOMAIN, mc)
 
 
 class TestDistanceHistogram:
@@ -360,7 +464,7 @@ class TestPinnedStreams:
 
     def test_entropy_sweep(self):
         mc = McSettings(samples=50_000, seed=2024, workers=3)
-        est = estimate_entropy_sweep_hard(3, [0.2, 0.5], DOMAIN, mc)
+        est = estimate_entropy_sweep(3, hard_disks([0.2, 0.5]), DOMAIN, mc)
         expected = [
             (1.679565952942806, 0.006842426575045969),
             (2.8411683877934624, 0.0029849062696696953),
@@ -452,9 +556,9 @@ class TestBootstrapGroups:
         # Every grid point's bootstrap continues the previous one's stream.
         grid = np.linspace(0.2, 0.8, 5)
         mc = McSettings(samples=40_000, seed=8, workers=2)
-        whole = estimate_entropy_sweep_hard(4, grid, DOMAIN, mc)
+        whole = estimate_entropy_sweep(4, hard_disks(grid), DOMAIN, mc)
         monkeypatch.setattr(montecarlo, "_BOOTSTRAP_BYTES", 8)
-        assert estimate_entropy_sweep_hard(4, grid, DOMAIN, mc) == whole
+        assert estimate_entropy_sweep(4, hard_disks(grid), DOMAIN, mc) == whole
 
 
 class TestPairDistances:
