@@ -14,22 +14,18 @@ from .connection import (
     ExponentialSoft,
     HardDisk,
     Tabulated,
-    connect_prob,
     parse_model,
 )
 from .distances import (
     JointPdfCase,
     angle_pdf_trapezoid,
     classify_triple,
-    conditional_joint_pdf3,
     enclosing_diameter_cdf,
     enclosing_diameter_pdf,
     joint_pdf3,
     joint_pdf3_cell_masses,
     joint_pdf3_values,
-    joint_pdf3_via_conditioning,
     joint_pdf3_via_conditioning_many,
-    marginal_pair_density,
     pair_pdf,
     pair_pdf_on_circle,
     triple_product_integral,
@@ -40,14 +36,11 @@ from .geometry import (
     TriangleQuantities,
     TriangleSides,
     pair_count,
-    pair_from_index,
-    pair_index,
     phi,
     sample_points_in_disk,
     triangle_quantities,
 )
 from .graphdist import (
-    EdgeVector,
     GraphPmf,
     connected_outcome_mask,
     entropy_bits,
@@ -81,7 +74,6 @@ __all__ = [
     "ConnectionModel",
     "DiskDomain",
     "DomainError",
-    "EdgeVector",
     "EntropyEstimate",
     "ExponentialSoft",
     "GraphPmf",
@@ -98,8 +90,6 @@ __all__ = [
     "angle_pdf_trapezoid",
     "bound_chain",
     "classify_triple",
-    "conditional_joint_pdf3",
-    "connect_prob",
     "connected_outcome_mask",
     "distance_histogram3",
     "enclosing_diameter_cdf",
@@ -116,12 +106,8 @@ __all__ = [
     "joint_pdf3",
     "joint_pdf3_cell_masses",
     "joint_pdf3_values",
-    "joint_pdf3_via_conditioning",
     "joint_pdf3_via_conditioning_many",
-    "marginal_pair_density",
     "pair_count",
-    "pair_from_index",
-    "pair_index",
     "pair_pdf",
     "pair_pdf_on_circle",
     "parse_model",

@@ -114,14 +114,6 @@ class Tabulated(ConnectionModel):
         return f"table:{pairs}"
 
 
-def connect_prob(model: ConnectionModel, r: float) -> float:
-    """Connection probability at distance ``r`` (r >= 0)."""
-    rf = float(r)
-    if not math.isfinite(rf) or rf < 0:
-        raise DomainError(f"distance must be a finite nonnegative length, got {r!r}")
-    return float(model.probability(rf))
-
-
 def parse_model(text: str) -> ConnectionModel:
     """Build a model from its textual spec (see module docstring)."""
     if ":" not in text:

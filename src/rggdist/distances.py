@@ -7,8 +7,8 @@ sits on a circle, the trapezoidal density of the angle at that point, the
 density of the smallest concentric circle enclosing all three points, and
 the conditional joint density given that diameter.  Integrating the
 conditional form against the enclosing-diameter density reproduces the
-closed form exactly, which makes :func:`joint_pdf3_via_conditioning` an
-independent numerical oracle for :func:`joint_pdf3`.
+closed form exactly, which makes :func:`joint_pdf3_via_conditioning_many`
+an independent numerical oracle for :func:`joint_pdf3`.
 
 The joint density splits into four cases.  Writing ``rbar`` for the
 longest side and ``d`` for the circumscribed-circle diameter
@@ -449,52 +449,24 @@ def _cond_pdf3_batch(r12, r13, r23, s, degenerate_eps=DEGENERATE_Q_EPS):
     return out.reshape(shape)
 
 
-def conditional_joint_pdf3(sides: TriangleSides, s: float) -> float:
-    """Joint density of the three distances conditioned on the enclosing
-    concentric-circle diameter being ``s`` (one point is then on that
-    circle).  Zero when the longest side exceeds ``s``."""
-    sf = float(s)
-    if not math.isfinite(sf) or sf <= 0:
-        raise DomainError(f"s must be a positive length, got {s!r}")
-    val = _cond_pdf3_batch(
-        np.float64(sides.r12), np.float64(sides.r13), np.float64(sides.r23), sf
-    )
-    return float(val)
-
-
 _VIA_CONDITIONING_SETTINGS = QuadratureSettings(
     abs_tol=0.0, rel_tol=1e-9, max_subdivisions=300
 )
-
-
-def joint_pdf3_via_conditioning(
-    sides: TriangleSides,
-    domain: DiskDomain,
-    settings: QuadratureSettings = _VIA_CONDITIONING_SETTINGS,
-) -> float:
-    """Joint density reconstructed by integrating the conditional density
-    against the enclosing-diameter density.
-
-    Mathematically identical to :func:`joint_pdf3`; computed by adaptive
-    quadrature over the diameter, with the interval split at the
-    circumdiameter where the conditional density changes branch.  Serves
-    as an independent oracle for the closed form.  Raises
-    :class:`AccuracyError` if the quadrature cannot converge.
-    """
-    values, _ = joint_pdf3_via_conditioning_many(
-        [sides.r12], [sides.r13], [sides.r23], domain, settings
-    )
-    return float(values[0])
 
 
 def joint_pdf3_via_conditioning_many(
     r12, r13, r23, domain: DiskDomain,
     settings: QuadratureSettings = _VIA_CONDITIONING_SETTINGS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch form of :func:`joint_pdf3_via_conditioning`.
+    """Joint density at each triple, reconstructed by integrating the
+    conditional density against the enclosing-diameter density.
 
-    All triples are integrated in lockstep; returns (values, error
-    estimates).
+    Mathematically identical to :func:`joint_pdf3_values`; computed by
+    adaptive quadrature over the diameter, with each interval split at the
+    circumdiameter where the conditional density changes branch, and all
+    triples integrated in lockstep.  Serves as an independent oracle for
+    the closed form.  Returns (values, error estimates); raises
+    :class:`AccuracyError` if the quadrature cannot converge.
     """
     a = _as_length_array("r12", r12).ravel()
     b = _as_length_array("r13", r13).ravel()
@@ -742,30 +714,6 @@ def triple_product_integral(
         breakpoints=[tuple(x for x in outer_breaks if lo1 < x < hi1)],
     )
     return float(values[0]), float(errors[0]) + 0.3 * abs_tol
-
-
-def marginal_pair_density(r12_values, domain: DiskDomain, abs_tol: float = 1e-6):
-    """Double integral of the joint density over the other two sides.
-
-    Should reproduce :func:`pair_pdf` at each requested first-side value;
-    exposed for exactly that consistency check.  Returns an array.
-    """
-    p_arr = _as_length_array("r12", r12_values).ravel()
-    D = domain.diameter
-    tol_mid = 0.5 * abs_tol
-    tol_inner = 0.1 * abs_tol / D
-
-    def mid_integrand(q_flat, own):
-        pp = p_arr[own]
-        vals, _ = _inner_lines(pp, q_flat, 0.0, D, D, line_tol=tol_inner)
-        return vals
-
-    settings = QuadratureSettings(abs_tol=tol_mid, rel_tol=0.0, max_subdivisions=400)
-    breaks = [tuple(x for x in (pv, D - pv) if 0.0 < x < D) for pv in p_arr]
-    values, _ = integrate_many(
-        mid_integrand, [(0.0, D)] * len(p_arr), settings, breakpoints=breaks
-    )
-    return values
 
 
 def _per_cell_line_integrals(p, q, edges, D, line_tol=1e-9, max_rounds=4):

@@ -3,10 +3,8 @@
 Everything here is a pure function of its inputs: the circular-segment
 function ``phi``, triangle quantities derived from three side lengths
 (the quartic positivity form, the circumscribed-circle diameter, the
-obtuseness test), uniform sampling inside a disk, and the codec that maps
-node pairs ``(i, j)`` to slots of an edge vector.
-
-Node ids are 1-based in the public API; internal storage is 0-based.
+obtuseness test), uniform sampling inside a disk, and the node pairs of
+an edge vector in slot order.
 """
 
 from __future__ import annotations
@@ -170,33 +168,6 @@ def sample_points_in_disk(domain: DiskDomain, rng: np.random.Generator, count: i
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def pair_index(i: int, j: int, n: int) -> int:
-    """Slot of the pair (i, j), 1 <= i < j <= n, in lexicographic order.
-
-    (1,2) -> 0, (1,3) -> 1, ..., (1,n) -> n-2, (2,3) -> n-1, ...
-    """
-    if not (isinstance(i, int) and isinstance(j, int) and isinstance(n, int)):
-        raise DomainError("pair_index arguments must be integers")
-    if not (1 <= i < j <= n):
-        raise DomainError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    return (i - 1) * (2 * n - i) // 2 + (j - i - 1)
-
-
-def pair_from_index(k: int, n: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_index`."""
-    if not (isinstance(k, int) and isinstance(n, int)):
-        raise DomainError("pair_from_index arguments must be integers")
-    if not (0 <= k < pair_count(n)):
-        raise DomainError(f"index {k} out of range for n={n}")
-    i = 1
-    offset = 0
-    while k >= offset + (n - i):
-        offset += n - i
-        i += 1
-    j = i + 1 + (k - offset)
-    return i, j
 
 
 def pair_array(n: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Exact graph distributions for two and three nodes, and derived quantities.
 
 The random graph is encoded as a vector of edge indicators in pair-slot
-order (see :func:`rggdist.geometry.pair_index`); an outcome is the integer
+order (see :func:`rggdist.geometry.pair_array`); an outcome is the integer
 whose k-th bit is the k-th indicator.  The pmf over all outcomes is
 computed by quadrature for n = 2 and n = 3; for larger n no closed form
 of the joint distance density exists and :func:`exact_pmf` refuses with
@@ -35,48 +35,11 @@ import numpy as np
 from .connection import ConnectionModel, HardDisk
 from .distances import pair_pdf, triple_product_integral
 from .errors import AccuracyError, DomainError, UnsupportedError
-from .geometry import DiskDomain, pair_array, pair_count, pair_index
+from .geometry import DiskDomain, pair_array, pair_count
 from .quadrature import QuadratureSettings, integrate
 
 # Absolute tolerance per pmf entry used when no settings are supplied.
 DEFAULT_PMF_ENTRY_TOL = 1e-4
-
-
-@dataclass(frozen=True)
-class EdgeVector:
-    """Edge indicators of a realized graph, in pair-slot order."""
-
-    n: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"need at least two nodes, got n={self.n}")
-        bits = tuple(int(b) for b in self.bits)
-        if len(bits) != pair_count(self.n):
-            raise DomainError(
-                f"expected {pair_count(self.n)} edge bits for n={self.n}, got {len(bits)}"
-            )
-        if any(b not in (0, 1) for b in bits):
-            raise DomainError("edge bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-
-    def encode(self) -> int:
-        """Integer whose k-th bit is the k-th pair slot."""
-        code = 0
-        for k, b in enumerate(self.bits):
-            code |= b << k
-        return code
-
-    @classmethod
-    def from_int(cls, n: int, code: int) -> "EdgeVector":
-        m = pair_count(n)
-        if not (0 <= code < (1 << m)):
-            raise DomainError(f"code {code} out of range for n={n}")
-        return cls(n=n, bits=tuple((code >> k) & 1 for k in range(m)))
-
-    def edge(self, i: int, j: int) -> int:
-        return self.bits[pair_index(i, j, self.n)]
 
 
 @dataclass(frozen=True)
@@ -102,9 +65,6 @@ class GraphPmf:
             raise DomainError(f"unknown method {self.method!r}")
         object.__setattr__(self, "probs", probs)
 
-    def prob(self, vector: EdgeVector) -> float:
-        return float(self.probs[vector.encode()])
-
 
 def _pair_connect_prob(model, domain, settings) -> tuple[float, float]:
     """P(edge) for one pair: integral of pair density times connection prob."""
@@ -114,22 +74,13 @@ def _pair_connect_prob(model, domain, settings) -> tuple[float, float]:
         hi = min(model.r0, D)
         if hi <= 0.0:
             return 0.0, 0.0
-        value, err = integrate(
-            lambda r: pair_pdf(r, domain), [(0.0, hi)], settings
-        )
-        return value, err
+        return integrate(lambda r: pair_pdf(r, domain), [(0.0, hi)], settings)
 
     def integrand(r):
         return pair_pdf(r, domain) * model.probability(r)
 
     breaks = tuple(b for b in model.breakpoints() if 0.0 < b < D)
-    settings = QuadratureSettings(
-        abs_tol=settings.abs_tol,
-        rel_tol=settings.rel_tol,
-        max_subdivisions=settings.max_subdivisions,
-        breakpoints=breaks,
-    )
-    return integrate(integrand, [(0.0, D)], settings)
+    return integrate(integrand, [(0.0, D)], settings, breakpoints=breaks)
 
 
 _PAIR_SETTINGS = QuadratureSettings(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=400)

@@ -134,19 +134,23 @@ def _fan_out(mc: McSettings, work):
     depend on scheduling.  At most ``os.cpu_count()`` threads run the
     workers, one window of that many at a time, and each window's parts
     are folded into the total before the next starts, so at most one
-    window of parts is held at once.
+    window of parts is held at once.  The first part is the running
+    total, so no part is ever copied.
     """
     base, extra = divmod(mc.samples, mc.workers)
     shares = [base + (1 if w < extra else 0) for w in range(mc.workers)]
     if mc.workers == 1:
         return work(substream(mc.seed, 0), shares[0])
     threads = min(mc.workers, os.cpu_count() or 1)
-    total = 0
+    total = None
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for lo in range(0, mc.workers, threads):
             window = range(lo, min(lo + threads, mc.workers))
             for part in pool.map(lambda w: work(substream(mc.seed, w), shares[w]), window):
-                total += part
+                if total is None:
+                    total = part
+                else:
+                    total += part
     return total
 
 

@@ -78,20 +78,20 @@ _DIFF_WEIGHTS = GK15_WEIGHTS - G7_WEIGHTS
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and refinement budget for :func:`integrate`.
+    """Tolerances and refinement budget for :func:`integrate` and
+    :func:`integrate_many`.
 
-    ``breakpoints`` holds interior panel edges for the one axis of
-    :func:`integrate`; values outside the integration interval are
-    ignored.  ``max_subdivisions`` bounds the number of panel
-    bisections per integral.
+    ``max_subdivisions`` bounds the number of panel bisections per
+    integral.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 1000
-    breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise DomainError("tolerances must be finite")
         if self.abs_tol < 0 or self.rel_tol < 0:
             raise DomainError("tolerances must be nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:
@@ -232,11 +232,12 @@ def integrate(
     f: Callable,
     box: Sequence[tuple[float, float]],
     settings: QuadratureSettings = QuadratureSettings(),
+    breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
     """Adaptive integration of ``f`` over a one-axis box ``[(lo, hi)]``.
 
-    ``f`` receives an array of abscissae; ``settings.breakpoints``
-    supplies the interior panel edges.
+    ``f`` receives an array of abscissae; ``breakpoints`` supplies the
+    interior panel edges (values outside the box are ignored).
     """
     if len(box) != 1:
         raise DomainError(f"box must have exactly 1 axis, got {len(box)}")
@@ -245,6 +246,6 @@ def integrate(
         raise DomainError(f"box axis ({lo}, {hi}) is degenerate")
     values, errors = integrate_many(
         lambda x, which: np.asarray(f(x), dtype=float), [(lo, hi)], settings,
-        breakpoints=[settings.breakpoints],
+        breakpoints=[breakpoints],
     )
     return QuadratureResult(float(values[0]), float(errors[0]))

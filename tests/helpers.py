@@ -2,12 +2,21 @@
 only tests use: iterated n-d quadrature, scalar samplers, the whole-chunk
 Monte Carlo point generator, loop versions of the outcome-table maps,
 and the sort-and-mask form of the closed-form density kernels with their
-per-branch terms."""
+per-branch terms.
+
+Also here, because only tests call them: the 1-based pair codec
+(``pair_index``, ``pair_from_index``), the ``EdgeVector`` edge-indicator
+record, the scalar ``connect_prob``, the scalar conditional density
+``conditional_joint_pdf3`` and density oracle
+``joint_pdf3_via_conditioning`` (thin wrappers over the library's batch
+forms), and ``marginal_pair_density``, the double integral of the joint
+density that must reproduce the two-point density."""
 
 import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
 
@@ -16,15 +25,154 @@ import numpy as np
 import rggdist
 from rggdist import (
     DiskDomain,
+    DomainError,
     McSettings,
     QuadratureResult,
     QuadratureSettings,
-    connect_prob,
+    TriangleSides,
     estimate_pmf,
+    joint_pdf3_via_conditioning_many,
+    pair_count,
+)
+from rggdist.distances import (
+    _VIA_CONDITIONING_SETTINGS,
+    _as_length_array,
+    _cond_pdf3_batch,
+    _inner_lines,
 )
 from rggdist.geometry import DEGENERATE_Q_EPS, pair_array
-from rggdist.graphdist import EdgeVector
 from rggdist.quadrature import integrate_many
+
+
+# ---------------------------------------------------------------------------
+# pair codec, edge vectors and scalar connection probability
+# ---------------------------------------------------------------------------
+
+def pair_index(i: int, j: int, n: int) -> int:
+    """Slot of the pair (i, j), 1 <= i < j <= n, in lexicographic order.
+
+    (1,2) -> 0, (1,3) -> 1, ..., (1,n) -> n-2, (2,3) -> n-1, ...
+    """
+    if not (isinstance(i, int) and isinstance(j, int) and isinstance(n, int)):
+        raise DomainError("pair_index arguments must be integers")
+    if not (1 <= i < j <= n):
+        raise DomainError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+    return (i - 1) * (2 * n - i) // 2 + (j - i - 1)
+
+
+def pair_from_index(k: int, n: int) -> tuple[int, int]:
+    """Inverse of :func:`pair_index`."""
+    if not (isinstance(k, int) and isinstance(n, int)):
+        raise DomainError("pair_from_index arguments must be integers")
+    if not (0 <= k < pair_count(n)):
+        raise DomainError(f"index {k} out of range for n={n}")
+    i = 1
+    offset = 0
+    while k >= offset + (n - i):
+        offset += n - i
+        i += 1
+    j = i + 1 + (k - offset)
+    return i, j
+
+
+@dataclass(frozen=True)
+class EdgeVector:
+    """Edge indicators of a realized graph, in pair-slot order."""
+
+    n: int
+    bits: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise DomainError(f"need at least two nodes, got n={self.n}")
+        bits = tuple(int(b) for b in self.bits)
+        if len(bits) != pair_count(self.n):
+            raise DomainError(
+                f"expected {pair_count(self.n)} edge bits for n={self.n}, got {len(bits)}"
+            )
+        if any(b not in (0, 1) for b in bits):
+            raise DomainError("edge bits must be 0 or 1")
+        object.__setattr__(self, "bits", bits)
+
+    def encode(self) -> int:
+        """Integer whose k-th bit is the k-th pair slot."""
+        code = 0
+        for k, b in enumerate(self.bits):
+            code |= b << k
+        return code
+
+    @classmethod
+    def from_int(cls, n: int, code: int) -> "EdgeVector":
+        m = pair_count(n)
+        if not (0 <= code < (1 << m)):
+            raise DomainError(f"code {code} out of range for n={n}")
+        return cls(n=n, bits=tuple((code >> k) & 1 for k in range(m)))
+
+    def edge(self, i: int, j: int) -> int:
+        return self.bits[pair_index(i, j, self.n)]
+
+
+def connect_prob(model, r: float) -> float:
+    """Connection probability at distance ``r`` (r >= 0)."""
+    rf = float(r)
+    if not math.isfinite(rf) or rf < 0:
+        raise DomainError(f"distance must be a finite nonnegative length, got {r!r}")
+    return float(model.probability(rf))
+
+
+# ---------------------------------------------------------------------------
+# scalar density oracles over the library's batch forms
+# ---------------------------------------------------------------------------
+
+def conditional_joint_pdf3(sides: TriangleSides, s: float) -> float:
+    """Joint density of the three distances conditioned on the enclosing
+    concentric-circle diameter being ``s`` (one point is then on that
+    circle).  Zero when the longest side exceeds ``s``."""
+    sf = float(s)
+    if not math.isfinite(sf) or sf <= 0:
+        raise DomainError(f"s must be a positive length, got {s!r}")
+    val = _cond_pdf3_batch(
+        np.float64(sides.r12), np.float64(sides.r13), np.float64(sides.r23), sf
+    )
+    return float(val)
+
+
+def joint_pdf3_via_conditioning(
+    sides: TriangleSides,
+    domain: DiskDomain,
+    settings: QuadratureSettings = _VIA_CONDITIONING_SETTINGS,
+) -> float:
+    """One triple of ``joint_pdf3_via_conditioning_many``: the joint
+    density reconstructed from the conditional one.  Raises
+    ``AccuracyError`` if the quadrature cannot converge."""
+    values, _ = joint_pdf3_via_conditioning_many(
+        [sides.r12], [sides.r13], [sides.r23], domain, settings
+    )
+    return float(values[0])
+
+
+def marginal_pair_density(r12_values, domain: DiskDomain, abs_tol: float = 1e-6):
+    """Double integral of the joint density over the other two sides.
+
+    Should reproduce ``pair_pdf`` at each requested first-side value.
+    Returns an array.
+    """
+    p_arr = _as_length_array("r12", r12_values).ravel()
+    D = domain.diameter
+    tol_mid = 0.5 * abs_tol
+    tol_inner = 0.1 * abs_tol / D
+
+    def mid_integrand(q_flat, own):
+        pp = p_arr[own]
+        vals, _ = _inner_lines(pp, q_flat, 0.0, D, D, line_tol=tol_inner)
+        return vals
+
+    settings = QuadratureSettings(abs_tol=tol_mid, rel_tol=0.0, max_subdivisions=400)
+    breaks = [tuple(x for x in (pv, D - pv) if 0.0 < x < D) for pv in p_arr]
+    values, _ = integrate_many(
+        mid_integrand, [(0.0, D)] * len(p_arr), settings, breakpoints=breaks
+    )
+    return values
 
 
 def obtuse_boundary_triples(count, rng, diameter=1.0):

@@ -26,7 +26,6 @@ from rggdist import (
     joint_pdf3_cell_masses,
     joint_pdf3_values,
     joint_pdf3_via_conditioning_many,
-    marginal_pair_density,
     pair_pdf,
     pmf_n2,
     pmf_n3,
@@ -41,6 +40,7 @@ from helpers import (
     _density_inscribed,
     _density_obtuse_extra,
     _density_outscribed,
+    marginal_pair_density,
     mc_pmf_tolerance,
     obtuse_boundary_triples,
     right_triangles,

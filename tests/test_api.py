@@ -1,0 +1,51 @@
+"""The public API: exactly the names users call, nothing test-only."""
+
+import importlib
+
+import pytest
+
+import rggdist
+
+PUBLIC = [
+    "AccuracyError", "BoundChain", "BoundEntry", "ConnectionModel", "DiskDomain",
+    "DomainError", "EntropyEstimate", "ExponentialSoft", "GraphPmf", "HardDisk",
+    "Histogram3", "JointPdfCase", "McSettings", "QuadratureResult", "QuadratureSettings",
+    "Tabulated", "TriangleQuantities", "TriangleSides", "UnsupportedError",
+    "angle_pdf_trapezoid", "bound_chain", "classify_triple", "connected_outcome_mask",
+    "distance_histogram3", "enclosing_diameter_cdf", "enclosing_diameter_pdf",
+    "entropy_bits", "entropy_error_bound", "estimate_entropy", "estimate_entropy_sweep",
+    "estimate_pmf", "estimate_pmf_sweep", "exact_pmf", "integrate", "integrate_many",
+    "joint_pdf3", "joint_pdf3_cell_masses", "joint_pdf3_values",
+    "joint_pdf3_via_conditioning_many", "pair_count", "pair_pdf", "pair_pdf_on_circle",
+    "parse_model", "phi", "pmf_n2", "pmf_n3", "prob_complete", "prob_connected",
+    "relabel_orbit_map", "sample_points_in_disk", "shearer_factor", "substream",
+    "triangle_quantities", "triple_product_integral",
+]
+
+# Reference code that only tests call; it lives in tests/helpers.py.
+TEST_ONLY = [
+    "EdgeVector", "pair_index", "pair_from_index", "connect_prob",
+    "conditional_joint_pdf3", "joint_pdf3_via_conditioning", "marginal_pair_density",
+]
+
+
+def test_all_lists_exactly_the_public_names():
+    assert len(PUBLIC) == 54
+    assert sorted(rggdist.__all__) == sorted(PUBLIC)
+
+
+def test_every_name_resolves_and_star_import_works():
+    for name in rggdist.__all__:
+        assert getattr(rggdist, name) is not None
+    namespace = {}
+    exec("from rggdist import *", namespace)
+    assert set(PUBLIC) <= set(namespace)
+
+
+@pytest.mark.parametrize(
+    "module", ["rggdist", "rggdist.graphdist", "rggdist.geometry",
+               "rggdist.connection", "rggdist.distances"]
+)
+def test_test_only_code_is_not_in_the_package(module):
+    mod = importlib.import_module(module)
+    assert [name for name in TEST_ONLY if hasattr(mod, name)] == []

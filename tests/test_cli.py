@@ -109,6 +109,15 @@ class TestPmfCommand:
         code, _, err = run_cli(capsys, "pmf", "--n", "2", "--model", "weird:x=1")
         assert code == 2
 
+    @pytest.mark.parametrize("n,tol", [("2", "nan"), ("3", "inf")])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, n, tol):
+        code, out, err = run_cli(
+            capsys, "pmf", "--n", n, "--model", "hard:r0=0.4", "--abs-tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestEntropyCommands:
     def test_exact(self, capsys):

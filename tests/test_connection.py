@@ -12,12 +12,11 @@ from rggdist import (
     ExponentialSoft,
     HardDisk,
     Tabulated,
-    connect_prob,
     parse_model,
 )
 from rggdist.montecarlo import substream
 
-from helpers import sample_edge
+from helpers import connect_prob, sample_edge
 
 
 class TestHardDisk:

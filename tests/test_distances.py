@@ -13,14 +13,11 @@ from rggdist import (
     TriangleSides,
     angle_pdf_trapezoid,
     classify_triple,
-    conditional_joint_pdf3,
     enclosing_diameter_cdf,
     enclosing_diameter_pdf,
     joint_pdf3,
     joint_pdf3_values,
-    joint_pdf3_via_conditioning,
     joint_pdf3_via_conditioning_many,
-    marginal_pair_density,
     pair_pdf,
     pair_pdf_on_circle,
     sample_points_in_disk,
@@ -33,6 +30,9 @@ from helpers import (
     _density_inscribed,
     _density_obtuse_extra,
     _density_outscribed,
+    conditional_joint_pdf3,
+    joint_pdf3_via_conditioning,
+    marginal_pair_density,
     obtuse_boundary_triples,
     right_triangles,
     valid_triple_grid,
@@ -294,9 +294,8 @@ class TestConditionalDensity:
         res = integrate(
             integrand,
             [(0.4, 1.0)],
-            QuadratureSettings(
-                abs_tol=0.0, rel_tol=1e-9, max_subdivisions=300, breakpoints=(d,)
-            ),
+            QuadratureSettings(abs_tol=0.0, rel_tol=1e-9, max_subdivisions=300),
+            breakpoints=(d,),
         )
         assert res.value == pytest.approx(target, rel=1e-6)
 

@@ -12,15 +12,13 @@ from rggdist import (
     DomainError,
     TriangleSides,
     pair_count,
-    pair_from_index,
-    pair_index,
     phi,
     sample_points_in_disk,
     triangle_quantities,
 )
 from rggdist.montecarlo import substream
 
-from helpers import sample_point_in_disk
+from helpers import pair_from_index, pair_index, sample_point_in_disk
 
 lengths = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 

@@ -8,7 +8,6 @@ import pytest
 from rggdist import (
     DiskDomain,
     DomainError,
-    EdgeVector,
     ExponentialSoft,
     GraphPmf,
     HardDisk,
@@ -26,7 +25,13 @@ from rggdist import (
 from rggdist import graphdist
 from rggdist.quadrature import QuadratureSettings
 
-from helpers import mc_pmf_tolerance, orbit_representative, outcome_is_connected, sample_pmf
+from helpers import (
+    EdgeVector,
+    mc_pmf_tolerance,
+    orbit_representative,
+    outcome_is_connected,
+    sample_pmf,
+)
 
 DOMAIN = DiskDomain(1.0)
 

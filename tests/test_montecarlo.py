@@ -356,6 +356,19 @@ class TestSharedPoolSweeps:
             assert counts[0] == 0 and counts[-1] == samples
             assert all(b >= a for a, b in zip(counts, counts[1:]))
 
+    def test_wide_sweep_peak_memory(self, monkeypatch):
+        # 256 tables of 2**15 entries are 64 MiB per worker.  Two running
+        # workers hold 128 MiB; the first part becomes the total instead of
+        # being copied into a third table (about 193 MiB).
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        models = hard_disks(np.linspace(0.0, 1.0, 256))
+        mc = McSettings(samples=20_000, seed=1, workers=2)
+        sweep = []
+        peak = traced_peak(lambda: sweep.extend(estimate_pmf_sweep(6, models, DOMAIN, mc)))
+        assert peak < 165 * 2**20
+        for model, pmf in zip(models, sweep, strict=True):
+            self.assert_same_pmf(pmf, estimate_pmf(6, model, DOMAIN, mc))
+
     def test_empty_list_refused(self):
         with pytest.raises(DomainError):
             estimate_pmf_sweep(3, [], DOMAIN, McSettings(samples=10, seed=1))

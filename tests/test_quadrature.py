@@ -19,6 +19,11 @@ def test_settings_validation():
         QuadratureSettings(abs_tol=-1.0)
     with pytest.raises(DomainError):
         QuadratureSettings(max_subdivisions=0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError):
+            QuadratureSettings(abs_tol=bad)
+        with pytest.raises(DomainError):
+            QuadratureSettings(rel_tol=bad)
 
 
 def test_unit_cube():
@@ -79,10 +84,8 @@ def test_refinement_monotonicity():
 
 
 def test_breakpoint_handles_kink():
-    settings = QuadratureSettings(
-        abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=2, breakpoints=(0.3,)
-    )
-    res = integrate(lambda x: np.abs(x - 0.3), [(0.0, 1.0)], settings)
+    settings = QuadratureSettings(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=2)
+    res = integrate(lambda x: np.abs(x - 0.3), [(0.0, 1.0)], settings, breakpoints=(0.3,))
     assert res.value == pytest.approx(0.5 * 0.3**2 + 0.5 * 0.7**2, abs=1e-14)
 
 
