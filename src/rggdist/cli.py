@@ -48,14 +48,13 @@ from .graphdist import (
 from .montecarlo import (
     RNG_NAME,
     McSettings,
+    _distance_counts,
     _outcome_bits,
-    _pair_distances,
     distance_histogram3,
     estimate_entropy,
     estimate_entropy_sweep,
     estimate_pmf,
     estimate_pmf_sweep,
-    substream,
 )
 from .quadrature import QuadratureSettings, integrate_many
 
@@ -383,12 +382,9 @@ def _cmd_sweep_entropy(args) -> int:
 
 def _validate_pair(args, domain) -> dict:
     nbins = 50
-    D = domain.diameter
-    edges = np.linspace(0.0, D, nbins + 1)
-    counts = np.zeros(nbins, dtype=np.int64)
-    for r in _pair_distances(domain, substream(args.seed, 0), args.samples):
-        idx = np.minimum((r / D * nbins).astype(np.int64), nbins - 1)
-        counts += np.bincount(idx, minlength=nbins)
+    edges = np.linspace(0.0, domain.diameter, nbins + 1)
+    mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
+    counts = _distance_counts(2, domain, mc, nbins)
 
     settings = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
     masses, _ = integrate_many(
@@ -396,7 +392,7 @@ def _validate_pair(args, domain) -> dict:
         [(edges[i], edges[i + 1]) for i in range(nbins)],
         settings,
     )
-    expected = masses * args.samples
+    expected = masses * mc.samples
     qualifying = expected >= 10.0
     if not np.any(qualifying):
         return {

@@ -106,11 +106,14 @@ def pmf_n3(
     """Exact three-node pmf over the eight edge-vector outcomes.
 
     The per-entry absolute tolerance is ``quad.abs_tol`` (default
-    ``DEFAULT_PMF_ENTRY_TOL``); the reported ``error_estimate`` is the sum
-    of the per-entry estimates.  Entries are clipped to [0, 1]; clipping
-    never exceeds the per-entry estimate.
+    ``DEFAULT_PMF_ENTRY_TOL``); ``quad.rel_tol`` is unused, so settings
+    with ``abs_tol == 0`` are refused.  The reported ``error_estimate`` is
+    the sum of the per-entry estimates.  Entries are clipped to [0, 1];
+    clipping never exceeds the per-entry estimate.
     """
-    entry_tol = quad.abs_tol if quad is not None and quad.abs_tol > 0 else DEFAULT_PMF_ENTRY_TOL
+    if quad is not None and quad.abs_tol == 0:
+        raise DomainError("pmf_n3 needs a positive abs_tol; rel_tol is unused")
+    entry_tol = quad.abs_tol if quad is not None else DEFAULT_PMF_ENTRY_TOL
     max_sub = quad.max_subdivisions if quad is not None else 400
     D = domain.diameter
     moment_tol = entry_tol / 4.0

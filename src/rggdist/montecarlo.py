@@ -19,30 +19,26 @@ refused before anything is allocated).  Row k equals the single-model
 estimate of ``models[k]`` at the same settings (for entropies, row 0: the
 bootstraps share one substream in list order).
 
-Memory: a worker's stream is laid out per chunk of ``_CHUNK`` (2**19)
-point sets: all radial uniforms of the chunk, then all angular ones, then
-whatever the caller draws per block (the soft model's per-edge
-uniforms).  Philox is counter-based, so the chunk is read in place one
-row block of at most ``_BLOCK`` sets at a time: one generator reads the
-radial uniforms from the chunk's start, a second reads the angular ones
-from ``c * n`` words further on, and the worker's own generator is moved
-to ``2 * c * n`` words on for the caller's draws (:func:`_philox_at`).
+Memory: a worker's stream is block-major.  Each block of at most
+``_BLOCK`` point sets takes its radial uniforms ``(rows, n)``, then its
+angular ones, then whatever the caller draws for that block (the soft
+model's per-edge uniforms), all from the worker's own generator in order.
 A worker therefore holds a few block-sized arrays and its outcome table,
-never a whole chunk; the stream, and every output, is the one the
-whole-chunk draw gives.  The block arrays are allocated once per worker
-and reused for every block, so the hot loop neither allocates nor
-page-faults them afresh: uniforms are drawn into them in place, and the
-pair stage is pair-major (coordinates ``(n, block)``, squared distances
-``(m, block)``), so each pair is a difference of two contiguous rows and
-each block is yielded as a ``(rows, m)`` view that is valid until the
-next block.  Outcome codes are ``bits @ 2**arange(m)`` taken in float64
-(:class:`_Encoder`): every partial sum is an integer below
-``2**MAX_OUTCOME_BITS``, far below ``2**53``, so the product is exact in
-any summation order and does not depend on the BLAS or its threads.
-Bootstrap resamples are drawn in groups of at most ``_BOOTSTRAP_BYTES``.
-Threads are capped at ``os.cpu_count()`` and the per-worker results are
-added as they arrive, so peak memory grows with the cores in use, not
-with ``workers`` (at most ``MAX_WORKERS``).
+and ``_BLOCK`` is part of the stream: changing it changes every output.
+The block arrays are allocated once per worker and reused for every
+block, so the hot loop neither allocates nor page-faults them afresh:
+uniforms are drawn into them in place, and the pair stage is pair-major
+(coordinates ``(n, block)``, squared distances ``(m, block)``), so each
+pair is a difference of two contiguous rows and each block is yielded as
+a ``(rows, m)`` view that is valid until the next block.  Outcome codes
+are ``bits @ 2**arange(m)`` taken in float64 (:class:`_Encoder`): every
+partial sum is an integer below ``2**MAX_OUTCOME_BITS``, far below
+``2**53``, so the product is exact in any summation order and does not
+depend on the BLAS or its threads.  Bootstrap resamples are drawn in
+groups of at most ``_BOOTSTRAP_BYTES``.  Threads are capped at
+``os.cpu_count()`` and the per-worker results are added as they arrive,
+so peak memory grows with the cores in use, not with ``workers`` (at
+most ``MAX_WORKERS``).
 """
 
 from __future__ import annotations
@@ -62,11 +58,10 @@ from .graphdist import GraphPmf
 
 RNG_NAME = "philox"
 
-# Point sets per chunk of the stream layout (see the module docstring):
-# changing it changes every output.
-_CHUNK = 1 << 19
-# Rows of the pair stage per block: small enough for its temporaries to
-# stay in cache, large enough to amortise numpy's per-call overhead.
+# Point sets per block of the stream layout (see the module docstring):
+# changing it changes every output.  Small enough for the pair stage's
+# temporaries to stay in cache, large enough to amortise numpy's per-call
+# overhead.
 _BLOCK = 1 << 13
 
 # Largest bootstrap resample table drawn at once, in bytes.
@@ -154,53 +149,14 @@ def _fan_out(mc: McSettings, work):
     return total
 
 
-def _philox_at(state, words):
-    """A Philox bit generator at ``state`` moved on by ``words`` 64-bit
-    outputs, in exactly the state that drawing them one by one leaves.
-
-    ``Generator.random`` takes one 64-bit output per double, so ``words``
-    doubles are skipped.  Philox makes its outputs four at a time from a
-    counter: the rest of the current four-word buffer is used up, whole
-    blocks are skipped with ``advance`` (four words each), and the last,
-    partly used block is drawn so that the buffer matches a sequential
-    draw.
-    """
-    bg = np.random.Philox(key=0)
-    bg.state = state
-    head = min(words, 4 - state["buffer_pos"])
-    bg.random_raw(head)
-    rest = words - head
-    if rest:
-        bg.advance((rest - 1) // 4)
-        bg.random_raw((rest - 1) % 4 + 1)
-    return bg
-
-
-def _chunk_readers(rng, words, parts):
-    """``parts`` generators positioned at consecutive runs of ``words``
-    doubles of ``rng``'s stream, starting at its current position; ``rng``
-    itself is moved past all of them.  ``rng`` must be a Philox generator.
-    """
-    state = rng.bit_generator.state
-    readers = [np.random.Generator(_philox_at(state, k * words)) for k in range(parts)]
-    rng.bit_generator.state = _philox_at(state, parts * words).state
-    return readers
-
-
 def _distance_sq_chunks(n, domain, rng, count):
     """Squared pair distances of ``count`` sampled point sets, one block of
     at most ``_BLOCK`` sets at a time.
 
-    The stream is laid out per chunk of at most ``_CHUNK`` sets ``c``: all
-    radial uniforms of the chunk (``c * n`` doubles), then all angular
-    ones, then the caller's draws.  Each block reads its rows at their
-    offsets in that layout from two generators positioned at the chunk's
-    radial and angular uniforms, so no chunk-sized array exists; the
-    worker's generator ``rng`` is moved past both at the chunk's start.
-    The caller may draw from ``rng`` between blocks; those draws follow
-    the chunk's uniforms in block order, so a fixed number of draws per
-    row gives the same stream whatever ``_BLOCK`` is.  ``rng`` must be a
-    Philox generator.  Squared form so that hard-disk thresholding can
+    The stream is block-major: each block of ``rows`` sets draws its radial
+    uniforms ``(rows, n)`` from ``rng``, then its angular ones, and the
+    caller may draw from ``rng`` after each step; those draws follow the
+    block's uniforms.  Squared form so that hard-disk thresholding can
     skip the square root.
 
     The block buffers are allocated once per call and are pair-major:
@@ -218,56 +174,24 @@ def _distance_sq_chunks(n, domain, rng, count):
     rho, ang = np.empty((width, n)), np.empty((width, n))
     xs, ys = np.empty((n, width)), np.empty((n, width))
     dx, dy = np.empty((m, width)), np.empty((m, width))
-    for start in range(0, count, _CHUNK):
-        c = min(_CHUNK, count - start)
-        u, v = _chunk_readers(rng, c * n, 2)
-        for b in range(0, c, _BLOCK):
-            rows = min(_BLOCK, c - b)
-            r, a = u.random(out=rho[:rows]), v.random(out=ang[:rows])
-            np.multiply(domain.radius, np.sqrt(r, out=r), out=r)
-            np.multiply(2.0 * math.pi, a, out=a)
-            x, y = xs[:, :rows], ys[:, :rows]
-            np.multiply(r.T, np.cos(a.T, out=x), out=x)
-            np.multiply(r.T, np.sin(a.T, out=y), out=y)
-            ddx, ddy = dx[:, :rows], dy[:, :rows]
-            slot = 0
-            for i in range(n - 1):
-                k = n - 1 - i
-                np.subtract(x[i], x[i + 1:], out=ddx[slot:slot + k])
-                np.subtract(y[i], y[i + 1:], out=ddy[slot:slot + k])
-                slot += k
-            np.multiply(ddx, ddx, out=ddx)
-            np.multiply(ddy, ddy, out=ddy)
-            yield np.add(ddx, ddy, out=ddx).T
-
-
-def _pair_distances(domain, rng, count):
-    """Distances between the two points of ``count`` sampled pairs, one
-    block of at most ``_BLOCK`` pairs at a time.
-
-    The stream is laid out per chunk of at most ``_CHUNK`` pairs ``c``:
-    the first points' radial then angular uniforms, then the second
-    points' (``c`` doubles each).  As in :func:`_distance_sq_chunks`, each
-    block reads its rows at their offsets from four generators, and
-    ``rng`` is moved past the chunk at its start.  Each step yields a
-    fresh array.
-    """
-    for start in range(0, count, _CHUNK):
-        c = min(_CHUNK, count - start)
-        u1, v1, u2, v2 = _chunk_readers(rng, c, 4)
-        for b in range(0, c, _BLOCK):
-            rows = min(_BLOCK, c - b)
-            x1, y1 = _disk_points(domain, u1, v1, rows)
-            x2, y2 = _disk_points(domain, u2, v2, rows)
-            yield np.hypot(x1 - x2, y1 - y2)
-
-
-def _disk_points(domain, u, v, rows):
-    """Coordinates of ``rows`` uniform points in the disk from radial
-    uniforms ``u`` and angular ones ``v``."""
-    rho = domain.radius * np.sqrt(u.random(rows))
-    ang = 2.0 * math.pi * v.random(rows)
-    return rho * np.cos(ang), rho * np.sin(ang)
+    for b in range(0, count, _BLOCK):
+        rows = min(_BLOCK, count - b)
+        r, a = rng.random(out=rho[:rows]), rng.random(out=ang[:rows])
+        np.multiply(domain.radius, np.sqrt(r, out=r), out=r)
+        np.multiply(2.0 * math.pi, a, out=a)
+        x, y = xs[:, :rows], ys[:, :rows]
+        np.multiply(r.T, np.cos(a.T, out=x), out=x)
+        np.multiply(r.T, np.sin(a.T, out=y), out=y)
+        ddx, ddy = dx[:, :rows], dy[:, :rows]
+        slot = 0
+        for i in range(n - 1):
+            k = n - 1 - i
+            np.subtract(x[i], x[i + 1:], out=ddx[slot:slot + k])
+            np.subtract(y[i], y[i + 1:], out=ddy[slot:slot + k])
+            slot += k
+        np.multiply(ddx, ddx, out=ddx)
+        np.multiply(ddy, ddy, out=ddy)
+        yield np.add(ddx, ddy, out=ddx).T
 
 
 class _Encoder:
@@ -475,6 +399,36 @@ def estimate_entropy(
     )[0]
 
 
+def _distance_counts(n, domain, mc: McSettings, bins, sorted_sets=False) -> np.ndarray:
+    """Flat counts of the m pair distances of sampled n-point sets on a
+    grid of ``bins`` cells per axis over [0, D], axis k being pair k of
+    :func:`pair_array` (the last axis varies fastest); with
+    ``sorted_sets=True`` each set's distances are sorted ascending first.
+    """
+    m = len(pair_array(n))
+    D = domain.diameter
+
+    def work(rng, count):
+        counts = np.zeros(bins**m, dtype=np.int64)
+        cells = np.empty((m, min(_BLOCK, count)), dtype=np.int64)
+        for dist_sq in _distance_sq_chunks(n, domain, rng, count):
+            dists = np.sqrt(dist_sq, out=dist_sq)
+            if sorted_sets:
+                dists.sort(axis=1)
+            np.multiply(np.divide(dists, D, out=dists), bins, out=dists)
+            idx = cells[:, :len(dists)]
+            np.copyto(idx, dists.T, casting="unsafe")
+            np.minimum(idx, bins - 1, out=idx)
+            flat = idx[0]
+            for k in range(1, m):
+                flat *= bins
+                flat += idx[k]
+            counts += np.bincount(flat, minlength=bins**m)
+        return counts
+
+    return _fan_out(mc, work)
+
+
 def distance_histogram3(
     domain: DiskDomain, mc: McSettings, bins: int = 20, sorted_triples: bool = False
 ) -> Histogram3:
@@ -486,30 +440,9 @@ def distance_histogram3(
     """
     if bins < 2:
         raise DomainError(f"need at least 2 bins per axis, got {bins}")
-    D = domain.diameter
-    edges = np.linspace(0.0, D, bins + 1)
-
-    def work(rng, count):
-        counts = np.zeros(bins**3, dtype=np.int64)
-        cells = np.empty((3, min(_BLOCK, count)), dtype=np.int64)
-        for dist_sq in _distance_sq_chunks(3, domain, rng, count):
-            dists = np.sqrt(dist_sq, out=dist_sq)
-            if sorted_triples:
-                dists.sort(axis=1)
-            np.multiply(np.divide(dists, D, out=dists), bins, out=dists)
-            idx = cells[:, :len(dists)]
-            np.copyto(idx, dists.T, casting="unsafe")
-            np.minimum(idx, bins - 1, out=idx)
-            flat = idx[0]
-            flat *= bins
-            flat += idx[1]
-            flat *= bins
-            flat += idx[2]
-            counts += np.bincount(flat, minlength=bins**3)
-        return counts
-
+    counts = _distance_counts(3, domain, mc, bins, sorted_triples)
     return Histogram3(
-        bin_edges=edges,
-        counts=_fan_out(mc, work).reshape(bins, bins, bins),
+        bin_edges=np.linspace(0.0, domain.diameter, bins + 1),
+        counts=counts.reshape(bins, bins, bins),
         total=mc.samples,
     )

@@ -1,5 +1,5 @@
 """Shared oracle helpers for the test suite, including reference code
-only tests use: iterated n-d quadrature, scalar samplers, the whole-chunk
+only tests use: iterated n-d quadrature, scalar samplers, the row-major
 Monte Carlo point generator, loop versions of the outcome-table maps,
 and the sort-and-mask form of the closed-form density kernels with their
 per-branch terms.
@@ -246,36 +246,22 @@ def sample_pmf(n, model, seed, samples, workers=1, diameter=1.0):
     )
 
 
-def distance_sq_chunks_reference(n, domain, rng, count, chunk, block):
-    """Whole-chunk form of ``montecarlo._distance_sq_chunks``: per chunk of
-    at most ``chunk`` sets, draw all radial then all angular uniforms from
-    ``rng`` as two arrays, then yield the squared pair distances in row
-    blocks of at most ``block`` sets.  Defines the stream layout the
-    offset-addressed generator must reproduce."""
+def distance_sq_blocks_reference(n, domain, rng, count, block):
+    """Row-major form of ``montecarlo._distance_sq_chunks``: per block of
+    at most ``block`` sets, draw the radial uniforms ``rng.random((rows,
+    n))``, then the angular ones, and yield the block's squared pair
+    distances.  Defines the block-major stream layout the sampler must
+    reproduce."""
     pairs = pair_array(n)
-    for start in range(0, count, chunk):
-        c = min(chunk, count - start)
-        u = rng.random((c, n))
-        v = rng.random((c, n))
-        for b in range(0, c, block):
-            rho = domain.radius * np.sqrt(u[b:b + block])
-            ang = 2.0 * math.pi * v[b:b + block]
-            xs = rho * np.cos(ang)
-            ys = rho * np.sin(ang)
-            dx = xs[:, pairs[:, 0]] - xs[:, pairs[:, 1]]
-            dy = ys[:, pairs[:, 0]] - ys[:, pairs[:, 1]]
-            yield dx * dx + dy * dy
-
-
-def pair_distances_reference(domain, rng, count, chunk):
-    """Whole-chunk form of ``montecarlo._pair_distances``: per chunk of at
-    most ``chunk`` pairs, sample the first points, then the second points,
-    with ``sample_points_in_disk`` and yield the chunk's distances."""
-    for start in range(0, count, chunk):
-        c = min(chunk, count - start)
-        p1 = rggdist.sample_points_in_disk(domain, rng, c)
-        p2 = rggdist.sample_points_in_disk(domain, rng, c)
-        yield np.hypot(p1[:, 0] - p2[:, 0], p1[:, 1] - p2[:, 1])
+    for start in range(0, count, block):
+        rows = min(block, count - start)
+        rho = domain.radius * np.sqrt(rng.random((rows, n)))
+        ang = 2.0 * math.pi * rng.random((rows, n))
+        xs = rho * np.cos(ang)
+        ys = rho * np.sin(ang)
+        dx = xs[:, pairs[:, 0]] - xs[:, pairs[:, 1]]
+        dy = ys[:, pairs[:, 0]] - ys[:, pairs[:, 1]]
+        yield dx * dx + dy * dy
 
 
 def run_cli_process(*argv):

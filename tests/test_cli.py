@@ -31,9 +31,9 @@ from rggdist import (
 )
 from rggdist import cli, montecarlo
 from rggdist.cli import main
-from rggdist.montecarlo import MAX_WORKERS
+from rggdist.montecarlo import MAX_WORKERS, substream
 
-from helpers import run_cli_process
+from helpers import distance_sq_blocks_reference, run_cli_process
 
 
 def run_cli(capsys, *argv):
@@ -332,12 +332,12 @@ class TestValidateCommand:
 
 
 class TestValidatePairBlocks:
-    # ``validate pair --samples 524291 --seed 5`` as the whole-chunk
-    # sampler printed it; the sample count crosses a 2**19-pair chunk.
+    # ``validate pair --samples 524291 --seed 5`` as the block-major
+    # sampler prints it; the last block holds 3 pairs.
     RECORDED = (
         '{\n  "target": "pair",\n  "pass": true,\n  "checks": [\n    {\n'
         '      "name": "pair-distance histogram vs density",\n      "pass": true,\n'
-        '      "bins_checked": 50,\n      "worst_z": 2.23527616022\n    }\n  ],\n'
+        '      "bins_checked": 50,\n      "worst_z": 2.4451628367\n    }\n  ],\n'
         '  "settings": {\n    "diameter": 1.0,\n    "seed": 5,\n    "samples": 524291,\n'
         '    "workers": 1,\n    "model": null,\n    "rng": "philox"\n  }\n}\n'
     )
@@ -359,6 +359,30 @@ class TestValidatePairBlocks:
         capsys.readouterr()
         assert code == 0
         assert peak < 8 * 2**20
+
+    def test_workers_split_the_stream(self, capsys, monkeypatch):
+        # ``--workers 2`` bins 50,001 pairs of substream 0 and 50,000 of
+        # substream 1, and prints the same bytes on every run.
+        binned = []
+
+        def recorded(*args):
+            counts = montecarlo._distance_counts(*args)
+            binned.append(counts.copy())
+            return counts
+
+        monkeypatch.setattr(cli, "_distance_counts", recorded)
+        argv = ("validate", "pair", "--samples", "100001", "--seed", "9", "--workers", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv)[1] == out
+        want = np.zeros(50, dtype=np.int64)
+        for w, share in enumerate([50_001, 50_000]):
+            for dist_sq in distance_sq_blocks_reference(
+                2, DiskDomain(1.0), substream(9, w), share, montecarlo._BLOCK
+            ):
+                idx = np.minimum((np.sqrt(dist_sq[:, 0]) * 50).astype(np.int64), 49)
+                want += np.bincount(idx, minlength=50)
+        assert [counts.tolist() for counts in binned] == [want.tolist()] * 2
 
 
 def serial_sweep_entropy(kind, r0_start, samples, steps, seed, workers):

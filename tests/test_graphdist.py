@@ -150,6 +150,13 @@ class TestPmfN3:
         assert pmf.error_estimate < default.error_estimate
         assert np.all(np.abs(pmf.probs - default.probs) <= default.error_estimate)
 
+    def test_relative_tolerance_alone_refused(self):
+        # Only abs_tol sets the entry tolerance: settings that leave it at
+        # zero are refused rather than replaced by the default.
+        quad = QuadratureSettings(abs_tol=0.0, rel_tol=1e-9)
+        with pytest.raises(DomainError, match="abs_tol"):
+            pmf_n3(HardDisk(r0=0.4), DOMAIN, quad)
+
 
 class TestExactPmfDispatch:
     def test_dispatch(self):

@@ -30,12 +30,10 @@ from rggdist.montecarlo import (
     _distance_sq_chunks,
     _Encoder,
     _entropy_bits_from_counts,
-    _pair_distances,
-    _philox_at,
     substream,
 )
 
-from helpers import distance_sq_chunks_reference, pair_distances_reference, sample_graph
+from helpers import distance_sq_blocks_reference, sample_graph
 
 DOMAIN = DiskDomain(1.0)
 
@@ -314,8 +312,8 @@ class TestSharedPoolSweeps:
 
     @pytest.mark.parametrize("kind", ["hard", "exp"])
     def test_rows_equal_single_model_pmf_across_chunks(self, kind):
-        # One worker's share crosses a 2**19-set chunk and ends in a short
-        # block; the soft list draws its per-edge uniforms between blocks.
+        # One worker's share is 65 full blocks and a short one; the soft
+        # list draws its per-edge uniforms between blocks.
         models = self.LISTS[kind][1:4]
         mc = McSettings(samples=2**19 + 2**13 + 7, seed=52, workers=1)
         for model, pmf in zip(models, estimate_pmf_sweep(3, models, DOMAIN, mc)):
@@ -445,19 +443,20 @@ class TestDistanceHistogram:
 
 class TestPinnedStreams:
     """Outputs pinned to recorded values: any change of the stream layout
-    (draw order, chunking, worker split, bootstrap substream) fails here."""
+    (draw order, block size, worker split, bootstrap substream) fails
+    here."""
 
-    # At 3 workers each share (about 174,763) stays inside one chunk;
-    # the single-worker pin below crosses a chunk boundary.
+    # Each share ends in a short block: about 174,763 sets at 3 workers,
+    # 2**19 + 3 at one.
     SAMPLES = 2**19 + 3
 
     @pytest.mark.parametrize(
         "model, counts",
         [
-            (HardDisk(r0=0.4), [88131, 90965, 90839, 30709, 90797, 30431, 30797, 71622]),
+            (HardDisk(r0=0.4), [88460, 90724, 91396, 30659, 90709, 30784, 30821, 70738]),
             (
                 ExponentialSoft(r0=0.3, beta=2.0),
-                [227949, 75499, 75753, 18571, 75917, 18304, 18326, 13972],
+                [227912, 75440, 75953, 18140, 76147, 18387, 18387, 13925],
             ),
         ],
     )
@@ -467,20 +466,20 @@ class TestPinnedStreams:
         assert np.rint(probs * self.SAMPLES).astype(int).tolist() == counts
 
     def test_pmf_counts_across_chunk_boundary(self):
-        # One worker draws a full 2**19-set chunk and then 3 more sets; the
-        # per-edge uniforms of the soft model interleave with the blocks.
+        # One worker draws 64 full blocks and a 3-set one; the per-edge
+        # uniforms of the soft model interleave with the blocks.
         mc = McSettings(samples=self.SAMPLES, seed=2024, workers=1)
         probs = estimate_pmf(3, ExponentialSoft(r0=0.3, beta=2.0), DOMAIN, mc).probs
         assert np.rint(probs * self.SAMPLES).astype(int).tolist() == [
-            227716, 75825, 75980, 18430, 76009, 18218, 18355, 13758,
+            227613, 75380, 76142, 18221, 76206, 18452, 18431, 13846,
         ]
 
     def test_entropy_sweep(self):
         mc = McSettings(samples=50_000, seed=2024, workers=3)
         est = estimate_entropy_sweep(3, hard_disks([0.2, 0.5]), DOMAIN, mc)
         expected = [
-            (1.679565952942806, 0.006842426575045969),
-            (2.8411683877934624, 0.0029849062696696953),
+            (1.655841686277385, 0.006920193546385211),
+            (2.8456009047034585, 0.0029767964546187956),
         ]
         for (bits, se), (want_bits, want_se) in zip(est, expected):
             assert bits == pytest.approx(want_bits, rel=1e-12)
@@ -490,7 +489,7 @@ class TestPinnedStreams:
         mc = McSettings(samples=self.SAMPLES, seed=2024, workers=3)
         hist = distance_histogram3(DOMAIN, mc, bins=2)
         assert hist.counts.ravel().tolist() == [
-            144659, 46884, 46834, 69372, 47216, 69429, 69105, 30792,
+            143563, 47164, 46994, 69387, 46932, 70055, 69464, 30732,
         ]
 
 
@@ -506,22 +505,22 @@ class TestConstantMemory:
         assert traced_peak(lambda: estimator(6, model, DOMAIN, mc)) < 16 * 2**20
 
 
-class TestOffsetReads:
-    """The block reader of ``_distance_sq_chunks`` against the whole-chunk
-    reference of the stream layout, byte for byte."""
+class TestBlockMajorStream:
+    """``_distance_sq_chunks`` against the row-major reference of the
+    block-major stream layout, byte for byte."""
 
     @pytest.mark.parametrize("soft", [False, True])
-    @pytest.mark.parametrize("chunk, block", [(7, 3), (5, 11), (9, 2)])
-    @pytest.mark.parametrize("n, count", [(2, 17), (3, 23), (6, 13)])
-    def test_matches_whole_chunk_reference(self, monkeypatch, n, count, chunk, block, soft):
-        # Odd chunk sizes make c * n odd or 2 mod 4, so chunks start in the
+    @pytest.mark.parametrize("block", [2, 3, 11])
+    @pytest.mark.parametrize("n, count", [(2, 1), (2, 17), (2, 23), (3, 23), (6, 13)])
+    def test_matches_reference(self, monkeypatch, n, count, block, soft):
+        # Odd blocks make rows * n odd or 2 mod 4, so blocks start in the
         # middle of Philox's four-word buffer; with ``soft`` the caller
-        # draws one uniform per pair between blocks, as the soft model does.
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        # draws one uniform per pair after each block, as the soft model
+        # does.
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
         rng, ref_rng = substream(77, 1), substream(77, 1)
         got = _distance_sq_chunks(n, DOMAIN, rng, count)
-        want = distance_sq_chunks_reference(n, DOMAIN, ref_rng, count, chunk, block)
+        want = distance_sq_blocks_reference(n, DOMAIN, ref_rng, count, block)
         rows = 0
         for a, b in itertools.zip_longest(got, want):
             assert a is not None and b is not None
@@ -532,17 +531,6 @@ class TestOffsetReads:
             rows += len(a)
         assert rows == count
         assert philox_state(rng.bit_generator) == philox_state(ref_rng.bit_generator)
-
-    @pytest.mark.parametrize("drawn", [0, 1, 2, 3, 4])
-    @pytest.mark.parametrize("words", [0, 1, 3, 4, 5, 2**19 * 6 + 3])
-    def test_skip_equals_sequential_draws(self, drawn, words):
-        # ``drawn`` words already taken leave the buffer at every position.
-        seq = np.random.Philox(key=5).jumped(2)
-        seq.random_raw(drawn)
-        skipped = _philox_at(seq.state, words)
-        seq.random_raw(words)
-        assert philox_state(skipped) == philox_state(seq)
-        assert skipped.random_raw(9).tolist() == seq.random_raw(9).tolist()
 
 
 class TestBootstrapGroups:
@@ -572,22 +560,6 @@ class TestBootstrapGroups:
         whole = estimate_entropy_sweep(4, hard_disks(grid), DOMAIN, mc)
         monkeypatch.setattr(montecarlo, "_BOOTSTRAP_BYTES", 8)
         assert estimate_entropy_sweep(4, hard_disks(grid), DOMAIN, mc) == whole
-
-
-class TestPairDistances:
-    """The block reader of ``_pair_distances`` against the whole-chunk
-    sampler it replaced, byte for byte."""
-
-    @pytest.mark.parametrize("chunk, block", [(7, 3), (5, 11), (9, 2)])
-    @pytest.mark.parametrize("count", [1, 17, 23])
-    def test_matches_whole_chunk_reference(self, monkeypatch, count, chunk, block):
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        monkeypatch.setattr(montecarlo, "_BLOCK", block)
-        rng, ref_rng = substream(78, 0), substream(78, 0)
-        got = np.concatenate(list(_pair_distances(DOMAIN, rng, count)))
-        want = np.concatenate(list(pair_distances_reference(DOMAIN, ref_rng, count, chunk)))
-        assert got.tobytes() == want.tobytes()
-        assert philox_state(rng.bit_generator) == philox_state(ref_rng.bit_generator)
 
 
 class TestEncoder:
