@@ -27,6 +27,7 @@ from rggdist import (
 from rggdist import montecarlo
 from rggdist.montecarlo import (
     _bootstrap_entropy,
+    _distance_counts,
     _distance_sq_chunks,
     _Encoder,
     _entropy_bits_from_counts,
@@ -505,32 +506,52 @@ class TestConstantMemory:
         assert traced_peak(lambda: estimator(6, model, DOMAIN, mc)) < 16 * 2**20
 
 
-class TestBlockMajorStream:
+def check_against_block_reference(monkeypatch, n, count, block, soft, offset=0):
     """``_distance_sq_chunks`` against the row-major reference of the
-    block-major stream layout, byte for byte."""
+    block-major stream layout, byte for byte, both generators having
+    given ``offset`` words first; with ``soft`` the caller draws one
+    uniform per pair after each block, as the soft model does."""
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    rng, ref_rng = substream(77, 1), substream(77, 1)
+    rng.bit_generator.random_raw(offset)
+    ref_rng.bit_generator.random_raw(offset)
+    got = _distance_sq_chunks(n, DOMAIN, rng, count)
+    want = distance_sq_blocks_reference(n, DOMAIN, ref_rng, count, block)
+    rows = 0
+    for a, b in itertools.zip_longest(got, want):
+        assert a is not None and b is not None
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+        if soft:
+            assert rng.random(a.shape).tobytes() == ref_rng.random(b.shape).tobytes()
+        rows += len(a)
+    assert rows == count
+    assert philox_state(rng.bit_generator) == philox_state(ref_rng.bit_generator)
+
+
+class TestBlockMajorStream:
+    """The sampler on a fresh substream."""
 
     @pytest.mark.parametrize("soft", [False, True])
     @pytest.mark.parametrize("block", [2, 3, 11])
     @pytest.mark.parametrize("n, count", [(2, 1), (2, 17), (2, 23), (3, 23), (6, 13)])
     def test_matches_reference(self, monkeypatch, n, count, block, soft):
         # Odd blocks make rows * n odd or 2 mod 4, so blocks start in the
-        # middle of Philox's four-word buffer; with ``soft`` the caller
-        # draws one uniform per pair after each block, as the soft model
-        # does.
-        monkeypatch.setattr(montecarlo, "_BLOCK", block)
-        rng, ref_rng = substream(77, 1), substream(77, 1)
-        got = _distance_sq_chunks(n, DOMAIN, rng, count)
-        want = distance_sq_blocks_reference(n, DOMAIN, ref_rng, count, block)
-        rows = 0
-        for a, b in itertools.zip_longest(got, want):
-            assert a is not None and b is not None
-            assert (a.dtype, a.shape) == (b.dtype, b.shape)
-            assert a.tobytes() == b.tobytes()
-            if soft:
-                assert rng.random(a.shape).tobytes() == ref_rng.random(b.shape).tobytes()
-            rows += len(a)
-        assert rows == count
-        assert philox_state(rng.bit_generator) == philox_state(ref_rng.bit_generator)
+        # middle of Philox's four-word buffer.
+        check_against_block_reference(monkeypatch, n, count, block, soft)
+
+
+class TestOffsetReads:
+    """The sampler reads its generator in order from wherever it stands:
+    started ``offset`` words into the substream, so that the first block
+    begins in the middle of Philox's four-word buffer, it still equals the
+    reference that draws each block's uniforms as whole arrays."""
+
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("offset, block", [(7, 3), (5, 11), (9, 2)])
+    @pytest.mark.parametrize("n, count", [(2, 17), (3, 23), (6, 13)])
+    def test_matches_whole_chunk_reference(self, monkeypatch, n, count, offset, block, soft):
+        check_against_block_reference(monkeypatch, n, count, block, soft, offset)
 
 
 class TestBootstrapGroups:
@@ -560,6 +581,26 @@ class TestBootstrapGroups:
         whole = estimate_entropy_sweep(4, hard_disks(grid), DOMAIN, mc)
         monkeypatch.setattr(montecarlo, "_BOOTSTRAP_BYTES", 8)
         assert estimate_entropy_sweep(4, hard_disks(grid), DOMAIN, mc) == whole
+
+
+class TestPairDistances:
+    """The pair histogram that ``validate pair`` bins, from the n=2 sampler
+    through ``_distance_counts``, against the binning loop it replaced
+    run on the reference distances, at ``bins`` cells."""
+
+    @pytest.mark.parametrize("bins, block", [(7, 3), (5, 11), (9, 2)])
+    @pytest.mark.parametrize("count", [1, 17, 23])
+    def test_matches_whole_chunk_reference(self, monkeypatch, count, bins, block):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        mc = McSettings(samples=count, seed=78, workers=1)
+        got = _distance_counts(2, DOMAIN, mc, bins)
+        D = DOMAIN.diameter
+        want = np.zeros(bins, dtype=np.int64)
+        for dist_sq in distance_sq_blocks_reference(2, DOMAIN, substream(78, 0), count, block):
+            r = np.sqrt(dist_sq[:, 0])
+            idx = np.minimum((r / D * bins).astype(np.int64), bins - 1)
+            want += np.bincount(idx, minlength=bins)
+        assert got.tolist() == want.tolist()
 
 
 class TestEncoder:
