@@ -1,8 +1,8 @@
 """Shared oracle helpers for the test suite, including reference code
 only tests use: iterated n-d quadrature, scalar samplers, the row-major
-Monte Carlo point generator, loop versions of the outcome-table maps,
-and the sort-and-mask form of the closed-form density kernels with their
-per-branch terms.
+Monte Carlo point generator, the multinomial entropy bootstrap, loop
+versions of the outcome-table maps, and the sort-and-mask form of the
+closed-form density kernels with their per-branch terms.
 
 Also here, because only tests call them: the 1-based pair codec
 (``pair_index``, ``pair_from_index``), the ``EdgeVector`` edge-indicator
@@ -262,6 +262,32 @@ def distance_sq_blocks_reference(n, domain, rng, count, block):
         dx = xs[:, pairs[:, 0]] - xs[:, pairs[:, 1]]
         dy = ys[:, pairs[:, 0]] - ys[:, pairs[:, 1]]
         yield dx * dx + dy * dy
+
+
+def miller_madow_bits(counts, total, bias_correction=True):
+    """Plug-in entropy in bits of a count table of ``total`` samples, plus
+    the Miller-Madow correction ``(K - 1) / (2 N ln 2)`` when asked; 0 for
+    a table with at most one observed outcome."""
+    nz = counts[counts > 0]
+    if len(nz) <= 1:
+        return 0.0
+    p = nz / total
+    h = float(-np.sum(p * np.log2(p)))
+    if bias_correction:
+        h += (len(nz) - 1) / (2.0 * total * math.log(2.0))
+    return h
+
+
+def bootstrap_entropy(counts, total, bias_correction, resamples, rng):
+    """Entropy of a count table and its multinomial-bootstrap standard
+    error: the sample deviation of the entropies of ``resamples`` tables of
+    ``total`` draws from the observed frequencies.  The oracle for the
+    closed-form error of ``estimate_entropy``."""
+    nz = counts[counts > 0]
+    h = miller_madow_bits(counts, total, bias_correction)
+    rows = rng.multinomial(total, nz / total, size=resamples)
+    hs = [miller_madow_bits(row, total, bias_correction) for row in rows]
+    return h, float(np.std(hs, ddof=1))
 
 
 def run_cli_process(*argv):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from rggdist import (
     DiskDomain,
@@ -26,15 +27,15 @@ from rggdist import (
 )
 from rggdist import montecarlo
 from rggdist.montecarlo import (
-    _bootstrap_entropy,
     _distance_counts,
     _distance_sq_chunks,
     _Encoder,
-    _entropy_bits_from_counts,
+    _entropy_estimate,
+    _outcome_counts,
     substream,
 )
 
-from helpers import distance_sq_blocks_reference, sample_graph
+from helpers import bootstrap_entropy, distance_sq_blocks_reference, sample_graph
 
 DOMAIN = DiskDomain(1.0)
 
@@ -51,6 +52,11 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _entropy_bits_from_counts(counts, total, bias_correction):
+    """The library's entropy of a count table, without its error."""
+    return _entropy_estimate(counts, total, bias_correction).bits
 
 
 def philox_state(bit_generator):
@@ -184,10 +190,11 @@ class TestEstimatePmf:
         assert np.rint(probs * mc.samples).astype(np.int64).tolist() == expected.tolist()
 
     def test_peak_memory_bounded(self):
-        # One worker, one full chunk of six-node point sets with per-edge
-        # uniforms: the chunk is read in blocks, so no chunk-sized array
-        # (a chunk's uniforms alone are 2 x 2**19 x 6 doubles, 48 MiB) is
-        # held; TestConstantMemory bounds the same run tighter.
+        # One worker, 64 full blocks of six-node point sets with per-edge
+        # uniforms: each block's arrays are reused for the next, so no
+        # array of the whole share (its uniforms alone would be
+        # 2 x 2**19 x 6 doubles, 48 MiB) is held; TestConstantMemory
+        # bounds the same run tighter.
         mc = McSettings(samples=2**19, seed=1, workers=1)
         tracemalloc.start()
         try:
@@ -256,6 +263,53 @@ class TestEstimateEntropy:
         assert a == b
 
 
+class TestEntropyStandardError:
+    """The closed-form standard error against a multinomial bootstrap and
+    against the spread of independent runs."""
+
+    MODELS = [HardDisk(r0=0.5), HardDisk(r0=0.1), ExponentialSoft(r0=0.3, beta=2.0)]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_bootstrap(self, n):
+        # A 2000-resample bootstrap has a relative spread of about 1.6%,
+        # so 8% is about five of its deviations.
+        samples = 100_000
+        counts = _outcome_counts(n, self.MODELS, DOMAIN, McSettings(samples=samples, seed=61))
+        for k, row in enumerate(counts):
+            est = _entropy_estimate(row, samples, True)
+            bits, se = bootstrap_entropy(row, samples, True, 2000, substream(62, 3 * n + k))
+            assert est.bits == bits
+            assert abs(est.std_error / se - 1.0) <= 0.08
+
+    @pytest.mark.parametrize(
+        "model", [HardDisk(r0=0.5), ExponentialSoft(r0=0.3, beta=2.0)], ids=["hard", "exp"]
+    )
+    def test_seed_spread(self, model):
+        # If the estimates of independent seeds are normal with deviation
+        # std_error, 199 times their sample variance over the mean squared
+        # std_error is chi-square with 199 degrees of freedom.  The check
+        # fails outside its two-sided alpha = 1e-4 quantiles, so a correct
+        # error fails it with probability about 1e-4 per model.
+        seeds = 200
+        estimates = [
+            estimate_entropy(4, model, DOMAIN, McSettings(samples=20_000, seed=seed))
+            for seed in range(seeds)
+        ]
+        bits = np.array([e.bits for e in estimates])
+        variance = np.mean([e.std_error**2 for e in estimates])
+        statistic = (seeds - 1) * np.var(bits, ddof=1) / variance
+        lo, hi = stats.chi2.ppf([0.5e-4, 1.0 - 0.5e-4], seeds - 1)
+        assert lo <= statistic <= hi
+
+    def test_equal_counts_positive(self):
+        # Both outcomes equally often: the first-order term is 0 and the
+        # second-order one, 1 / (2 N**2 ln**2 2), remains.
+        for bias_correction in (True, False):
+            est = _entropy_estimate(np.array([5, 0, 5, 0]), 10, bias_correction)
+            assert est.std_error > 0.0
+            assert est.std_error == pytest.approx(1.0 / (10 * math.sqrt(2.0) * math.log(2.0)))
+
+
 class TestEntropySweepShared:
     def test_matches_pointwise_estimates(self):
         grid = [0.3, 0.6]
@@ -321,8 +375,8 @@ class TestSharedPoolSweeps:
             self.assert_same_pmf(pmf, estimate_pmf(3, model, DOMAIN, mc))
 
     def test_hard_pool_draws_no_edge_uniforms(self):
-        # Thresholding the bare point stream gives the counts, across a
-        # chunk boundary too: no per-edge uniform shifts the next chunk.
+        # Thresholding the bare point stream gives the counts, over 65 full
+        # blocks and a short one: no per-edge uniform shifts the next block.
         models = self.LISTS["hard"][1:4]
         samples = 2**19 + 2**13 + 7
         mc = McSettings(samples=samples, seed=52, workers=1)
@@ -338,11 +392,22 @@ class TestSharedPoolSweeps:
     @pytest.mark.parametrize("kind", ["hard", "exp"])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_first_entropy_row_equals_single_model(self, kind, workers):
-        # Later rows' bootstraps continue the first row's stream.
+        # Row 0 is the estimate of the first model alone;
+        # test_entropy_rows_equal_single_model checks every row.
         models = self.LISTS[kind][1:]
         mc = McSettings(samples=20_011, seed=53, workers=workers)
         sweep = estimate_entropy_sweep(4, models, DOMAIN, mc)
         assert sweep[0] == estimate_entropy(4, models[0], DOMAIN, mc)
+
+    @pytest.mark.parametrize("kind", ["hard", "exp"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_entropy_rows_equal_single_model(self, kind, workers):
+        # The standard errors draw nothing, so no row's error depends on
+        # the rows before it; the hard list's end points are degenerate.
+        models = self.LISTS[kind]
+        mc = McSettings(samples=20_011, seed=53, workers=workers)
+        sweep = estimate_entropy_sweep(4, models, DOMAIN, mc)
+        assert sweep == [estimate_entropy(4, model, DOMAIN, mc) for model in models]
 
     def test_hard_connectivity_monotone_on_shared_pool(self):
         # Each sampled graph only gains edges as r0 grows, so on a shared
@@ -444,8 +509,7 @@ class TestDistanceHistogram:
 
 class TestPinnedStreams:
     """Outputs pinned to recorded values: any change of the stream layout
-    (draw order, block size, worker split, bootstrap substream) fails
-    here."""
+    (draw order, block size, worker split) fails here."""
 
     # Each share ends in a short block: about 174,763 sets at 3 workers,
     # 2**19 + 3 at one.
@@ -479,8 +543,8 @@ class TestPinnedStreams:
         mc = McSettings(samples=50_000, seed=2024, workers=3)
         est = estimate_entropy_sweep(3, hard_disks([0.2, 0.5]), DOMAIN, mc)
         expected = [
-            (1.655841686277385, 0.006920193546385211),
-            (2.8456009047034585, 0.0029767964546187956),
+            (1.655841686277385, 0.006870018037932485),
+            (2.8456009047034585, 0.0030680798820734234),
         ]
         for (bits, se), (want_bits, want_se) in zip(est, expected):
             assert bits == pytest.approx(want_bits, rel=1e-12)
@@ -497,10 +561,11 @@ class TestPinnedStreams:
 class TestConstantMemory:
     @pytest.mark.parametrize("estimator", [estimate_pmf, estimate_entropy])
     def test_full_chunk_n6_soft(self, estimator):
-        # One worker, one full 2**19-set chunk of six-node point sets with
-        # per-edge uniforms, plus the bootstrap for the entropy: a worker
-        # holds block-sized arrays, its 2**15-entry table and one bounded
-        # group of resamples, never a chunk's 48 MiB of uniforms.
+        # One worker, 2**19 six-node point sets (64 full blocks) with
+        # per-edge uniforms, plus the closed-form error for the entropy: a
+        # worker holds block-sized arrays and its 2**15-entry table, the
+        # error a few arrays over the observed outcomes, and nothing holds
+        # the 48 MiB of uniforms of the whole share.
         mc = McSettings(samples=2**19, seed=1, workers=1)
         model = ExponentialSoft(r0=0.3, beta=2.0)
         assert traced_peak(lambda: estimator(6, model, DOMAIN, mc)) < 16 * 2**20
@@ -552,35 +617,6 @@ class TestOffsetReads:
     @pytest.mark.parametrize("n, count", [(2, 17), (3, 23), (6, 13)])
     def test_matches_whole_chunk_reference(self, monkeypatch, n, count, offset, block, soft):
         check_against_block_reference(monkeypatch, n, count, block, soft, offset)
-
-
-class TestBootstrapGroups:
-    """Resamples drawn in groups equal one multinomial call for all rows."""
-
-    COUNTS = np.bincount(substream(3, 0).integers(0, 700, size=20_000), minlength=1024)
-
-    @pytest.mark.parametrize("bias_correction", [True, False])
-    @pytest.mark.parametrize("rows_per_group", [1, 3])
-    def test_groups_match_one_call(self, monkeypatch, rows_per_group, bias_correction):
-        counts = self.COUNTS
-        total = int(counts.sum())
-        nz = counts[counts > 0]
-        monkeypatch.setattr(montecarlo, "_BOOTSTRAP_BYTES", rows_per_group * 8 * len(nz))
-        rng, ref_rng = substream(4, 9), substream(4, 9)
-        got = _bootstrap_entropy(counts, total, bias_correction, 100, rng)
-        resampled = ref_rng.multinomial(total, nz / total, size=100)
-        hs = np.array([_entropy_bits_from_counts(row, total, bias_correction) for row in resampled])
-        want = (_entropy_bits_from_counts(counts, total, bias_correction), float(np.std(hs, ddof=1)))
-        assert got == want
-        assert philox_state(rng.bit_generator) == philox_state(ref_rng.bit_generator)
-
-    def test_sweep_shares_one_stream(self, monkeypatch):
-        # Every grid point's bootstrap continues the previous one's stream.
-        grid = np.linspace(0.2, 0.8, 5)
-        mc = McSettings(samples=40_000, seed=8, workers=2)
-        whole = estimate_entropy_sweep(4, hard_disks(grid), DOMAIN, mc)
-        monkeypatch.setattr(montecarlo, "_BOOTSTRAP_BYTES", 8)
-        assert estimate_entropy_sweep(4, hard_disks(grid), DOMAIN, mc) == whole
 
 
 class TestPairDistances:
