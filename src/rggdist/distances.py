@@ -39,18 +39,18 @@ operation order, so the values are bit-identical to evaluating each
 branch on the gathered support.
 
 Memory: the line integrator (:func:`_line_segments`) evaluates the
-density ``_LINE_BLOCK`` (1024) pieces at a time, 15,360 points, and every
-block runs in one :class:`_Workspace` of preallocated buffers: nine float
-and four bool arrays for the kernel, the block's abscissae and Jacobian,
-and a grow-only matrix of one call's integrand rows, about 2 MiB per
-thread in all.  Each thread keeps its own workspace (``threading.local``)
-and reuses it across blocks, refinement rounds and calls, so after the
-first call of a given size the integrator allocates nothing of block
-size, and large calls no longer fault their working set back in.  A
-kernel result computed in a workspace is a view into it and stays valid
-only until the next kernel call on that thread.  Without a workspace
-(``joint_pdf3_values`` and the scalar entry points) the kernel allocates
-its buffers per call.
+density ``_LINE_BLOCK`` (1024) pieces at a time, 15,360 points, and sums
+each block's GK15 rules (:func:`rggdist.quadrature._gk15_sums`) right
+after evaluating it, so it keeps no integrand values beyond the block.
+Every block runs in one :class:`_Workspace` of preallocated buffers: nine
+float and four bool arrays for the kernel, the block's abscissae and its
+weighted rule terms, about 1.5 MiB per thread in all.  Each thread keeps
+its own workspace (``threading.local``) and reuses it across blocks,
+refinement rounds and calls, so the integrator allocates nothing of block
+size.  A kernel result computed in a workspace is a view into it and
+stays valid only until the next kernel call on that thread.  Without a
+workspace (``joint_pdf3_values`` and the scalar entry points) the kernel
+allocates its buffers per call.
 """
 
 from __future__ import annotations
@@ -69,13 +69,7 @@ from .geometry import (
     _phi_clipped,
     triangle_quantities,
 )
-from .quadrature import (
-    G7_WEIGHTS01,
-    GK15_NODES01,
-    GK15_WEIGHTS01,
-    QuadratureSettings,
-    integrate_many,
-)
+from .quadrature import GK15_NODES01, QuadratureSettings, _gk15_sums, integrate_many
 
 _PI2 = math.pi * math.pi
 
@@ -83,7 +77,6 @@ _PI2 = math.pi * math.pi
 # ``t = mid - half*cos(pi*u)`` used by :func:`_line_segments`.
 _GK15_COS = np.cos(math.pi * GK15_NODES01)
 _GK15_SIN = np.sin(math.pi * GK15_NODES01)
-_GK15_MINUS_G7 = GK15_WEIGHTS01 - G7_WEIGHTS01
 _NODES = len(GK15_NODES01)
 
 # Pieces (lines of 15 GK15 nodes) per density-kernel block of the line
@@ -148,23 +141,16 @@ class _Workspace:
     """One thread's preallocated buffers for the line integrator.
 
     ``floats``/``flags`` serve the density kernel (see :func:`_buffers`),
-    ``nodes``/``jac`` hold a block's GK15 abscissae and Jacobian, and
-    ``rows`` is the grow-only ``(lines, 15)`` matrix of integrand values
-    that one call of :func:`_line_segments` reduces to its GK15 sums.
+    ``nodes`` and ``terms`` hold a block's GK15 abscissae and weighted rule
+    terms; :func:`_line_segments` sums each block before the next.
     """
 
     def __init__(self, lines):
         self.lines = lines
         self.floats = [np.empty(lines * _NODES) for _ in range(_KERNEL_FLOATS)]
         self.flags = [np.empty(lines * _NODES, bool) for _ in range(_KERNEL_FLAGS)]
-        self.nodes = np.empty((lines, _NODES))
-        self.jac = np.empty((lines, _NODES))
-        self._rows = np.empty((0, _NODES))
-
-    def rows(self, count):
-        if len(self._rows) < count:
-            self._rows = np.empty((count, _NODES))
-        return self._rows[:count]
+        self.nodes = np.empty(lines * _NODES)
+        self.terms = np.empty(lines * _NODES * 2)
 
 
 _local = threading.local()
@@ -555,28 +541,28 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
     ws = _workspace()
 
     def eval_segments(s_lo, s_hi, own):
-        # The integrand is evaluated _LINE_BLOCK pieces at a time in the
-        # workspace, but its rows are summed in one matrix-vector product
-        # per call: OpenBLAS picks the summation kernel (and thread) of a
-        # row by its position in the matrix, so per-block products would
-        # round some rows differently.
+        # Node-major (15, pieces) blocks.  The Jacobian half*pi*sin(pi*u)
+        # splits: sin at the nodes, and half*pi/2 scales the sums (the 1/2
+        # maps the rule from [-1, 1] onto [0, 1]).
         half = 0.5 * (s_hi - s_lo)
         mid = 0.5 * (s_hi + s_lo)
-        half_pi = half * math.pi
+        scale = half * (0.5 * math.pi)
         p_own = p[own]
         q_own = q[own]
-        g = ws.rows(len(s_lo))
+        val, err = np.empty((2, len(s_lo)))
         for lo in range(0, len(s_lo), _LINE_BLOCK):
             blk = slice(lo, lo + _LINE_BLOCK)
-            m = len(g[blk])
-            t = np.multiply(half[blk, None], _GK15_COS, out=ws.nodes[:m])
-            np.subtract(mid[blk, None], t, out=t)
-            jac = np.multiply(half_pi[blk, None], _GK15_SIN, out=ws.jac[:m])
-            g_blk = _pdf3_batch(p_own[blk, None], q_own[blk, None], t, D, ws=ws)
+            m = len(val[blk])
+            t = ws.nodes[: _NODES * m].reshape(_NODES, m)
+            np.multiply(_GK15_COS[:, None], half[blk], out=t)
+            np.subtract(mid[blk], t, out=t)
+            g = _pdf3_batch(p_own[None, blk], q_own[None, blk], t, D, ws=ws)
             if weight is not None:
-                g_blk *= weight(t)
-            np.multiply(g_blk, jac, out=g[blk])
-        return g @ GK15_WEIGHTS01, np.abs(g @ _GK15_MINUS_G7)
+                g *= weight(t)
+            g *= _GK15_SIN[:, None]
+            terms = ws.terms[: 2 * _NODES * m].reshape(_NODES, 2, m)
+            val[blk], err[blk] = _gk15_sums(g, scale[blk], terms)
+        return val, err
 
     seg_val, seg_err = eval_segments(seg_lo, seg_hi, owner)
     for _ in range(max_rounds):
@@ -741,9 +727,13 @@ def _per_cell_line_integrals(p, q, edges, D, line_tol=1e-9, max_rounds=4):
     return out
 
 
-def joint_pdf3_cell_masses(
-    domain: DiskDomain, edges, gauss_order: int = 5, inner_tol: float = 1e-9
-) -> np.ndarray:
+# joint_pdf3_cell_masses: Gauss nodes per cell on the first axis, and the
+# per-line error budget of the third-side integrals.
+_CELL_GAUSS_ORDER = 5
+_CELL_LINE_TOL = 1e-9
+
+
+def joint_pdf3_cell_masses(domain: DiskDomain, edges) -> np.ndarray:
     """Probability mass of the joint density in every cell of a cubic grid.
 
     The third axis is integrated with the substituted piecewise rule and
@@ -759,7 +749,7 @@ def joint_pdf3_cell_masses(
         raise DomainError("edges must be a strictly increasing 1-d grid")
     D = domain.diameter
     nb = len(edges) - 1
-    nodes, weights = np.polynomial.legendre.leggauss(gauss_order)
+    nodes, weights = np.polynomial.legendre.leggauss(_CELL_GAUSS_ORDER)
     u01 = 0.5 * (nodes + 1.0)
     w01 = 0.5 * weights
 
@@ -770,24 +760,14 @@ def joint_pdf3_cell_masses(
 
     masses = np.zeros((nb, nb, nb))
     for i in range(nb):
-        for u in range(gauss_order):
+        for u in range(_CELL_GAUSS_ORDER):
             pv = float(p_pts[i, u])
-            # q values where |p - q| or p + q crosses a grid edge: the
-            # per-cell third-side mass has square-root kinks there.
+            # Cut the middle axis at the grid edges and where |p - q| or
+            # p + q crosses one: the per-cell mass has square-root kinks there.
             cand = np.concatenate([pv - edges, pv + edges, edges - pv, [pv]])
-            cand = np.unique(cand[(cand > edges[0]) & (cand < edges[-1])])
-            piece_lo, piece_hi, piece_j = [], [], []
-            for j in range(nb):
-                qa, qb = edges[j], edges[j + 1]
-                inner = cand[(cand > qa) & (cand < qb)]
-                qedges = np.concatenate([[qa], inner, [qb]])
-                for lo, hi in zip(qedges[:-1], qedges[1:]):
-                    piece_lo.append(lo)
-                    piece_hi.append(hi)
-                    piece_j.append(j)
-            piece_lo = np.asarray(piece_lo)
-            piece_hi = np.asarray(piece_hi)
-            piece_j = np.asarray(piece_j)
+            qedges = np.union1d(edges, cand[(cand > edges[0]) & (cand < edges[-1])])
+            piece_lo, piece_hi = qedges[:-1], qedges[1:]
+            piece_j = np.searchsorted(edges, piece_lo, side="right") - 1
 
             ph = 0.5 * (piece_hi - piece_lo)
             pm = 0.5 * (piece_hi + piece_lo)
@@ -796,10 +776,10 @@ def joint_pdf3_cell_masses(
 
             q_flat = qs.ravel()
             per_cell = _per_cell_line_integrals(
-                np.full(len(q_flat), pv), q_flat, edges, D, line_tol=inner_tol
+                np.full(len(q_flat), pv), q_flat, edges, D, line_tol=_CELL_LINE_TOL
             )
             weighted = per_cell * wq.ravel()[:, None]
             rows = np.zeros((nb, nb))
-            np.add.at(rows, np.repeat(piece_j, gauss_order), weighted)
+            np.add.at(rows, np.repeat(piece_j, _CELL_GAUSS_ORDER), weighted)
             masses[i] += p_wts[i, u] * rows
     return masses

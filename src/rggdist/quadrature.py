@@ -2,10 +2,13 @@
 
 The building block is a 15-point Kronrod rule with its embedded 7-point
 Gauss rule; the difference of the two estimates on a panel is the panel's
-error estimate.  Panels are refined worst-first with a deterministic
-tie-break (panel lower bound, then upper bound), so identical inputs give
-bit-identical results.  Supplied breakpoints become initial panel edges,
-which restores fast convergence on piecewise-smooth integrands.
+error estimate.  Each panel adds its 15 weighted node values in node
+order, without BLAS (:func:`_gk15_sums`), so its sums depend only on its
+own integrand values, not on its batch or the BLAS threads.  Panels are
+refined worst-first with a deterministic tie-break (panel lower bound,
+then upper bound), so identical inputs give bit-identical results.
+Supplied breakpoints become initial panel edges, which restores fast
+convergence on piecewise-smooth integrands.
 
 Integrands are evaluated in batches of abscissae.  Many integrals can be
 refined in lockstep (:func:`integrate_many`); multi-dimensional integrals
@@ -68,12 +71,12 @@ def _build_rule():
 
 GK15_NODES, GK15_WEIGHTS, G7_WEIGHTS = _build_rule()
 
-# The same rule mapped to [0, 1]; convenient for substituted integrals.
+# The nodes mapped to [0, 1]; convenient for substituted integrals.
 GK15_NODES01 = 0.5 * (GK15_NODES + 1.0)
-GK15_WEIGHTS01 = 0.5 * GK15_WEIGHTS
-G7_WEIGHTS01 = 0.5 * G7_WEIGHTS
 
-_DIFF_WEIGHTS = GK15_WEIGHTS - G7_WEIGHTS
+# Node-major like the integrand values: column 0 weighs the Kronrod sum,
+# column 1 the Kronrod minus Gauss difference.
+_RULE_WEIGHTS = np.stack([GK15_WEIGHTS, GK15_WEIGHTS - G7_WEIGHTS], axis=1)[..., None]
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,22 @@ class QuadratureResult(NamedTuple):
     error_estimate: float
 
 
+def _gk15_sums(vals, scale, terms=None):
+    """Kronrod values and |Kronrod - Gauss| errors of panels with node-major
+    integrand values ``vals`` (15, panels), times ``scale`` (the Jacobian
+    of mapping [-1, 1] onto each panel); ``terms`` is an optional buffer.
+
+    The weighted values are added in node order: numpy reduces the leading
+    axis of a C-ordered ``(15, 2, panels)`` array row by row, elementwise.
+    The axis of the two sums keeps it so for one panel, where numpy would
+    sum a lone reduction axis pairwise.
+    """
+    terms = np.multiply(_RULE_WEIGHTS, vals[:, None], out=terms)
+    sums = np.add.reduce(terms, axis=0)
+    sums *= scale
+    return sums[0], np.abs(sums[1])
+
+
 def _panel_batch(f, owners, los, his):
     """Evaluate the embedded rule on a batch of panels in one integrand call.
 
@@ -112,12 +131,9 @@ def _panel_batch(f, owners, los, his):
     """
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
-    pts = mid[:, None] + half[:, None] * GK15_NODES[None, :]
-    vals = np.asarray(f(pts.ravel(), np.repeat(owners, 15)), dtype=float)
-    vals = vals.reshape(len(los), 15)
-    kron = (vals @ GK15_WEIGHTS) * half
-    err = np.abs((vals @ _DIFF_WEIGHTS) * half)
-    return kron, err
+    pts = mid + half * GK15_NODES[:, None]  # node-major: (15, panels)
+    vals = np.asarray(f(pts.ravel(), np.tile(owners, len(GK15_NODES))), dtype=float)
+    return _gk15_sums(vals.reshape(pts.shape), half)
 
 
 def integrate_many(

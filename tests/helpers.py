@@ -1,7 +1,8 @@
 """Shared oracle helpers for the test suite, including reference code
 only tests use: iterated n-d quadrature, scalar samplers, the row-major
 Monte Carlo point generator, the multinomial entropy bootstrap, loop
-versions of the outcome-table maps, and the sort-and-mask form of the
+versions of the outcome-table maps and of the per-cell density masses,
+and the sort-and-mask form of the
 closed-form density kernels with their per-branch terms.
 
 Also here, because only tests call them: the 1-based pair codec
@@ -39,6 +40,7 @@ from rggdist.distances import (
     _as_length_array,
     _cond_pdf3_batch,
     _inner_lines,
+    _per_cell_line_integrals,
 )
 from rggdist.geometry import DEGENERATE_Q_EPS, pair_array
 from rggdist.quadrature import integrate_many
@@ -173,6 +175,50 @@ def marginal_pair_density(r12_values, domain: DiskDomain, abs_tol: float = 1e-6)
         mid_integrand, [(0.0, D)] * len(p_arr), settings, breakpoints=breaks
     )
     return values
+
+
+def cell_masses_reference(domain: DiskDomain, edges, gauss_order=5, inner_tol=1e-9):
+    """Loop form of :func:`rggdist.joint_pdf3_cell_masses`: the middle axis
+    is cut cell by cell, at the grid edges and at the kink candidates
+    inside each cell, with the same arithmetic otherwise."""
+    edges = np.asarray(edges, dtype=float)
+    D = domain.diameter
+    nb = len(edges) - 1
+    nodes, weights = np.polynomial.legendre.leggauss(gauss_order)
+    u01 = 0.5 * (nodes + 1.0)
+    w01 = 0.5 * weights
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    p_pts = mid[:, None] + half[:, None] * nodes[None, :]
+    p_wts = half[:, None] * weights[None, :]
+    masses = np.zeros((nb, nb, nb))
+    for i in range(nb):
+        for u in range(gauss_order):
+            pv = float(p_pts[i, u])
+            cand = np.concatenate([pv - edges, pv + edges, edges - pv, [pv]])
+            cand = np.unique(cand[(cand > edges[0]) & (cand < edges[-1])])
+            piece_lo, piece_hi, piece_j = [], [], []
+            for j in range(nb):
+                qa, qb = edges[j], edges[j + 1]
+                inner = cand[(cand > qa) & (cand < qb)]
+                qedges = np.concatenate([[qa], inner, [qb]])
+                for lo, hi in zip(qedges[:-1], qedges[1:]):
+                    piece_lo.append(lo)
+                    piece_hi.append(hi)
+                    piece_j.append(j)
+            piece_lo, piece_hi = np.asarray(piece_lo), np.asarray(piece_hi)
+            ph = 0.5 * (piece_hi - piece_lo)
+            pm = 0.5 * (piece_hi + piece_lo)
+            qs = pm[:, None] - ph[:, None] * np.cos(math.pi * u01[None, :])
+            wq = ph[:, None] * math.pi * np.sin(math.pi * u01[None, :]) * w01[None, :]
+            q_flat = qs.ravel()
+            per_cell = _per_cell_line_integrals(
+                np.full(len(q_flat), pv), q_flat, edges, D, line_tol=inner_tol
+            )
+            rows = np.zeros((nb, nb))
+            np.add.at(rows, np.repeat(piece_j, gauss_order), per_cell * wq.ravel()[:, None])
+            masses[i] += p_wts[i, u] * rows
+    return masses
 
 
 def obtuse_boundary_triples(count, rng, diameter=1.0):

@@ -16,6 +16,7 @@ from rggdist import (
     enclosing_diameter_cdf,
     enclosing_diameter_pdf,
     joint_pdf3,
+    joint_pdf3_cell_masses,
     joint_pdf3_values,
     joint_pdf3_via_conditioning_many,
     pair_pdf,
@@ -30,6 +31,7 @@ from helpers import (
     _density_inscribed,
     _density_obtuse_extra,
     _density_outscribed,
+    cell_masses_reference,
     conditional_joint_pdf3,
     joint_pdf3_via_conditioning,
     marginal_pair_density,
@@ -343,6 +345,21 @@ class TestLineIntegrals:
         whole, _ = _inner_lines(p, q, 0.0, 1.0, 1.0, line_tol=1e-11)
         assert np.all(whole > 0.0)
         assert np.max(np.abs(cells.sum(axis=1) - whole)) <= 1e-9 + 1e-11
+
+    @pytest.mark.parametrize(
+        "diameter, edges",
+        [
+            (1.0, [0.0, 0.05, 0.3, 0.31, 0.7, 1.0, 1.2]),
+            (1.6, [0.1, 0.15, 0.4, 0.45, 0.9, 1.3, 1.6]),
+        ],
+    )
+    def test_cell_masses_match_the_loop_reference(self, diameter, edges):
+        # The middle-axis pieces come from one sorted union of grid edges
+        # and kink candidates; the per-cell loop gives the same bytes, also
+        # on non-uniform grids that do not start at 0.
+        domain = DiskDomain(diameter)
+        masses = joint_pdf3_cell_masses(domain, edges)
+        assert masses.tobytes() == cell_masses_reference(domain, edges).tobytes()
 
 
 class TestMarginal:

@@ -169,7 +169,7 @@ class TestBlockedLinePins:
         kernel_lines = []
 
         def recording_kernel(r12, r13, r23, *args, **kwargs):
-            kernel_lines.append(len(r23))
+            kernel_lines.append(np.shape(r23)[-1])  # node-major (15, pieces)
             return _pdf3_batch(r12, r13, r23, *args, **kwargs)
 
         monkeypatch.setattr(distances, "_pdf3_batch", recording_kernel)
@@ -178,6 +178,26 @@ class TestBlockedLinePins:
         assert_identical(b_values, values)
         assert_identical(b_errors, errors)
         assert_identical(b_cells, cells)
+
+    def test_lines_do_not_depend_on_the_batch(self):
+        # A line's value and error come from its own pieces, each summed
+        # in a fixed node order: alone, in a batch of 300 and permuted,
+        # the bytes are the same.
+        rng = np.random.default_rng(29)
+        p, q = rng.uniform(0.0, 1.0, (2, 300))
+        weight = ExponentialSoft(r0=0.3, beta=2.0).probability
+
+        def lines(pp, qq):
+            return _inner_lines(pp, qq, 0.0, 1.0, 1.0, weight=weight, line_tol=1e-10)
+
+        values, errors = lines(p, q)
+        order = rng.permutation(len(p))
+        p_values, p_errors = lines(p[order], q[order])
+        assert_identical(p_values, values[order])
+        assert_identical(p_errors, errors[order])
+        alone = [lines(p[k : k + 1], q[k : k + 1]) for k in range(len(p))]
+        assert_identical(np.concatenate([v for v, _ in alone]), values)
+        assert_identical(np.concatenate([e for _, e in alone]), errors)
 
     def test_concurrent_threads_match_serial(self):
         # More threads than cores and a short switch interval, so that the

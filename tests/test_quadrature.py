@@ -5,7 +5,13 @@ import pytest
 
 from rggdist import AccuracyError, DiskDomain, DomainError, pair_pdf
 from rggdist.distances import joint_pdf3_values
-from rggdist.quadrature import QuadratureSettings, integrate, integrate_many
+from rggdist.quadrature import (
+    _RULE_WEIGHTS,
+    QuadratureSettings,
+    _gk15_sums,
+    integrate,
+    integrate_many,
+)
 
 from helpers import integrate_nd
 
@@ -118,6 +124,46 @@ def test_integrate_many_lockstep():
     assert values[2] == 0.0  # empty interval
     assert values[3] == pytest.approx(0.5**5 / 5.0, abs=1e-14)
     assert np.all(errors >= 0.0)
+
+
+def test_gk15_sums_are_one_fixed_sequence_of_roundings():
+    # Each panel's sums equal the same float64 operations done one scalar
+    # at a time (weigh, add in node order, scale), whether the panel is
+    # summed alone, in a pair or in a batch of 300.  Alone, numpy would
+    # sum a lone reduction axis pairwise.
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal((15, 300)) * 10.0 ** rng.integers(-3, 4, (15, 300))
+    scale = rng.uniform(0.1, 2.0, 300)
+    w = _RULE_WEIGHTS[:, :, 0].tolist()
+    expected = []
+    for i in range(300):
+        v = vals[:, i].tolist()
+        sums = [w[0][c] * v[0] for c in range(2)]
+        for j in range(1, 15):
+            sums = [sums[c] + w[j][c] * v[j] for c in range(2)]
+        expected.append((sums[0] * scale[i], abs(sums[1] * scale[i])))
+    batches = [slice(0, 300)] + [slice(i, i + 1) for i in range(300)]
+    batches += [slice(i, i + 2) for i in range(0, 300, 2)]
+    for batch in batches:
+        kron, err = _gk15_sums(vals[:, batch], scale[batch])
+        got = [(k.hex(), e.hex()) for k, e in zip(kron, err)]
+        assert got == [(k.hex(), e.hex()) for k, e in expected[batch]]
+
+
+def test_integrate_many_lockstep_integral_equals_it_alone():
+    # A panel's rule sums use only its own integrand values, so each of 200
+    # integrals refined in lockstep gives the bytes it gives alone.
+    rates = np.linspace(0.5, 20.0, 200)
+
+    def integrand(params):
+        return lambda x, which: np.exp(-params[which] * x) * np.cos(params[which] * x)
+
+    settings = QuadratureSettings(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=50)
+    intervals = [(0.0, 1.0 + 0.01 * k) for k in range(len(rates))]
+    values, errors = integrate_many(integrand(rates), intervals, settings)
+    for k in range(len(rates)):
+        value, error = integrate_many(integrand(rates[k : k + 1]), intervals[k : k + 1], settings)
+        assert (value[0].hex(), error[0].hex()) == (values[k].hex(), errors[k].hex())
 
 
 def test_integrate_many_per_interval_breakpoints():
