@@ -22,6 +22,9 @@ from typing import Mapping
 
 from .errors import DomainError
 
+# Slack, in bits per edge, before supplied entropies count as non-monotonic.
+_MONOTONIC_TOLERANCE_BITS = 1e-9
+
 
 def shearer_factor(n: int, m: int) -> Fraction:
     """Exact rational factor ``n*(n-1) / (m*(m-1))`` with 2 <= m < n.
@@ -65,7 +68,6 @@ def bound_chain(
     n: int,
     h_values: Mapping[int, float],
     provenance: Mapping[int, str] | None = None,
-    tolerance_bits: float = 1e-9,
 ) -> BoundChain:
     """Build the chain of upper bounds on H(G_n) from given H(G_m) values.
 
@@ -100,7 +102,7 @@ def bound_chain(
     for small, large in zip(ascending, ascending[1:]):
         per_edge_small = h_values[small] / (small * (small - 1) / 2)
         per_edge_large = h_values[large] / (large * (large - 1) / 2)
-        if per_edge_large > per_edge_small + tolerance_bits:
+        if per_edge_large > per_edge_small + _MONOTONIC_TOLERANCE_BITS:
             monotonic = False
             warnings.warn(
                 f"per-edge entropy increases from m={small} to m={large} "

@@ -69,7 +69,7 @@ from .geometry import (
     _phi_clipped,
     triangle_quantities,
 )
-from .quadrature import GK15_NODES01, QuadratureSettings, _gk15_sums, integrate_many
+from .quadrature import GK15_NODES01, QuadratureSettings, _bisect, _gk15_sums, integrate_many
 
 _PI2 = math.pi * math.pi
 
@@ -521,9 +521,9 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
     a line with ``a > b`` is empty and gets no pieces.  Each smooth piece
     is mapped through ``t = mid - half*cos(pi*u)``, whose Jacobian
     vanishes like u at the endpoints and therefore cancels the ``1/sqrt``
-    blow-up of the density at degenerate triples.  Pieces whose
-    embedded-rule error exceeds the per-line budget
-    ``max(line_tol, 1e-13*|line value|)`` are bisected for up to
+    blow-up of the density at degenerate triples.  The pieces of lines
+    above the per-line budget ``max(line_tol, 1e-13*|line value|)`` are
+    bisected by :func:`rggdist.quadrature._bisect` for up to
     ``max_rounds`` rounds.  Returns the pieces as (lo, hi, owning line,
     value, error estimate) arrays.
     """
@@ -564,29 +564,10 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
             val[blk], err[blk] = _gk15_sums(g, scale[blk], terms)
         return val, err
 
-    seg_val, seg_err = eval_segments(seg_lo, seg_hi, owner)
-    for _ in range(max_rounds):
-        line_err = np.bincount(owner, weights=seg_err, minlength=k)
-        line_val = np.bincount(owner, weights=seg_val, minlength=k)
-        budget = np.maximum(line_tol, 1e-13 * np.abs(line_val))
-        needy_line = line_err > budget
-        if not np.any(needy_line):
-            break
-        nsegs = np.bincount(owner, minlength=k)
-        split = needy_line[owner] & (seg_err > budget[owner] / np.maximum(nsegs[owner], 1))
-        if not np.any(split):
-            break
-        mid = 0.5 * (seg_lo[split] + seg_hi[split])
-        new_lo = np.concatenate([seg_lo[split], mid])
-        new_hi = np.concatenate([mid, seg_hi[split]])
-        new_own = np.concatenate([owner[split], owner[split]])
-        new_val, new_err = eval_segments(new_lo, new_hi, new_own)
-        seg_lo = np.concatenate([seg_lo[~split], new_lo])
-        seg_hi = np.concatenate([seg_hi[~split], new_hi])
-        owner = np.concatenate([owner[~split], new_own])
-        seg_val = np.concatenate([seg_val[~split], new_val])
-        seg_err = np.concatenate([seg_err[~split], new_err])
-    return seg_lo, seg_hi, owner, seg_val, seg_err
+    return _bisect(
+        eval_segments, seg_lo, seg_hi, owner, k,
+        lambda v: np.maximum(line_tol, 1e-13 * np.abs(v)), max_rounds=max_rounds,
+    )[:5]
 
 
 def _inner_lines(

@@ -123,32 +123,24 @@ def pmf_n3(
         QuadratureSettings(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=max(max_sub, 200)),
     )
 
+    # Every axis splits at the model's breakpoints; a hard disk's indicator
+    # truncates its weighted axes instead of weighting them.
     if isinstance(model, HardDisk):
-        hi = min(model.r0, D)
-        if hi <= 0.0:
-            m2 = m3 = 0.0
-            e2 = e3 = 0.0
-        else:
-            m2, e2 = triple_product_integral(
-                domain, box12=(0.0, hi), box13=(0.0, hi), box23=(0.0, None),
-                abs_tol=moment_tol, inner_breaks=(hi,), max_subdivisions=max_sub,
-            )
-            m3, e3 = triple_product_integral(
-                domain, box12=(0.0, hi), box13=(0.0, hi), box23=(0.0, hi),
-                abs_tol=moment_tol, max_subdivisions=max_sub,
-            )
+        edge, w = (0.0, min(model.r0, D)), None
     else:
-        pfun = model.probability
-        model_breaks = tuple(b for b in model.breakpoints() if 0.0 < b < D)
-        kwargs = dict(
-            abs_tol=moment_tol,
-            inner_breaks=model_breaks,
-            mid_breaks=model_breaks,
-            outer_breaks=model_breaks,
-            max_subdivisions=max_sub,
-        )
-        m2, e2 = triple_product_integral(domain, w12=pfun, w13=pfun, **kwargs)
-        m3, e3 = triple_product_integral(domain, w12=pfun, w13=pfun, w23=pfun, **kwargs)
+        edge, w = (0.0, None), model.probability
+    model_breaks = tuple(b for b in model.breakpoints() if 0.0 < b < D)
+    kwargs = dict(
+        abs_tol=moment_tol,
+        inner_breaks=model_breaks,
+        mid_breaks=model_breaks,
+        outer_breaks=model_breaks,
+        max_subdivisions=max_sub,
+    )
+    m2, e2 = triple_product_integral(domain, box12=edge, box13=edge, w12=w, w13=w, **kwargs)
+    m3, e3 = triple_product_integral(
+        domain, box12=edge, box13=edge, box23=edge, w12=w, w13=w, w23=w, **kwargs
+    )
 
     # Inclusion-exclusion over the number of present edges; exchangeability
     # of the distance density makes all outcomes of equal weight identical.

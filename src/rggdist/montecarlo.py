@@ -15,9 +15,10 @@ outputs are auditable.
 
 Sweeps: :func:`estimate_pmf_sweep` and :func:`estimate_entropy_sweep`
 count a list of connection models on one shared pool of point sets, in
-one table of at most ``MAX_TABLE_ENTRIES`` entries (a larger one is
-refused before anything is allocated).  Row k equals the single-model
-estimate of ``models[k]`` at the same settings.
+one table of at most ``MAX_TABLE_ENTRIES`` entries (a larger one, like a
+distance histogram of more cells, is refused before anything is
+allocated).  Row k equals the single-model estimate of ``models[k]`` at
+the same settings.
 
 Memory: a worker's stream is block-major.  Each block of at most
 ``_BLOCK`` point sets takes its radial uniforms ``(rows, n)``, then its
@@ -66,8 +67,8 @@ _BLOCK = 1 << 13
 # Largest exponent of the outcome table kept in memory (2**20 entries).
 MAX_OUTCOME_BITS = 20
 
-# Largest count table of one call, in entries over all its models (int64:
-# 64 MiB, or 256 models at n=6).
+# Largest count table of one call: outcome entries over all its models, or
+# the cells of a distance histogram (int64: 64 MiB, or 256 models at n=6).
 MAX_TABLE_ENTRIES = 1 << 23
 
 # Largest worker split (substreams) of one run.
@@ -384,13 +385,17 @@ def estimate_entropy(
     return estimate_entropy_sweep(n, [model], domain, mc, bias_correction)[0]
 
 
-def _distance_counts(n, domain, mc: McSettings, bins, sorted_sets=False) -> np.ndarray:
+def _distance_counts(n, domain, mc: McSettings, bins) -> np.ndarray:
     """Flat counts of the m pair distances of sampled n-point sets on a
     grid of ``bins`` cells per axis over [0, D], axis k being pair k of
-    :func:`pair_array` (the last axis varies fastest); with
-    ``sorted_sets=True`` each set's distances are sorted ascending first.
+    :func:`pair_array` (the last axis varies fastest).  Grids of more than
+    ``MAX_TABLE_ENTRIES`` cells are refused before anything is allocated.
     """
     m = len(pair_array(n))
+    if bins**m > MAX_TABLE_ENTRIES:
+        raise UnsupportedError(
+            f"a grid of {bins}**{m} cells exceeds {MAX_TABLE_ENTRIES} entries; use fewer bins"
+        )
     D = domain.diameter
 
     def work(rng, count):
@@ -398,8 +403,6 @@ def _distance_counts(n, domain, mc: McSettings, bins, sorted_sets=False) -> np.n
         cells = np.empty((m, min(_BLOCK, count)), dtype=np.int64)
         for dist_sq in _distance_sq_chunks(n, domain, rng, count):
             dists = np.sqrt(dist_sq, out=dist_sq)
-            if sorted_sets:
-                dists.sort(axis=1)
             np.multiply(np.divide(dists, D, out=dists), bins, out=dists)
             idx = cells[:, :len(dists)]
             np.copyto(idx, dists.T, casting="unsafe")
@@ -414,18 +417,16 @@ def _distance_counts(n, domain, mc: McSettings, bins, sorted_sets=False) -> np.n
     return _fan_out(mc, work)
 
 
-def distance_histogram3(
-    domain: DiskDomain, mc: McSettings, bins: int = 20, sorted_triples: bool = False
-) -> Histogram3:
+def distance_histogram3(domain: DiskDomain, mc: McSettings, bins: int = 20) -> Histogram3:
     """Histogram of the three pairwise distances of sampled point triples.
 
-    Cells are raw (r12, r13, r23) coordinates by default so that the
-    permutation symmetry of the joint density is itself testable; with
-    ``sorted_triples=True`` each triple is sorted ascending first.
+    Cells are raw (r12, r13, r23) coordinates, so that the permutation
+    symmetry of the joint density is itself testable.  At most
+    ``MAX_TABLE_ENTRIES`` cells (``bins <= 203``) are allowed.
     """
     if bins < 2:
         raise DomainError(f"need at least 2 bins per axis, got {bins}")
-    counts = _distance_counts(3, domain, mc, bins, sorted_triples)
+    counts = _distance_counts(3, domain, mc, bins)
     return Histogram3(
         bin_edges=np.linspace(0.0, domain.diameter, bins + 1),
         counts=counts.reshape(bins, bins, bins),

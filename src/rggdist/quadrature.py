@@ -4,21 +4,27 @@ The building block is a 15-point Kronrod rule with its embedded 7-point
 Gauss rule; the difference of the two estimates on a panel is the panel's
 error estimate.  Each panel adds its 15 weighted node values in node
 order, without BLAS (:func:`_gk15_sums`), so its sums depend only on its
-own integrand values, not on its batch or the BLAS threads.  Panels are
-refined worst-first with a deterministic tie-break (panel lower bound,
-then upper bound), so identical inputs give bit-identical results.
-Supplied breakpoints become initial panel edges, which restores fast
-convergence on piecewise-smooth integrands.
+own integrand values, not on its batch or the BLAS threads.  Supplied
+breakpoints become initial panel edges, which restores fast convergence
+on piecewise-smooth integrands.
 
-Integrands are evaluated in batches of abscissae.  Many integrals can be
-refined in lockstep (:func:`integrate_many`); multi-dimensional integrals
-are built by nesting these calls, as the density integrators in
-:mod:`rggdist.distances` do.
+One bisection loop (:func:`_bisect`) refines every adaptive integral:
+the lockstep integrals of :func:`integrate_many` and the third-side lines
+of :mod:`rggdist.distances`.  Each round it sums every integral's panels
+with ``np.bincount`` and bisects, in one batch, the panels of every
+integral above its error budget whose error exceeds their share of it.
+There is no heap and no recombination pass: an integral's panels stay in
+one order whatever shares the batch, so identical inputs give
+bit-identical results.  ``max_subdivisions`` caps the bisections of each
+integral, not of the batch.
+
+Integrands are evaluated in batches of abscissae.  Multi-dimensional
+integrals are built by nesting :func:`integrate_many` calls, as the
+density integrators in :mod:`rggdist.distances` do.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -136,6 +142,54 @@ def _panel_batch(f, owners, los, his):
     return _gk15_sums(vals.reshape(pts.shape), half)
 
 
+def _bisect(rule, lo, hi, owner, count, budget_of, max_rounds=None, max_splits=None):
+    """Refine the pieces ``[lo, hi]`` of ``count`` integrals by bisection.
+
+    ``owner`` holds each piece's integral and ``rule(lo, hi, owner)``
+    returns the pieces' values and error estimates.  Each round sums every
+    integral's pieces with ``np.bincount``; an integral whose error exceeds
+    ``budget_of(values)`` bisects each piece whose error exceeds that budget
+    divided by its piece count.  An integral whose bisections would pass
+    ``max_splits`` in all stops where it is, and the loop ends after
+    ``max_rounds`` rounds or when no integral needs work.  Kept pieces come
+    first, then the new lower halves, then the upper halves, so each
+    integral's pieces come in the same order whatever shares the batch.
+
+    Returns the pieces as (lo, hi, owner, value, error) arrays and whether
+    each integral met its budget.
+    """
+    val, err = rule(lo, hi, owner)
+    splits = np.zeros(count, dtype=np.int64)
+    rounds = 0
+    while True:
+        total_err = np.bincount(owner, weights=err, minlength=count)
+        budget = budget_of(np.bincount(owner, weights=val, minlength=count))
+        over = total_err > budget
+        if rounds == max_rounds or not np.any(over):
+            break
+        rounds += 1
+        npieces = np.bincount(owner, minlength=count)
+        split = over[owner] & (err > budget[owner] / np.maximum(npieces[owner], 1))
+        if max_splits is not None:
+            wanted = np.bincount(owner[split], minlength=count)
+            within = splits + wanted <= max_splits
+            split &= within[owner]
+            splits += np.where(within, wanted, 0)
+        if not np.any(split):
+            break
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_own = np.concatenate([owner[split], owner[split]])
+        new_val, new_err = rule(new_lo, new_hi, new_own)
+        lo = np.concatenate([lo[~split], new_lo])
+        hi = np.concatenate([hi[~split], new_hi])
+        owner = np.concatenate([owner[~split], new_own])
+        val = np.concatenate([val[~split], new_val])
+        err = np.concatenate([err[~split], new_err])
+    return lo, hi, owner, val, err, ~over
+
+
 def integrate_many(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     intervals: Sequence[tuple[float, float]],
@@ -147,18 +201,16 @@ def integrate_many(
     ``f(x, which)`` receives a flat batch of abscissae together with the
     index of the integral each abscissa belongs to and must return the
     integrand values.  ``breakpoints``, when given, supplies one sequence
-    per integral.  Returns (values, error_estimates) arrays.
+    per integral.  Every round of :func:`_bisect` evaluates the bisected
+    panels of all integrals in one call of ``f``; each integral is the
+    ``np.bincount`` sum of its panels.  Returns (values, error_estimates)
+    arrays.
 
-    Raises :class:`AccuracyError` (carrying the best values and estimates)
-    if any integral exhausts ``max_subdivisions`` bisections without
-    meeting ``max(abs_tol, rel_tol * |value|)``.
+    Raises :class:`AccuracyError` (carrying the values and estimates) if
+    any integral would need more than ``max_subdivisions`` bisections to
+    meet ``max(abs_tol, rel_tol * |value|)``.
     """
     m = len(intervals)
-    heaps: list[list] = [[] for _ in range(m)]
-    totals = np.zeros(m)
-    errors = np.zeros(m)
-    splits = np.zeros(m, dtype=int)
-
     init_owner, init_lo, init_hi = [], [], []
     for idx, (lo, hi) in enumerate(intervals):
         lo = float(lo)
@@ -176,68 +228,22 @@ def integrate_many(
                 init_owner.append(idx)
                 init_lo.append(a)
                 init_hi.append(b)
+    if not init_owner:
+        return np.zeros(m), np.zeros(m)
 
-    if init_owner:
-        owners = np.asarray(init_owner)
-        los = np.asarray(init_lo)
-        his = np.asarray(init_hi)
-        vals, errs = _panel_batch(f, owners, los, his)
-        for k in range(len(owners)):
-            i = owners[k]
-            heapq.heappush(heaps[i], (-errs[k], los[k], his[k], vals[k]))
-            totals[i] += vals[k]
-            errors[i] += errs[k]
-
-    failed: set[int] = set()
-    while True:
-        tols = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(totals))
-        active = [
-            i
-            for i in range(m)
-            if i not in failed and heaps[i] and errors[i] > tols[i]
-        ]
-        if not active:
-            break
-        parents = []
-        for i in active:
-            if splits[i] >= settings.max_subdivisions:
-                failed.add(i)
-                continue
-            neg_err, lo, hi, val = heapq.heappop(heaps[i])
-            parents.append((i, -neg_err, lo, hi, val))
-            splits[i] += 1
-        if not parents:
-            break
-        owners = np.asarray([p[0] for p in parents for _ in range(2)])
-        los = np.empty(2 * len(parents))
-        his = np.empty(2 * len(parents))
-        for k, (_, _, lo, hi, _) in enumerate(parents):
-            mid = 0.5 * (lo + hi)
-            los[2 * k], his[2 * k] = lo, mid
-            los[2 * k + 1], his[2 * k + 1] = mid, hi
-        vals, errs = _panel_batch(f, owners, los, his)
-        for k, (i, perr, lo, hi, pval) in enumerate(parents):
-            totals[i] += vals[2 * k] + vals[2 * k + 1] - pval
-            errors[i] += errs[2 * k] + errs[2 * k + 1] - perr
-            heapq.heappush(heaps[i], (-errs[2 * k], los[2 * k], his[2 * k], vals[2 * k]))
-            heapq.heappush(
-                heaps[i], (-errs[2 * k + 1], los[2 * k + 1], his[2 * k + 1], vals[2 * k + 1])
-            )
-
-    # Recombine each integral from its panels in position order: removes the
-    # drift of incremental updates and is a deterministic summation order.
-    for i in range(m):
-        if heaps[i]:
-            panels = sorted(heaps[i], key=lambda p: (p[1], p[2]))
-            totals[i] = math.fsum(p[3] for p in panels)
-            errors[i] = math.fsum(-p[0] for p in panels)
-
-    if failed:
-        worst = max(failed, key=lambda i: errors[i])
+    _, _, owner, val, err, converged = _bisect(
+        lambda lo, hi, own: _panel_batch(f, own, lo, hi),
+        np.asarray(init_lo), np.asarray(init_hi), np.asarray(init_owner), m,
+        lambda v: np.maximum(settings.abs_tol, settings.rel_tol * np.abs(v)),
+        max_splits=settings.max_subdivisions,
+    )
+    totals = np.bincount(owner, weights=val, minlength=m)
+    errors = np.bincount(owner, weights=err, minlength=m)
+    if not np.all(converged):
         raise AccuracyError(
-            f"{len(failed)} of {m} integrals did not converge within "
+            f"{np.count_nonzero(~converged)} of {m} integrals did not converge within "
             f"{settings.max_subdivisions} subdivisions "
-            f"(worst error estimate {errors[worst]:.3e})",
+            f"(worst error estimate {errors[~converged].max():.3e})",
             value=totals,
             error_estimate=errors,
         )

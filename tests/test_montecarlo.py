@@ -482,12 +482,14 @@ class TestDistanceHistogram:
             impossible = lo[grid[axis]] >= hi[grid[other[0]]] + hi[grid[other[1]]]
             assert hist.counts[impossible].sum() == 0
 
-    def test_sorted_flag(self):
-        mc = McSettings(samples=50_000, seed=43)
-        hist = distance_histogram3(DOMAIN, mc, bins=8, sorted_triples=True)
-        idx = np.indices((8, 8, 8))
-        unsorted_cells = (idx[0] > idx[1]) | (idx[1] > idx[2])
-        assert hist.counts[unsorted_cells].sum() == 0
+    def test_too_many_bins_refused_before_sampling(self, monkeypatch):
+        # 204**3 cells (8.49M) exceed 2**23 entries; 203**3 would fit.
+        def fan_out(*args):
+            raise AssertionError("sampled before refusing the grid")
+
+        monkeypatch.setattr(montecarlo, "_fan_out", fan_out)
+        with pytest.raises(UnsupportedError, match="cells"):
+            distance_histogram3(DOMAIN, McSettings(samples=10, seed=1), bins=204)
 
     def test_determinism_across_runs(self):
         mc = McSettings(samples=60_000, seed=44, workers=3)

@@ -166,6 +166,25 @@ def test_integrate_many_lockstep_integral_equals_it_alone():
         assert (value[0].hex(), error[0].hex()) == (values[k].hex(), errors[k].hex())
 
 
+def test_work_cap_stops_only_the_failing_integral():
+    # A singular integrand cannot converge within 4 bisections; it stops
+    # there and raises, and the smooth integral beside it keeps the bytes
+    # it gets alone.
+    settings = QuadratureSettings(max_subdivisions=4)
+    seen = []
+
+    def integrand(x, which):
+        seen.append(np.bincount(which, minlength=2))
+        return np.where(which == 0, 1.0 / np.sqrt(np.abs(x - 0.3)), np.exp(5.0 * x))
+
+    with pytest.raises(AccuracyError) as excinfo:
+        integrate_many(integrand, [(0.0, 1.0), (0.0, 1.0)], settings)
+    panels = np.sum(seen, axis=0) // 15
+    assert panels[0] <= 1 + 2 * settings.max_subdivisions
+    alone, _ = integrate_many(lambda x, which: np.exp(5.0 * x), [(0.0, 1.0)], settings)
+    assert excinfo.value.value[1].hex() == alone[0].hex()
+
+
 def test_integrate_many_per_interval_breakpoints():
     values, _ = integrate_many(
         lambda x, which: np.abs(x - 0.25 * (which + 1)),
