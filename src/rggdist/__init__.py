@@ -28,7 +28,6 @@ from .distances import (
     joint_pdf3_via_conditioning_many,
     pair_pdf,
     pair_pdf_on_circle,
-    triple_product_integral,
 )
 from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import (
@@ -121,5 +120,4 @@ __all__ = [
     "shearer_factor",
     "substream",
     "triangle_quantities",
-    "triple_product_integral",
 ]

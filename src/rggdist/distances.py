@@ -28,6 +28,15 @@ split the innermost axis at the analytic case-boundary points and map
 each piece through a cosine substitution that absorbs the rim
 singularity, which keeps every panel smooth.
 
+The exact three-node pmf needs two product moments of the density,
+``E[p(R12) p(R13)]`` and ``E[p(R12) p(R13) p(R23)]``.
+:func:`_product_moment` computes both with one axis rule, which the
+caller derives from the connection model
+(:func:`rggdist.graphdist._edge_axis`): a hard disk truncates every edge
+axis at ``min(r0, D)``, any other model weights [0, D] by its connection
+probability, and every level splits at the model's breakpoints.  The
+side that is no edge (``R23`` in the first moment) runs over [0, D].
+
 Both closed-form kernels (:func:`_pdf3_batch` and the conditional
 :func:`_cond_pdf3_batch`) run in one straight-line pass.  A 3-element
 min/max network sorts the sides of every triple; each phi (or arccos)
@@ -204,7 +213,7 @@ def _sorted_sides(r12, r13, r23, ws=None):
     return a, b, c, q, shape, take
 
 
-def _pdf3_batch(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=False, ws=None):
+def _pdf3_batch(r12, r13, r23, D, with_case=False, ws=None):
     """Four-branch evaluation in one pass; assumes inputs already validated.
 
     Every quantity is computed on every triple: the circumdiameter, the
@@ -227,12 +236,12 @@ def _pdf3_batch(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=Fal
     valid, obtuse, inscribed, flag = take(bool), take(bool), take(bool), take(bool)
     scale = _PI2 * D**4
     with np.errstate(all="ignore"):
-        # valid = (c > 0) & (c <= D) & (q > degenerate_eps * (c*c)**2)
+        # valid = (c > 0) & (c <= D) & (q > DEGENERATE_Q_EPS * (c*c)**2)
         np.greater(c, 0.0, out=valid)
         valid &= np.less_equal(c, D, out=flag)
         c4 = np.multiply(c, c, out=tmp)
         np.square(c4, out=c4)
-        valid &= np.greater(q, np.multiply(degenerate_eps, c4, out=c4), out=flag)
+        valid &= np.greater(q, np.multiply(DEGENERATE_Q_EPS, c4, out=c4), out=flag)
         # obtuse = c*c > a*a + b*b
         sum_sq = np.multiply(a, a, out=s_outer)
         sum_sq += np.multiply(b, b, out=s_inner)
@@ -291,9 +300,7 @@ def _pdf3_batch(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=Fal
     return out
 
 
-def joint_pdf3(
-    sides: TriangleSides, domain: DiskDomain, degenerate_eps: float = DEGENERATE_Q_EPS
-) -> float:
+def joint_pdf3(sides: TriangleSides, domain: DiskDomain) -> float:
     """Joint density of the three pairwise distances at the given triple.
 
     Returns 0 outside the support (triangle inequalities violated, or the
@@ -301,19 +308,16 @@ def joint_pdf3(
     case).  Exactly symmetric in the three side lengths.
     """
     val = _pdf3_batch(
-        np.float64(sides.r12), np.float64(sides.r13), np.float64(sides.r23),
-        domain.diameter, degenerate_eps,
+        np.float64(sides.r12), np.float64(sides.r13), np.float64(sides.r23), domain.diameter
     )
     return float(val)
 
 
-def classify_triple(
-    sides: TriangleSides, domain: DiskDomain, degenerate_eps: float = DEGENERATE_Q_EPS
-) -> JointPdfCase:
+def classify_triple(sides: TriangleSides, domain: DiskDomain) -> JointPdfCase:
     """Which case of the joint density applies at this triple."""
     _, code = _pdf3_batch(
         np.float64(sides.r12), np.float64(sides.r13), np.float64(sides.r23),
-        domain.diameter, degenerate_eps, with_case=True,
+        domain.diameter, with_case=True,
     )
     return _CASE_BY_CODE[int(code)]
 
@@ -402,7 +406,7 @@ def enclosing_diameter_cdf(s, domain: DiskDomain):
     return out
 
 
-def _cond_pdf3_batch(r12, r13, r23, s, degenerate_eps=DEGENERATE_Q_EPS):
+def _cond_pdf3_batch(r12, r13, r23, s):
     """Conditional joint density given the enclosing diameter equals s.
 
     Three branches: ``d <= s`` uses the sum of arccos(r/s) minus pi/2;
@@ -416,7 +420,7 @@ def _cond_pdf3_batch(r12, r13, r23, s, degenerate_eps=DEGENERATE_Q_EPS):
     # Contiguous, so that ``s**4`` runs the same numpy loop on every element.
     s_arr = np.ascontiguousarray(np.broadcast_to(np.asarray(s, float), shape)).reshape(-1)
     with np.errstate(all="ignore"):
-        valid = (c > 0.0) & (c <= s_arr) & (q > degenerate_eps * (c * c) ** 2)
+        valid = (c > 0.0) & (c <= s_arr) & (q > DEGENERATE_Q_EPS * (c * c) ** 2)
         d = 2.0 * a * b * c / np.sqrt(q)
         obtuse = c * c > a * a + b * b
         acos_c = np.arccos(np.clip(c / s_arr, 0.0, 1.0))
@@ -570,19 +574,13 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
     )[:5]
 
 
-def _inner_lines(
-    p, q, lo, hi, D,
-    weight=None,
-    extra_breaks=(),
-    line_tol=1e-11,
-    max_rounds=6,
-):
+def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11):
     """Integrals over the third side t of joint density times weight.
 
     One line per (p, q) pair, integrated over [lo, hi] intersected with
     the triangle-inequality interval and [0, D], by the substituted
-    piecewise rule of :func:`_line_segments`.  Returns (values,
-    error_estimates).
+    piecewise rule of :func:`_line_segments` with up to 6 refinement
+    rounds.  Returns (values, error_estimates).
     """
     p = np.asarray(p, float).ravel()
     q = np.asarray(q, float).ravel()
@@ -592,102 +590,69 @@ def _inner_lines(
     a = np.maximum(lo, np.abs(p - q))
     b = np.minimum(np.minimum(hi, p + q), D)
     breaks = np.broadcast_to(np.asarray(extra_breaks, float), (k, len(extra_breaks)))
-    _, _, owner, seg_val, seg_err = _line_segments(
-        p, q, a, b, D, breaks, weight, line_tol, max_rounds
-    )
+    _, _, owner, seg_val, seg_err = _line_segments(p, q, a, b, D, breaks, weight, line_tol, 6)
     values = np.bincount(owner, weights=seg_val, minlength=k)
     errors = np.bincount(owner, weights=seg_err, minlength=k)
     return values, errors
 
 
-def triple_product_integral(
-    domain: DiskDomain,
-    box12=(0.0, None),
-    box13=(0.0, None),
-    box23=(0.0, None),
-    w12=None,
-    w13=None,
-    w23=None,
-    abs_tol: float = 1e-6,
-    inner_breaks=(),
-    mid_breaks=(),
-    outer_breaks=(),
-    max_subdivisions: int = 400,
-) -> tuple[float, float]:
-    """Triple integral of the joint density times separable weights.
+def _product_moment(domain, hi, weight, breaks, edges, abs_tol, max_subdivisions):
+    """Product moment of the joint density over ``edges`` (2 or 3) edge axes.
 
-    The outer two axes use adaptive panels (the middle axis in lockstep
-    across each outer panel's nodes); the innermost axis uses the
-    substituted piecewise rule of :func:`_inner_lines`.  ``None`` box ends
-    default to the disk diameter; weights default to 1.  Returns (value,
-    error estimate); the estimate includes the budgets allotted to the
-    inner levels.
+    Sides 12 and 13 run over [0, hi] times ``weight`` (``None`` for 1);
+    side 23 does too when ``edges == 3``, and otherwise runs over [0, D]
+    unweighted.  Every level splits at ``breaks``.  The outer two axes use
+    adaptive panels (the middle axis in lockstep across each outer panel's
+    nodes); the innermost axis uses the substituted piecewise rule of
+    :func:`_inner_lines`.  Returns (value, error estimate); the estimate
+    includes the budgets allotted to the inner levels.
     """
     D = domain.diameter
-
-    def clip_box(box):
-        lo = 0.0 if box[0] is None else max(0.0, float(box[0]))
-        hi = D if box[1] is None else min(D, float(box[1]))
-        return lo, hi
-
-    (lo1, hi1), (lo2, hi2), (lo3, hi3) = map(clip_box, (box12, box13, box23))
-    if hi1 <= lo1 or hi2 <= lo2 or hi3 <= lo3:
+    if hi <= 0.0:
         return 0.0, 0.0
-
-    width1 = hi1 - lo1
-    width2 = hi2 - lo2
-    tol_outer = 0.5 * abs_tol
-    tol_mid = 0.25 * abs_tol / width1
-    tol_inner = 0.05 * abs_tol / (width1 * width2)
-
+    hi23, w23 = (hi, weight) if edges == 3 else (D, None)
+    tol_inner = 0.05 * abs_tol / (hi * hi)
     mid_settings = QuadratureSettings(
-        abs_tol=tol_mid, rel_tol=0.0, max_subdivisions=max_subdivisions
+        abs_tol=0.25 * abs_tol / hi, rel_tol=0.0, max_subdivisions=max_subdivisions
     )
 
-    def mid_break_list(pv):
-        raw = (pv, pv - lo3, pv + lo3, hi3 - pv, D - pv) + tuple(mid_breaks)
-        return tuple(x for x in raw if lo2 < x < hi2)
-
-    def outer_integrand(p_batch):
-        n = len(p_batch)
-
+    def outer_integrand(p_batch, _):
         def mid_integrand(q_flat, own):
-            pp = p_batch[own]
             vals, _ = _inner_lines(
-                pp, q_flat, lo3, hi3, D,
-                weight=w23, extra_breaks=tuple(inner_breaks), line_tol=tol_inner,
+                p_batch[own], q_flat, 0.0, hi23, D,
+                weight=w23, extra_breaks=breaks, line_tol=tol_inner,
             )
-            if w13 is not None:
-                vals = vals * w13(q_flat)
-            return vals
+            return vals if weight is None else vals * weight(q_flat)
 
+        # Panel edges where the third-side interval
+        # [|p - q|, min(p + q, hi23, D)] kinks: q = p, hi23 - p and D - p.
         mid_vals, _ = integrate_many(
             mid_integrand,
-            [(lo2, hi2)] * n,
+            [(0.0, hi)] * len(p_batch),
             mid_settings,
-            breakpoints=[mid_break_list(pv) for pv in p_batch],
+            breakpoints=[(pv, hi23 - pv, D - pv) + breaks for pv in p_batch],
         )
-        if w12 is not None:
-            mid_vals = mid_vals * w12(p_batch)
-        return mid_vals
+        return mid_vals if weight is None else mid_vals * weight(p_batch)
 
     outer_settings = QuadratureSettings(
-        abs_tol=tol_outer, rel_tol=0.0, max_subdivisions=max_subdivisions
+        abs_tol=0.5 * abs_tol, rel_tol=0.0, max_subdivisions=max_subdivisions
     )
-    values, errors = integrate_many(
-        lambda x, which: outer_integrand(x),
-        [(lo1, hi1)],
-        outer_settings,
-        breakpoints=[tuple(x for x in outer_breaks if lo1 < x < hi1)],
-    )
+    values, errors = integrate_many(outer_integrand, [(0.0, hi)], outer_settings, [breaks])
     return float(values[0]), float(errors[0]) + 0.3 * abs_tol
 
 
-def _per_cell_line_integrals(p, q, edges, D, line_tol=1e-9, max_rounds=4):
+# joint_pdf3_cell_masses: Gauss nodes per cell on the first axis, and the
+# per-line error budget of the third-side integrals.
+_CELL_GAUSS_ORDER = 5
+_CELL_LINE_TOL = 1e-9
+
+
+def _per_cell_line_integrals(p, q, edges, D):
     """Third-side integrals of the joint density bucketed per grid cell.
 
     Like :func:`_inner_lines` over the full admissible interval, but with
-    the grid edges added as segment boundaries and each segment's
+    the grid edges added as segment boundaries, each line's budget
+    ``_CELL_LINE_TOL`` and 4 refinement rounds, and each segment's
     contribution accumulated into the cell containing it.  Returns an
     array of shape ``(len(p), len(edges) - 1)``.
     """
@@ -698,7 +663,7 @@ def _per_cell_line_integrals(p, q, edges, D, line_tol=1e-9, max_rounds=4):
     grid = np.broadcast_to(edges[1:-1], (k, nb - 1))
     seg_lo, seg_hi, owner, seg_val, _ = _line_segments(
         p, q, np.abs(p - q), np.minimum(p + q, min(edges[-1], D)), D,
-        grid, None, line_tol, max_rounds,
+        grid, None, _CELL_LINE_TOL, 4,
     )
     cell = np.clip(
         np.searchsorted(edges, 0.5 * (seg_lo + seg_hi), side="right") - 1, 0, nb - 1
@@ -706,12 +671,6 @@ def _per_cell_line_integrals(p, q, edges, D, line_tol=1e-9, max_rounds=4):
     out = np.zeros((k, nb))
     np.add.at(out, (owner, cell), seg_val)
     return out
-
-
-# joint_pdf3_cell_masses: Gauss nodes per cell on the first axis, and the
-# per-line error budget of the third-side integrals.
-_CELL_GAUSS_ORDER = 5
-_CELL_LINE_TOL = 1e-9
 
 
 def joint_pdf3_cell_masses(domain: DiskDomain, edges) -> np.ndarray:
@@ -756,9 +715,7 @@ def joint_pdf3_cell_masses(domain: DiskDomain, edges) -> np.ndarray:
             wq = ph[:, None] * math.pi * np.sin(math.pi * u01[None, :]) * w01[None, :]
 
             q_flat = qs.ravel()
-            per_cell = _per_cell_line_integrals(
-                np.full(len(q_flat), pv), q_flat, edges, D, line_tol=_CELL_LINE_TOL
-            )
+            per_cell = _per_cell_line_integrals(np.full(len(q_flat), pv), q_flat, edges, D)
             weighted = per_cell * wq.ravel()[:, None]
             rows = np.zeros((nb, nb))
             np.add.at(rows, np.repeat(piece_j, _CELL_GAUSS_ORDER), weighted)

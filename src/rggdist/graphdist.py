@@ -33,7 +33,7 @@ from itertools import permutations
 import numpy as np
 
 from .connection import ConnectionModel, HardDisk
-from .distances import pair_pdf, triple_product_integral
+from .distances import _product_moment, pair_pdf
 from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import DiskDomain, pair_array, pair_count
 from .quadrature import QuadratureSettings, integrate
@@ -66,21 +66,32 @@ class GraphPmf:
         object.__setattr__(self, "probs", probs)
 
 
+def _edge_axis(model, D):
+    """How an edge's distance axis is integrated: (upper end, weight,
+    breakpoints).
+
+    A hard disk's indicator truncates the axis at ``min(r0, D)`` and leaves
+    no weight (its breakpoint is then the upper end, which the integrators
+    drop); any other model weights [0, D] by its connection probability.
+    The breakpoints are the model's, inside (0, D).
+    """
+    breaks = tuple(b for b in model.breakpoints() if 0.0 < b < D)
+    if isinstance(model, HardDisk):
+        return min(model.r0, D), None, breaks
+    return D, model.probability, breaks
+
+
 def _pair_connect_prob(model, domain, settings) -> tuple[float, float]:
     """P(edge) for one pair: integral of pair density times connection prob."""
-    D = domain.diameter
-    if isinstance(model, HardDisk):
-        # The indicator truncates the integral; no discontinuity remains.
-        hi = min(model.r0, D)
-        if hi <= 0.0:
-            return 0.0, 0.0
-        return integrate(lambda r: pair_pdf(r, domain), [(0.0, hi)], settings)
+    hi, weight, breaks = _edge_axis(model, domain.diameter)
+    if hi <= 0.0:
+        return 0.0, 0.0
 
     def integrand(r):
-        return pair_pdf(r, domain) * model.probability(r)
+        vals = pair_pdf(r, domain)
+        return vals if weight is None else vals * weight(r)
 
-    breaks = tuple(b for b in model.breakpoints() if 0.0 < b < D)
-    return integrate(integrand, [(0.0, D)], settings, breakpoints=breaks)
+    return integrate(integrand, [(0.0, hi)], settings, breakpoints=breaks)
 
 
 _PAIR_SETTINGS = QuadratureSettings(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=400)
@@ -110,37 +121,24 @@ def pmf_n3(
     with ``abs_tol == 0`` are refused.  The reported ``error_estimate`` is
     the sum of the per-entry estimates.  Entries are clipped to [0, 1];
     clipping never exceeds the per-entry estimate.
+
+    M1 is the two-node edge probability.  M2 and M3 integrate the joint
+    density with every edge axis set up by one rule (:func:`_edge_axis`):
+    a hard disk truncates the axis at ``min(r0, D)``, any other model
+    weights it by its connection probability, and every level splits at
+    the model's breakpoints.  M2's third side, no edge, runs over the
+    whole disk.
     """
     if quad is not None and quad.abs_tol == 0:
         raise DomainError("pmf_n3 needs a positive abs_tol; rel_tol is unused")
     entry_tol = quad.abs_tol if quad is not None else DEFAULT_PMF_ENTRY_TOL
     max_sub = quad.max_subdivisions if quad is not None else 400
-    D = domain.diameter
     moment_tol = entry_tol / 4.0
 
-    m1, e1 = _pair_connect_prob(
-        model, domain,
-        QuadratureSettings(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=max(max_sub, 200)),
-    )
-
-    # Every axis splits at the model's breakpoints; a hard disk's indicator
-    # truncates its weighted axes instead of weighting them.
-    if isinstance(model, HardDisk):
-        edge, w = (0.0, min(model.r0, D)), None
-    else:
-        edge, w = (0.0, None), model.probability
-    model_breaks = tuple(b for b in model.breakpoints() if 0.0 < b < D)
-    kwargs = dict(
-        abs_tol=moment_tol,
-        inner_breaks=model_breaks,
-        mid_breaks=model_breaks,
-        outer_breaks=model_breaks,
-        max_subdivisions=max_sub,
-    )
-    m2, e2 = triple_product_integral(domain, box12=edge, box13=edge, w12=w, w13=w, **kwargs)
-    m3, e3 = triple_product_integral(
-        domain, box12=edge, box13=edge, box23=edge, w12=w, w13=w, w23=w, **kwargs
-    )
+    m1, e1 = _pair_connect_prob(model, domain, _PAIR_SETTINGS)
+    axis = _edge_axis(model, domain.diameter)
+    m2, e2 = _product_moment(domain, *axis, 2, moment_tol, max_sub)
+    m3, e3 = _product_moment(domain, *axis, 3, moment_tol, max_sub)
 
     # Inclusion-exclusion over the number of present edges; exchangeability
     # of the distance density makes all outcomes of equal weight identical.

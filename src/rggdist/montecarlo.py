@@ -411,7 +411,7 @@ def _distance_counts(n, domain, mc: McSettings, bins) -> np.ndarray:
             for k in range(1, m):
                 flat *= bins
                 flat += idx[k]
-            counts += np.bincount(flat, minlength=bins**m)
+            np.add.at(counts, flat, 1)
         return counts
 
     return _fan_out(mc, work)

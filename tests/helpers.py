@@ -177,7 +177,7 @@ def marginal_pair_density(r12_values, domain: DiskDomain, abs_tol: float = 1e-6)
     return values
 
 
-def cell_masses_reference(domain: DiskDomain, edges, gauss_order=5, inner_tol=1e-9):
+def cell_masses_reference(domain: DiskDomain, edges, gauss_order=5):
     """Loop form of :func:`rggdist.joint_pdf3_cell_masses`: the middle axis
     is cut cell by cell, at the grid edges and at the kink candidates
     inside each cell, with the same arithmetic otherwise."""
@@ -212,9 +212,7 @@ def cell_masses_reference(domain: DiskDomain, edges, gauss_order=5, inner_tol=1e
             qs = pm[:, None] - ph[:, None] * np.cos(math.pi * u01[None, :])
             wq = ph[:, None] * math.pi * np.sin(math.pi * u01[None, :]) * w01[None, :]
             q_flat = qs.ravel()
-            per_cell = _per_cell_line_integrals(
-                np.full(len(q_flat), pv), q_flat, edges, D, line_tol=inner_tol
-            )
+            per_cell = _per_cell_line_integrals(np.full(len(q_flat), pv), q_flat, edges, D)
             rows = np.zeros((nb, nb))
             np.add.at(rows, np.repeat(piece_j, gauss_order), per_cell * wq.ravel()[:, None])
             masses[i] += p_wts[i, u] * rows

@@ -34,7 +34,7 @@ from rggdist import (
     relabel_orbit_map,
     shearer_factor,
 )
-from rggdist.distances import triple_product_integral
+from rggdist.distances import _product_moment
 
 from helpers import (
     _density_inscribed,
@@ -68,7 +68,7 @@ def sweep_pmfs():
 
 def test_01_joint_density_normalizes():
     start = time.monotonic()
-    value, est = triple_product_integral(DOMAIN, abs_tol=1e-5)
+    value, est = _product_moment(DOMAIN, 1.0, None, (), 3, 1e-5, 400)
     elapsed = time.monotonic() - start
     dev = abs(value - 1.0)
     report(

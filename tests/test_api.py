@@ -19,7 +19,7 @@ PUBLIC = [
     "joint_pdf3_via_conditioning_many", "pair_count", "pair_pdf", "pair_pdf_on_circle",
     "parse_model", "phi", "pmf_n2", "pmf_n3", "prob_complete", "prob_connected",
     "relabel_orbit_map", "sample_points_in_disk", "shearer_factor", "substream",
-    "triangle_quantities", "triple_product_integral",
+    "triangle_quantities",
 ]
 
 # Reference code that only tests call; it lives in tests/helpers.py.
@@ -30,7 +30,7 @@ TEST_ONLY = [
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC) == 54
+    assert len(PUBLIC) == 53
     assert sorted(rggdist.__all__) == sorted(PUBLIC)
 
 

@@ -1,10 +1,12 @@
 """Pins of the exact (quadrature) outputs, plus the memory and the
 empty-interval behaviour of the line integrator behind them.
 
-The pinned pmf and triple-integral bytes were recorded when
+The pinned hard and exponential three-node pmf bytes were recorded when
 ``integrate_many`` began to refine with the line integrator's bisection
-loop; the line-integrator pins held through that change.  Any later
-change of the integrators must reproduce them exactly.  No pinned value
+loop; the line-integrator pins held through that change.  The two-node
+and tabulated-model pins were recorded before the pair probability and
+the product moments began to share one edge-axis rule.  Any later change
+of the integrators must reproduce them exactly.  No pinned value
 passes through BLAS, so they do not depend on the BLAS library or
 its thread count.  They do depend on how numpy's ``arccos``/``exp``
 round, which varies with the CPU's SIMD features (with numpy's AVX-512
@@ -19,9 +21,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rggdist import DiskDomain, ExponentialSoft, HardDisk, QuadratureSettings, pmf_n3
+from rggdist import (
+    DiskDomain,
+    ExponentialSoft,
+    HardDisk,
+    QuadratureSettings,
+    Tabulated,
+    pmf_n2,
+    pmf_n3,
+)
 from rggdist import distances
-from rggdist.distances import _inner_lines, joint_pdf3_cell_masses, triple_product_integral
+from rggdist.distances import _inner_lines, joint_pdf3_cell_masses
 
 DOMAIN = DiskDomain(1.0)
 
@@ -65,12 +75,32 @@ PMF_PINS = {
          "0x1.1dfc860992582p-5", "0x1.aeb0a99b5f4f9p-6"],
         "0x1.99a7eb063b338p-20",
     ),
+    ("table", None): (
+        ["0x1.062811c71ffcbp-2", "0x1.37eea562a9f58p-3", "0x1.37eea562a9f58p-3",
+         "0x1.2eae5891f9601p-4", "0x1.37eea562a9f58p-3", "0x1.2eae5891f9601p-4",
+         "0x1.2eae5891f9601p-4", "0x1.0bbccedd982c5p-4"],
+        "0x1.3ae92349dccb0p-13",
+    ),
+    ("table", 1e-6): (
+        ["0x1.0628103d5a722p-2", "0x1.37eea8755a462p-3", "0x1.37eea8755a462p-3",
+         "0x1.2eae526e4e47fp-4", "0x1.37eea8755a462p-3", "0x1.2eae526e4e47fp-4",
+         "0x1.2eae526e4e47fp-4", "0x1.0bbcd4ff8dbb5p-4"],
+        "0x1.948c3be16d92fp-20",
+    ),
 }
-MODELS = {"hard": HardDisk(r0=0.4), "exp": ExponentialSoft(r0=0.3, beta=2.0)}
-
-# box12 = box13 = (0, 0.3), box23 = (0.5, D): lines with p + q < 0.5 have
-# an empty third-side interval.
-SPLIT_BOX = dict(box12=(0.0, 0.3), box13=(0.0, 0.3), box23=(0.5, None))
+# Two-node pmfs (probs, error estimate) at the default settings.
+PMF_N2_PINS = {
+    "hard": (["0x1.25c3e9b682522p-1", "0x1.b4782c92fb5bcp-2"], "0x1.4000000000000p-50"),
+    "exp": (["0x1.849dde63deb9cp-1", "0x1.ed88867085191p-3"], "0x1.781ca39cd3d3ap-38"),
+    "table": (["0x1.44e126a724251p-1", "0x1.763db2b1b7b5ep-2"], "0x1.86a71b6000001p-43"),
+}
+# The table has a breakpoint at every knot inside the disk, so it pins the
+# breakpoint handling of every integration level.
+MODELS = {
+    "hard": HardDisk(r0=0.4),
+    "exp": ExponentialSoft(r0=0.3, beta=2.0),
+    "table": Tabulated(((0.0, 0.9), (0.25, 0.7), (0.5, 0.2), (0.8, 0.0), (1.0, 0.0))),
+}
 
 
 @same_rounding
@@ -81,6 +111,13 @@ class TestExactOutputPins:
         quad = None if abs_tol is None else QuadratureSettings(abs_tol=abs_tol)
         pmf = pmf_n3(MODELS[kind], DOMAIN, quad)
         probs, error = PMF_PINS[key]
+        assert [float(x).hex() for x in pmf.probs] == probs
+        assert float(pmf.error_estimate).hex() == error
+
+    @pytest.mark.parametrize("kind", sorted(PMF_N2_PINS))
+    def test_pmf_n2(self, kind):
+        pmf = pmf_n2(MODELS[kind], DOMAIN)
+        probs, error = PMF_N2_PINS[kind]
         assert [float(x).hex() for x in pmf.probs] == probs
         assert float(pmf.error_estimate).hex() == error
 
@@ -104,15 +141,9 @@ class TestExactOutputPins:
             == "ec20e124dc01b11751017a8973becf7caa5a6a04f8781e1e4fbd1515b97a1997"
         )
 
-    def test_empty_lines_keep_value(self):
-        value, error = triple_product_integral(DOMAIN, **SPLIT_BOX)
-        assert float(value).hex() == "0x1.cad670f737debp-10"
-        assert float(error).hex() == "0x1.9f96a76654180p-22"
-
 
 class TestEmptyLines:
-    @staticmethod
-    def record_kernel_lines(monkeypatch):
+    def test_empty_lines_integrate_to_zero(self, monkeypatch):
         seen = []
         kernel = distances._pdf3_batch
 
@@ -121,18 +152,6 @@ class TestEmptyLines:
             return kernel(r12, r13, r23, *args, **kwargs)
 
         monkeypatch.setattr(distances, "_pdf3_batch", recording_kernel)
-        return seen
-
-    def test_kernel_skips_empty_lines(self, monkeypatch):
-        seen = self.record_kernel_lines(monkeypatch)
-        triple_product_integral(DOMAIN, **SPLIT_BOX)
-        p_plus_q = np.concatenate(seen)
-        assert len(p_plus_q) > 0
-        # A line is empty exactly when p + q < 0.5, the box23 lower bound.
-        assert np.all(p_plus_q >= 0.5)
-
-    def test_empty_lines_integrate_to_zero(self, monkeypatch):
-        seen = self.record_kernel_lines(monkeypatch)
         values, errors = _inner_lines([0.1, 0.2, 0.3], [0.2, 0.1, 0.4], 0.5, 1.0, 1.0)
         assert np.all(np.concatenate(seen) >= 0.5)
         assert values[:2].tolist() == [0.0, 0.0] and errors[:2].tolist() == [0.0, 0.0]

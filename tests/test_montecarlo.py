@@ -491,6 +491,16 @@ class TestDistanceHistogram:
         with pytest.raises(UnsupportedError, match="cells"):
             distance_histogram3(DOMAIN, McSettings(samples=10, seed=1), bins=204)
 
+    def test_one_worker_holds_one_table(self):
+        # 128**3 int64 counts are 16 MiB.  Counting each block in place
+        # keeps the peak near one table; adding a full-size bincount per
+        # block held two (34 MiB).
+        table = 8 * 128**3
+        peak = traced_peak(
+            lambda: distance_histogram3(DOMAIN, McSettings(samples=16_384, seed=5), bins=128)
+        )
+        assert peak < 1.5 * table
+
     def test_determinism_across_runs(self):
         mc = McSettings(samples=60_000, seed=44, workers=3)
         a = distance_histogram3(DOMAIN, mc, bins=6)
