@@ -48,6 +48,7 @@ from .graphdist import (
 from .montecarlo import (
     RNG_NAME,
     McSettings,
+    _count_fit,
     _distance_counts,
     _outcome_bits,
     distance_histogram3,
@@ -392,47 +393,15 @@ def _validate_pair(args, domain) -> dict:
         [(edges[i], edges[i + 1]) for i in range(nbins)],
         settings,
     )
-    expected = masses * mc.samples
-    qualifying = expected >= 10.0
-    if not np.any(qualifying):
-        return {
-            "name": "pair-distance histogram vs density",
-            "pass": False,
-            "detail": "no bin reaches the minimum expected count; increase --samples",
-        }
-    z = np.abs(counts[qualifying] - expected[qualifying]) / np.sqrt(expected[qualifying])
-    return {
-        "name": "pair-distance histogram vs density",
-        "pass": bool(np.all(z <= 4.0)),
-        "bins_checked": int(np.sum(qualifying)),
-        "worst_z": _jnum(float(np.max(z))),
-    }
+    fit = _count_fit(counts, masses, mc.samples)
+    return {"name": "pair-distance histogram vs density", **fit}
 
 
 def _validate_pdf3(args, domain) -> dict:
-    bins = 20
     mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
-    hist = distance_histogram3(domain, mc, bins=bins)
-    masses = joint_pdf3_cell_masses(domain, hist.bin_edges)
-    expected = masses * mc.samples
-    qualifying = expected >= 100.0
-    nq = int(np.sum(qualifying))
-    if nq == 0:
-        return {
-            "name": "three-distance histogram vs joint density",
-            "pass": False,
-            "detail": "no cell reaches the minimum expected count; increase --samples",
-        }
-    dev = np.abs(hist.counts[qualifying] - expected[qualifying])
-    z = dev / np.sqrt(expected[qualifying])
-    frac_ok = float(np.mean(z <= 4.0))
-    return {
-        "name": "three-distance histogram vs joint density",
-        "pass": bool(frac_ok >= 0.99),
-        "cells_checked": nq,
-        "fraction_within_4sigma": _jnum(frac_ok),
-        "worst_z": _jnum(float(np.max(z))),
-    }
+    hist = distance_histogram3(domain, mc, bins=20)
+    fit = _count_fit(hist.counts, joint_pdf3_cell_masses(domain, hist.bin_edges), mc.samples)
+    return {"name": "three-distance histogram vs joint density", **fit}
 
 
 def _validate_condpdf(args, domain) -> dict:
@@ -454,7 +423,7 @@ def _validate_condpdf(args, domain) -> dict:
         "name": "conditional reconstruction vs closed form",
         "pass": bool(np.all(rel <= 1e-6)),
         "triples_checked": len(arr),
-        "worst_rel_dev": _jnum(float(np.max(rel))),
+        "worst_rel_dev": float(np.max(rel)),
     }
 
 
@@ -463,17 +432,14 @@ def _validate_pmf3(args, domain) -> dict:
     exact = pmf_n3(model, domain)
     mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
     est = estimate_pmf(3, model, domain, mc)
-    se = np.sqrt(exact.probs * (1.0 - exact.probs) / mc.samples)
-    tol = 4.0 * se + 5.0 / mc.samples + exact.error_estimate
-    dev = np.abs(est.probs - exact.probs)
-    return {
-        "name": "three-node pmf vs sampled outcome frequencies",
-        "pass": bool(np.all(dev <= tol)),
-        "worst_excess": _jnum(float(np.max(dev - tol))),
-    }
+    counts = np.rint(est.probs * mc.samples)
+    fit = _count_fit(counts, exact.probs, mc.samples, slack=exact.error_estimate)
+    return {"name": "three-node pmf vs sampled outcome frequencies", **fit}
 
 
 def _cmd_validate(args) -> int:
+    if args.model is not None and args.target != "pmf3":
+        raise DomainError(f"--model applies to the pmf3 target only, not to {args.target}")
     domain = DiskDomain(args.diameter)
     runners = {
         "pair": _validate_pair,
@@ -482,6 +448,7 @@ def _cmd_validate(args) -> int:
         "pmf3": _validate_pmf3,
     }
     check = runners[args.target](args, domain)
+    check = {k: _jnum(v) if isinstance(v, float) else v for k, v in check.items()}
     report = {
         "target": args.target,
         "pass": check["pass"],

@@ -34,8 +34,9 @@ The exact three-node pmf needs two product moments of the density,
 caller derives from the connection model
 (:func:`rggdist.graphdist._edge_axis`): a hard disk truncates every edge
 axis at ``min(r0, D)``, any other model weights [0, D] by its connection
-probability, and every level splits at the model's breakpoints.  The
-side that is no edge (``R23`` in the first moment) runs over [0, D].
+probability, and every edge axis splits at the model's breakpoints.  The
+side that is no edge (``R23`` in the first moment) runs over [0, D]
+unweighted and unsplit, since the model does not kink there.
 
 Both closed-form kernels (:func:`_pdf3_batch` and the conditional
 :func:`_cond_pdf3_batch`) run in one straight-line pass.  A 3-element
@@ -601,16 +602,16 @@ def _product_moment(domain, hi, weight, breaks, edges, abs_tol, max_subdivisions
 
     Sides 12 and 13 run over [0, hi] times ``weight`` (``None`` for 1);
     side 23 does too when ``edges == 3``, and otherwise runs over [0, D]
-    unweighted.  Every level splits at ``breaks``.  The outer two axes use
-    adaptive panels (the middle axis in lockstep across each outer panel's
-    nodes); the innermost axis uses the substituted piecewise rule of
-    :func:`_inner_lines`.  Returns (value, error estimate); the estimate
+    unweighted and unsplit.  Every edge axis splits at ``breaks``.  The
+    outer two axes use adaptive panels (the middle axis in lockstep across
+    each outer panel's nodes); the innermost axis uses the substituted
+    piecewise rule of :func:`_inner_lines`.  Returns (value, error estimate); the estimate
     includes the budgets allotted to the inner levels.
     """
     D = domain.diameter
     if hi <= 0.0:
         return 0.0, 0.0
-    hi23, w23 = (hi, weight) if edges == 3 else (D, None)
+    hi23, w23, breaks23 = (hi, weight, breaks) if edges == 3 else (D, None, ())
     tol_inner = 0.05 * abs_tol / (hi * hi)
     mid_settings = QuadratureSettings(
         abs_tol=0.25 * abs_tol / hi, rel_tol=0.0, max_subdivisions=max_subdivisions
@@ -620,7 +621,7 @@ def _product_moment(domain, hi, weight, breaks, edges, abs_tol, max_subdivisions
         def mid_integrand(q_flat, own):
             vals, _ = _inner_lines(
                 p_batch[own], q_flat, 0.0, hi23, D,
-                weight=w23, extra_breaks=breaks, line_tol=tol_inner,
+                weight=w23, extra_breaks=breaks23, line_tol=tol_inner,
             )
             return vals if weight is None else vals * weight(q_flat)
 

@@ -125,9 +125,9 @@ def pmf_n3(
     M1 is the two-node edge probability.  M2 and M3 integrate the joint
     density with every edge axis set up by one rule (:func:`_edge_axis`):
     a hard disk truncates the axis at ``min(r0, D)``, any other model
-    weights it by its connection probability, and every level splits at
-    the model's breakpoints.  M2's third side, no edge, runs over the
-    whole disk.
+    weights it by its connection probability, and every edge axis splits
+    at the model's breakpoints.  M2's third side, no edge, runs over the
+    whole disk unweighted and unsplit.
     """
     if quad is not None and quad.abs_tol == 0:
         raise DomainError("pmf_n3 needs a positive abs_tol; rel_tol is unused")

@@ -1,8 +1,9 @@
 """Sampling-based estimators for graphs of any size.
 
 These are the universal cross-checks for every closed form in the
-package: empirical outcome tables, entropy with bias correction, and
-distance histograms.
+package: empirical outcome tables, entropy with bias correction, distance
+histograms, and the one rule that judges a sampled table against a
+closed form (:func:`_count_fit`).
 
 Reproducibility: all randomness comes from counter-based Philox streams.
 Worker ``w`` of a run seeded with ``seed`` uses the stream
@@ -47,6 +48,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -73,6 +75,9 @@ MAX_TABLE_ENTRIES = 1 << 23
 
 # Largest worker split (substreams) of one run.
 MAX_WORKERS = 1024
+
+# Family-wise false-alarm rate of :func:`_count_fit`.
+FIT_ALPHA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,35 @@ class Histogram3:
         """Per-cell density estimate: count / (total * cell volume)."""
         width = float(self.bin_edges[1] - self.bin_edges[0])
         return self.counts / (self.total * width**3)
+
+
+def _count_fit(counts, probs, samples, slack=0.0) -> dict:
+    """Bonferroni test, at family-wise rate ``FIT_ALPHA``, of a table of
+    ``samples`` multinomial counts against the closed form ``probs``.
+
+    Each expected count e = probs * samples first moves toward its count c
+    by at most ``slack * samples``, the closed form's deterministic error.
+    Its |z| is the root of the binomial deviance of c against e, near
+    normal even for small e (0 where c = e, infinite where c differs from
+    an e of 0 or N).  The table passes when its largest e reaches 10 and
+    its largest |z| is at most the normal quantile at
+    ``1 - FIT_ALPHA / (2K)``, K the entries of positive e.
+    """
+    c = np.ravel(counts).astype(np.float64)
+    e = np.clip(np.ravel(probs) * samples, 0.0, samples)
+    e += np.clip(c - e, -slack * samples, slack * samples)
+    deviance = np.where(c == e, 0.0, np.inf)
+    inside = (e > 0.0) & (e < samples)
+    x, m = np.stack([c, samples - c])[:, inside], np.stack([e, samples - e])[:, inside]
+    deviance[inside] = 2.0 * np.sum(x * np.log(np.maximum(x, 1.0) / m), axis=0)
+    checked = int(np.count_nonzero(e > 0.0))
+    z_crit = NormalDist().inv_cdf(1.0 - FIT_ALPHA / (2 * max(checked, 1)))
+    worst_z = math.sqrt(max(float(np.max(deviance, initial=0.0)), 0.0))
+    fit = {"pass": worst_z <= z_crit, "alpha": FIT_ALPHA, "entries_checked": checked,
+           "z_crit": z_crit, "worst_z": worst_z}
+    if np.max(e, initial=0.0) < 10.0:
+        fit.update({"pass": False, "detail": "no expected count reaches 10; take more samples"})
+    return fit
 
 
 def substream(seed: int, index: int) -> np.random.Generator:

@@ -150,7 +150,8 @@ def _bisect(rule, lo, hi, owner, count, budget_of, max_rounds=None, max_splits=N
     integral's pieces with ``np.bincount``; an integral whose error exceeds
     ``budget_of(values)`` bisects each piece whose error exceeds that budget
     divided by its piece count.  An integral whose bisections would pass
-    ``max_splits`` in all stops where it is, and the loop ends after
+    ``max_splits`` in all bisects only as many of those pieces as it has
+    bisections left, largest error first, and the loop ends after
     ``max_rounds`` rounds or when no integral needs work.  Kept pieces come
     first, then the new lower halves, then the upper halves, so each
     integral's pieces come in the same order whatever shares the batch.
@@ -171,10 +172,14 @@ def _bisect(rule, lo, hi, owner, count, budget_of, max_rounds=None, max_splits=N
         npieces = np.bincount(owner, minlength=count)
         split = over[owner] & (err > budget[owner] / np.maximum(npieces[owner], 1))
         if max_splits is not None:
-            wanted = np.bincount(owner[split], minlength=count)
-            within = splits + wanted <= max_splits
-            split &= within[owner]
-            splits += np.where(within, wanted, 0)
+            # Rank each integral's wanted pieces, largest error first (ties
+            # in piece order), and keep the ranks below its bisections left.
+            wanted = np.flatnonzero(split)
+            wanted = wanted[np.lexsort((-err[wanted], owner[wanted]))]
+            own = owner[wanted]
+            rank = np.arange(len(wanted)) - np.searchsorted(own, own)
+            split[wanted[rank >= max_splits - splits[own]]] = False
+            splits += np.bincount(owner[split], minlength=count)
         if not np.any(split):
             break
         mid = 0.5 * (lo[split] + hi[split])

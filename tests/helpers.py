@@ -43,6 +43,7 @@ from rggdist.distances import (
     _per_cell_line_integrals,
 )
 from rggdist.geometry import DEGENERATE_Q_EPS, pair_array
+from rggdist.montecarlo import _count_fit
 from rggdist.quadrature import integrate_many
 
 
@@ -272,16 +273,11 @@ def valid_triple_grid(diameter=1.0, per_axis=10, margin_frac=0.04):
     return np.asarray(triples)
 
 
-def mc_pmf_tolerance(exact_probs, samples):
-    """Per-entry comparison tolerance for an empirical pmf.
-
-    Four binomial standard errors under the exact distribution plus a
-    small-count guard that keeps near-empty outcomes from failing on
-    single stray observations.
-    """
-    exact_probs = np.asarray(exact_probs)
-    se = np.sqrt(exact_probs * (1.0 - exact_probs) / samples)
-    return 4.0 * se + 5.0 / samples
+def pmf_fit(est, exact, slack=0.0):
+    """``montecarlo._count_fit`` of a sampled pmf against an exact one,
+    its counts recovered from the outcome frequencies."""
+    samples = est.ingredients["samples"]
+    return _count_fit(np.rint(est.probs * samples), exact.probs, samples, slack)
 
 
 def sample_pmf(n, model, seed, samples, workers=1, diameter=1.0):

@@ -6,7 +6,9 @@ whole gate can be read off a verbose run:
     python3 -m pytest tests/test_acceptance.py -v -s
 
 The heavy Monte Carlo fixtures use fixed seeds and two workers; every
-criterion states its tolerance inline.
+criterion states its tolerance inline, and every sampled table is judged
+against its closed form by ``rggdist.montecarlo._count_fit``, the rule
+``rggdist validate`` uses.
 """
 
 import time
@@ -35,14 +37,15 @@ from rggdist import (
     shearer_factor,
 )
 from rggdist.distances import _product_moment
+from rggdist.montecarlo import _count_fit
 
 from helpers import (
     _density_inscribed,
     _density_obtuse_extra,
     _density_outscribed,
     marginal_pair_density,
-    mc_pmf_tolerance,
     obtuse_boundary_triples,
+    pmf_fit,
     right_triangles,
     run_cli_process,
     sample_pmf,
@@ -82,24 +85,17 @@ def test_01_joint_density_normalizes():
 def test_02_joint_density_histogram_oracle():
     start = time.monotonic()
     samples = 10_000_000
-    bins = 20
     hist = distance_histogram3(
-        DOMAIN, McSettings(samples=samples, seed=SEED, workers=2), bins=bins
+        DOMAIN, McSettings(samples=samples, seed=SEED, workers=2), bins=20
     )
-    expected = joint_pdf3_cell_masses(DOMAIN, hist.bin_edges) * samples
-    qualifying = expected >= 100.0
-    z = np.abs(hist.counts[qualifying] - expected[qualifying]) / np.sqrt(
-        expected[qualifying]
-    )
-    frac_ok = float(np.mean(z <= 4.0))
+    fit = _count_fit(hist.counts, joint_pdf3_cell_masses(DOMAIN, hist.bin_edges), samples)
     elapsed = time.monotonic() - start
     report(
         2,
         "joint-density histogram oracle",
-        frac_ok >= 0.99 and elapsed <= 300.0,
-        f"{int(np.sum(qualifying))} cells with expected>=100, "
-        f"{100 * frac_ok:.2f}% within 4*sqrt(expected) (need 99%), "
-        f"worst z={np.max(z):.2f}, {elapsed:.1f}s of 300s",
+        fit["pass"] and elapsed <= 300.0,
+        f"{fit['entries_checked']} cells of positive mass, worst |z|={fit['worst_z']:.2f} "
+        f"<= {fit['z_crit']:.2f} (family-wise alpha {fit['alpha']:g}), {elapsed:.1f}s of 300s",
     )
 
 
@@ -179,22 +175,24 @@ def test_06_connectivity_sweep_properties(sweep_pmfs):
         and abs(p_comp[-1] - 1.0) <= 1e-3
     )
 
-    samples = 1_000_000
-    worst_excess = -np.inf
-    for idx, (r0, pmf) in enumerate(zip(grid, pmfs)):
-        est = sample_pmf(
-            3, HardDisk(r0=float(r0)), seed=SEED + idx, samples=samples, workers=2
+    fits = [
+        pmf_fit(
+            sample_pmf(3, HardDisk(r0=float(r0)), seed=SEED + idx, samples=1_000_000, workers=2),
+            pmf,
+            slack=pmf.error_estimate / 8,
         )
-        tol = mc_pmf_tolerance(pmf.probs, samples) + pmf.error_estimate / 8
-        worst_excess = max(worst_excess, float(np.max(np.abs(est.probs - pmf.probs) - tol)))
-    ok_mc = worst_excess <= 0.0
+        for idx, (r0, pmf) in enumerate(zip(grid, pmfs))
+    ]
+    ok_mc = all(fit["pass"] for fit in fits)
 
     report(
         6,
         "connectivity sweep reproduction",
         ok_order and ok_monotone and ok_endpoints and ok_mc,
         f"40 points: completeness<=connectedness {ok_order}, monotone {ok_monotone}, "
-        f"endpoints {ok_endpoints}, MC worst excess {worst_excess:.2e} (<=0)",
+        f"endpoints {ok_endpoints}, MC tables passing {sum(f['pass'] for f in fits)} of 40 "
+        f"(worst |z|={max(f['worst_z'] for f in fits):.2f}, "
+        f"family-wise alpha {fits[0]['alpha']:g} each)",
     )
 
 

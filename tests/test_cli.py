@@ -1,6 +1,8 @@
 """Command-line interface: formats, exit codes, and byte determinism."""
 
+import dataclasses
 import json
+import math
 import sys
 import threading
 import tracemalloc
@@ -31,7 +33,9 @@ from rggdist import (
 )
 from rggdist import cli, montecarlo
 from rggdist.cli import main
+from rggdist.distances import joint_pdf3_cell_masses
 from rggdist.montecarlo import MAX_WORKERS, substream
+from rggdist.quadrature import integrate_many
 
 from helpers import distance_sq_blocks_reference, run_cli_process
 
@@ -331,13 +335,70 @@ class TestValidateCommand:
         assert json.loads(out)["pass"] is False
 
 
+    @pytest.mark.parametrize("target", ["pair", "pdf3", "condpdf"])
+    def test_model_refused_where_unused(self, capsys, monkeypatch, target):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before --model was refused")
+
+        for name in ("_distance_counts", "distance_histogram3", "joint_pdf3_values"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run_cli(capsys, "validate", target, "--model", "hard:r0=0.4")
+        assert code == 2
+        assert out == ""
+        assert "--model" in err
+
+
+class TestValidateCatchesWrongClosedForms:
+    # Each command runs at the benchmark's settings against a deliberately
+    # broken closed form, which the goodness-of-fit rule must refuse.
+
+    def run(self, capsys, *argv):
+        code, out, _ = run_cli(capsys, "validate", *argv)
+        assert code == 1
+        assert json.loads(out)["pass"] is False
+
+    def test_pair_largest_bin_scaled(self, capsys, monkeypatch):
+        def scaled(*args, **kwargs):
+            masses, errors = integrate_many(*args, **kwargs)
+            masses[np.argmax(masses)] *= 1.03
+            return masses, errors
+
+        monkeypatch.setattr(cli, "integrate_many", scaled)
+        self.run(capsys, "pair", "--samples", "2000000")
+
+    def test_pdf3_extreme_cells_swapped(self, capsys, monkeypatch):
+        # The largest cell and the smallest one of at least 100 expected
+        # counts trade masses.
+        def swapped(domain, edges):
+            masses = joint_pdf3_cell_masses(domain, edges)
+            flat = masses.reshape(-1)
+            tested = np.flatnonzero(flat * 1_000_000 >= 100.0)
+            pair = [tested[np.argmax(flat[tested])], tested[np.argmin(flat[tested])]]
+            flat[pair] = flat[pair[::-1]]
+            return masses
+
+        monkeypatch.setattr(cli, "joint_pdf3_cell_masses", swapped)
+        self.run(capsys, "pdf3", "--samples", "1000000", "--workers", "2")
+
+    def test_pmf3_entry_moved(self, capsys, monkeypatch):
+        def moved(model, domain, quad=None):
+            pmf = pmf_n3(model, domain, quad)
+            probs = pmf.probs.copy()
+            probs[0] += 8.0 * math.sqrt(probs[0] * (1.0 - probs[0]) / 2_000_000)
+            return dataclasses.replace(pmf, probs=probs)
+
+        monkeypatch.setattr(cli, "pmf_n3", moved)
+        self.run(capsys, "pmf3", "--samples", "2000000", "--workers", "2")
+
+
 class TestValidatePairBlocks:
     # ``validate pair --samples 524291 --seed 5`` as the block-major
     # sampler prints it; the last block holds 3 pairs.
     RECORDED = (
         '{\n  "target": "pair",\n  "pass": true,\n  "checks": [\n    {\n'
         '      "name": "pair-distance histogram vs density",\n      "pass": true,\n'
-        '      "bins_checked": 50,\n      "worst_z": 2.4451628367\n    }\n  ],\n'
+        '      "alpha": 0.0001,\n      "entries_checked": 50,\n'
+        '      "z_crit": 4.75342430882,\n      "worst_z": 2.49235976565\n    }\n  ],\n'
         '  "settings": {\n    "diameter": 1.0,\n    "seed": 5,\n    "samples": 524291,\n'
         '    "workers": 1,\n    "model": null,\n    "rng": "philox"\n  }\n}\n'
     )

@@ -1,11 +1,13 @@
 """Pins of the exact (quadrature) outputs, plus the memory and the
 empty-interval behaviour of the line integrator behind them.
 
-The pinned hard and exponential three-node pmf bytes were recorded when
+The pinned exponential three-node pmf bytes were recorded when
 ``integrate_many`` began to refine with the line integrator's bisection
 loop; the line-integrator pins held through that change.  The two-node
-and tabulated-model pins were recorded before the pair probability and
-the product moments began to share one edge-axis rule.  Any later change
+pins were recorded before the pair probability and the product moments
+began to share one edge-axis rule.  The hard and tabulated three-node
+pins were recorded when the second moment's third side, which is no
+edge, stopped splitting at the model's breakpoints.  Any later change
 of the integrators must reproduce them exactly.  No pinned value
 passes through BLAS, so they do not depend on the BLAS library or
 its thread count.  They do depend on how numpy's ``arccos``/``exp``
@@ -52,16 +54,16 @@ same_rounding = pytest.mark.skipif(
 
 PMF_PINS = {
     ("hard", None): (
-        ["0x1.58e1e438c0e03p-3", "0x1.6307638eaace5p-3", "0x1.6307638eaace5p-3",
-         "0x1.e07bee0fcb2ecp-5", "0x1.6307638eaace5p-3", "0x1.e07bee0fcb2ecp-5",
-         "0x1.e07bee0fcb2ecp-5", "0x1.15aafe8f6651dp-3"],
-        "0x1.3af04476015fbp-13",
+        ["0x1.58e1e434a4f03p-3", "0x1.630763916818fp-3", "0x1.630763916818fp-3",
+         "0x1.e07bee0a50998p-5", "0x1.630763916818fp-3", "0x1.e07bee0a50998p-5",
+         "0x1.e07bee0a50998p-5", "0x1.15aafe8f6651dp-3"],
+        "0x1.3af010318312ep-13",
     ),
     ("hard", 1e-6): (
-        ["0x1.58e1c994a90e2p-3", "0x1.63077e212170ap-3", "0x1.63077e212170ap-3",
-         "0x1.e07b840c75640p-5", "0x1.63077e212170ap-3", "0x1.e07b840c75640p-5",
-         "0x1.e07b840c75640p-5", "0x1.15ab18fe9a94ep-3"],
-        "0x1.a4792dce4e453p-20",
+        ["0x1.58e1c994a7b36p-3", "0x1.63077e212257ep-3", "0x1.63077e212257ep-3",
+         "0x1.e07b840c73958p-5", "0x1.63077e212257ep-3", "0x1.e07b840c73958p-5",
+         "0x1.e07b840c73958p-5", "0x1.15ab18fe9a94ep-3"],
+        "0x1.a4793337e4abap-20",
     ),
     ("exp", None): (
         ["0x1.bcc7fdd0831d5p-2", "0x1.28b42e360761dp-3", "0x1.28b42e360761dp-3",
@@ -76,16 +78,16 @@ PMF_PINS = {
         "0x1.99a7eb063b338p-20",
     ),
     ("table", None): (
-        ["0x1.062811c71ffcbp-2", "0x1.37eea562a9f58p-3", "0x1.37eea562a9f58p-3",
-         "0x1.2eae5891f9601p-4", "0x1.37eea562a9f58p-3", "0x1.2eae5891f9601p-4",
-         "0x1.2eae5891f9601p-4", "0x1.0bbccedd982c5p-4"],
-        "0x1.3ae92349dccb0p-13",
+        ["0x1.062811c6f71c9p-2", "0x1.37eea562e075cp-3", "0x1.37eea562e075cp-3",
+         "0x1.2eae5891c2dfdp-4", "0x1.37eea562e075cp-3", "0x1.2eae5891c2dfdp-4",
+         "0x1.2eae5891c2dfdp-4", "0x1.0bbccedd982c5p-4"],
+        "0x1.3ae92cd9e5beep-13",
     ),
     ("table", 1e-6): (
-        ["0x1.0628103d5a722p-2", "0x1.37eea8755a462p-3", "0x1.37eea8755a462p-3",
-         "0x1.2eae526e4e47fp-4", "0x1.37eea8755a462p-3", "0x1.2eae526e4e47fp-4",
-         "0x1.2eae526e4e47fp-4", "0x1.0bbcd4ff8dbb5p-4"],
-        "0x1.948c3be16d92fp-20",
+        ["0x1.0628103d5a6ffp-2", "0x1.37eea8755a490p-3", "0x1.37eea8755a490p-3",
+         "0x1.2eae526e4e451p-4", "0x1.37eea8755a490p-3", "0x1.2eae526e4e451p-4",
+         "0x1.2eae526e4e451p-4", "0x1.0bbcd4ff8dbb5p-4"],
+        "0x1.948c3cca48364p-20",
     ),
 }
 # Two-node pmfs (probs, error estimate) at the default settings.
@@ -95,7 +97,7 @@ PMF_N2_PINS = {
     "table": (["0x1.44e126a724251p-1", "0x1.763db2b1b7b5ep-2"], "0x1.86a71b6000001p-43"),
 }
 # The table has a breakpoint at every knot inside the disk, so it pins the
-# breakpoint handling of every integration level.
+# breakpoint handling of every edge axis.
 MODELS = {
     "hard": HardDisk(r0=0.4),
     "exp": ExponentialSoft(r0=0.3, beta=2.0),

@@ -27,9 +27,9 @@ from rggdist.quadrature import QuadratureSettings
 
 from helpers import (
     EdgeVector,
-    mc_pmf_tolerance,
     orbit_representative,
     outcome_is_connected,
+    pmf_fit,
     sample_pmf,
 )
 
@@ -82,8 +82,7 @@ class TestPmfN2:
         pmf = pmf_n2(model, DOMAIN)
         samples = 10_000_000
         est = sample_pmf(2, model, seed=101, samples=samples)
-        tol = mc_pmf_tolerance(pmf.probs, samples)
-        assert np.all(np.abs(est.probs - pmf.probs) <= tol)
+        assert pmf_fit(est, pmf)["pass"]
 
 
 class TestPmfN3:
@@ -118,16 +117,14 @@ class TestPmfN3:
         pmf = pmf_n3(model, DOMAIN)
         samples = 10_000_000
         est = sample_pmf(3, model, seed=202, samples=samples)
-        tol = mc_pmf_tolerance(pmf.probs, samples) + pmf.error_estimate / 8
-        assert np.all(np.abs(est.probs - pmf.probs) <= tol)
+        assert pmf_fit(est, pmf, slack=pmf.error_estimate / 8)["pass"]
 
     def test_monte_carlo_cross_check_soft(self):
         model = ExponentialSoft(r0=0.3, beta=2.0)
         pmf = pmf_n3(model, DOMAIN)
         samples = 1_000_000
         est = sample_pmf(3, model, seed=303, samples=samples)
-        tol = mc_pmf_tolerance(pmf.probs, samples) + pmf.error_estimate / 8
-        assert np.all(np.abs(est.probs - pmf.probs) <= tol)
+        assert pmf_fit(est, pmf, slack=pmf.error_estimate / 8)["pass"]
 
     def test_monte_carlo_cross_check_tabulated(self):
         from rggdist import Tabulated
@@ -136,12 +133,10 @@ class TestPmfN3:
         pmf = pmf_n3(model, DOMAIN)
         samples = 1_000_000
         est = sample_pmf(3, model, seed=307, samples=samples)
-        tol = mc_pmf_tolerance(pmf.probs, samples) + pmf.error_estimate / 8
-        assert np.all(np.abs(est.probs - pmf.probs) <= tol)
+        assert pmf_fit(est, pmf, slack=pmf.error_estimate / 8)["pass"]
         pmf2 = pmf_n2(model, DOMAIN)
         est2 = sample_pmf(2, model, seed=308, samples=samples)
-        tol2 = mc_pmf_tolerance(pmf2.probs, samples)
-        assert np.all(np.abs(est2.probs - pmf2.probs) <= tol2)
+        assert pmf_fit(est2, pmf2)["pass"]
 
     def test_tight_tolerance_settings(self):
         quad = QuadratureSettings(abs_tol=1e-6, rel_tol=0.0, max_subdivisions=800)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from rggdist import (
     estimate_entropy_sweep,
     estimate_pmf,
     estimate_pmf_sweep,
+    pair_pdf,
     pmf_n3,
     prob_complete,
     prob_connected,
 )
 from rggdist import montecarlo
 from rggdist.montecarlo import (
+    _count_fit,
     _distance_counts,
     _distance_sq_chunks,
     _Encoder,
@@ -34,6 +37,7 @@ from rggdist.montecarlo import (
     _outcome_counts,
     substream,
 )
+from rggdist.quadrature import QuadratureSettings, integrate_many
 
 from helpers import bootstrap_entropy, distance_sq_blocks_reference, sample_graph
 
@@ -70,6 +74,63 @@ def philox_state(bit_generator):
         s["has_uint32"],
         s["uinteger"],
     )
+
+
+def pair_bin_masses(nbins=50):
+    """Closed-form masses of ``validate pair``'s distance bins."""
+    edges = np.linspace(0.0, 1.0, nbins + 1)
+    masses, _ = integrate_many(
+        lambda r, which: pair_pdf(r, DOMAIN),
+        list(zip(edges[:-1], edges[1:])),
+        QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200),
+    )
+    return masses
+
+
+class TestCountFit:
+    @pytest.mark.parametrize("table", ["pair bins", "expected 0.01 to 1e5"])
+    def test_false_alarm_rate(self, monkeypatch, table):
+        # Multinomial tables drawn from the closed form itself fail at most
+        # at the stated family-wise rate, within 4 standard errors of the
+        # rate's estimate.
+        alpha, draws = 0.01, 20_000
+        monkeypatch.setattr(montecarlo, "FIT_ALPHA", alpha)
+        if table == "pair bins":
+            samples, masses = 2_000_000, pair_bin_masses()
+        else:
+            expected = np.geomspace(0.01, 1e5, 50)
+            samples, masses = round(float(np.sum(expected))), expected
+        probs = masses / np.sum(masses)
+        tables = np.random.default_rng(17).multinomial(samples, probs, size=draws)
+        fails = sum(not _count_fit(counts, probs, samples)["pass"] for counts in tables)
+        assert fails / draws <= alpha + 4.0 * math.sqrt(alpha * (1.0 - alpha) / draws)
+
+    def test_bonferroni_bound_over_entries_of_positive_mass(self):
+        fit = _count_fit([0, 600, 400], [0.0, 0.6, 0.4], 1000)
+        assert fit["pass"] and "detail" not in fit
+        assert (fit["entries_checked"], fit["worst_z"]) == (2, 0.0)
+        assert fit["alpha"] == montecarlo.FIT_ALPHA
+        assert fit["z_crit"] == NormalDist().inv_cdf(1.0 - montecarlo.FIT_ALPHA / 4)
+
+    def test_all_counts_in_one_entry(self):
+        fit = _count_fit([1000, 0, 0], [1.0, 0.0, 0.0], 1000)
+        assert fit["pass"] and fit["worst_z"] == 0.0
+
+    def test_count_where_closed_form_has_no_mass(self):
+        fit = _count_fit([999, 1], [1.0, 0.0], 1000)
+        assert not fit["pass"] and fit["worst_z"] == math.inf
+
+    def test_slack_moves_expected_counts(self):
+        # 700 counts against 600 expected at N = 1000 score |z| = 6.6; a
+        # closed form that may be off by 0.09 leaves 10 of the 100 counts
+        # (|z| = 0.7).
+        counts, probs = [700, 300], [0.6, 0.4]
+        assert not _count_fit(counts, probs, 1000)["pass"]
+        assert _count_fit(counts, probs, 1000, slack=0.09)["pass"]
+
+    def test_thin_table_fails(self):
+        fit = _count_fit([5, 4], [0.5, 0.5], 9)
+        assert not fit["pass"] and fit["detail"] == "no expected count reaches 10; take more samples"
 
 
 class TestMcSettings:

@@ -167,20 +167,23 @@ def test_integrate_many_lockstep_integral_equals_it_alone():
 
 
 def test_work_cap_stops_only_the_failing_integral():
-    # A singular integrand cannot converge within 4 bisections; it stops
-    # there and raises, and the smooth integral beside it keeps the bytes
-    # it gets alone.
+    # A singular integrand cannot converge within 4 bisections; it spends
+    # all of them and raises, and the smooth integral beside it keeps the
+    # bytes it gets alone.  Its third round wants two bisections with one
+    # left, and spends it on the larger-error piece, [0.25, 0.5].
     settings = QuadratureSettings(max_subdivisions=4)
-    seen = []
+    seen, singular = [], []
 
     def integrand(x, which):
         seen.append(np.bincount(which, minlength=2))
+        singular.append(x[which == 0])
         return np.where(which == 0, 1.0 / np.sqrt(np.abs(x - 0.3)), np.exp(5.0 * x))
 
     with pytest.raises(AccuracyError) as excinfo:
         integrate_many(integrand, [(0.0, 1.0), (0.0, 1.0)], settings)
     panels = np.sum(seen, axis=0) // 15
-    assert panels[0] <= 1 + 2 * settings.max_subdivisions
+    assert panels[0] == 1 + 2 * settings.max_subdivisions
+    assert 0.25 < singular[-1].min() and singular[-1].max() < 0.5
     alone, _ = integrate_many(lambda x, which: np.exp(5.0 * x), [(0.0, 1.0)], settings)
     assert excinfo.value.value[1].hex() == alone[0].hex()
 
