@@ -23,10 +23,12 @@ longest side and ``d`` for the circumscribed-circle diameter
 
 The density is continuous across the case boundaries but its gradient is
 not, and it blows up like ``1/sqrt(Q)`` toward degenerate (collinear)
-triples; that rim is integrable.  The integration helpers below therefore
-split the innermost axis at the analytic case-boundary points and map
-each piece through a cosine substitution that absorbs the rim
-singularity, which keeps every panel smooth.
+triples; that rim is integrable.  The rim lies at the two ends ``|p-q|``
+and ``p+q`` of every third-side line.  The line integrator below
+therefore maps each whole line once through a cosine substitution whose
+Jacobian vanishes at both ends and absorbs the rim singularity, and cuts
+the substituted line at the analytic case-boundary points, which keeps
+every piece smooth however finely it is bisected.
 
 The exact three-node pmf needs two product moments of the density,
 ``E[p(R12) p(R13)]`` and ``E[p(R12) p(R13) p(R23)]``.
@@ -54,10 +56,10 @@ each block's GK15 rules (:func:`rggdist.quadrature._gk15_sums`) right
 after evaluating it, so it keeps no integrand values beyond the block.
 Every block runs in one :class:`_Workspace` of preallocated buffers: nine
 float and four bool arrays for the kernel, the block's abscissae and its
-weighted rule terms, about 1.5 MiB per thread in all.  Each thread keeps
-its own workspace (``threading.local``) and reuses it across blocks,
-refinement rounds and calls, so the integrator allocates nothing of block
-size.  A kernel result computed in a workspace is a view into it and
+weighted rule terms, about 1.5 MiB per thread in all.
+Each thread keeps its own workspace (``threading.local``) and reuses it
+across blocks, refinement rounds and calls, so the integrator allocates
+nothing of block size.  A kernel result computed in a workspace is a view into it and
 stays valid only until the next kernel call on that thread.  Without a
 workspace (``joint_pdf3_values`` and the scalar entry points) the kernel
 allocates its buffers per call.
@@ -79,15 +81,27 @@ from .geometry import (
     _phi_clipped,
     triangle_quantities,
 )
-from .quadrature import GK15_NODES01, QuadratureSettings, _bisect, _gk15_sums, integrate_many
+from .quadrature import GK15_NODES, QuadratureSettings, _bisect, _gk15_sums, integrate_many
 
 _PI2 = math.pi * math.pi
 
-# cos(pi*u) and sin(pi*u) at the GK15 nodes of the cosine substitution
-# ``t = mid - half*cos(pi*u)`` used by :func:`_line_segments`.
-_GK15_COS = np.cos(math.pi * GK15_NODES01)
-_GK15_SIN = np.sin(math.pi * GK15_NODES01)
-_NODES = len(GK15_NODES01)
+_NODES = len(GK15_NODES)
+
+# How close, in u, the line integrator's nodes may come to a degenerate
+# end of a third-side line (see :func:`_line_segments`).  Near such an end
+# the density is ``A/sqrt(s) + B + O(sqrt(s))`` in the distance s from it,
+# and ``s = (b - a)*sin(pi*u/2)**2``, so the substituted integrand is
+# ``h(u) = pi*A*sqrt(b - a) + O(u)``: it tends to a constant.  Nodes held
+# at u = eps in place of u < eps therefore move the integral by at most
+# ``max|h'|*eps**2/2``: about 1e-12 at eps = 1e-5 on the lines of the
+# end-break test, and already 4.8e-11 at 1e-4.  Nearer the end, s falls
+# toward the spacing of the floats there (about 1e-16): at u = 1e-5, s
+# is 2.5e-10*(b - a), a relative rounding of 4e-7/(b - a); at u = 1e-6
+# the rounding shows in the line values (3.5e-11); and with no clamp a
+# node can round onto the end itself, where the kernel reads
+# Q <= DEGENERATE_Q_EPS*c**4 and returns 0, so a sliver piece at the end
+# loses its mass (up to 1e-7) and reports an error of 0.
+_END_CLAMP_U = 1e-5
 
 # Pieces (lines of 15 GK15 nodes) per density-kernel block of the line
 # integrator: 1024 keeps each workspace buffer at 15,360 doubles (120 KiB),
@@ -151,8 +165,9 @@ class _Workspace:
     """One thread's preallocated buffers for the line integrator.
 
     ``floats``/``flags`` serve the density kernel (see :func:`_buffers`),
-    ``nodes`` and ``terms`` hold a block's GK15 abscissae and weighted rule
-    terms; :func:`_line_segments` sums each block before the next.
+    ``nodes`` and ``terms`` hold a block's third sides and weighted rule
+    terms (and, until the rule sums, the substitution's Jacobian);
+    :func:`_line_segments` sums each block before the next.
     """
 
     def __init__(self, lines):
@@ -521,67 +536,96 @@ def _inner_breakpoint_candidates(p, q, D):
 def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
     """Refined pieces of the third-side integrals of the joint density.
 
-    One line per (p, q) pair, integrated over [a, b] and split at the
-    case-boundary points and at the per-line ``breaks`` (shape ``(k, j)``);
-    a line with ``a > b`` is empty and gets no pieces.  Each smooth piece
-    is mapped through ``t = mid - half*cos(pi*u)``, whose Jacobian
-    vanishes like u at the endpoints and therefore cancels the ``1/sqrt``
-    blow-up of the density at degenerate triples.  The pieces of lines
-    above the per-line budget ``max(line_tol, 1e-13*|line value|)`` are
-    bisected by :func:`rggdist.quadrature._bisect` for up to
-    ``max_rounds`` rounds.  Returns the pieces as (lo, hi, owning line,
-    value, error estimate) arrays.
+    One line per (p, q) pair, integrated over [a, b]; a line with
+    ``a >= b`` is empty and gets no pieces.  Each whole line is mapped
+    once, by ``t = a + (b - a)*(1 - cos(pi*u))/2`` for u in [0, 1], whose
+    Jacobian ``(b - a)*(pi/2)*sin(pi*u)`` vanishes like ``sqrt(t - a)``
+    and ``sqrt(b - t)`` at the two ends and therefore cancels the
+    ``1/sqrt`` blow-up of the density at a degenerate end (``a <= |p-q|``
+    or ``b >= p+q``) on every piece, however small.  The case-boundary
+    points and the per-line ``breaks`` (shape ``(k, j)``) are mapped into
+    u, ``u = arccos(1 - 2*(t - a)/(b - a))/pi``, and cut the line into
+    smooth pieces, which the plain GK15 rule integrates in u.  At a
+    degenerate end the nodes keep ``_END_CLAMP_U`` away from it.  The
+    pieces of lines above the per-line budget
+    ``max(line_tol, 1e-13*|line value|)`` are bisected in u by
+    :func:`rggdist.quadrature._bisect` for up to ``max_rounds`` rounds.
+    Returns the pieces as (t-lo, t-hi, owning line, value, error estimate)
+    arrays.
     """
     k = len(p)
-    b = np.maximum(a, b)
+    span = np.maximum(b - a, 0.0)
     cands = np.concatenate([_inner_breakpoint_candidates(p, q, D), breaks], axis=1)
-    cands = np.clip(cands, a[:, None], b[:, None])
-    edges = np.sort(np.concatenate([a[:, None], cands, b[:, None]], axis=1), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.clip((cands - a[:, None]) / span[:, None], 0.0, 1.0)
+    u_breaks = np.arccos(np.subtract(1.0, 2.0 * frac, out=frac), out=frac) / math.pi
+    zeros, ones = np.zeros((k, 1)), np.ones((k, 1))
+    edges = np.sort(np.concatenate([zeros, u_breaks, ones], axis=1), axis=1)
 
     seg_lo = edges[:, :-1].ravel()
     seg_hi = edges[:, 1:].ravel()
     owner = np.repeat(np.arange(k), edges.shape[1] - 1)
-    keep = seg_hi > seg_lo
+    keep = (seg_hi > seg_lo) & (span > 0.0)[owner]
     seg_lo, seg_hi, owner = seg_lo[keep], seg_hi[keep], owner[keep]
+    # The nodes' range in u: [_END_CLAMP_U, 1 - _END_CLAMP_U] at degenerate ends.
+    u_min = np.where(a <= np.abs(p - q), _END_CLAMP_U, 0.0)
+    u_max = np.where(b >= p + q, 1.0 - _END_CLAMP_U, 1.0)
+    half_span = 0.5 * span
     ws = _workspace()
 
-    def eval_segments(s_lo, s_hi, own):
-        # Node-major (15, pieces) blocks.  The Jacobian half*pi*sin(pi*u)
-        # splits: sin at the nodes, and half*pi/2 scales the sums (the 1/2
-        # maps the rule from [-1, 1] onto [0, 1]).
-        half = 0.5 * (s_hi - s_lo)
-        mid = 0.5 * (s_hi + s_lo)
-        scale = half * (0.5 * math.pi)
-        p_own = p[own]
-        q_own = q[own]
-        val, err = np.empty((2, len(s_lo)))
-        for lo in range(0, len(s_lo), _LINE_BLOCK):
+    def eval_pieces(u_lo, u_hi, own):
+        # Node-major (15, pieces) blocks.  The Jacobian splits: sin(pi*u)
+        # at the nodes, and (b - a)*pi/2 times the piece's half-width in u
+        # scales the sums.
+        half = 0.5 * (u_hi - u_lo)
+        mid = 0.5 * (u_hi + u_lo)
+        scale = half * span[own] * (0.5 * math.pi)
+        p_own, q_own = p[own], q[own]
+        a_own, half_span_own = a[own], half_span[own]
+        u_min_own, u_max_own = u_min[own], u_max[own]
+        val, err = np.empty((2, len(u_lo)))
+        for lo in range(0, len(u_lo), _LINE_BLOCK):
             blk = slice(lo, lo + _LINE_BLOCK)
             m = len(val[blk])
+            # pi*u, then t = a + (b-a)*(1 - cos)/2 in ``nodes``, then
+            # sin(pi*u) in place.  The angle and sine borrow the first half
+            # of ``terms``, which the rule sums fill only after the sine
+            # has been applied.
+            angle = ws.terms[: _NODES * m].reshape(_NODES, m)
+            np.multiply(GK15_NODES[:, None], half[blk], out=angle)
+            angle += mid[blk]
+            np.clip(angle, u_min_own[blk], u_max_own[blk], out=angle)
+            angle *= math.pi
             t = ws.nodes[: _NODES * m].reshape(_NODES, m)
-            np.multiply(_GK15_COS[:, None], half[blk], out=t)
-            np.subtract(mid[blk], t, out=t)
+            np.cos(angle, out=t)
+            np.subtract(1.0, t, out=t)
+            t *= half_span_own[blk]
+            t += a_own[blk]
+            jacobian = np.sin(angle, out=angle)
             g = _pdf3_batch(p_own[None, blk], q_own[None, blk], t, D, ws=ws)
             if weight is not None:
                 g *= weight(t)
-            g *= _GK15_SIN[:, None]
+            g *= jacobian
             terms = ws.terms[: 2 * _NODES * m].reshape(_NODES, 2, m)
             val[blk], err[blk] = _gk15_sums(g, scale[blk], terms)
         return val, err
 
-    return _bisect(
-        eval_segments, seg_lo, seg_hi, owner, k,
+    u_lo, u_hi, owner, val, err, _ = _bisect(
+        eval_pieces, seg_lo, seg_hi, owner, k,
         lambda v: np.maximum(line_tol, 1e-13 * np.abs(v)), max_rounds=max_rounds,
-    )[:5]
+    )
+    t_lo, t_hi = (a[owner] + half_span[owner] * (1.0 - np.cos(math.pi * u)) for u in (u_lo, u_hi))
+    return t_lo, t_hi, owner, val, err
 
 
 def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11):
     """Integrals over the third side t of joint density times weight.
 
     One line per (p, q) pair, integrated over [lo, hi] intersected with
-    the triangle-inequality interval and [0, D], by the substituted
-    piecewise rule of :func:`_line_segments` with up to 6 refinement
-    rounds.  Returns (values, error_estimates).
+    the triangle-inequality interval and [0, D], by :func:`_line_segments`
+    (one cosine map per line, cut at the case boundaries and at
+    ``extra_breaks``) with up to 6 refinement rounds.  Returns
+    (values, error_estimates).
     """
     p = np.asarray(p, float).ravel()
     q = np.asarray(q, float).ravel()
@@ -652,10 +696,11 @@ def _per_cell_line_integrals(p, q, edges, D):
     """Third-side integrals of the joint density bucketed per grid cell.
 
     Like :func:`_inner_lines` over the full admissible interval, but with
-    the grid edges added as segment boundaries, each line's budget
-    ``_CELL_LINE_TOL`` and 4 refinement rounds, and each segment's
-    contribution accumulated into the cell containing it.  Returns an
-    array of shape ``(len(p), len(edges) - 1)``.
+    the grid edges added as breaks (mapped into u like the case
+    boundaries), each line's budget ``_CELL_LINE_TOL`` and 4 refinement
+    rounds, and each segment's contribution accumulated into the cell
+    holding its midpoint in t.  Returns an array of shape
+    ``(len(p), len(edges) - 1)``.
     """
     p = np.asarray(p, float).ravel()
     q = np.asarray(q, float).ravel()
@@ -677,13 +722,15 @@ def _per_cell_line_integrals(p, q, edges, D):
 def joint_pdf3_cell_masses(domain: DiskDomain, edges) -> np.ndarray:
     """Probability mass of the joint density in every cell of a cubic grid.
 
-    The third axis is integrated with the substituted piecewise rule and
-    bucketed per cell; the middle axis is split exactly at the lines where
-    the admissible third-side interval crosses a grid edge (the per-cell
-    mass has square-root edges there) with the same cosine substitution;
-    the first axis uses a per-cell Gauss rule, its kinks having been
-    smoothed by the inner integrations.  Used to build expected histogram
-    counts for Monte Carlo validation.
+    The third axis is integrated by :func:`_per_cell_line_integrals`,
+    one cosine-mapped line per (p, q) cut at the grid edges, and bucketed
+    per cell.  The middle axis is split exactly where the admissible
+    third-side interval crosses a grid edge (the per-cell mass has
+    square-root edges there), and each of its pieces is mapped through its
+    own cosine substitution ``q = mid - half*cos(pi*u)`` under a 5-point
+    Gauss rule; the first axis uses a per-cell Gauss rule, its kinks
+    having been smoothed by the inner integrations.  Used to build
+    expected histogram counts for Monte Carlo validation.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):

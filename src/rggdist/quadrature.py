@@ -77,9 +77,6 @@ def _build_rule():
 
 GK15_NODES, GK15_WEIGHTS, G7_WEIGHTS = _build_rule()
 
-# The nodes mapped to [0, 1]; convenient for substituted integrals.
-GK15_NODES01 = 0.5 * (GK15_NODES + 1.0)
-
 # Node-major like the integrand values: column 0 weighs the Kronrod sum,
 # column 1 the Kronrod minus Gauss difference.
 _RULE_WEIGHTS = np.stack([GK15_WEIGHTS, GK15_WEIGHTS - G7_WEIGHTS], axis=1)[..., None]

@@ -23,6 +23,7 @@ from rggdist import (
     pair_pdf_on_circle,
     sample_points_in_disk,
 )
+from rggdist import HardDisk, distances, pmf_n3
 from rggdist.distances import _inner_lines, _per_cell_line_integrals
 from rggdist.montecarlo import _count_fit, substream
 from rggdist.quadrature import QuadratureSettings, integrate, integrate_many
@@ -343,6 +344,44 @@ class TestLineIntegrals:
         whole, _ = _inner_lines(p, q, 0.0, 1.0, 1.0, line_tol=1e-11)
         assert np.all(whole > 0.0)
         assert np.max(np.abs(cells.sum(axis=1) - whole)) <= 1e-9 + 1e-11
+
+    @pytest.mark.parametrize(
+        "p, q, end",
+        [(0.9, 0.2, "low"), (0.3, 0.4, "high"), (0.45, 0.05, "low"), (0.45, 0.05, "high")],
+    )
+    def test_breaks_near_degenerate_ends(self, p, q, end):
+        # A break just inside a degenerate end (|p - q| or p + q, where the
+        # density blows up like 1/sqrt) leaves a sliver piece between them.
+        # Its nodes must neither drop the sliver's mass nor hide the loss
+        # from the error estimate: the line with the break equals the line
+        # without it within the line budget and both reported errors.
+        line_tol = 1e-11
+        whole, whole_err = _inner_lines([p], [q], 0.0, 1.0, 1.0, line_tol=line_tol)
+        for offset in (0.0, 1e-16, 1e-15, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+            brk = abs(p - q) + offset if end == "low" else p + q - offset
+            value, err = _inner_lines(
+                [p], [q], 0.0, 1.0, 1.0, extra_breaks=(brk,), line_tol=line_tol
+            )
+            assert abs(value[0] - whole[0]) <= line_tol + err[0] + whole_err[0], offset
+
+    def test_lines_converge_at_tight_tolerance(self, monkeypatch):
+        # With one cosine map per line, the third-side lines of a tight
+        # exact pmf meet their budgets in a few pieces (about 0.01% above
+        # budget at 5.6 pieces per line; a map per piece left 64% above
+        # budget at 45 pieces per line).
+        counts = []
+        bisect = distances._bisect
+
+        def counting_bisect(*args, **kwargs):
+            lo, hi, owner, val, err, converged = bisect(*args, **kwargs)
+            counts.append((len(converged), np.count_nonzero(~converged), len(lo)))
+            return lo, hi, owner, val, err, converged
+
+        monkeypatch.setattr(distances, "_bisect", counting_bisect)
+        pmf_n3(HardDisk(r0=0.4), DOMAIN, QuadratureSettings(abs_tol=1e-8))
+        lines, above_budget, pieces = np.sum(counts, axis=0)
+        assert above_budget <= 0.01 * lines
+        assert pieces <= 8 * lines
 
     @pytest.mark.parametrize(
         "diameter, edges",

@@ -1,20 +1,17 @@
 """Pins of the exact (quadrature) outputs, plus the memory and the
 empty-interval behaviour of the line integrator behind them.
 
-The pinned exponential three-node pmf bytes were recorded when
-``integrate_many`` began to refine with the line integrator's bisection
-loop; the line-integrator pins held through that change.  The two-node
-pins were recorded before the pair probability and the product moments
-began to share one edge-axis rule.  The hard and tabulated three-node
-pins were recorded when the second moment's third side, which is no
-edge, stopped splitting at the model's breakpoints.  Any later change
-of the integrators must reproduce them exactly.  No pinned value
-passes through BLAS, so they do not depend on the BLAS library or
-its thread count.  They do depend on how numpy's ``arccos``/``exp``
-round, which varies with the CPU's SIMD features (with numpy's AVX-512
-loops disabled both the pins and the fingerprint below change), so the
-byte pins run only where that fingerprint matches the one recorded with
-them.
+The two-node pins were recorded before the pair probability and the
+product moments began to share one edge-axis rule.  The three-node pmf,
+cell-mass and line pins were recorded when the line integrator began to
+map each third-side line once through one cosine substitution.  Any
+later change of the integrators must reproduce them exactly.  No pinned
+value passes through BLAS, so they do not depend on the BLAS library or
+its thread count.  They do depend on how numpy's ``arccos``/``exp`` and
+the ``cos``/``sin`` of the line substitution round, which varies with the
+CPU's SIMD features (with numpy's AVX-512 loops disabled both the pins
+and the fingerprint below change), so the byte pins run only where that
+fingerprint matches the one recorded with them.
 """
 
 import hashlib
@@ -41,53 +38,53 @@ DOMAIN = DiskDomain(1.0)
 def rounding_fingerprint():
     x = np.linspace(0.0, 1.0, 1001)
     digest = hashlib.sha256()
-    for arr in (np.arccos(x), np.exp(-x)):
+    for arr in (np.arccos(x), np.exp(-x), np.cos(np.pi * x), np.sin(np.pi * x)):
         digest.update(arr.tobytes())
     return digest.hexdigest()
 
 
-RECORDED_FINGERPRINT = "a21dd5cfb22ca985c01836054fb3fc49064db27009464839cb02f9eefe912746"
+RECORDED_FINGERPRINT = "628dae195863577d6ca36033966855ca3e3a2a25548970f67f935030cd7a6cbd"
 same_rounding = pytest.mark.skipif(
     rounding_fingerprint() != RECORDED_FINGERPRINT,
-    reason="arccos or exp round differently here than where the pins were recorded",
+    reason="arccos, exp, cos or sin round differently here than where the pins were recorded",
 )
 
 PMF_PINS = {
     ("hard", None): (
-        ["0x1.58e1e434a4f03p-3", "0x1.630763916818fp-3", "0x1.630763916818fp-3",
-         "0x1.e07bee0a50998p-5", "0x1.630763916818fp-3", "0x1.e07bee0a50998p-5",
-         "0x1.e07bee0a50998p-5", "0x1.15aafe8f6651dp-3"],
-        "0x1.3af010318312ep-13",
+        ["0x1.58e1e41a496b9p-3", "0x1.6307639ba6619p-3", "0x1.6307639ba6619p-3",
+         "0x1.e07bee21cc678p-5", "0x1.6307639ba6619p-3", "0x1.e07bee21cc678p-5",
+         "0x1.e07bee21cc678p-5", "0x1.15aafe796a223p-3"],
+        "0x1.3af07369b4cc8p-13",
     ),
     ("hard", 1e-6): (
-        ["0x1.58e1c994a7b36p-3", "0x1.63077e212257ep-3", "0x1.63077e212257ep-3",
-         "0x1.e07b840c73958p-5", "0x1.63077e212257ep-3", "0x1.e07b840c73958p-5",
-         "0x1.e07b840c73958p-5", "0x1.15ab18fe9a94ep-3"],
-        "0x1.a4793337e4abap-20",
+        ["0x1.58e1c9949c7e5p-3", "0x1.63077e2126414p-3", "0x1.63077e2126414p-3",
+         "0x1.e07b840c811f4p-5", "0x1.63077e2126414p-3", "0x1.e07b840c811f4p-5",
+         "0x1.e07b840c811f4p-5", "0x1.15ab18fe8fe6bp-3"],
+        "0x1.a479b6e357dedp-20",
     ),
     ("exp", None): (
-        ["0x1.bcc7fdd0831d5p-2", "0x1.28b42e360761dp-3", "0x1.28b42e360761dp-3",
-         "0x1.1dfc860997a22p-5", "0x1.28b42e360761dp-3", "0x1.1dfc860997a22p-5",
-         "0x1.1dfc860997a22p-5", "0x1.aeb0a9ad8f313p-6"],
-        "0x1.d344b3ba7cbdcp-13",
+        ["0x1.bcc7fdcfafaa8p-2", "0x1.28b42e36af452p-3", "0x1.28b42e36af452p-3",
+         "0x1.1dfc860af41e5p-5", "0x1.28b42e36af452p-3", "0x1.1dfc860af41e5p-5",
+         "0x1.1dfc860af41e5p-5", "0x1.aeb0a9a2de264p-6"],
+        "0x1.d344c3d654cecp-13",
     ),
     ("exp", 1e-6): (
-        ["0x1.bcc7fdce3b256p-2", "0x1.28b42e3850031p-3", "0x1.28b42e3850031p-3",
-         "0x1.1dfc860992582p-5", "0x1.28b42e3850031p-3", "0x1.1dfc860992582p-5",
-         "0x1.1dfc860992582p-5", "0x1.aeb0a99b5f4f9p-6"],
-        "0x1.99a7eb063b338p-20",
+        ["0x1.bcc7fdce35a3ep-2", "0x1.28b42e38561e1p-3", "0x1.28b42e38561e1p-3",
+         "0x1.1dfc86098d8bap-5", "0x1.28b42e38561e1p-3", "0x1.1dfc86098d8bap-5",
+         "0x1.1dfc86098d8bap-5", "0x1.aeb0a99b41a99p-6"],
+        "0x1.99a9a0e770ef6p-20",
     ),
     ("table", None): (
-        ["0x1.062811c6f71c9p-2", "0x1.37eea562e075cp-3", "0x1.37eea562e075cp-3",
-         "0x1.2eae5891c2dfdp-4", "0x1.37eea562e075cp-3", "0x1.2eae5891c2dfdp-4",
-         "0x1.2eae5891c2dfdp-4", "0x1.0bbccedd982c5p-4"],
-        "0x1.3ae92cd9e5beep-13",
+        ["0x1.062811c668641p-2", "0x1.37eea5633d526p-3", "0x1.37eea5633d526p-3",
+         "0x1.2eae58928a4f4p-4", "0x1.37eea5633d526p-3", "0x1.2eae58928a4f4p-4",
+         "0x1.2eae58928a4f4p-4", "0x1.0bbccedb4f944p-4"],
+        "0x1.3ae931589d9b7p-13",
     ),
     ("table", 1e-6): (
-        ["0x1.0628103d5a6ffp-2", "0x1.37eea8755a490p-3", "0x1.37eea8755a490p-3",
-         "0x1.2eae526e4e451p-4", "0x1.37eea8755a490p-3", "0x1.2eae526e4e451p-4",
-         "0x1.2eae526e4e451p-4", "0x1.0bbcd4ff8dbb5p-4"],
-        "0x1.948c3cca48364p-20",
+        ["0x1.0628103d5a399p-2", "0x1.37eea8755a750p-3", "0x1.37eea8755a750p-3",
+         "0x1.2eae526e4e6dep-4", "0x1.37eea8755a750p-3", "0x1.2eae526e4e6dep-4",
+         "0x1.2eae526e4e6dep-4", "0x1.0bbcd4ff8d11cp-4"],
+        "0x1.948c286405cf1p-20",
     ),
 }
 # Two-node pmfs (probs, error estimate) at the default settings.
@@ -128,7 +125,7 @@ class TestExactOutputPins:
         assert masses.dtype == np.float64 and masses.shape == (5, 5, 5)
         assert (
             hashlib.sha256(masses.tobytes()).hexdigest()
-            == "ff87574b0a73f9d5519c8c3cdfe4341469206e63035c22230f3d32606903086f"
+            == "14d936d27af816628bd5ea9ccc5ccd757bf8df9a7a161f6a2c072998567016df"
         )
 
     def test_inner_lines(self):
@@ -140,7 +137,7 @@ class TestExactOutputPins:
         )
         assert (
             hashlib.sha256(values.tobytes() + errors.tobytes()).hexdigest()
-            == "ec20e124dc01b11751017a8973becf7caa5a6a04f8781e1e4fbd1515b97a1997"
+            == "31b79f7620294a61fe40eeb43391ab1618a6866c662e3a30a3a0d0e5cb91847f"
         )
 
 
@@ -164,7 +161,7 @@ class TestLineIntegratorMemory:
     def test_peak_memory_after_warm_up(self):
         # The kernel blocks run in a reused per-thread workspace, so a
         # repeated call allocates nothing of block size.  Before blocking
-        # this peak was 9.3 MiB; it is about 1.5 MiB now.
+        # this peak was 9.3 MiB; it is about 1.2 MiB now.
         model = ExponentialSoft(r0=0.3, beta=2.0)
         quad = QuadratureSettings(abs_tol=1e-6)
         pmf_n3(model, DOMAIN, quad)
