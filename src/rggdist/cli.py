@@ -37,6 +37,7 @@ from .geometry import (
     triangle_quantities,
 )
 from .graphdist import (
+    _pmf_n3_many,
     entropy_bits,
     entropy_error_bound,
     exact_pmf,
@@ -305,9 +306,11 @@ def _cmd_sweep_connectivity(args) -> int:
     if args.mc:
         mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
         pmfs = estimate_pmf_sweep(args.n, models, domain, mc)
+    elif args.n == 3:
+        pmfs = _pmf_n3_many(models, domain, _quad_settings(args))
     else:
         quad = _quad_settings(args)
-        pmfs = [exact_pmf(args.n, model, domain, quad) for model in models]
+        pmfs = [pmf_n2(model, domain, quad) for model in models]
     rows = [
         (float(r0), prob_connected(pmf), prob_complete(pmf), pmf.method, float(pmf.error_estimate))
         for r0, pmf in zip(grid, pmfs)
@@ -348,10 +351,9 @@ def _cmd_sweep_entropy(args) -> int:
     models = [_sweep_model(args, float(r0)) for r0 in grid]
 
     def exact_pmfs():
-        return [
-            (pmf_n2(model, domain, quad), pmf_n3(model, domain, quad) if n >= 3 else None)
-            for model in models
-        ]
+        pmf2s = [pmf_n2(model, domain, quad) for model in models]
+        pmf3s = _pmf_n3_many(models, domain, quad) if n >= 3 else [None] * len(models)
+        return list(zip(pmf2s, pmf3s))
 
     if args.mc:
         # The exact bound columns are computed while the sampler runs.

@@ -30,15 +30,25 @@ Jacobian vanishes at both ends and absorbs the rim singularity, and cuts
 the substituted line at the analytic case-boundary points, which keeps
 every piece smooth however finely it is bisected.
 
-The exact three-node pmf needs two product moments of the density,
-``E[p(R12) p(R13)]`` and ``E[p(R12) p(R13) p(R23)]``.
-:func:`_product_moment` computes both with one axis rule, which the
-caller derives from the connection model
-(:func:`rggdist.graphdist._edge_axis`): a hard disk truncates every edge
-axis at ``min(r0, D)``, any other model weights [0, D] by its connection
-probability, and every edge axis splits at the model's breakpoints.  The
-side that is no edge (``R23`` in the first moment) runs over [0, D]
-unweighted and unsplit, since the model does not kink there.
+The exact three-node pmf needs two product moments,
+``M2 = E[p(R12) p(R13)]`` and ``M3 = E[p(R12) p(R13) p(R23)]``, with every
+edge axis set up by one rule that the caller derives from the connection
+model (:func:`rggdist.graphdist._edge_axis`): a hard disk truncates it at
+``min(r0, D)``, any other model weights [0, D] by its connection
+probability, and it splits at the model's breakpoints.
+
+* M2 needs no three-distance density.  Given node 1 at distance rho from
+  the centre, nodes 2 and 3 connect to it independently with probability
+  ``g(rho)``, the coverage function, so ``M2 = E[g**2]``
+  (:func:`_coverage_moment`).  For a hard disk ``g`` is a lens area in
+  closed form (:func:`_lens_area`); otherwise it is a one-dimensional
+  integral over the circles about node 1 (:func:`_arc_integrals`).
+* A hard disk's M3 is the distribution function of the longest side at
+  ``min(r0, D)``.  :func:`_longest_side_cdf` integrates the longest side's
+  density once, cut at every range a sweep asks for, and reads M3 at each
+  from the cumulative panel sums.
+* Any other model's M3 integrates the joint density over the full cube of
+  its three edge axes (:func:`_product_moment`).
 
 Both closed-form kernels (:func:`_pdf3_batch` and the conditional
 :func:`_cond_pdf3_batch`) run in one straight-line pass.  A 3-element
@@ -69,11 +79,12 @@ from __future__ import annotations
 
 import math
 import threading
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .geometry import (
     DEGENERATE_Q_EPS,
     DiskDomain,
@@ -81,7 +92,15 @@ from .geometry import (
     _phi_clipped,
     triangle_quantities,
 )
-from .quadrature import GK15_NODES, QuadratureSettings, _bisect, _gk15_sums, integrate_many
+from .quadrature import (
+    GK15_NODES,
+    QuadratureSettings,
+    _bisect,
+    _gk15_sums,
+    _panel_batch,
+    integrate,
+    integrate_many,
+)
 
 _PI2 = math.pi * math.pi
 
@@ -551,7 +570,7 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
     ``max(line_tol, 1e-13*|line value|)`` are bisected in u by
     :func:`rggdist.quadrature._bisect` for up to ``max_rounds`` rounds.
     Returns the pieces as (t-lo, t-hi, owning line, value, error estimate)
-    arrays.
+    arrays, and whether each line met its budget.
     """
     k = len(p)
     span = np.maximum(b - a, 0.0)
@@ -610,22 +629,33 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
             val[blk], err[blk] = _gk15_sums(g, scale[blk], terms)
         return val, err
 
-    u_lo, u_hi, owner, val, err, _ = _bisect(
+    u_lo, u_hi, owner, val, err, converged = _bisect(
         eval_pieces, seg_lo, seg_hi, owner, k,
         lambda v: np.maximum(line_tol, 1e-13 * np.abs(v)), max_rounds=max_rounds,
     )
     t_lo, t_hi = (a[owner] + half_span[owner] * (1.0 - np.cos(math.pi * u)) for u in (u_lo, u_hi))
-    return t_lo, t_hi, owner, val, err
+    return t_lo, t_hi, owner, val, err, converged
 
 
-def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11):
+@dataclass
+class _LineStats:
+    """Counts of the third-side lines one computation integrated: all of
+    them, and those still above their budget after the last refinement
+    round."""
+
+    lines: int = 0
+    over_budget: int = 0
+
+
+def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11, stats=None):
     """Integrals over the third side t of joint density times weight.
 
     One line per (p, q) pair, integrated over [lo, hi] intersected with
     the triangle-inequality interval and [0, D], by :func:`_line_segments`
     (one cosine map per line, cut at the case boundaries and at
     ``extra_breaks``) with up to 6 refinement rounds.  Returns
-    (values, error_estimates).
+    (values, error_estimates); a :class:`_LineStats` ``stats`` counts the
+    lines and those left above budget.
     """
     p = np.asarray(p, float).ravel()
     q = np.asarray(q, float).ravel()
@@ -635,27 +665,31 @@ def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11):
     a = np.maximum(lo, np.abs(p - q))
     b = np.minimum(np.minimum(hi, p + q), D)
     breaks = np.broadcast_to(np.asarray(extra_breaks, float), (k, len(extra_breaks)))
-    _, _, owner, seg_val, seg_err = _line_segments(p, q, a, b, D, breaks, weight, line_tol, 6)
+    _, _, owner, seg_val, seg_err, converged = _line_segments(
+        p, q, a, b, D, breaks, weight, line_tol, 6
+    )
+    if stats is not None:
+        stats.lines += k
+        stats.over_budget += int(np.count_nonzero(~converged))
     values = np.bincount(owner, weights=seg_val, minlength=k)
     errors = np.bincount(owner, weights=seg_err, minlength=k)
     return values, errors
 
 
-def _product_moment(domain, hi, weight, breaks, edges, abs_tol, max_subdivisions):
-    """Product moment of the joint density over ``edges`` (2 or 3) edge axes.
+def _product_moment(domain, hi, weight, breaks, abs_tol, max_subdivisions, stats=None):
+    """``E[p(R12) p(R13) p(R23)]``, the product moment of the joint density
+    over three edge axes.
 
-    Sides 12 and 13 run over [0, hi] times ``weight`` (``None`` for 1);
-    side 23 does too when ``edges == 3``, and otherwise runs over [0, D]
-    unweighted and unsplit.  Every edge axis splits at ``breaks``.  The
-    outer two axes use adaptive panels (the middle axis in lockstep across
-    each outer panel's nodes); the innermost axis uses the substituted
-    piecewise rule of :func:`_inner_lines`.  Returns (value, error estimate); the estimate
+    Every side runs over [0, hi] times ``weight`` (``None`` for 1) and
+    splits at ``breaks``.  The outer two axes use adaptive panels (the
+    middle axis in lockstep across each outer panel's nodes); the innermost
+    axis uses the substituted piecewise rule of :func:`_inner_lines`, whose
+    lines ``stats`` counts.  Returns (value, error estimate); the estimate
     includes the budgets allotted to the inner levels.
     """
     D = domain.diameter
     if hi <= 0.0:
         return 0.0, 0.0
-    hi23, w23, breaks23 = (hi, weight, breaks) if edges == 3 else (D, None, ())
     tol_inner = 0.05 * abs_tol / (hi * hi)
     mid_settings = QuadratureSettings(
         abs_tol=0.25 * abs_tol / hi, rel_tol=0.0, max_subdivisions=max_subdivisions
@@ -664,18 +698,18 @@ def _product_moment(domain, hi, weight, breaks, edges, abs_tol, max_subdivisions
     def outer_integrand(p_batch, _):
         def mid_integrand(q_flat, own):
             vals, _ = _inner_lines(
-                p_batch[own], q_flat, 0.0, hi23, D,
-                weight=w23, extra_breaks=breaks23, line_tol=tol_inner,
+                p_batch[own], q_flat, 0.0, hi, D,
+                weight=weight, extra_breaks=breaks, line_tol=tol_inner, stats=stats,
             )
             return vals if weight is None else vals * weight(q_flat)
 
         # Panel edges where the third-side interval
-        # [|p - q|, min(p + q, hi23, D)] kinks: q = p, hi23 - p and D - p.
+        # [|p - q|, min(p + q, hi, D)] kinks: q = p, hi - p and D - p.
         mid_vals, _ = integrate_many(
             mid_integrand,
             [(0.0, hi)] * len(p_batch),
             mid_settings,
-            breakpoints=[(pv, hi23 - pv, D - pv) + breaks for pv in p_batch],
+            breakpoints=[(pv, hi - pv, D - pv) + breaks for pv in p_batch],
         )
         return mid_vals if weight is None else mid_vals * weight(p_batch)
 
@@ -684,6 +718,169 @@ def _product_moment(domain, hi, weight, breaks, edges, abs_tol, max_subdivisions
     )
     values, errors = integrate_many(outer_integrand, [(0.0, hi)], outer_settings, [breaks])
     return float(values[0]), float(errors[0]) + 0.3 * abs_tol
+
+
+def _longest_side_cdf(domain, his, abs_tol, max_subdivisions, stats=None):
+    """Hard-disk ``M3 = P(longest side <= h)`` at every ``h`` in ``his``,
+    from one pass over the longest side.
+
+    ``M3(h) = 3*int_0^h dc int_0^c dq int_{c-q}^c f(c, q, t) dt``: the
+    factor 3 counts which side is longest.  The innermost axis is
+    :func:`_inner_lines` (whose lines ``stats`` counts), the middle one
+    runs in lockstep across the outer nodes, and the outer c axis is cut
+    at every requested ``h`` and refined by
+    :func:`rggdist.quadrature._bisect` as one integral, so the panels'
+    cumulative sums give M3 at every ``h`` and every point's cumulative
+    error stays within the one outer budget.  Returns (values, error
+    estimates) in the order of ``his``; each estimate adds the budgets
+    allotted to the inner levels.  Raises :class:`AccuracyError` if the
+    outer axis would need more than ``max_subdivisions`` bisections.
+    """
+    D = domain.diameter
+    his = np.asarray(his, float)
+    values, errors = np.zeros(len(his)), np.zeros(len(his))
+    # Sorted without np.unique, whose first call imports numpy.ma (0.7 MB).
+    cuts = np.array(sorted({float(h) for h in his if h > 0.0}))
+    if len(cuts) == 0:
+        return values, errors
+    top = cuts[-1]
+    tol_inner = 0.05 * abs_tol / (1.5 * top * top)
+    mid_settings = QuadratureSettings(
+        abs_tol=0.25 * abs_tol / (3.0 * top), rel_tol=0.0, max_subdivisions=max_subdivisions
+    )
+
+    def longest_side_pdf(c, _):
+        def mid_integrand(q_flat, own):
+            vals, _ = _inner_lines(
+                c[own], q_flat, 0.0, c[own], D, line_tol=tol_inner, stats=stats
+            )
+            return vals
+
+        mid_vals, _ = integrate_many(mid_integrand, [(0.0, cv) for cv in c], mid_settings)
+        return 3.0 * mid_vals
+
+    def panels(lo, hi, own):
+        # One outer panel (15 longest sides) at a time, as in a full cube:
+        # every panel of a 40-point sweep at once held 5 MiB of line pieces.
+        sums = [_panel_batch(longest_side_pdf, own[k : k + 1], lo[k : k + 1], hi[k : k + 1])
+                for k in range(len(lo))]
+        return tuple(np.concatenate(part) for part in zip(*sums))
+
+    edges = np.concatenate([[0.0], cuts])
+    lo, hi, _, val, err, converged = _bisect(
+        panels, edges[:-1], edges[1:], np.zeros(len(cuts), dtype=np.int64), 1,
+        lambda v: np.full(1, 0.5 * abs_tol), max_splits=max_subdivisions,
+    )
+    if not converged[0]:
+        raise AccuracyError(
+            f"the longest-side integral did not converge within {max_subdivisions} "
+            f"subdivisions (error estimate {np.sum(err):.3e})",
+            value=float(np.sum(val)),
+            error_estimate=float(np.sum(err)),
+        )
+    cell = np.searchsorted(cuts, 0.5 * (lo + hi))
+    cum_val = np.cumsum(np.bincount(cell, weights=val, minlength=len(cuts)))
+    cum_err = np.cumsum(np.bincount(cell, weights=err, minlength=len(cuts)))
+    pos = his > 0.0
+    at = np.searchsorted(cuts, his[pos])
+    values[pos] = cum_val[at]
+    errors[pos] = cum_err[at] + 0.3 * abs_tol
+    return values, errors
+
+
+# ---------------------------------------------------------------------------
+# the coverage function: M2 without the three-distance density
+# ---------------------------------------------------------------------------
+
+def _lens_area(rho, r, R):
+    """Area of the disk of radius ``r`` about a point at distance ``rho``
+    from the centre of the disk of radius ``R``, inside that disk."""
+    rho = np.asarray(rho, float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.clip((rho * rho + r * r - R * R) / (2.0 * rho * r), -1.0, 1.0)
+        y = np.clip((rho * rho + R * R - r * r) / (2.0 * rho * R), -1.0, 1.0)
+        kite = (r + R - rho) * (rho + r - R) * (rho - r + R) * (rho + r + R)
+        area = r * r * np.arccos(x) + R * R * np.arccos(y) - 0.5 * np.sqrt(np.maximum(kite, 0.0))
+    area = np.where(r <= R - rho, math.pi * r * r, area)
+    return np.where(r >= R + rho, math.pi * R * R, area)
+
+
+def _arc_integrals(rho, R, weight, breaks, settings):
+    """``int weight(t)*L(rho, t) dt`` at each ``rho``, where ``L`` is the
+    arc of the circle of radius t about a point at distance ``rho`` from
+    the centre that lies inside the disk of radius ``R``.
+
+    ``L`` is ``2*pi*t`` up to ``t = R - rho``, integrated directly; beyond
+    it is ``2*t*arccos((rho**2 + t**2 - R**2)/(2*rho*t))`` up to ``R + rho``,
+    with a square-root end on either side, so that part is integrated in
+    u through ``t = R - rho + rho*(1 - cos(pi*u))``, whose Jacobian absorbs
+    both ends, with ``breaks`` mapped into u.  A weighted edge axis runs
+    over [0, D], which holds every such circle.
+    """
+    k = len(rho)
+    a = R - rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.clip((np.array(breaks)[:, None] - a) / (2.0 * rho), 0.0, 1.0)
+    u_breaks = np.arccos(1.0 - 2.0 * frac).T / math.pi
+    intervals = [(0.0, d) for d in a] + [(0.0, 1.0 if r > 0.0 else 0.0) for r in rho]
+
+    def integrand(x, which):
+        arc = which >= k
+        j = np.where(arc, which - k, which)
+        r = rho[j]
+        angle = math.pi * x
+        t = np.where(arc, a[j] + r * (1.0 - np.cos(angle)), x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos_arc = np.clip((r * r + t * t - R * R) / (2.0 * r * t), -1.0, 1.0)
+            arc_len = 2.0 * t * np.arccos(cos_arc) * (math.pi * r * np.sin(angle))
+        return weight(t) * np.where(arc, arc_len, 2.0 * math.pi * t)
+
+    values, _ = integrate_many(
+        integrand, intervals, settings, breakpoints=[breaks] * k + list(u_breaks)
+    )
+    return values[:k] + values[k:]
+
+
+def _coverage_moment(domain, hi, weight, breaks, abs_tol, max_subdivisions):
+    """``E[p(R12) p(R13)]`` from the coverage function of one node.
+
+    Given node 1 at distance rho from the centre, the other two connect to
+    it independently with probability ``g(rho)``, the integral of the
+    edge's weight over the disk about node 1 (for a hard disk, the lens
+    area of radii R and ``hi`` at distance rho; otherwise
+    :func:`_arc_integrals`) divided by the disk's area.  So the moment is
+    ``int_0^R g(rho)**2 * 2*rho/R**2 d rho``, split where ``g`` kinks: at
+    ``|R - b|`` for b in ``hi`` and ``breaks``.  ``g`` is at most 1, so an
+    error of e in ``g`` moves the moment by at most 2e.  Returns (value,
+    error estimate); the estimate includes the budget allotted to ``g``.
+    """
+    R = 0.5 * domain.diameter
+    if hi <= 0.0:
+        return 0.0, 0.0
+    area = math.pi * R * R
+    if weight is None:
+        g_tol = 0.0
+
+        def coverage(rho):
+            return _lens_area(rho, hi, R) / area
+    else:
+        g_tol = 0.125 * abs_tol
+        inner = QuadratureSettings(
+            abs_tol=g_tol * area, rel_tol=0.0, max_subdivisions=max_subdivisions
+        )
+
+        def coverage(rho):
+            return _arc_integrals(rho, R, weight, breaks, inner) / area
+
+    def integrand(rho):
+        g = coverage(rho)
+        return g * g * (2.0 / (R * R)) * rho
+
+    outer = QuadratureSettings(
+        abs_tol=0.5 * abs_tol, rel_tol=0.0, max_subdivisions=max_subdivisions
+    )
+    value, err = integrate(integrand, [(0.0, R)], outer, [abs(R - b) for b in (hi, *breaks)])
+    return value, err + 2.0 * g_tol
 
 
 # joint_pdf3_cell_masses: Gauss nodes per cell on the first axis, and the
@@ -707,7 +904,7 @@ def _per_cell_line_integrals(p, q, edges, D):
     k = len(p)
     nb = len(edges) - 1
     grid = np.broadcast_to(edges[1:-1], (k, nb - 1))
-    seg_lo, seg_hi, owner, seg_val, _ = _line_segments(
+    seg_lo, seg_hi, owner, seg_val, _, _ = _line_segments(
         p, q, np.abs(p - q), np.minimum(p + q, min(edges[-1], D)), D,
         grid, None, _CELL_LINE_TOL, 4,
     )

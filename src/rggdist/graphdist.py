@@ -17,7 +17,12 @@ arguments, so these three numbers determine everything.  Two consequences
 are used deliberately: the probabilities sum to one up to floating-point
 rounding (not up to quadrature error), and outcomes related by a node
 relabeling get exactly equal probabilities.  M1 reduces to a
-one-dimensional integral against the two-point density.  Near-zero
+one-dimensional integral against the two-point density, and M2 to one
+over the coverage function of one node (a lens area for a hard disk).
+A hard disk's M3 is the distribution function of the longest side, so
+:func:`_pmf_n3_many`, the exact sweeps' entry, reads every hard disk's
+M3 from one pass over that side; any other model's M3 is a triple
+integral of the joint density.  Near-zero
 entries may come out epsilon-negative from quadrature noise; they are
 clipped to zero and the deficit is folded into the largest entry, which
 keeps the exact unit total while staying inside the per-entry error
@@ -33,7 +38,13 @@ from itertools import permutations
 import numpy as np
 
 from .connection import ConnectionModel, HardDisk
-from .distances import _product_moment, pair_pdf
+from .distances import (
+    _coverage_moment,
+    _LineStats,
+    _longest_side_cdf,
+    _product_moment,
+    pair_pdf,
+)
 from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import DiskDomain, pair_array, pair_count
 from .quadrature import QuadratureSettings, integrate
@@ -122,12 +133,35 @@ def pmf_n3(
     the sum of the per-entry estimates.  Entries are clipped to [0, 1];
     clipping never exceeds the per-entry estimate.
 
-    M1 is the two-node edge probability.  M2 and M3 integrate the joint
-    density with every edge axis set up by one rule (:func:`_edge_axis`):
-    a hard disk truncates the axis at ``min(r0, D)``, any other model
-    weights it by its connection probability, and every edge axis splits
-    at the model's breakpoints.  M2's third side, no edge, runs over the
-    whole disk unweighted and unsplit.
+    Every edge axis is set up by one rule (:func:`_edge_axis`): a hard
+    disk truncates it at ``min(r0, D)``, any other model weights it by its
+    connection probability, and it splits at the model's breakpoints.
+    M1 is the two-node edge probability.  M2 comes from the coverage
+    function of one node (a lens area for a hard disk), with no
+    three-distance density.  A hard disk's M3 is the distribution function
+    of the longest side at ``min(r0, D)``; any other model's M3 integrates
+    the joint density over the full cube of its three edge axes.
+    ``ingredients`` holds the moments, their error estimates ``e1``,
+    ``e2``, ``e3``, and the third-side ``lines`` behind M3 with the number
+    left above their budget (``lines_over_budget``).
+
+    This is the one-model case of :func:`_pmf_n3_many`, where every hard
+    disk's M3 comes from one pass over the longest side cut at all their
+    ranges.  A row of such a sweep can therefore differ from a lone
+    ``pmf_n3`` at its range, within their error estimates, and its line
+    counts are those of the whole pass.
+    """
+    return _pmf_n3_many([model], domain, quad)[0]
+
+
+def _pmf_n3_many(models, domain: DiskDomain, quad: QuadratureSettings | None = None):
+    """Exact three-node pmfs of ``models``, in their order (see
+    :func:`pmf_n3`).
+
+    The hard disks share one pass over the longest side, cut at every
+    truncation ``min(r0, D)``; every other model's M3 is its own full
+    cube.  Raises on the first integral that cannot converge, returning
+    no partial table.
     """
     if quad is not None and quad.abs_tol == 0:
         raise DomainError("pmf_n3 needs a positive abs_tol; rel_tol is unused")
@@ -135,11 +169,30 @@ def pmf_n3(
     max_sub = quad.max_subdivisions if quad is not None else 400
     moment_tol = entry_tol / 4.0
 
-    m1, e1 = _pair_connect_prob(model, domain, _PAIR_SETTINGS)
-    axis = _edge_axis(model, domain.diameter)
-    m2, e2 = _product_moment(domain, *axis, 2, moment_tol, max_sub)
-    m3, e3 = _product_moment(domain, *axis, 3, moment_tol, max_sub)
+    axes = [_edge_axis(model, domain.diameter) for model in models]
+    hard = [k for k, (_, weight, _) in enumerate(axes) if weight is None]
+    hard_stats = _LineStats()
+    m3_hard, e3_hard = _longest_side_cdf(
+        domain, [axes[k][0] for k in hard], moment_tol, max_sub, hard_stats
+    )
+    hard_m3 = {k: (float(v), float(e)) for k, v, e in zip(hard, m3_hard, e3_hard)}
+    pmfs = []
+    for k, (model, axis) in enumerate(zip(models, axes)):
+        m1, e1 = _pair_connect_prob(model, domain, _PAIR_SETTINGS)
+        m2, e2 = _coverage_moment(domain, *axis, moment_tol, max_sub)
+        if k in hard_m3:
+            (m3, e3), stats = hard_m3[k], hard_stats
+        else:
+            stats = _LineStats()
+            m3, e3 = _product_moment(domain, *axis, moment_tol, max_sub, stats)
+        pmfs.append(_pmf_from_moments((m1, m2, m3), (e1, e2, e3), stats))
+    return pmfs
 
+
+def _pmf_from_moments(moments, errors, stats) -> GraphPmf:
+    """The three-node pmf from M1, M2, M3 and their error estimates."""
+    m1, m2, m3 = moments
+    e1, e2, e3 = errors
     # Inclusion-exclusion over the number of present edges; exchangeability
     # of the distance density makes all outcomes of equal weight identical.
     by_weight = {
@@ -181,7 +234,10 @@ def pmf_n3(
     return GraphPmf(
         n=3, probs=probs, method="quadrature",
         error_estimate=float(np.sum(entry_errs)),
-        ingredients={"m1": m1, "m2": m2, "m3": m3},
+        ingredients={
+            "m1": m1, "m2": m2, "m3": m3, "e1": e1, "e2": e2, "e3": e3,
+            "lines": stats.lines, "lines_over_budget": stats.over_budget,
+        },
     )
 
 

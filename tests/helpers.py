@@ -10,8 +10,11 @@ Also here, because only tests call them: the 1-based pair codec
 record, the scalar ``connect_prob``, the scalar conditional density
 ``conditional_joint_pdf3`` and density oracle
 ``joint_pdf3_via_conditioning`` (thin wrappers over the library's batch
-forms), and ``marginal_pair_density``, the double integral of the joint
-density that must reproduce the two-point density."""
+forms), ``marginal_pair_density``, the double integral of the joint
+density that must reproduce the two-point density, and the two moment
+oracles of the exact pmf: ``triple_m2``, M2 as a triple integral of the
+joint density, and ``full_cube_hard_m3``, a hard disk's M3 over the full
+cube of its edge axes."""
 
 import math
 import os
@@ -27,6 +30,7 @@ import rggdist
 from rggdist import (
     DiskDomain,
     DomainError,
+    HardDisk,
     McSettings,
     QuadratureResult,
     QuadratureSettings,
@@ -41,8 +45,10 @@ from rggdist.distances import (
     _cond_pdf3_batch,
     _inner_lines,
     _per_cell_line_integrals,
+    _product_moment,
 )
 from rggdist.geometry import DEGENERATE_Q_EPS, pair_array
+from rggdist.graphdist import _edge_axis
 from rggdist.montecarlo import _count_fit
 from rggdist.quadrature import integrate_many
 
@@ -176,6 +182,47 @@ def marginal_pair_density(r12_values, domain: DiskDomain, abs_tol: float = 1e-6)
         mid_integrand, [(0.0, D)] * len(p_arr), settings, breakpoints=breaks
     )
     return values
+
+
+def triple_m2(domain: DiskDomain, hi, weight, breaks, abs_tol, max_subdivisions=1000):
+    """``E[p(R12) p(R13)]`` as the triple integral of the joint density:
+    sides 12 and 13 run over [0, hi] times ``weight`` (``None`` for 1),
+    split at ``breaks``, and the third side, no edge, over [0, D]
+    unweighted and unsplit.  The oracle of the coverage-function M2.
+    Returns (value, error estimate), the estimate including the inner
+    levels' budgets."""
+    D = domain.diameter
+    if hi <= 0.0:
+        return 0.0, 0.0
+    tol_inner = 0.05 * abs_tol / (hi * hi)
+    mid_settings = QuadratureSettings(
+        abs_tol=0.25 * abs_tol / hi, rel_tol=0.0, max_subdivisions=max_subdivisions
+    )
+
+    def outer_integrand(p_batch, _):
+        def mid_integrand(q_flat, own):
+            vals, _ = _inner_lines(p_batch[own], q_flat, 0.0, D, D, line_tol=tol_inner)
+            return vals if weight is None else vals * weight(q_flat)
+
+        mid_vals, _ = integrate_many(
+            mid_integrand, [(0.0, hi)] * len(p_batch), mid_settings,
+            breakpoints=[(pv, D - pv) + tuple(breaks) for pv in p_batch],
+        )
+        return mid_vals if weight is None else mid_vals * weight(p_batch)
+
+    outer_settings = QuadratureSettings(
+        abs_tol=0.5 * abs_tol, rel_tol=0.0, max_subdivisions=max_subdivisions
+    )
+    values, errors = integrate_many(outer_integrand, [(0.0, hi)], outer_settings, [breaks])
+    return float(values[0]), float(errors[0]) + 0.3 * abs_tol
+
+
+def full_cube_hard_m3(domain: DiskDomain, r0, abs_tol, max_subdivisions=1000):
+    """Hard-disk ``M3 = P(all three sides < r0)`` as the integral of the
+    joint density over the full cube ``[0, min(r0, D)]**3``, the oracle of
+    the longest-side pass.  Returns (value, error estimate)."""
+    hi, weight, breaks = _edge_axis(HardDisk(r0=r0), domain.diameter)
+    return _product_moment(domain, hi, weight, breaks, abs_tol, max_subdivisions)
 
 
 def cell_masses_reference(domain: DiskDomain, edges, gauss_order=5):

@@ -71,7 +71,7 @@ def sweep_pmfs():
 
 def test_01_joint_density_normalizes():
     start = time.monotonic()
-    value, est = _product_moment(DOMAIN, 1.0, None, (), 3, 1e-5, 400)
+    value, est = _product_moment(DOMAIN, 1.0, None, (), 1e-5, 400)
     elapsed = time.monotonic() - start
     dev = abs(value - 1.0)
     report(

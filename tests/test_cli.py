@@ -31,7 +31,7 @@ from rggdist import (
     prob_connected,
     shearer_factor,
 )
-from rggdist import cli, montecarlo
+from rggdist import cli, graphdist, montecarlo
 from rggdist.cli import main
 from rggdist.distances import joint_pdf3_cell_masses
 from rggdist.montecarlo import MAX_WORKERS, substream
@@ -267,7 +267,7 @@ class TestSweepCommands:
 
         monkeypatch.setattr(montecarlo, "_fan_out", refuse)
         monkeypatch.setattr(cli, "pmf_n2", refuse)
-        monkeypatch.setattr(cli, "pmf_n3", refuse)
+        monkeypatch.setattr(cli, "_pmf_n3_many", refuse)
         code, out, err = run_cli(
             capsys, command, "--n", "6", "--mc", "--samples", "1000", "--steps", "257",
         )
@@ -462,8 +462,11 @@ def serial_sweep_entropy(kind, r0_start, samples, steps, seed, workers):
         f"steps={steps} mc=true samples={samples} workers={workers} rng=philox",
         "r0,H_exact_or_mc,H_std_err,bound_from_G3,bound_from_G2",
     ]
-    for r0, model, (h, std) in zip(grid, models, estimates):
-        bound3 = float(shearer_factor(4, 3) * Fraction(entropy_bits(pmf_n3(model, domain))))
+    # The CLI builds the G3 column with one many-model call: the hard disks
+    # share one longest-side pass.
+    pmf3s = graphdist._pmf_n3_many(models, domain)
+    for r0, model, pmf3, (h, std) in zip(grid, models, pmf3s, estimates):
+        bound3 = float(shearer_factor(4, 3) * Fraction(entropy_bits(pmf3)))
         bound2 = float(shearer_factor(4, 2) * Fraction(entropy_bits(pmf_n2(model, domain))))
         lines.append(",".join(format(float(x), ".12g") for x in (r0, h, std, bound3, bound2)))
     return "\n".join(lines) + "\n"
@@ -515,7 +518,7 @@ class TestSweepEntropyOverlap:
         def quadrature(*args, **kwargs):
             raise AccuracyError("quadrature failed")
 
-        monkeypatch.setattr(cli, "pmf_n3", quadrature)
+        monkeypatch.setattr(cli, "_pmf_n3_many", quadrature)
         threads = threading.active_count()
         code, out, err = self.run(capsys, kind, r0_start)
         assert code == 1
@@ -532,7 +535,7 @@ class TestSweepEntropyOverlap:
             raise AccuracyError("quadrature failed")
 
         monkeypatch.setattr(cli, "estimate_entropy_sweep", sampler)
-        monkeypatch.setattr(cli, "pmf_n3", quadrature)
+        monkeypatch.setattr(cli, "_pmf_n3_many", quadrature)
         code, out, err = self.run(capsys, "hard", 0.0)
         assert code == 2
         assert out == ""

@@ -2,10 +2,13 @@
 empty-interval behaviour of the line integrator behind them.
 
 The two-node pins were recorded before the pair probability and the
-product moments began to share one edge-axis rule.  The three-node pmf,
-cell-mass and line pins were recorded when the line integrator began to
-map each third-side line once through one cosine substitution.  Any
-later change of the integrators must reproduce them exactly.  No pinned
+product moments began to share one edge-axis rule.  The cell-mass and
+line pins were recorded when the line integrator began to map each
+third-side line once through one cosine substitution.  The three-node
+pmf pins were recorded when M2 began to come from the coverage function
+and a hard disk's M3 from the pass over the longest side; the weighted
+models' M3 (their last entry) kept its bytes then.  Any later change of
+the integrators must reproduce them exactly.  No pinned
 value passes through BLAS, so they do not depend on the BLAS library or
 its thread count.  They do depend on how numpy's ``arccos``/``exp`` and
 the ``cos``/``sin`` of the line substitution round, which varies with the
@@ -51,40 +54,40 @@ same_rounding = pytest.mark.skipif(
 
 PMF_PINS = {
     ("hard", None): (
-        ["0x1.58e1e41a496b9p-3", "0x1.6307639ba6619p-3", "0x1.6307639ba6619p-3",
-         "0x1.e07bee21cc678p-5", "0x1.6307639ba6619p-3", "0x1.e07bee21cc678p-5",
-         "0x1.e07bee21cc678p-5", "0x1.15aafe796a223p-3"],
-        "0x1.3af07369b4cc8p-13",
+        ["0x1.58e1cbbc423eap-3", "0x1.63077ccb03a5ap-3", "0x1.63077ccb03a5ap-3",
+         "0x1.e07b861efefa8p-5", "0x1.63077ccb03a5ap-3", "0x1.e07b861efefa8p-5",
+         "0x1.e07b861efefa8p-5", "0x1.15ab194b7394ap-3"],
+        "0x1.35852bb26bee8p-14",
     ),
     ("hard", 1e-6): (
-        ["0x1.58e1c9949c7e5p-3", "0x1.63077e2126414p-3", "0x1.63077e2126414p-3",
-         "0x1.e07b840c811f4p-5", "0x1.63077e2126414p-3", "0x1.e07b840c811f4p-5",
-         "0x1.e07b840c811f4p-5", "0x1.15ab18fe8fe6bp-3"],
-        "0x1.a479b6e357dedp-20",
+        ["0x1.58e1c95af8dd4p-3", "0x1.63077e60f22d0p-3", "0x1.63077e60f22d0p-3",
+         "0x1.e07b82f4b0458p-5", "0x1.63077e60f22d0p-3", "0x1.e07b82f4b0458p-5",
+         "0x1.e07b82f4b0458p-5", "0x1.15ab194aac67cp-3"],
+        "0x1.1d714578194eep-20",
     ),
     ("exp", None): (
-        ["0x1.bcc7fdcfafaa8p-2", "0x1.28b42e36af452p-3", "0x1.28b42e36af452p-3",
-         "0x1.1dfc860af41e5p-5", "0x1.28b42e36af452p-3", "0x1.1dfc860af41e5p-5",
-         "0x1.1dfc860af41e5p-5", "0x1.aeb0a9a2de264p-6"],
-        "0x1.d344c3d654cecp-13",
+        ["0x1.bcc7fdcd08644p-2", "0x1.28b42e3a38f82p-3", "0x1.28b42e3a38f82p-3",
+         "0x1.1dfc8603e0b84p-5", "0x1.28b42e3a38f82p-3", "0x1.1dfc8603e0b84p-5",
+         "0x1.1dfc8603e0b84p-5", "0x1.aeb0a9a2de264p-6"],
+        "0x1.abc5921cfba60p-13",
     ),
     ("exp", 1e-6): (
-        ["0x1.bcc7fdce35a3ep-2", "0x1.28b42e38561e1p-3", "0x1.28b42e38561e1p-3",
-         "0x1.1dfc86098d8bap-5", "0x1.28b42e38561e1p-3", "0x1.1dfc86098d8bap-5",
-         "0x1.1dfc86098d8bap-5", "0x1.aeb0a99b41a99p-6"],
-        "0x1.99a9a0e770ef6p-20",
+        ["0x1.bcc7fdcd44c48p-2", "0x1.28b42e399747fp-3", "0x1.28b42e399747fp-3",
+         "0x1.1dfc86070b37ep-5", "0x1.28b42e399747fp-3", "0x1.1dfc86070b37ep-5",
+         "0x1.1dfc86070b37ep-5", "0x1.aeb0a99b41a99p-6"],
+        "0x1.6ec1e6db94542p-20",
     ),
     ("table", None): (
-        ["0x1.062811c668641p-2", "0x1.37eea5633d526p-3", "0x1.37eea5633d526p-3",
-         "0x1.2eae58928a4f4p-4", "0x1.37eea5633d526p-3", "0x1.2eae58928a4f4p-4",
-         "0x1.2eae58928a4f4p-4", "0x1.0bbccedb4f944p-4"],
-        "0x1.3ae931589d9b7p-13",
+        ["0x1.062811c5fb16ep-2", "0x1.37eea563cf0eap-3", "0x1.37eea563cf0eap-3",
+         "0x1.2eae5891f8930p-4", "0x1.37eea563cf0eap-3", "0x1.2eae5891f8930p-4",
+         "0x1.2eae5891f8930p-4", "0x1.0bbccedb4f944p-4"],
+        "0x1.1b7602b188fc6p-13",
     ),
     ("table", 1e-6): (
-        ["0x1.0628103d5a399p-2", "0x1.37eea8755a750p-3", "0x1.37eea8755a750p-3",
-         "0x1.2eae526e4e6dep-4", "0x1.37eea8755a750p-3", "0x1.2eae526e4e6dep-4",
-         "0x1.2eae526e4e6dep-4", "0x1.0bbcd4ff8d11cp-4"],
-        "0x1.948c286405cf1p-20",
+        ["0x1.0628103ce5758p-2", "0x1.37eea875f6256p-3", "0x1.37eea875f6256p-3",
+         "0x1.2eae526db2bd8p-4", "0x1.37eea875f6256p-3", "0x1.2eae526db2bd8p-4",
+         "0x1.2eae526db2bd8p-4", "0x1.0bbcd4ff8d11cp-4"],
+        "0x1.6d396108b2c7ap-20",
     ),
 }
 # Two-node pmfs (probs, error estimate) at the default settings.

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from rggdist import (
+    AccuracyError,
     DiskDomain,
     DomainError,
     ExponentialSoft,
     GraphPmf,
     HardDisk,
+    Tabulated,
     UnsupportedError,
     connected_outcome_mask,
     entropy_bits,
@@ -23,14 +25,17 @@ from rggdist import (
     relabel_orbit_map,
 )
 from rggdist import graphdist
+from rggdist.distances import _coverage_moment, _inner_lines, _LineStats, _longest_side_cdf
 from rggdist.quadrature import QuadratureSettings
 
 from helpers import (
     EdgeVector,
+    full_cube_hard_m3,
     orbit_representative,
     outcome_is_connected,
     pmf_fit,
     sample_pmf,
+    triple_m2,
 )
 
 DOMAIN = DiskDomain(1.0)
@@ -162,6 +167,116 @@ class TestExactPmfDispatch:
     def test_refuses_larger_graphs(self, n):
         with pytest.raises(UnsupportedError):
             exact_pmf(n, HardDisk(r0=0.5), DOMAIN)
+
+
+# The pinned table of tests/test_exact_pins.py: a breakpoint at every knot.
+TABLE = Tabulated(((0.0, 0.9), (0.25, 0.7), (0.5, 0.2), (0.8, 0.0), (1.0, 0.0)))
+
+
+class TestMomentOracles:
+    """M2 from the coverage function and the hard disk's M3 from one pass
+    over the longest side, against the triple integrals they replace."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [HardDisk(r0=r0) for r0 in (0.2, 0.4, 0.6, 0.9)] + [ExponentialSoft(r0=0.3, beta=2.0), TABLE],
+        ids=str,
+    )
+    def test_coverage_m2_matches_triple_integral(self, model):
+        axis = graphdist._edge_axis(model, DOMAIN.diameter)
+        oracle, oracle_err = triple_m2(DOMAIN, *axis, 1e-9)
+        value, err = _coverage_moment(DOMAIN, *axis, 1e-9, 1000)
+        assert abs(value - oracle) <= err + oracle_err
+        # The default pmf's M2 lies within its own estimate of the oracle.
+        pmf = pmf_n3(model, DOMAIN)
+        assert abs(pmf.ingredients["m2"] - oracle) <= pmf.ingredients["e2"]
+
+    @pytest.mark.parametrize("r0", [0.2, 0.4, 0.6, 0.9])
+    def test_longest_side_m3_matches_full_cube(self, r0):
+        oracle, oracle_err = full_cube_hard_m3(DOMAIN, r0, 1e-8)
+        (value,), (err,) = _longest_side_cdf(DOMAIN, [r0], 1e-8, 1000)
+        assert abs(value - oracle) <= err + oracle_err
+        pmf = pmf_n3(HardDisk(r0=r0), DOMAIN)
+        assert abs(pmf.ingredients["m3"] - oracle) <= pmf.ingredients["e3"]
+
+    def test_sweep_rows_match_lone_pmfs(self):
+        # Each row of a 40-point sweep shares one longest-side pass; a lone
+        # pmf_n3 makes its own.  M1 and M2 are per model and equal bytes.
+        grid = np.linspace(0.0, 1.0, 40)
+        sweep = graphdist._pmf_n3_many([HardDisk(r0=float(r0)) for r0 in grid], DOMAIN)
+        for r0, row in zip(grid, sweep):
+            lone = pmf_n3(HardDisk(r0=float(r0)), DOMAIN)
+            for key in ("m1", "e1", "m2", "e2"):
+                assert row.ingredients[key] == lone.ingredients[key]
+            m3_gap = abs(row.ingredients["m3"] - lone.ingredients["m3"])
+            assert m3_gap <= row.ingredients["e3"] + lone.ingredients["e3"]
+            gap = np.abs(row.probs - lone.probs)
+            assert np.all(gap <= row.error_estimate + lone.error_estimate)
+
+
+class TestPmfN3Many:
+    def test_zero_range_rows_are_point_masses(self):
+        rows = graphdist._pmf_n3_many([HardDisk(r0=0.0), HardDisk(r0=0.4), HardDisk(r0=0.0)], DOMAIN)
+        for row in (rows[0], rows[2]):
+            assert row.probs.tolist() == [1.0] + [0.0] * 7
+            assert row.ingredients["m3"] == 0.0 and row.ingredients["e3"] == 0.0
+        assert rows[1].probs.tobytes() == pmf_n3(HardDisk(r0=0.4), DOMAIN).probs.tobytes()
+
+    def test_ranges_beyond_the_diameter_share_the_last_cut(self):
+        rows = graphdist._pmf_n3_many([HardDisk(r0=1.5), HardDisk(r0=1.0)], DOMAIN)
+        assert rows[0].probs.tobytes() == rows[1].probs.tobytes()
+        m3, e3 = rows[0].ingredients["m3"], rows[0].ingredients["e3"]
+        assert abs(m3 - 1.0) <= e3
+        assert rows[0].probs[-1] == pytest.approx(1.0, abs=1e-3)
+
+    def test_duplicate_and_unsorted_ranges(self):
+        # The pass is cut at the set of ranges, whatever their order.
+        shuffled = graphdist._pmf_n3_many([HardDisk(r0=r0) for r0 in (0.6, 0.2, 0.6, 0.4)], DOMAIN)
+        ordered = graphdist._pmf_n3_many([HardDisk(r0=r0) for r0 in (0.2, 0.4, 0.6)], DOMAIN)
+        for row, k in zip(shuffled, (2, 0, 2, 1)):
+            assert row.probs.tobytes() == ordered[k].probs.tobytes()
+            assert row.error_estimate == ordered[k].error_estimate
+
+    def test_mixed_hard_and_weighted_models(self):
+        exp = ExponentialSoft(r0=0.3, beta=2.0)
+        mixed = graphdist._pmf_n3_many([HardDisk(r0=0.4), exp, HardDisk(r0=0.2), TABLE], DOMAIN)
+        hard = graphdist._pmf_n3_many([HardDisk(r0=0.4), HardDisk(r0=0.2)], DOMAIN)
+        assert mixed[0].probs.tobytes() == hard[0].probs.tobytes()
+        assert mixed[2].probs.tobytes() == hard[1].probs.tobytes()
+        for row, model in ((mixed[1], exp), (mixed[3], TABLE)):
+            lone = pmf_n3(model, DOMAIN)
+            assert row.probs.tobytes() == lone.probs.tobytes()
+            assert row.ingredients == lone.ingredients
+
+    @pytest.mark.parametrize("models", [
+        [HardDisk(r0=float(r0)) for r0 in np.linspace(0.0, 1.0, 8)],
+        [HardDisk(r0=0.4), ExponentialSoft(r0=0.3, beta=2.0)],
+    ], ids=["hard", "mixed"])
+    def test_starved_settings_raise_instead_of_a_partial_table(self, models):
+        quad = QuadratureSettings(abs_tol=1e-10, rel_tol=0.0, max_subdivisions=1)
+        with pytest.raises(AccuracyError):
+            graphdist._pmf_n3_many(models, DOMAIN, quad)
+
+    def test_ingredients_carry_estimates_and_line_counts(self):
+        for model in (HardDisk(r0=0.4), ExponentialSoft(r0=0.3, beta=2.0)):
+            pmf = pmf_n3(model, DOMAIN, QuadratureSettings(abs_tol=1e-8))
+            ing = pmf.ingredients
+            assert {"m1", "m2", "m3", "e1", "e2", "e3"} <= set(ing)
+            assert ing["lines"] > 0
+            assert 0 <= ing["lines_over_budget"] <= 0.01 * ing["lines"]
+
+    def test_line_counter_matches_the_lines_above_budget(self):
+        # A budget no line can meet in 6 rounds, and one most lines meet.
+        p, q = np.random.default_rng(5).uniform(0.0, 1.0, (2, 200))
+        counts = []
+        for line_tol in (1e-16, 1e-9):
+            stats = _LineStats()
+            values, errors = _inner_lines(p, q, 0.0, 1.0, 1.0, line_tol=line_tol, stats=stats)
+            over = errors > np.maximum(line_tol, 1e-13 * np.abs(values))
+            assert stats.lines == 200
+            assert stats.over_budget == np.count_nonzero(over)
+            counts.append(stats.over_budget)
+        assert counts[0] > counts[1]
 
 
 class TestEntropy:
