@@ -37,6 +37,7 @@ from .geometry import (
     triangle_quantities,
 )
 from .graphdist import (
+    _edge_pmf,
     _pmf_n3_many,
     entropy_bits,
     entropy_error_bound,
@@ -351,8 +352,14 @@ def _cmd_sweep_entropy(args) -> int:
     models = [_sweep_model(args, float(r0)) for r0 in grid]
 
     def exact_pmfs():
-        pmf2s = [pmf_n2(model, domain, quad) for model in models]
         pmf3s = _pmf_n3_many(models, domain, quad) if n >= 3 else [None] * len(models)
+        # Without --abs-tol a row's two-node pmf is the M1 its three-node
+        # pmf already holds, integrated at the same settings.
+        pmf2s = [
+            _edge_pmf(pmf3.ingredients["m1"], pmf3.ingredients["e1"])
+            if pmf3 is not None and quad is None else pmf_n2(model, domain, quad)
+            for model, pmf3 in zip(models, pmf3s)
+        ]
         return list(zip(pmf2s, pmf3s))
 
     if args.mc:

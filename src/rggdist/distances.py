@@ -43,12 +43,13 @@ probability, and it splits at the model's breakpoints.
   (:func:`_coverage_moment`).  For a hard disk ``g`` is a lens area in
   closed form (:func:`_lens_area`); otherwise it is a one-dimensional
   integral over the circles about node 1 (:func:`_arc_integrals`).
-* A hard disk's M3 is the distribution function of the longest side at
-  ``min(r0, D)``.  :func:`_longest_side_cdf` integrates the longest side's
-  density once, cut at every range a sweep asks for, and reads M3 at each
-  from the cumulative panel sums.
-* Any other model's M3 integrates the joint density over the full cube of
-  its three edge axes (:func:`_product_moment`).
+* M3 of every model is one pass over the longest side
+  (:func:`_longest_side_moment`): the density is symmetric in its three
+  sides, so M3 is three times its integral over the region where a chosen
+  side is the longest, with the edge weight on all three axes.  For a
+  hard disk that is the distribution function of the longest side at
+  ``min(r0, D)``; one pass, cut at every range a sweep asks for, reads M3
+  at each from the cumulative panel sums.
 
 Both closed-form kernels (:func:`_pdf3_batch` and the conditional
 :func:`_cond_pdf3_batch`) run in one straight-line pass.  A 3-element
@@ -676,59 +677,19 @@ def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11, 
     return values, errors
 
 
-def _product_moment(domain, hi, weight, breaks, abs_tol, max_subdivisions, stats=None):
-    """``E[p(R12) p(R13) p(R23)]``, the product moment of the joint density
-    over three edge axes.
+def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions, stats=None):
+    """``M3 = E[p(R12) p(R13) p(R23)]`` at every edge-axis end ``h`` in
+    ``his``, from one pass over the longest side.
 
-    Every side runs over [0, hi] times ``weight`` (``None`` for 1) and
-    splits at ``breaks``.  The outer two axes use adaptive panels (the
-    middle axis in lockstep across each outer panel's nodes); the innermost
-    axis uses the substituted piecewise rule of :func:`_inner_lines`, whose
-    lines ``stats`` counts.  Returns (value, error estimate); the estimate
-    includes the budgets allotted to the inner levels.
-    """
-    D = domain.diameter
-    if hi <= 0.0:
-        return 0.0, 0.0
-    tol_inner = 0.05 * abs_tol / (hi * hi)
-    mid_settings = QuadratureSettings(
-        abs_tol=0.25 * abs_tol / hi, rel_tol=0.0, max_subdivisions=max_subdivisions
-    )
-
-    def outer_integrand(p_batch, _):
-        def mid_integrand(q_flat, own):
-            vals, _ = _inner_lines(
-                p_batch[own], q_flat, 0.0, hi, D,
-                weight=weight, extra_breaks=breaks, line_tol=tol_inner, stats=stats,
-            )
-            return vals if weight is None else vals * weight(q_flat)
-
-        # Panel edges where the third-side interval
-        # [|p - q|, min(p + q, hi, D)] kinks: q = p, hi - p and D - p.
-        mid_vals, _ = integrate_many(
-            mid_integrand,
-            [(0.0, hi)] * len(p_batch),
-            mid_settings,
-            breakpoints=[(pv, hi - pv, D - pv) + breaks for pv in p_batch],
-        )
-        return mid_vals if weight is None else mid_vals * weight(p_batch)
-
-    outer_settings = QuadratureSettings(
-        abs_tol=0.5 * abs_tol, rel_tol=0.0, max_subdivisions=max_subdivisions
-    )
-    values, errors = integrate_many(outer_integrand, [(0.0, hi)], outer_settings, [breaks])
-    return float(values[0]), float(errors[0]) + 0.3 * abs_tol
-
-
-def _longest_side_cdf(domain, his, abs_tol, max_subdivisions, stats=None):
-    """Hard-disk ``M3 = P(longest side <= h)`` at every ``h`` in ``his``,
-    from one pass over the longest side.
-
-    ``M3(h) = 3*int_0^h dc int_0^c dq int_{c-q}^c f(c, q, t) dt``: the
-    factor 3 counts which side is longest.  The innermost axis is
-    :func:`_inner_lines` (whose lines ``stats`` counts), the middle one
-    runs in lockstep across the outer nodes, and the outer c axis is cut
-    at every requested ``h`` and refined by
+    The joint density is symmetric in its three sides, so with c the
+    longest side ``M3(h) = 3*int_0^h w(c) int_0^c w(q) int_{c-q}^c f(c, q,
+    t) w(t) dt dq dc``, where ``w`` is the edge's ``weight`` (``None`` for
+    1).  A hard disk is the case ``w = 1`` up to ``h = min(r0, D)``, where
+    M3 is the distribution function of the longest side.  The innermost
+    axis is :func:`_inner_lines` (whose lines ``stats`` counts), the middle
+    one runs in lockstep across the outer nodes, and ``breaks`` split all
+    three.  The outer c axis starts from panels cut at every requested
+    ``h`` and at ``breaks``, and is refined by
     :func:`rggdist.quadrature._bisect` as one integral, so the panels'
     cumulative sums give M3 at every ``h`` and every point's cumulative
     error stays within the one outer budget.  Returns (values, error
@@ -752,23 +713,26 @@ def _longest_side_cdf(domain, his, abs_tol, max_subdivisions, stats=None):
     def longest_side_pdf(c, _):
         def mid_integrand(q_flat, own):
             vals, _ = _inner_lines(
-                c[own], q_flat, 0.0, c[own], D, line_tol=tol_inner, stats=stats
+                c[own], q_flat, 0.0, c[own], D,
+                weight=weight, extra_breaks=breaks, line_tol=tol_inner, stats=stats,
             )
-            return vals
+            return vals if weight is None else vals * weight(q_flat)
 
-        mid_vals, _ = integrate_many(mid_integrand, [(0.0, cv) for cv in c], mid_settings)
-        return 3.0 * mid_vals
+        mid_vals, _ = integrate_many(
+            mid_integrand, [(0.0, cv) for cv in c], mid_settings, [breaks] * len(c)
+        )
+        return 3.0 * mid_vals if weight is None else 3.0 * mid_vals * weight(c)
 
     def panels(lo, hi, own):
-        # One outer panel (15 longest sides) at a time, as in a full cube:
-        # every panel of a 40-point sweep at once held 5 MiB of line pieces.
+        # One outer panel (15 longest sides) at a time: every panel of a
+        # 40-point sweep at once held 5 MiB of line pieces.
         sums = [_panel_batch(longest_side_pdf, own[k : k + 1], lo[k : k + 1], hi[k : k + 1])
                 for k in range(len(lo))]
         return tuple(np.concatenate(part) for part in zip(*sums))
 
-    edges = np.concatenate([[0.0], cuts])
+    edges = np.array(sorted({0.0, *cuts, *(b for b in breaks if 0.0 < b < top)}))
     lo, hi, _, val, err, converged = _bisect(
-        panels, edges[:-1], edges[1:], np.zeros(len(cuts), dtype=np.int64), 1,
+        panels, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=np.int64), 1,
         lambda v: np.full(1, 0.5 * abs_tol), max_splits=max_subdivisions,
     )
     if not converged[0]:
@@ -950,7 +914,9 @@ def joint_pdf3_cell_masses(domain: DiskDomain, edges) -> np.ndarray:
             # Cut the middle axis at the grid edges and where |p - q| or
             # p + q crosses one: the per-cell mass has square-root kinks there.
             cand = np.concatenate([pv - edges, pv + edges, edges - pv, [pv]])
-            qedges = np.union1d(edges, cand[(cand > edges[0]) & (cand < edges[-1])])
+            # Sorted union without np.union1d, whose first call imports numpy.ma.
+            qedges = np.sort(np.concatenate([edges, cand[(cand > edges[0]) & (cand < edges[-1])]]))
+            qedges = qedges[np.concatenate([[True], qedges[1:] != qedges[:-1]])]
             piece_lo, piece_hi = qedges[:-1], qedges[1:]
             piece_j = np.searchsorted(edges, piece_lo, side="right") - 1
 

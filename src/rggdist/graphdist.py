@@ -19,10 +19,11 @@ rounding (not up to quadrature error), and outcomes related by a node
 relabeling get exactly equal probabilities.  M1 reduces to a
 one-dimensional integral against the two-point density, and M2 to one
 over the coverage function of one node (a lens area for a hard disk).
-A hard disk's M3 is the distribution function of the longest side, so
-:func:`_pmf_n3_many`, the exact sweeps' entry, reads every hard disk's
-M3 from one pass over that side; any other model's M3 is a triple
-integral of the joint density.  Near-zero
+M3 of every model comes from one pass over the longest side of the
+triangle, with the edge's connection probability as the weight of all
+three axes; a hard disk's M3 is then the distribution function of the
+longest side, so :func:`_pmf_n3_many`, the exact sweeps' entry, reads
+every hard disk's M3 from one shared pass.  Near-zero
 entries may come out epsilon-negative from quadrature noise; they are
 clipped to zero and the deficit is folded into the largest entry, which
 keeps the exact unit total while staying inside the per-entry error
@@ -41,8 +42,7 @@ from .connection import ConnectionModel, HardDisk
 from .distances import (
     _coverage_moment,
     _LineStats,
-    _longest_side_cdf,
-    _product_moment,
+    _longest_side_moment,
     pair_pdf,
 )
 from .errors import AccuracyError, DomainError, UnsupportedError
@@ -82,14 +82,15 @@ def _edge_axis(model, D):
     breakpoints).
 
     A hard disk's indicator truncates the axis at ``min(r0, D)`` and leaves
-    no weight (its breakpoint is then the upper end, which the integrators
-    drop); any other model weights [0, D] by its connection probability.
-    The breakpoints are the model's, inside (0, D).
+    no weight; any other model weights [0, D] by its connection
+    probability.  The breakpoints are the model's strictly inside the
+    axis, so a hard disk has none.
     """
-    breaks = tuple(b for b in model.breakpoints() if 0.0 < b < D)
     if isinstance(model, HardDisk):
-        return min(model.r0, D), None, breaks
-    return D, model.probability, breaks
+        hi, weight = min(model.r0, D), None
+    else:
+        hi, weight = D, model.probability
+    return hi, weight, tuple(b for b in model.breakpoints() if 0.0 < b < hi)
 
 
 def _pair_connect_prob(model, domain, settings) -> tuple[float, float]:
@@ -113,11 +114,16 @@ def pmf_n2(
 ) -> GraphPmf:
     """Exact two-node pmf: a single Bernoulli edge."""
     settings = quad if quad is not None else _PAIR_SETTINGS
-    p1, err = _pair_connect_prob(model, domain, settings)
-    p1 = min(max(p1, 0.0), 1.0)
+    return _edge_pmf(*_pair_connect_prob(model, domain, settings))
+
+
+def _edge_pmf(m1, e1) -> GraphPmf:
+    """The two-node pmf from the edge probability M1 and its error
+    estimate, as :func:`pmf_n3` reports them in its ingredients."""
+    p1 = min(max(m1, 0.0), 1.0)
     probs = np.array([1.0 - p1, p1])
     return GraphPmf(
-        n=2, probs=probs, method="quadrature", error_estimate=2.0 * err,
+        n=2, probs=probs, method="quadrature", error_estimate=2.0 * e1,
         ingredients={"edge_prob": p1},
     )
 
@@ -138,9 +144,10 @@ def pmf_n3(
     connection probability, and it splits at the model's breakpoints.
     M1 is the two-node edge probability.  M2 comes from the coverage
     function of one node (a lens area for a hard disk), with no
-    three-distance density.  A hard disk's M3 is the distribution function
-    of the longest side at ``min(r0, D)``; any other model's M3 integrates
-    the joint density over the full cube of its three edge axes.
+    three-distance density.  M3 integrates the joint density times the
+    three edges' weights over the region where a chosen side is the
+    longest, three times, in one pass over that side; for a hard disk it
+    is the distribution function of the longest side at ``min(r0, D)``.
     ``ingredients`` holds the moments, their error estimates ``e1``,
     ``e2``, ``e3``, and the third-side ``lines`` behind M3 with the number
     left above their budget (``lines_over_budget``).
@@ -158,10 +165,11 @@ def _pmf_n3_many(models, domain: DiskDomain, quad: QuadratureSettings | None = N
     """Exact three-node pmfs of ``models``, in their order (see
     :func:`pmf_n3`).
 
-    The hard disks share one pass over the longest side, cut at every
-    truncation ``min(r0, D)``; every other model's M3 is its own full
-    cube.  Raises on the first integral that cannot converge, returning
-    no partial table.
+    Every M3 comes from one longest-side pass
+    (:func:`rggdist.distances._longest_side_moment`).  The hard disks share
+    one pass, cut at every truncation ``min(r0, D)``; every other model
+    has its own, cut at D.  Raises on the first integral that cannot
+    converge, returning no partial table.
     """
     if quad is not None and quad.abs_tol == 0:
         raise DomainError("pmf_n3 needs a positive abs_tol; rel_tol is unused")
@@ -170,21 +178,23 @@ def _pmf_n3_many(models, domain: DiskDomain, quad: QuadratureSettings | None = N
     moment_tol = entry_tol / 4.0
 
     axes = [_edge_axis(model, domain.diameter) for model in models]
-    hard = [k for k, (_, weight, _) in enumerate(axes) if weight is None]
-    hard_stats = _LineStats()
-    m3_hard, e3_hard = _longest_side_cdf(
-        domain, [axes[k][0] for k in hard], moment_tol, max_sub, hard_stats
-    )
-    hard_m3 = {k: (float(v), float(e)) for k, v, e in zip(hard, m3_hard, e3_hard)}
+    # One pass per group: all hard disks together, each weighted model alone.
+    groups = {}
+    for k, (_, weight, _) in enumerate(axes):
+        groups.setdefault(-1 if weight is None else k, []).append(k)
+    m3s = {}
+    for group in groups.values():
+        stats = _LineStats()
+        _, weight, breaks = axes[group[0]]
+        values, errors = _longest_side_moment(
+            domain, [axes[k][0] for k in group], weight, breaks, moment_tol, max_sub, stats
+        )
+        m3s.update((k, (float(v), float(e), stats)) for k, v, e in zip(group, values, errors))
     pmfs = []
     for k, (model, axis) in enumerate(zip(models, axes)):
         m1, e1 = _pair_connect_prob(model, domain, _PAIR_SETTINGS)
         m2, e2 = _coverage_moment(domain, *axis, moment_tol, max_sub)
-        if k in hard_m3:
-            (m3, e3), stats = hard_m3[k], hard_stats
-        else:
-            stats = _LineStats()
-            m3, e3 = _product_moment(domain, *axis, moment_tol, max_sub, stats)
+        m3, e3, stats = m3s[k]
         pmfs.append(_pmf_from_moments((m1, m2, m3), (e1, e2, e3), stats))
     return pmfs
 

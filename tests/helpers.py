@@ -13,8 +13,8 @@ record, the scalar ``connect_prob``, the scalar conditional density
 forms), ``marginal_pair_density``, the double integral of the joint
 density that must reproduce the two-point density, and the two moment
 oracles of the exact pmf: ``triple_m2``, M2 as a triple integral of the
-joint density, and ``full_cube_hard_m3``, a hard disk's M3 over the full
-cube of its edge axes."""
+joint density, and ``full_cube_m3``, M3 of any model over the full cube of
+its three edge axes."""
 
 import math
 import os
@@ -30,7 +30,6 @@ import rggdist
 from rggdist import (
     DiskDomain,
     DomainError,
-    HardDisk,
     McSettings,
     QuadratureResult,
     QuadratureSettings,
@@ -45,10 +44,8 @@ from rggdist.distances import (
     _cond_pdf3_batch,
     _inner_lines,
     _per_cell_line_integrals,
-    _product_moment,
 )
 from rggdist.geometry import DEGENERATE_Q_EPS, pair_array
-from rggdist.graphdist import _edge_axis
 from rggdist.montecarlo import _count_fit
 from rggdist.quadrature import integrate_many
 
@@ -217,12 +214,43 @@ def triple_m2(domain: DiskDomain, hi, weight, breaks, abs_tol, max_subdivisions=
     return float(values[0]), float(errors[0]) + 0.3 * abs_tol
 
 
-def full_cube_hard_m3(domain: DiskDomain, r0, abs_tol, max_subdivisions=1000):
-    """Hard-disk ``M3 = P(all three sides < r0)`` as the integral of the
-    joint density over the full cube ``[0, min(r0, D)]**3``, the oracle of
-    the longest-side pass.  Returns (value, error estimate)."""
-    hi, weight, breaks = _edge_axis(HardDisk(r0=r0), domain.diameter)
-    return _product_moment(domain, hi, weight, breaks, abs_tol, max_subdivisions)
+def full_cube_m3(
+    domain: DiskDomain, hi, weight, breaks, abs_tol, max_subdivisions=1000, stats=None
+):
+    """``M3 = E[p(R12) p(R13) p(R23)]`` as the integral of the joint density
+    over the full cube of three edge axes, the oracle of the longest-side
+    pass.  Every side runs over [0, hi] times ``weight`` (``None`` for 1)
+    and splits at ``breaks``; the middle axis also splits where the third
+    side's interval ``[|p - q|, min(p + q, hi, D)]`` kinks.  A
+    ``_LineStats`` ``stats`` counts the third-side lines.  Returns (value,
+    error estimate), the estimate including the inner levels' budgets."""
+    D = domain.diameter
+    if hi <= 0.0:
+        return 0.0, 0.0
+    tol_inner = 0.05 * abs_tol / (hi * hi)
+    mid_settings = QuadratureSettings(
+        abs_tol=0.25 * abs_tol / hi, rel_tol=0.0, max_subdivisions=max_subdivisions
+    )
+
+    def outer_integrand(p_batch, _):
+        def mid_integrand(q_flat, own):
+            vals, _ = _inner_lines(
+                p_batch[own], q_flat, 0.0, hi, D,
+                weight=weight, extra_breaks=breaks, line_tol=tol_inner, stats=stats,
+            )
+            return vals if weight is None else vals * weight(q_flat)
+
+        mid_vals, _ = integrate_many(
+            mid_integrand, [(0.0, hi)] * len(p_batch), mid_settings,
+            breakpoints=[(pv, hi - pv, D - pv) + tuple(breaks) for pv in p_batch],
+        )
+        return mid_vals if weight is None else mid_vals * weight(p_batch)
+
+    outer_settings = QuadratureSettings(
+        abs_tol=0.5 * abs_tol, rel_tol=0.0, max_subdivisions=max_subdivisions
+    )
+    values, errors = integrate_many(outer_integrand, [(0.0, hi)], outer_settings, [breaks])
+    return float(values[0]), float(errors[0]) + 0.3 * abs_tol
 
 
 def cell_masses_reference(domain: DiskDomain, edges, gauss_order=5):
@@ -380,10 +408,16 @@ def bootstrap_entropy(counts, total, bias_correction, resamples, rng):
 def run_cli_process(*argv):
     """Run ``python -m rggdist ARGV`` in a fresh interpreter that imports
     the same rggdist as the test process; returns the completed process."""
+    return run_python_process("-m", "rggdist", *argv)
+
+
+def run_python_process(*args):
+    """Run ``python ARGS`` in a fresh interpreter that imports the same
+    rggdist as the test process; returns the completed process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(rggdist.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "rggdist", *argv],
+        [sys.executable, *args],
         capture_output=True,
         timeout=600,
         env=dict(os.environ, PYTHONPATH=path),

@@ -36,13 +36,13 @@ from rggdist import (
     relabel_orbit_map,
     shearer_factor,
 )
-from rggdist.distances import _product_moment
 from rggdist.montecarlo import _count_fit
 
 from helpers import (
     _density_inscribed,
     _density_obtuse_extra,
     _density_outscribed,
+    full_cube_m3,
     marginal_pair_density,
     obtuse_boundary_triples,
     pmf_fit,
@@ -71,7 +71,7 @@ def sweep_pmfs():
 
 def test_01_joint_density_normalizes():
     start = time.monotonic()
-    value, est = _product_moment(DOMAIN, 1.0, None, (), 1e-5, 400)
+    value, est = full_cube_m3(DOMAIN, 1.0, None, (), 1e-5, 400)
     elapsed = time.monotonic() - start
     dev = abs(value - 1.0)
     report(

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -37,7 +38,7 @@ from rggdist.distances import joint_pdf3_cell_masses
 from rggdist.montecarlo import MAX_WORKERS, substream
 from rggdist.quadrature import integrate_many
 
-from helpers import distance_sq_blocks_reference, run_cli_process
+from helpers import distance_sq_blocks_reference, run_cli_process, run_python_process
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +241,28 @@ class TestSweepCommands:
             bound2 = float(row[4])
             assert h <= bound2 + 1e-9
 
+    def test_entropy_sweep_takes_g2_from_the_three_node_m1(self, capsys, monkeypatch):
+        # Without --abs-tol each row's M1 is integrated once, at the pair
+        # settings, and serves both columns: the G2 column is pmf_n2's.
+        calls = []
+        pair = graphdist._pair_connect_prob
+        monkeypatch.setattr(
+            graphdist, "_pair_connect_prob", lambda *args: calls.append(args) or pair(*args)
+        )
+        code, out, _ = run_cli(
+            capsys, "sweep-entropy", "--n", "3", "--steps", "4", "--model-kind", "exp",
+            "--r0-start", "0.1",
+        )
+        assert code == 0
+        assert len(calls) == 4
+        domain = DiskDomain(1.0)
+        want = [
+            format(float(shearer_factor(3, 2) * Fraction(entropy_bits(pmf_n2(model, domain)))),
+                   ".12g")
+            for model in (ExponentialSoft(r0=float(r0), beta=2.0) for r0 in np.linspace(0.1, 1, 4))
+        ]
+        assert [line.split(",")[4] for line in out.strip().split("\n")[2:]] == want
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -333,6 +356,18 @@ class TestValidateCommand:
         )
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    def test_pdf3_leaves_numpy_ma_unimported(self):
+        # The cell masses take a sorted union of breakpoints without
+        # np.union1d, whose first call imports numpy.ma (0.8 MB of peak RSS).
+        proc = run_python_process("-c", (
+            "import sys\n"
+            "from rggdist import cli\n"
+            "cli.main(['validate', 'pdf3', '--samples', '20000', '--out', sys.argv[1]])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        ), os.devnull)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"False\n"
 
 
     @pytest.mark.parametrize("target", ["pair", "pdf3", "condpdf"])

@@ -7,14 +7,17 @@ line pins were recorded when the line integrator began to map each
 third-side line once through one cosine substitution.  The three-node
 pmf pins were recorded when M2 began to come from the coverage function
 and a hard disk's M3 from the pass over the longest side; the weighted
-models' M3 (their last entry) kept its bytes then.  Any later change of
-the integrators must reproduce them exactly.  No pinned
-value passes through BLAS, so they do not depend on the BLAS library or
-its thread count.  They do depend on how numpy's ``arccos``/``exp`` and
-the ``cos``/``sin`` of the line substitution round, which varies with the
-CPU's SIMD features (with numpy's AVX-512 loops disabled both the pins
-and the fingerprint below change), so the byte pins run only where that
-fingerprint matches the one recorded with them.
+models' M3 (their last entry) kept its bytes then.  The weighted models'
+pins were re-recorded when their M3 moved to the same longest-side pass,
+with the edge weight on all three axes; the hard disks' pins kept their
+bytes.  Any later change of the integrators must reproduce them
+exactly.  No pinned value passes through BLAS, so they do not depend on
+the BLAS library or its thread count.  They do depend on how numpy's
+``arccos``/``exp`` and the ``cos``/``sin`` of the line substitution
+round, which varies with the CPU's SIMD features (with numpy's AVX-512
+loops disabled both the pins and the fingerprint below change), so the
+byte pins run only where that fingerprint matches the one recorded with
+them.
 """
 
 import hashlib
@@ -66,28 +69,28 @@ PMF_PINS = {
         "0x1.1d714578194eep-20",
     ),
     ("exp", None): (
-        ["0x1.bcc7fdcd08644p-2", "0x1.28b42e3a38f82p-3", "0x1.28b42e3a38f82p-3",
-         "0x1.1dfc8603e0b84p-5", "0x1.28b42e3a38f82p-3", "0x1.1dfc8603e0b84p-5",
-         "0x1.1dfc8603e0b84p-5", "0x1.aeb0a9a2de264p-6"],
-        "0x1.abc5921cfba60p-13",
+        ["0x1.bcc7fdcd7f0b6p-2", "0x1.28b42e394ba9ep-3", "0x1.28b42e394ba9ep-3",
+         "0x1.1dfc860795f18p-5", "0x1.28b42e394ba9ep-3", "0x1.1dfc860795f18p-5",
+         "0x1.1dfc860795f18p-5", "0x1.aeb0a99b73b3cp-6"],
+        "0x1.1d3a2b991c248p-13",
     ),
     ("exp", 1e-6): (
-        ["0x1.bcc7fdcd44c48p-2", "0x1.28b42e399747fp-3", "0x1.28b42e399747fp-3",
-         "0x1.1dfc86070b37ep-5", "0x1.28b42e399747fp-3", "0x1.1dfc86070b37ep-5",
-         "0x1.1dfc86070b37ep-5", "0x1.aeb0a99b41a99p-6"],
-        "0x1.6ec1e6db94542p-20",
+        ["0x1.bcc7fdcd52034p-2", "0x1.28b42e397cca9p-3", "0x1.28b42e397cca9p-3",
+         "0x1.1dfc8607752d6p-5", "0x1.28b42e397cca9p-3", "0x1.1dfc8607752d6p-5",
+         "0x1.1dfc8607752d6p-5", "0x1.aeb0a99a6dbe8p-6"],
+        "0x1.6c348515a1832p-20",
     ),
     ("table", None): (
-        ["0x1.062811c5fb16ep-2", "0x1.37eea563cf0eap-3", "0x1.37eea563cf0eap-3",
-         "0x1.2eae5891f8930p-4", "0x1.37eea563cf0eap-3", "0x1.2eae5891f8930p-4",
-         "0x1.2eae5891f8930p-4", "0x1.0bbccedb4f944p-4"],
-        "0x1.1b7602b188fc6p-13",
+        ["0x1.06280e0ad8858p-2", "0x1.37eeacda14315p-3", "0x1.37eeacda14315p-3",
+         "0x1.2eae49a56e4dap-4", "0x1.37eeacda14315p-3", "0x1.2eae49a56e4dap-4",
+         "0x1.2eae49a56e4dap-4", "0x1.0bbcddc7d9d9ap-4"],
+        "0x1.1b38b8219772cp-13",
     ),
     ("table", 1e-6): (
-        ["0x1.0628103ce5758p-2", "0x1.37eea875f6256p-3", "0x1.37eea875f6256p-3",
-         "0x1.2eae526db2bd8p-4", "0x1.37eea875f6256p-3", "0x1.2eae526db2bd8p-4",
-         "0x1.2eae526db2bd8p-4", "0x1.0bbcd4ff8d11cp-4"],
-        "0x1.6d396108b2c7ap-20",
+        ["0x1.062810012aa87p-2", "0x1.37eea8ed6bbf0p-3", "0x1.37eea8ed6bbf0p-3",
+         "0x1.2eae517ec78a4p-4", "0x1.37eea8ed6bbf0p-3", "0x1.2eae517ec78a4p-4",
+         "0x1.2eae517ec78a4p-4", "0x1.0bbcd5ee78450p-4"],
+        "0x1.72cbdbe844c7ep-20",
     ),
 }
 # Two-node pmfs (probs, error estimate) at the default settings.

@@ -25,12 +25,12 @@ from rggdist import (
     relabel_orbit_map,
 )
 from rggdist import graphdist
-from rggdist.distances import _coverage_moment, _inner_lines, _LineStats, _longest_side_cdf
+from rggdist.distances import _coverage_moment, _inner_lines, _LineStats, _longest_side_moment
 from rggdist.quadrature import QuadratureSettings
 
 from helpers import (
     EdgeVector,
-    full_cube_hard_m3,
+    full_cube_m3,
     orbit_representative,
     outcome_is_connected,
     pmf_fit,
@@ -173,9 +173,19 @@ class TestExactPmfDispatch:
 TABLE = Tabulated(((0.0, 0.9), (0.25, 0.7), (0.5, 0.2), (0.8, 0.0), (1.0, 0.0)))
 
 
+# Models of the M3 oracle test, by id: hard disks (the pass's cumulative
+# distribution function), soft models that weight every axis, and the table,
+# whose knots split every axis.
+M3_MODELS = {
+    **{str(r0): HardDisk(r0=r0) for r0 in (0.2, 0.4, 0.6, 0.9)},
+    **{f"exp-{r0}": ExponentialSoft(r0=r0, beta=2.0) for r0 in (0.05, 0.3, 0.8)},
+    "table": TABLE,
+}
+
+
 class TestMomentOracles:
-    """M2 from the coverage function and the hard disk's M3 from one pass
-    over the longest side, against the triple integrals they replace."""
+    """M2 from the coverage function and M3 from one pass over the longest
+    side, against the triple integrals they replace."""
 
     @pytest.mark.parametrize(
         "model",
@@ -191,13 +201,21 @@ class TestMomentOracles:
         pmf = pmf_n3(model, DOMAIN)
         assert abs(pmf.ingredients["m2"] - oracle) <= pmf.ingredients["e2"]
 
-    @pytest.mark.parametrize("r0", [0.2, 0.4, 0.6, 0.9])
-    def test_longest_side_m3_matches_full_cube(self, r0):
-        oracle, oracle_err = full_cube_hard_m3(DOMAIN, r0, 1e-8)
-        (value,), (err,) = _longest_side_cdf(DOMAIN, [r0], 1e-8, 1000)
+    @pytest.mark.parametrize("key", M3_MODELS)
+    def test_longest_side_m3_matches_full_cube(self, key):
+        model = M3_MODELS[key]
+        hi, weight, breaks = graphdist._edge_axis(model, DOMAIN.diameter)
+        oracle, oracle_err = full_cube_m3(DOMAIN, hi, weight, breaks, 1e-8)
+        (value,), (err,) = _longest_side_moment(DOMAIN, [hi], weight, breaks, 1e-8, 1000)
         assert abs(value - oracle) <= err + oracle_err
-        pmf = pmf_n3(HardDisk(r0=r0), DOMAIN)
+        # The default pmf's M3 lies within its own estimate of the oracle,
+        # from fewer third-side lines than the full cube at its tolerance
+        # (the table's pass with its q axis unsplit takes 8,700, the cube 6,570).
+        pmf = pmf_n3(model, DOMAIN)
         assert abs(pmf.ingredients["m3"] - oracle) <= pmf.ingredients["e3"]
+        cube = _LineStats()
+        full_cube_m3(DOMAIN, hi, weight, breaks, graphdist.DEFAULT_PMF_ENTRY_TOL / 4, 400, cube)
+        assert pmf.ingredients["lines"] < cube.lines
 
     def test_sweep_rows_match_lone_pmfs(self):
         # Each row of a 40-point sweep shares one longest-side pass; a lone
