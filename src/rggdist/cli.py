@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +51,7 @@ from .montecarlo import (
     McSettings,
     _count_fit,
     _distance_counts,
+    _in_threads,
     _outcome_bits,
     distance_histogram3,
     estimate_entropy,
@@ -325,24 +325,6 @@ def _cmd_sweep_connectivity(args) -> int:
     return EXIT_OK
 
 
-def _beside(background, foreground):
-    """``(foreground(), background())``, with ``background`` running on a
-    second thread while ``foreground`` runs on this one.
-
-    Both have finished when this returns or raises.  An error of
-    ``background`` is raised in preference to one of ``foreground``, as if
-    it had run first.
-    """
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(background)
-        try:
-            front = foreground()
-        except Exception:
-            future.result()
-            raise
-        return front, future.result()
-
-
 def _cmd_sweep_entropy(args) -> int:
     domain = DiskDomain(args.diameter)
     _check_sweep_n(args)
@@ -363,10 +345,11 @@ def _cmd_sweep_entropy(args) -> int:
         return list(zip(pmf2s, pmf3s))
 
     if args.mc:
-        # The exact bound columns are computed while the sampler runs.
+        # The exact bound columns are computed on this thread while the
+        # sampler runs on others; a sampler error is raised first.
         mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
-        pmfs, estimates = _beside(
-            lambda: estimate_entropy_sweep(n, models, domain, mc), exact_pmfs
+        estimates, pmfs = _in_threads(
+            [lambda: estimate_entropy_sweep(n, models, domain, mc), exact_pmfs]
         )
     else:
         pmfs = exact_pmfs()

@@ -7,9 +7,12 @@ does not connect).  The exponential soft model uses
 ``(r, p)`` knots and clamp to the end values outside the knot range.
 
 Models are immutable and evaluation is pure, so instances can be shared
-freely between threads.  ``parse_model`` builds a model from the textual
-form used by the command line: ``hard:r0=0.3``, ``exp:r0=0.3,beta=2`` or
-``table:@knots.csv`` (CSV with a required ``r,p`` header).
+freely between threads.  ``probability(r, out=...)`` writes the values
+into ``out`` (which may be ``r`` itself) and returns it; they are
+byte-identical to those of ``probability(r)``.  ``parse_model`` builds a
+model from the textual form used by the command line: ``hard:r0=0.3``,
+``exp:r0=0.3,beta=2`` or ``table:@knots.csv`` (CSV with a required
+``r,p`` header).
 """
 
 from __future__ import annotations
@@ -25,9 +28,15 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class ConnectionModel:
-    """Base class; subclasses implement ``probability`` for array input."""
+    """Base class; subclasses implement ``probability(r, out=None)``.
 
-    def probability(self, r):
+    ``r`` is an array of distances.  The values go into ``out`` when it is
+    given (a float array of ``r``'s shape, possibly ``r`` itself), else
+    into a new array, which is returned.  The Monte Carlo sampler always
+    passes ``out``.
+    """
+
+    def probability(self, r, out=None):
         raise NotImplementedError
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -48,9 +57,11 @@ class HardDisk(ConnectionModel):
             raise DomainError(f"r0 must be a finite nonnegative length, got {self.r0!r}")
         object.__setattr__(self, "r0", r0)
 
-    def probability(self, r):
+    def probability(self, r, out=None):
         r = np.asarray(r, dtype=float)
-        return np.where(r < self.r0, 1.0, 0.0)
+        if out is None:
+            out = np.empty(r.shape)
+        return np.less(r, self.r0, out=out)
 
     def breakpoints(self):
         return (self.r0,)
@@ -74,9 +85,14 @@ class ExponentialSoft(ConnectionModel):
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "beta", beta)
 
-    def probability(self, r):
+    def probability(self, r, out=None):
         r = np.asarray(r, dtype=float)
-        return np.exp(-((r / self.r0) ** self.beta))
+        if out is None:
+            out = np.empty(r.shape)
+        # ``**=`` takes the same fast paths as ``**`` (square for beta = 2).
+        t = np.divide(r, self.r0, out=out)
+        t **= self.beta
+        return np.exp(np.negative(t, out=t), out=t)
 
     def spec_string(self):
         return f"exp:r0={self.r0:g},beta={self.beta:g}"
@@ -100,11 +116,15 @@ class Tabulated(ConnectionModel):
                 raise DomainError(f"knot probability {p!r} outside [0, 1]")
         object.__setattr__(self, "knots", knots)
 
-    def probability(self, r):
+    def probability(self, r, out=None):
         r = np.asarray(r, dtype=float)
         rs = np.asarray([k[0] for k in self.knots])
         ps = np.asarray([k[1] for k in self.knots])
-        return np.interp(r, rs, ps)  # np.interp clamps to the end values
+        p = np.interp(r, rs, ps)  # np.interp clamps to the end values
+        if out is None:
+            return p
+        np.copyto(out, p)
+        return out
 
     def breakpoints(self):
         return tuple(r for r, _ in self.knots)

@@ -5,14 +5,18 @@ package: empirical outcome tables, entropy with bias correction, distance
 histograms, and the one rule that judges a sampled table against a
 closed form (:func:`_count_fit`).
 
-Reproducibility: all randomness comes from counter-based Philox streams.
-Worker ``w`` of a run seeded with ``seed`` uses the stream
-``Philox(key=seed).jumped(w)``.  Jumps advance the counter by 2**128
-draws, so the streams cannot overlap, and a fixed (samples, seed,
-workers) triple gives bit-identical results no matter how the work is
-scheduled.  Entropy standard errors are closed forms of the counts and
-draw nothing.  The generator name is recorded in every estimate so
-outputs are auditable.
+Reproducibility: all randomness comes from PCG64DXSM streams (O'Neill,
+"PCG: A family of simple fast space-efficient statistically good
+algorithms for random number generation", HMC-CS-2014-0905, with the
+DXSM output function).  Worker ``w`` of a run seeded with ``seed`` uses
+the stream ``PCG64DXSM(seed).jumped(w)``: ``w`` jumps of about
+``0.618 * 2**128`` draws each along the one period of ``2**128``, so any
+two of the ``MAX_WORKERS`` worker streams start at least ``2**116`` draws
+apart and cannot overlap in any feasible run, and a fixed
+(samples, seed, workers) triple gives bit-identical results no matter how
+the work is scheduled.  Entropy standard errors are closed forms of the
+counts and draw nothing.  The generator name is recorded in every
+estimate so outputs are auditable.
 
 Sweeps: :func:`estimate_pmf_sweep` and :func:`estimate_entropy_sweep`
 count a list of connection models on one shared pool of point sets, in
@@ -29,7 +33,10 @@ A worker therefore holds a few block-sized arrays and its outcome table,
 and ``_BLOCK`` is part of the stream: changing it changes every output.
 The block arrays are allocated once per worker and reused for every
 block, so the hot loop neither allocates nor page-faults them afresh:
-uniforms are drawn into them in place, and the pair stage is pair-major
+uniforms are drawn into them in place, the angle map works in the
+coordinate buffers, and a soft model writes its edge probabilities over
+the block's distances (one per-worker scratch for a list of models), so
+no block makes a soft temporary.  The pair stage is pair-major
 (coordinates ``(n, block)``, squared distances ``(m, block)``), so each
 pair is a difference of two contiguous rows and each block is yielded as
 a ``(rows, m)`` view that is valid until the next block.  Outcome codes
@@ -37,28 +44,29 @@ are ``bits @ 2**arange(m)`` taken in float64 (:class:`_Encoder`): every
 partial sum is an integer below ``2**MAX_OUTCOME_BITS``, far below
 ``2**53``, so the product is exact in any summation order and does not
 depend on the BLAS or its threads.  Threads are capped at
-``os.cpu_count()`` and the per-worker results are added as they arrive,
-so peak memory grows with the cores in use, not with ``workers`` (at
-most ``MAX_WORKERS``).
+``os.cpu_count()`` and each folds its workers' results into its own
+running total, so peak memory grows with the cores in use, not with
+``workers`` (at most ``MAX_WORKERS``).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from statistics import NormalDist
+from threading import Event, Thread
 from typing import NamedTuple
 
 import numpy as np
 
 from .connection import ConnectionModel, HardDisk
 from .errors import DomainError, UnsupportedError
-from .geometry import DiskDomain, pair_array, pair_count
+from .geometry import DiskDomain, _disk_map, pair_array, pair_count
 from .graphdist import GraphPmf
 
-RNG_NAME = "philox"
+RNG_NAME = "pcg64dxsm"
 
 # Point sets per block of the stream layout (see the module docstring):
 # changing it changes every output.  Small enough for the pair stage's
@@ -148,35 +156,81 @@ def _count_fit(counts, probs, samples, slack=0.0) -> dict:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent Philox stream number ``index`` of the given seed."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(index))
+    """Independent PCG64DXSM stream number ``index`` of the given seed."""
+    return np.random.Generator(np.random.PCG64DXSM(seed).jumped(index))
+
+
+def _in_threads(calls, stop=None):
+    """``[call() for call in calls]``, the calls run at once: the last on
+    this thread, each other one on a thread of its own.
+
+    All have finished when this returns or raises.  The error raised is
+    that of the first call, in list order, that failed.  If given, the
+    event ``stop`` is set as soon as a call fails or the wait for the
+    others is interrupted, so that calls which check it can end early.
+    """
+    results, errors = [None] * len(calls), [None] * len(calls)
+
+    def run(k):
+        try:
+            results[k] = calls[k]()
+        except BaseException as exc:
+            errors[k] = exc
+            if stop is not None:
+                stop.set()
+
+    threads = [Thread(target=run, args=(k,)) for k in range(len(calls) - 1)]
+    for thread in threads:
+        thread.start()
+    run(len(calls) - 1)
+    try:
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        if stop is not None:
+            stop.set()
+        for thread in threads:
+            thread.join()
+        raise
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 def _fan_out(mc: McSettings, work):
     """Sum of ``work(substream(mc.seed, w), share_w)`` over the workers.
 
-    Worker ``w`` gets its own substream and its share of ``mc.samples``;
-    the partial results are added in worker order, so the total does not
-    depend on scheduling.  At most ``os.cpu_count()`` threads run the
-    workers, one window of that many at a time, and each window's parts
-    are folded into the total before the next starts, so at most one
-    window of parts is held at once.  The first part is the running
-    total, so no part is ever copied.
+    Worker ``w`` gets its own substream and its share of ``mc.samples``.
+    At most ``os.cpu_count()`` threads run the workers: thread t runs
+    workers t, t + T, ... in turn and folds each part into its own running
+    total, the first part being that total, so at most one table per
+    thread is held besides the part in progress.  The parts are integer
+    counts, so their sum does not depend on the order of the additions or
+    on scheduling.  Once a worker fails, each thread ends after the worker
+    it is running.
     """
     base, extra = divmod(mc.samples, mc.workers)
     shares = [base + (1 if w < extra else 0) for w in range(mc.workers)]
-    if mc.workers == 1:
-        return work(substream(mc.seed, 0), shares[0])
     threads = min(mc.workers, os.cpu_count() or 1)
-    total = None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for lo in range(0, mc.workers, threads):
-            window = range(lo, min(lo + threads, mc.workers))
-            for part in pool.map(lambda w: work(substream(mc.seed, w), shares[w]), window):
-                if total is None:
-                    total = part
-                else:
-                    total += part
+    stop = Event()
+
+    def run(t):
+        total = None
+        for w in range(t, mc.workers, threads):
+            if stop.is_set():
+                break
+            part = work(substream(mc.seed, w), shares[w])
+            if total is None:
+                total = part
+            else:
+                total += part
+        return total
+
+    totals = _in_threads([partial(run, t) for t in range(threads)], stop)
+    total = totals[0]
+    for part in totals[1:]:
+        total += part
     return total
 
 
@@ -189,6 +243,18 @@ def _distance_sq_chunks(n, domain, rng, count):
     caller may draw from ``rng`` after each step; those draws follow the
     block's uniforms.  Squared form so that hard-disk thresholding can
     skip the square root.
+
+    The point of radial uniform u and angular uniform v is
+    ``r = R*sqrt(u)`` times ``((1 - s**2)/(1 + s**2), 2*s/(1 + s**2))``
+    with ``s = tan(pi*v)``, the tan half-angle map of :func:`_disk_map`.
+    Its angle is exactly uniform.  Its coordinates lie within
+    ``4*eps*R`` of ``r*cos(2*pi*v)`` and ``r*sin(2*pi*v)`` (at most about
+    ``eps*R`` over 2M draws), and ``x**2 + y**2 <= R**2 * (1 + 4*eps)``.
+    The map runs in the coordinate buffers, its ``tan`` in place on the
+    contiguous angular uniforms.  ``np.tan``, like ``np.exp``, rounds
+    through numpy's AVX-512 loop on hosts where one exists and through
+    libm elsewhere, so the last bits of a stream may differ between hosts
+    (never between runs on one host).
 
     The block buffers are allocated once per call and are pair-major:
     coordinates are stored ``(n, block)`` and differences ``(m, block)``,
@@ -207,12 +273,10 @@ def _distance_sq_chunks(n, domain, rng, count):
     dx, dy = np.empty((m, width)), np.empty((m, width))
     for b in range(0, count, _BLOCK):
         rows = min(_BLOCK, count - b)
-        r, a = rng.random(out=rho[:rows]), rng.random(out=ang[:rows])
+        r, v = rng.random(out=rho[:rows]), rng.random(out=ang[:rows])
         np.multiply(domain.radius, np.sqrt(r, out=r), out=r)
-        np.multiply(2.0 * math.pi, a, out=a)
         x, y = xs[:, :rows], ys[:, :rows]
-        np.multiply(r.T, np.cos(a.T, out=x), out=x)
-        np.multiply(r.T, np.sin(a.T, out=y), out=y)
+        _disk_map(r.T, v.T, x, y)
         ddx, ddy = dx[:, :rows], dy[:, :rows]
         slot = 0
         for i in range(n - 1):
@@ -279,6 +343,8 @@ def _outcome_counts(n, models, domain, mc: McSettings) -> np.ndarray:
     ``[models[k]]`` alone.  All-hard-disk lists threshold the squared
     distances and draw nothing more; other lists draw one uniform per edge
     and set, once for all models, and compare it with each probability.
+    A single soft model writes its probabilities over the distances; a
+    list writes them into one scratch laid out like the distances.
     """
     if not models:
         raise DomainError("need at least one connection model")
@@ -292,9 +358,12 @@ def _outcome_counts(n, models, domain, mc: McSettings) -> np.ndarray:
         if not hard:
             # Row-major like the stream's per-edge uniforms: comparing into
             # the pair-major encoder buffer instead is four times slower.  A
-            # single model needs no uniform twice, so it compares in place.
+            # single model needs no uniform or distance twice, so it
+            # compares in place.
             uniforms = np.empty((width, m))
-            soft_bits = uniforms if len(models) == 1 else np.empty((width, m))
+            one = len(models) == 1
+            soft_bits = uniforms if one else np.empty((width, m))
+            probs = None if one else np.empty((m, width)).T
         for dist_sq in _distance_sq_chunks(n, domain, rng, count):
             rows = len(dist_sq)
             if hard:
@@ -304,13 +373,14 @@ def _outcome_counts(n, models, domain, mc: McSettings) -> np.ndarray:
                 u = rng.random(out=uniforms[:rows])
                 r = np.sqrt(dist_sq, out=dist_sq)
                 bits = soft_bits[:rows]
+                p = r if one else probs[:rows]
             for k, model in enumerate(models):
                 if hard:
                     # The indicator can be evaluated exactly on squared
                     # distances; no per-edge uniforms are consumed.
                     np.less(dist_sq, model.r0 * model.r0, out=bits)
                 else:
-                    np.less(u, model.probability(r), out=bits)
+                    np.less(u, model.probability(r, out=p), out=bits)
                 counts[k] += np.bincount(encoder.codes(bits), minlength=1 << m)
         return counts
 

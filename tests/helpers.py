@@ -361,6 +361,16 @@ def sample_pmf(n, model, seed, samples, workers=1, diameter=1.0):
     )
 
 
+def disk_map_reference(rho, v):
+    """Coordinates of the points at radii ``rho`` and angles ``2*pi*v``
+    through the tan half-angle map, as allocating expressions that take
+    the sampler's IEEE operations in its order."""
+    s = np.tan(math.pi * v)
+    s2 = s * s
+    t = s2 + 1.0
+    return rho * ((1.0 - s2) / t), rho * ((s + s) / t)
+
+
 def distance_sq_blocks_reference(n, domain, rng, count, block):
     """Row-major form of ``montecarlo._distance_sq_chunks``: per block of
     at most ``block`` sets, draw the radial uniforms ``rng.random((rows,
@@ -371,9 +381,7 @@ def distance_sq_blocks_reference(n, domain, rng, count, block):
     for start in range(0, count, block):
         rows = min(block, count - start)
         rho = domain.radius * np.sqrt(rng.random((rows, n)))
-        ang = 2.0 * math.pi * rng.random((rows, n))
-        xs = rho * np.cos(ang)
-        ys = rho * np.sin(ang)
+        xs, ys = disk_map_reference(rho, rng.random((rows, n)))
         dx = xs[:, pairs[:, 0]] - xs[:, pairs[:, 1]]
         dy = ys[:, pairs[:, 0]] - ys[:, pairs[:, 1]]
         yield dx * dx + dy * dy
@@ -481,10 +489,7 @@ def sample_graph(n, model, domain, rng):
     """One realized graph: n uniform points, one Bernoulli draw per pair."""
     u = rng.random(n)
     v = rng.random(n)
-    rho = domain.radius * np.sqrt(u)
-    ang = 2.0 * math.pi * v
-    xs = rho * np.cos(ang)
-    ys = rho * np.sin(ang)
+    xs, ys = disk_map_reference(domain.radius * np.sqrt(u), v)
     bits = [
         sample_edge(model, math.hypot(xs[i] - xs[j], ys[i] - ys[j]), rng)
         for i, j in pair_array(n)

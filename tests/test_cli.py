@@ -138,7 +138,7 @@ class TestEntropyCommands:
         )
         assert code == 0
         rec = json.loads(out)
-        assert rec["settings"]["rng"] == "philox"
+        assert rec["settings"]["rng"] == "pcg64dxsm"
         assert rec["std_error"] > 0.0
 
     def test_mc_too_many_workers_refused_before_sampling(self, capsys, monkeypatch):
@@ -369,6 +369,16 @@ class TestValidateCommand:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"False\n"
 
+    def test_cli_import_leaves_futures_and_logging_unimported(self):
+        # Both fan-outs run on plain threads: concurrent.futures, which
+        # imports logging, costs about 0.7 MB of resident memory.
+        proc = run_python_process("-c", (
+            "import sys\n"
+            "import rggdist.cli\n"
+            "print('concurrent.futures' in sys.modules, 'logging' in sys.modules)\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"False False\n"
 
     @pytest.mark.parametrize("target", ["pair", "pdf3", "condpdf"])
     def test_model_refused_where_unused(self, capsys, monkeypatch, target):
@@ -433,9 +443,9 @@ class TestValidatePairBlocks:
         '{\n  "target": "pair",\n  "pass": true,\n  "checks": [\n    {\n'
         '      "name": "pair-distance histogram vs density",\n      "pass": true,\n'
         '      "alpha": 0.0001,\n      "entries_checked": 50,\n'
-        '      "z_crit": 4.75342430882,\n      "worst_z": 2.49235976565\n    }\n  ],\n'
+        '      "z_crit": 4.75342430882,\n      "worst_z": 2.16399174977\n    }\n  ],\n'
         '  "settings": {\n    "diameter": 1.0,\n    "seed": 5,\n    "samples": 524291,\n'
-        '    "workers": 1,\n    "model": null,\n    "rng": "philox"\n  }\n}\n'
+        '    "workers": 1,\n    "model": null,\n    "rng": "pcg64dxsm"\n  }\n}\n'
     )
 
     def test_output_recorded(self, capsys):
@@ -494,7 +504,7 @@ def serial_sweep_entropy(kind, r0_start, samples, steps, seed, workers):
     estimates = estimate_entropy_sweep(4, models, domain, mc)
     lines = [
         f"# seed={seed} diameter=1 n=4 model-kind={kind} beta=2 r0-start={r0_start:.12g} r0-stop=1 "
-        f"steps={steps} mc=true samples={samples} workers={workers} rng=philox",
+        f"steps={steps} mc=true samples={samples} workers={workers} rng=pcg64dxsm",
         "r0,H_exact_or_mc,H_std_err,bound_from_G3,bound_from_G2",
     ]
     # The CLI builds the G3 column with one many-model call: the hard disks

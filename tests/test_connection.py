@@ -114,6 +114,31 @@ class TestSampleEdge:
         assert rng_a.random() == rng_b.random()
 
 
+class TestProbabilityOut:
+    """``probability(r, out=...)`` gives the bytes of ``probability(r)``."""
+
+    MODELS = [
+        HardDisk(r0=0.3),
+        ExponentialSoft(r0=0.3, beta=1.5),
+        ExponentialSoft(r0=0.3, beta=2.0),
+        ExponentialSoft(r0=0.3, beta=3.0),
+        Tabulated(knots=((0.0, 0.9), (0.25, 0.7), (0.5, 0.2), (0.8, 0.0))),
+    ]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.spec_string())
+    def test_byte_identical(self, model):
+        # Distances laid out like a sampler block: a (rows, m) view of a
+        # pair-major buffer, with r0, 0 and the diameter among them.
+        r = np.sqrt(substream(17, 0).random((15, 1001))).T
+        r[:3, 0] = (0.3, 0.0, 1.0)
+        want = model.probability(r)
+        scratch = np.empty((15, 1001)).T
+        assert model.probability(r, out=scratch) is scratch
+        assert scratch.tobytes() == want.tobytes()
+        assert model.probability(r, out=r) is r
+        assert r.tobytes() == want.tobytes()
+
+
 class TestParseModel:
     def test_hard(self):
         m = parse_model("hard:r0=0.3")

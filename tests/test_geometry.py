@@ -16,6 +16,7 @@ from rggdist import (
     sample_points_in_disk,
     triangle_quantities,
 )
+from rggdist.geometry import _disk_map
 from rggdist.montecarlo import substream
 
 from helpers import pair_from_index, pair_index, sample_point_in_disk
@@ -167,6 +168,23 @@ class TestDiskSampler:
         counts, _ = np.histogram(rsq, bins=20, range=(0.0, 0.25))
         _, pvalue = stats.chisquare(counts)
         assert pvalue > 0.001
+
+    @pytest.mark.parametrize("diameter", [1.0, 7.4])
+    def test_half_angle_map_accuracy(self, diameter):
+        # The tan half-angle map against r*cos(2*pi*v) and r*sin(2*pi*v),
+        # on the circle of radius R: at the quarter turns, just below half
+        # a turn and a whole one (where tan(pi*v) is largest and smallest),
+        # and at 200k uniform draws.
+        R = DiskDomain(diameter).radius
+        eps = np.finfo(float).eps
+        quarters = [0.0, 0.25, 0.5, 0.75, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)]
+        v = np.concatenate([quarters, substream(16, 0).random(200_000)])
+        x, y = np.empty_like(v), np.empty_like(v)
+        _disk_map(np.full_like(v, R), v.copy(), x, y)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+        assert np.max(np.abs(x - R * np.cos(2.0 * math.pi * v))) <= 4 * eps * R
+        assert np.max(np.abs(y - R * np.sin(2.0 * math.pi * v))) <= 4 * eps * R
+        assert np.all(x * x + y * y <= R * R * (1.0 + 4 * eps))
 
     def test_deterministic(self):
         domain = DiskDomain(1.0)
