@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Single evaluations print JSON; sweeps print CSV with a ``# seed=...``
-comment line echoing every setting.  All numeric output uses 12
-significant digits with a plain decimal point, and every command is a
+Single evaluations print JSON with a ``settings`` record; sweeps print
+CSV under a ``# seed=...`` comment line holding the same record.  The
+record echoes every option the command parsed except ``--out``, in parser
+order, with the model as the spec string of the model that ran (it reads
+back through ``parse_model`` as the same model).  All numeric output uses
+12 significant digits with a plain decimal point, and every command is a
 deterministic function of its flags (including ``--seed``), so repeated
 runs are byte-identical.
 
@@ -86,13 +89,38 @@ def _write(out_path: str, text: str) -> None:
             fh.write(text)
 
 
-def _emit_json(args, record) -> None:
+# Names that route the output or pick the command, not settings.
+_UNECHOED = ("command", "handler", "out", "target")
+
+
+def _settings(args, ran) -> dict:
+    """Every option ``args`` holds, in parser order, with ``ran``'s values
+    in place of the raw flags they resolve, and ``rng`` where the command
+    takes ``--samples``."""
+    settings = {k: ran.get(k, v) for k, v in vars(args).items() if k not in _UNECHOED}
+    if "samples" in settings:
+        settings["rng"] = RNG_NAME
+    return settings
+
+
+def _token(value) -> str:
+    if isinstance(value, float):
+        return _fmt(value)
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
+    return str(value)
+
+
+def _emit_json(args, record, **ran) -> None:
+    settings = _settings(args, ran)
+    record["settings"] = {k: _jnum(v) if isinstance(v, float) else v for k, v in settings.items()}
     _write(args.out, json.dumps(record, indent=2) + "\n")
 
 
-def _emit_csv(args, settings_pairs, header, rows) -> None:
-    pairs = [("seed", args.seed)] + [(k, v) for k, v in settings_pairs if k != "seed"]
-    comment = "# " + " ".join(f"{k}={v}" for k, v in pairs)
+def _emit_csv(args, header, rows, **ran) -> None:
+    settings = _settings(args, ran)
+    pairs = [("seed", settings.pop("seed")), *settings.items()]
+    comment = "# " + " ".join(f"{k.replace('_', '-')}={_token(v)}" for k, v in pairs)
     lines = [comment, ",".join(header)]
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
@@ -119,7 +147,6 @@ def _cmd_pdf3(args) -> int:
         "Q": _jnum(tq.q),
         "d": _jnum(tq.circumdiameter) if tq.circumdiameter is not None else None,
         "rbar": _jnum(tq.longest),
-        "settings": {"diameter": _jnum(args.diameter), "seed": args.seed},
     }
     _emit_json(args, record)
     return EXIT_OK
@@ -127,12 +154,7 @@ def _cmd_pdf3(args) -> int:
 
 def _cmd_pairpdf(args) -> int:
     domain = DiskDomain(args.diameter)
-    record = {
-        "r": _jnum(args.r),
-        "density": _jnum(pair_pdf(args.r, domain)),
-        "settings": {"diameter": _jnum(args.diameter), "seed": args.seed},
-    }
-    _emit_json(args, record)
+    _emit_json(args, {"r": _jnum(args.r), "density": _jnum(pair_pdf(args.r, domain))})
     return EXIT_OK
 
 
@@ -148,14 +170,8 @@ def _cmd_pmf(args) -> int:
         "p_connected": _jnum(prob_connected(pmf)),
         "p_complete": _jnum(prob_complete(pmf)),
         "entropy_bits": _jnum(entropy_bits(pmf)),
-        "settings": {
-            "model": model.spec_string(),
-            "diameter": _jnum(args.diameter),
-            "abs_tol": _jnum(args.abs_tol) if args.abs_tol is not None else None,
-            "seed": args.seed,
-        },
     }
-    _emit_json(args, record)
+    _emit_json(args, record, model=model.spec_string())
     return EXIT_OK
 
 
@@ -168,14 +184,8 @@ def _cmd_entropy(args) -> int:
         "entropy_bits": _jnum(entropy_bits(pmf)),
         "error_bound_bits": _jnum(entropy_error_bound(pmf)),
         "method": pmf.method,
-        "settings": {
-            "model": model.spec_string(),
-            "diameter": _jnum(args.diameter),
-            "abs_tol": _jnum(args.abs_tol) if args.abs_tol is not None else None,
-            "seed": args.seed,
-        },
     }
-    _emit_json(args, record)
+    _emit_json(args, record, model=model.spec_string())
     return EXIT_OK
 
 
@@ -191,27 +201,33 @@ def _cmd_entropy_mc(args) -> int:
         "entropy_bits": _jnum(est.bits),
         "std_error": _jnum(est.std_error),
         "bias_correction": not args.no_bias_correction,
-        "settings": {
-            "model": model.spec_string(),
-            "diameter": _jnum(args.diameter),
-            "samples": args.samples,
-            "seed": args.seed,
-            "workers": args.workers,
-            "rng": RNG_NAME,
-        },
     }
-    _emit_json(args, record)
+    _emit_json(args, record, model=model.spec_string())
     return EXIT_OK
+
+
+def _exact_pmfs(models, domain, quad, with_pmf3):
+    """Each model's exact two-node pmf and three-node pmf (None unless
+    ``with_pmf3``).  Without ``quad`` the two-node pmf is the M1 the
+    three-node pmf already holds, integrated at the same settings; with
+    it, ``pmf_n2`` integrates M1 at that tolerance."""
+    pmf3s = _pmf_n3_many(models, domain, quad) if with_pmf3 else [None] * len(models)
+    pmf2s = [
+        _edge_pmf(pmf3.ingredients["m1"], pmf3.ingredients["e1"])
+        if pmf3 is not None and quad is None else pmf_n2(model, domain, quad)
+        for model, pmf3 in zip(models, pmf3s)
+    ]
+    return list(zip(pmf2s, pmf3s))
 
 
 def _cmd_bounds(args) -> int:
     domain = DiskDomain(args.diameter)
     model = parse_model(args.model)
-    quad = _quad_settings(args)
-    h_values = {2: entropy_bits(pmf_n2(model, domain, quad))}
+    [(pmf2, pmf3)] = _exact_pmfs([model], domain, _quad_settings(args), args.n > 3)
+    h_values = {2: entropy_bits(pmf2)}
     provenance = {2: "quadrature"}
-    if args.n > 3:
-        h_values[3] = entropy_bits(pmf_n3(model, domain, quad))
+    if pmf3 is not None:
+        h_values[3] = entropy_bits(pmf3)
         provenance[3] = "quadrature"
     chain = bound_chain(args.n, h_values, provenance)
     record = {
@@ -227,21 +243,13 @@ def _cmd_bounds(args) -> int:
         ],
         "tightest_bound_bits": _jnum(chain.tightest_bound_bits),
         "monotonic": chain.monotonic,
-        "settings": {
-            "model": model.spec_string(),
-            "diameter": _jnum(args.diameter),
-            "seed": args.seed,
-        },
     }
     if args.samples is not None:
         mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
         est = estimate_entropy(args.n, model, domain, mc)
         record["h_n_estimate_bits"] = _jnum(est.bits)
         record["h_n_std_error"] = _jnum(est.std_error)
-        record["settings"]["samples"] = args.samples
-        record["settings"]["workers"] = args.workers
-        record["settings"]["rng"] = RNG_NAME
-    _emit_json(args, record)
+    _emit_json(args, record, model=model.spec_string())
     return EXIT_OK
 
 
@@ -282,23 +290,6 @@ def _check_sweep_n(args) -> None:
         )
 
 
-def _sweep_settings_pairs(args, D):
-    stop = args.r0_stop if args.r0_stop is not None else D
-    return [
-        ("diameter", _fmt(D)),
-        ("n", args.n),
-        ("model-kind", args.model_kind),
-        ("beta", _fmt(args.beta)),
-        ("r0-start", _fmt(args.r0_start)),
-        ("r0-stop", _fmt(stop)),
-        ("steps", args.steps),
-        ("mc", str(bool(args.mc)).lower()),
-        ("samples", args.samples),
-        ("workers", args.workers),
-        ("rng", RNG_NAME),
-    ]
-
-
 def _cmd_sweep_connectivity(args) -> int:
     domain = DiskDomain(args.diameter)
     _check_sweep_n(args)
@@ -316,11 +307,10 @@ def _cmd_sweep_connectivity(args) -> int:
         (float(r0), prob_connected(pmf), prob_complete(pmf), pmf.method, float(pmf.error_estimate))
         for r0, pmf in zip(grid, pmfs)
     ]
+    # ``np.linspace`` ends the grid exactly at the effective stop.
     _emit_csv(
-        args,
-        _sweep_settings_pairs(args, domain.diameter),
-        ("r0", "p_connected", "p_complete", "method", "err_est"),
-        rows,
+        args, ("r0", "p_connected", "p_complete", "method", "err_est"), rows,
+        r0_stop=float(grid[-1]),
     )
     return EXIT_OK
 
@@ -329,20 +319,11 @@ def _cmd_sweep_entropy(args) -> int:
     domain = DiskDomain(args.diameter)
     _check_sweep_n(args)
     grid = _sweep_grid(args, domain.diameter)
-    quad = _quad_settings(args)
     n = args.n
     models = [_sweep_model(args, float(r0)) for r0 in grid]
 
     def exact_pmfs():
-        pmf3s = _pmf_n3_many(models, domain, quad) if n >= 3 else [None] * len(models)
-        # Without --abs-tol a row's two-node pmf is the M1 its three-node
-        # pmf already holds, integrated at the same settings.
-        pmf2s = [
-            _edge_pmf(pmf3.ingredients["m1"], pmf3.ingredients["e1"])
-            if pmf3 is not None and quad is None else pmf_n2(model, domain, quad)
-            for model, pmf3 in zip(models, pmf3s)
-        ]
-        return list(zip(pmf2s, pmf3s))
+        return _exact_pmfs(models, domain, _quad_settings(args), n >= 3)
 
     if args.mc:
         # The exact bound columns are computed on this thread while the
@@ -361,10 +342,8 @@ def _cmd_sweep_entropy(args) -> int:
         bound2 = float(shearer_factor(n, 2) * Fraction(entropy_bits(pmf2))) if n > 2 else np.nan
         rows.append((float(r0), h, std, bound3, bound2))
     _emit_csv(
-        args,
-        _sweep_settings_pairs(args, domain.diameter),
-        ("r0", "H_exact_or_mc", "H_std_err", "bound_from_G3", "bound_from_G2"),
-        rows,
+        args, ("r0", "H_exact_or_mc", "H_std_err", "bound_from_G3", "bound_from_G2"), rows,
+        r0_stop=float(grid[-1]),
     )
     return EXIT_OK
 
@@ -419,8 +398,7 @@ def _validate_condpdf(args, domain) -> dict:
     }
 
 
-def _validate_pmf3(args, domain) -> dict:
-    model = parse_model(args.model) if args.model else HardDisk(r0=0.4 * domain.diameter)
+def _validate_pmf3(args, domain, model) -> dict:
     exact = pmf_n3(model, domain)
     mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
     est = estimate_pmf(3, model, domain, mc)
@@ -433,28 +411,17 @@ def _cmd_validate(args) -> int:
     if args.model is not None and args.target != "pmf3":
         raise DomainError(f"--model applies to the pmf3 target only, not to {args.target}")
     domain = DiskDomain(args.diameter)
-    runners = {
-        "pair": _validate_pair,
-        "pdf3": _validate_pdf3,
-        "condpdf": _validate_condpdf,
-        "pmf3": _validate_pmf3,
-    }
-    check = runners[args.target](args, domain)
+    ran = {}
+    if args.target == "pmf3":
+        model = parse_model(args.model) if args.model else HardDisk(r0=0.4 * domain.diameter)
+        ran["model"] = model.spec_string()
+        check = _validate_pmf3(args, domain, model)
+    else:
+        runners = {"pair": _validate_pair, "pdf3": _validate_pdf3, "condpdf": _validate_condpdf}
+        check = runners[args.target](args, domain)
     check = {k: _jnum(v) if isinstance(v, float) else v for k, v in check.items()}
-    report = {
-        "target": args.target,
-        "pass": check["pass"],
-        "checks": [check],
-        "settings": {
-            "diameter": _jnum(args.diameter),
-            "seed": args.seed,
-            "samples": args.samples,
-            "workers": args.workers,
-            "model": args.model,
-            "rng": RNG_NAME,
-        },
-    }
-    _emit_json(args, report)
+    report = {"target": args.target, "pass": check["pass"], "checks": [check]}
+    _emit_json(args, report, **ran)
     return EXIT_OK if check["pass"] else EXIT_VALIDATION
 
 

@@ -12,7 +12,9 @@ into ``out`` (which may be ``r`` itself) and returns it; they are
 byte-identical to those of ``probability(r)``.  ``parse_model`` builds a
 model from the textual form used by the command line: ``hard:r0=0.3``,
 ``exp:r0=0.3,beta=2`` or ``table:@knots.csv`` (CSV with a required
-``r,p`` header).
+``r,p`` header).  ``spec_string()`` writes every number so that it reads
+back exactly: ``parse_model(m.spec_string()) == m`` for hard and
+exponential models (a tabulated model's inline spec has no parser).
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+
+
+def _spec_number(x: float) -> str:
+    """``x`` at ``:g`` when that text reads back as ``x``, else its repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ class HardDisk(ConnectionModel):
         return (self.r0,)
 
     def spec_string(self):
-        return f"hard:r0={self.r0:g}"
+        return f"hard:r0={_spec_number(self.r0)}"
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class ExponentialSoft(ConnectionModel):
         return np.exp(np.negative(t, out=t), out=t)
 
     def spec_string(self):
-        return f"exp:r0={self.r0:g},beta={self.beta:g}"
+        return f"exp:r0={_spec_number(self.r0)},beta={_spec_number(self.beta)}"
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,7 @@ class Tabulated(ConnectionModel):
         return tuple(r for r, _ in self.knots)
 
     def spec_string(self):
-        pairs = ";".join(f"{r:g}:{p:g}" for r, p in self.knots)
+        pairs = ";".join(f"{_spec_number(r)}:{_spec_number(p)}" for r, p in self.knots)
         return f"table:{pairs}"
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -337,8 +336,19 @@ def relabel_orbit_map(n: int) -> np.ndarray:
     """
     pairs, bits = _outcome_edge_bits(n)
     slot = {(int(i), int(j)): k for k, (i, j) in enumerate(pairs)}
-    reps = np.arange(len(bits), dtype=np.int64)
-    for perm in permutations(range(n)):
+
+    def relabeled(perm):
         image_slots = [slot[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
-        np.minimum(reps, bits @ (np.int64(1) << np.asarray(image_slots, np.int64)), out=reps)
-    return reps
+        return bits @ (np.int64(1) << np.asarray(image_slots, np.int64))
+
+    # Swapping nodes 0 and 1 and rotating all n nodes generate every
+    # relabeling, so the smallest code spreads along their maps to the
+    # whole orbit.
+    swap = relabeled((1, 0, *range(2, n)))
+    rotate = relabeled((*range(1, n), 0))
+    reps = np.arange(len(bits), dtype=np.int64)
+    while True:
+        spread = np.minimum(reps, np.minimum(reps[swap], reps[rotate]))
+        if np.array_equal(spread, reps):
+            return reps
+        reps = spread

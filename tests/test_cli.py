@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, and byte determinism."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -29,6 +30,7 @@ from rggdist import (
     pmf_n2,
     pmf_n3,
     prob_complete,
+    parse_model,
     prob_connected,
     shearer_factor,
 )
@@ -173,6 +175,23 @@ class TestBoundsCommand:
         b3, b2 = (e["bound_on_h_n_bits"] for e in rec["entries"])
         assert b3 <= b2
         assert rec["tightest_bound_bits"] == pytest.approx(b3)
+
+    @pytest.mark.parametrize("argv", [("--n", "6", "--model", "exp:r0=0.3,beta=2"),
+                                      ("--n", "5", "--model", "hard:r0=0.4")])
+    def test_g2_from_the_three_node_m1(self, capsys, monkeypatch, argv):
+        # Without --abs-tol the G2 entry takes the M1 its three-node pmf
+        # holds: one pair integral, not one more for pmf_n2.
+        calls = []
+        pair = graphdist._pair_connect_prob
+        monkeypatch.setattr(
+            graphdist, "_pair_connect_prob", lambda *args: calls.append(args) or pair(*args)
+        )
+        code, out, _ = run_cli(capsys, "bounds", *argv)
+        assert code == 0
+        assert len(calls) == 1
+        model = parse_model(argv[3])
+        h2 = json.loads(out)["entries"][-1]["h_m_bits"]
+        assert h2 == float(format(entropy_bits(pmf_n2(model, DiskDomain(1.0))), ".12g"))
 
 
 class TestSweepCommands:
@@ -504,7 +523,7 @@ def serial_sweep_entropy(kind, r0_start, samples, steps, seed, workers):
     estimates = estimate_entropy_sweep(4, models, domain, mc)
     lines = [
         f"# seed={seed} diameter=1 n=4 model-kind={kind} beta=2 r0-start={r0_start:.12g} r0-stop=1 "
-        f"steps={steps} mc=true samples={samples} workers={workers} rng=pcg64dxsm",
+        f"steps={steps} mc=true samples={samples} workers={workers} abs-tol=null rng=pcg64dxsm",
         "r0,H_exact_or_mc,H_std_err,bound_from_G3,bound_from_G2",
     ]
     # The CLI builds the G3 column with one many-model call: the hard disks
@@ -585,6 +604,55 @@ class TestSweepEntropyOverlap:
         assert code == 2
         assert out == ""
         assert "sampler failed" in err
+
+
+def echoed_settings(out):
+    """The settings record of a JSON or CSV stdout, keyed by option dest."""
+    if out.startswith("# "):
+        first = out.split("\n", 1)[0]
+        return {k.replace("-", "_"): v for k, v in (t.split("=", 1) for t in first[2:].split())}
+    return json.loads(out)["settings"]
+
+
+class TestSettingsRecord:
+    # A cheap run of every subcommand; a new subcommand needs an entry.
+    ARGVS = {
+        "pdf3": ("--r12", "0.5", "--r13", "0.6", "--r23", "0.7"),
+        "pairpdf": ("--r", "0.3"),
+        "pmf": ("--n", "2", "--model", "hard:r0=0.4"),
+        "entropy": ("--n", "2", "--model", "hard:r0=0.4"),
+        "entropy-mc": ("--n", "3", "--model", "hard:r0=0.4", "--samples", "2000"),
+        "bounds": ("--n", "4", "--model", "hard:r0=0.4", "--samples", "2000"),
+        "sweep-connectivity": ("--n", "2", "--steps", "3"),
+        "sweep-entropy": ("--n", "2", "--steps", "3", "--abs-tol", "1e-6"),
+        "validate": ("pmf3", "--samples", "2000"),
+    }
+    SUBPARSERS = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+
+    @pytest.mark.parametrize("command", sorted(SUBPARSERS))
+    def test_every_option_echoed(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, *self.ARGVS[command])
+        assert code == 0
+        settings = echoed_settings(out)
+        dests = [
+            action.dest for action in self.SUBPARSERS[command]._actions
+            if action.option_strings and action.dest not in ("help", "out")
+        ]
+        assert set(dests) <= set(settings)
+        assert "out" not in settings
+        assert ("rng" in settings) == ("samples" in dests)
+
+    def test_what_ran_replaces_the_raw_flag(self, capsys):
+        _, out, _ = run_cli(capsys, "validate", "pmf3", "--samples", "2000")
+        assert echoed_settings(out)["model"] == "hard:r0=0.4"
+        _, out, _ = run_cli(capsys, "pmf", "--n", "2", "--model", "HARD: r0 = 0.40")
+        assert echoed_settings(out)["model"] == "hard:r0=0.4"
+        _, out, _ = run_cli(capsys, "sweep-entropy", "--n", "2", "--steps", "3")
+        assert echoed_settings(out)["r0_stop"] == "1"
+        assert echoed_settings(out)["abs_tol"] == "null"
 
 
 class TestOutputFile:

@@ -150,6 +150,19 @@ class TestParseModel:
         assert isinstance(m, ExponentialSoft)
         assert (m.r0, m.beta) == (0.3, 2.0)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            HardDisk(r0=0.123456789),
+            HardDisk(r0=1 / 3),
+            ExponentialSoft(r0=0.123456789, beta=2.0),
+            ExponentialSoft(r0=1 / 3, beta=2.5),
+        ],
+    )
+    def test_spec_string_round_trips(self, model):
+        # Six significant digits would name a different model.
+        assert parse_model(model.spec_string()) == model
+
     def test_table(self, tmp_path):
         path = tmp_path / "knots.csv"
         path.write_text("r,p\n0.0,1.0\n0.5,0.5\n1.0,0.0\n")
