@@ -223,6 +223,8 @@ def _exact_pmfs(models, domain, quad, with_pmf3):
 def _cmd_bounds(args) -> int:
     domain = DiskDomain(args.diameter)
     model = parse_model(args.model)
+    if args.samples is not None:
+        _outcome_bits(args.n)  # an oversized table is refused before the exact work
     [(pmf2, pmf3)] = _exact_pmfs([model], domain, _quad_settings(args), args.n > 3)
     h_values = {2: entropy_bits(pmf2)}
     provenance = {2: "quadrature"}

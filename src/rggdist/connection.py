@@ -11,10 +11,10 @@ freely between threads.  ``probability(r, out=...)`` writes the values
 into ``out`` (which may be ``r`` itself) and returns it; they are
 byte-identical to those of ``probability(r)``.  ``parse_model`` builds a
 model from the textual form used by the command line: ``hard:r0=0.3``,
-``exp:r0=0.3,beta=2`` or ``table:@knots.csv`` (CSV with a required
-``r,p`` header).  ``spec_string()`` writes every number so that it reads
-back exactly: ``parse_model(m.spec_string()) == m`` for hard and
-exponential models (a tabulated model's inline spec has no parser).
+``exp:r0=0.3,beta=2``, ``table:@knots.csv`` (CSV with a required
+``r,p`` header) or the inline ``table:0:0.9;0.5:0.2;1:0`` (``r:p`` knots
+separated by ``;``).  ``spec_string()`` writes every number so that it
+reads back exactly: ``parse_model(m.spec_string()) == m`` for every model.
 """
 
 from __future__ import annotations
@@ -155,9 +155,14 @@ def parse_model(text: str) -> ConnectionModel:
         fields = _parse_fields(params, required=("r0", "beta"))
         return ExponentialSoft(r0=fields["r0"], beta=fields["beta"])
     if kind == "table":
-        if not params.startswith("@"):
-            raise DomainError(f"table spec must reference a CSV file: table:@path, got {text!r}")
-        return _load_table(params[1:])
+        if params.startswith("@"):
+            return _load_table(params[1:])
+        pairs = [knot.split(":") for knot in params.split(";")]
+        try:
+            knots = tuple((float(r), float(p)) for r, p in pairs)
+        except ValueError as exc:
+            raise DomainError(f"table spec {text!r} is not table:@path or table:r:p;...") from exc
+        return Tabulated(knots=knots)
     raise DomainError(f"unknown connection model kind {kind!r}")
 
 

@@ -7,6 +7,11 @@ computed by quadrature for n = 2 and n = 3; for larger n no closed form
 of the joint distance density exists and :func:`exact_pmf` refuses with
 :class:`UnsupportedError` (the Monte Carlo estimators cover that case).
 
+Per-outcome facts come from one cached, read-only table per n
+(:func:`_outcomes`); a table of more than ``2**MAX_OUTCOME_BITS`` codes
+(n >= 7) is refused with :class:`UnsupportedError` before anything is
+allocated.
+
 For n = 3 the eight outcome probabilities are assembled from three
 product moments of the joint distance density,
 
@@ -33,6 +38,7 @@ estimates.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +56,9 @@ from .quadrature import QuadratureSettings, integrate
 
 # Absolute tolerance per pmf entry used when no settings are supplied.
 DEFAULT_PMF_ENTRY_TOL = 1e-4
+
+# Largest number of edge slots of an outcome table (2**20 codes, n <= 6).
+MAX_OUTCOME_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -216,7 +225,8 @@ def _pmf_from_moments(moments, errors, stats) -> GraphPmf:
         1: e1 + 2.0 * e2 + e3,
         0: 3.0 * e1 + 3.0 * e2 + e3,
     }
-    multiplicity = {0: 1, 1: 3, 2: 3, 3: 1}
+    edges = _outcomes(3).edges
+    multiplicity = np.bincount(edges)
     for w, v in by_weight.items():
         if v < -err_by_weight[w] - 1e-9 or v > 1.0 + err_by_weight[w] + 1e-9:
             raise AccuracyError(
@@ -234,12 +244,8 @@ def _pmf_from_moments(moments, errors, stats) -> GraphPmf:
     w_star = max(by_weight, key=lambda w: by_weight[w])
     by_weight[w_star] -= (total - 1.0) / multiplicity[w_star]
 
-    probs = np.empty(8)
-    entry_errs = np.empty(8)
-    for code in range(8):
-        w = bin(code).count("1")
-        probs[code] = by_weight[w]
-        entry_errs[code] = err_by_weight[w]
+    probs = np.array([by_weight[w] for w in range(4)])[edges]
+    entry_errs = np.array([err_by_weight[w] for w in range(4)])[edges]
     return GraphPmf(
         n=3, probs=probs, method="quadrature",
         error_estimate=float(np.sum(entry_errs)),
@@ -284,35 +290,62 @@ def entropy_error_bound(pmf: GraphPmf) -> float:
     return float(per_entry * np.sum(sens))
 
 
-def _outcome_edge_bits(n: int):
-    """Node pairs in slot order and the ``(2**m, m)`` 0/1 matrix of edge
-    indicators of every outcome code."""
+def _outcome_slots(n: int) -> int:
+    """Edge slots of an n-node outcome; refuses n < 2 and tables of more
+    than ``2**MAX_OUTCOME_BITS`` entries before anything is allocated."""
+    if n < 2:
+        raise DomainError(f"need at least two nodes, got n={n}")
+    m = pair_count(n)
+    if m > MAX_OUTCOME_BITS:
+        raise UnsupportedError(
+            f"outcome table for n={n} has 2**{m} entries; "
+            f"only up to 2**{MAX_OUTCOME_BITS} is supported"
+        )
+    return m
+
+
+_Outcomes = namedtuple("_Outcomes", "edges connected orbit")
+
+
+@functools.lru_cache(maxsize=None)
+def _outcomes(n: int) -> _Outcomes:
+    """Read-only vectors over all n-node outcome codes: edge count,
+    connectedness, and the smallest code in the relabeling orbit."""
+    m = _outcome_slots(n)
     pairs = pair_array(n)
-    codes = np.arange(1 << len(pairs), dtype=np.int64)
-    return pairs, (codes[:, None] >> np.arange(len(pairs), dtype=np.int64)) & 1
+    codes = np.arange(1 << m, dtype=np.int64)
+    bits = [(codes & (1 << k)) != 0 for k in range(m)]
+    # Bit set of the nodes reached from node 0, for every outcome at once.
+    # Each pass over the edges extends every path by at least one hop, and
+    # a shortest path has at most n - 1 hops.
+    reach = np.ones(len(codes), dtype=np.int64)
+    for _ in range(n - 1):
+        for bit, (i, j) in zip(bits, pairs):
+            reach |= bit * ((((reach >> i) & 1) << j) | (((reach >> j) & 1) << i))
+    slot = {(int(i), int(j)): k for k, (i, j) in enumerate(pairs)}
+
+    def relabeled(perm):
+        image_slots = (slot[tuple(sorted((perm[i], perm[j])))] for i, j in pairs)
+        return sum(np.left_shift(bit, s, dtype=np.int64) for bit, s in zip(bits, image_slots))
+
+    # Swapping nodes 0 and 1 and rotating all n nodes generate every
+    # relabeling, so the smallest code spreads along their maps to the
+    # whole orbit.
+    swap = relabeled((1, 0, *range(2, n)))
+    rotate = relabeled((*range(1, n), 0))
+    orbit, previous = codes, None
+    while not np.array_equal(orbit, previous):
+        orbit, previous = np.minimum(orbit, np.minimum(orbit[swap], orbit[rotate])), orbit
+    table = _Outcomes(sum(bits, np.zeros_like(codes)), reach == (1 << n) - 1, orbit)
+    for vector in table:
+        vector.flags.writeable = False
+    return table
 
 
 def connected_outcome_mask(n: int) -> np.ndarray:
     """Boolean mask over all outcomes: is the decoded graph connected?
-
-    Built once per ``n`` and shared between calls, so it is read-only.
-    """
-    return _connected_mask(n)
-
-
-@functools.lru_cache(maxsize=None)
-def _connected_mask(n: int) -> np.ndarray:
-    pairs, bits = _outcome_edge_bits(n)
-    # Bit set of the nodes reached from node 0, for every outcome at once.
-    # Each pass over the edges extends every path by at least one hop, and
-    # a shortest path has at most n - 1 hops.
-    reach = np.ones(len(bits), dtype=np.int64)
-    for _ in range(n - 1):
-        for k, (i, j) in enumerate(pairs):
-            reach |= bits[:, k] * ((((reach >> i) & 1) << j) | (((reach >> j) & 1) << i))
-    mask = reach == (1 << n) - 1
-    mask.flags.writeable = False
-    return mask
+    Built once per ``n`` and shared between calls, so it is read-only."""
+    return _outcomes(n).connected
 
 
 def prob_connected(pmf: GraphPmf) -> float:
@@ -331,24 +364,7 @@ def relabel_orbit_map(n: int) -> np.ndarray:
 
     Two outcomes share a representative exactly when some permutation of
     the node labels maps one edge set onto the other; the representative
-    is the smallest code in the orbit.  Used to test the exchangeability
-    of computed pmfs.
+    is the smallest code in the orbit.  Built once per ``n`` and shared
+    between calls, so it is read-only.
     """
-    pairs, bits = _outcome_edge_bits(n)
-    slot = {(int(i), int(j)): k for k, (i, j) in enumerate(pairs)}
-
-    def relabeled(perm):
-        image_slots = [slot[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
-        return bits @ (np.int64(1) << np.asarray(image_slots, np.int64))
-
-    # Swapping nodes 0 and 1 and rotating all n nodes generate every
-    # relabeling, so the smallest code spreads along their maps to the
-    # whole orbit.
-    swap = relabeled((1, 0, *range(2, n)))
-    rotate = relabeled((*range(1, n), 0))
-    reps = np.arange(len(bits), dtype=np.int64)
-    while True:
-        spread = np.minimum(reps, np.minimum(reps[swap], reps[rotate]))
-        if np.array_equal(spread, reps):
-            return reps
-        reps = spread
+    return _outcomes(n).orbit

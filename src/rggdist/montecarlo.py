@@ -41,8 +41,8 @@ no block makes a soft temporary.  The pair stage is pair-major
 pair is a difference of two contiguous rows and each block is yielded as
 a ``(rows, m)`` view that is valid until the next block.  Outcome codes
 are ``bits @ 2**arange(m)`` taken in float64 (:class:`_Encoder`): every
-partial sum is an integer below ``2**MAX_OUTCOME_BITS``, far below
-``2**53``, so the product is exact in any summation order and does not
+partial sum is an integer below ``2**graphdist.MAX_OUTCOME_BITS``, far
+below ``2**53``, so the product is exact in any summation order and does not
 depend on the BLAS or its threads.  Threads are capped at
 ``os.cpu_count()`` and each folds its workers' results into its own
 running total, so peak memory grows with the cores in use, not with
@@ -63,8 +63,8 @@ import numpy as np
 
 from .connection import ConnectionModel, HardDisk
 from .errors import DomainError, UnsupportedError
-from .geometry import DiskDomain, _disk_map, pair_array, pair_count
-from .graphdist import GraphPmf
+from .geometry import DiskDomain, _disk_map, pair_array
+from .graphdist import GraphPmf, _outcome_slots
 
 RNG_NAME = "pcg64dxsm"
 
@@ -73,9 +73,6 @@ RNG_NAME = "pcg64dxsm"
 # temporaries to stay in cache, large enough to amortise numpy's per-call
 # overhead.
 _BLOCK = 1 << 13
-
-# Largest exponent of the outcome table kept in memory (2**20 entries).
-MAX_OUTCOME_BITS = 20
 
 # Largest count table of one call: outcome entries over all its models, or
 # the cells of a distance histogram (int64: 64 MiB, or 256 models at n=6).
@@ -321,14 +318,9 @@ class _Encoder:
 
 def _outcome_bits(n: int, tables: int = 1) -> int:
     """Number of edge slots of an n-node outcome, refused when one table
-    would exceed ``2**MAX_OUTCOME_BITS`` entries or ``tables`` of them
-    together ``MAX_TABLE_ENTRIES``."""
-    m = pair_count(n)
-    if m > MAX_OUTCOME_BITS:
-        raise UnsupportedError(
-            f"outcome table for n={n} has 2**{m} entries; "
-            f"only up to 2**{MAX_OUTCOME_BITS} is supported"
-        )
+    would exceed ``2**MAX_OUTCOME_BITS`` entries (:mod:`graphdist`) or
+    ``tables`` of them together ``MAX_TABLE_ENTRIES``."""
+    m = _outcome_slots(n)
     if tables << m > MAX_TABLE_ENTRIES:
         raise UnsupportedError(
             f"{tables} outcome tables of 2**{m} entries exceed "

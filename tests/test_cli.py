@@ -193,6 +193,17 @@ class TestBoundsCommand:
         h2 = json.loads(out)["entries"][-1]["h_m_bits"]
         assert h2 == float(format(entropy_bits(pmf_n2(model, DiskDomain(1.0))), ".12g"))
 
+    def test_oversized_sample_table_refused_before_exact_work(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("exact pmf computed before the table check")
+
+        monkeypatch.setattr(cli, "_pmf_n3_many", fail)
+        code, out, _ = run_cli(
+            capsys, "bounds", "--n", "7", "--model", "hard:r0=0.4", "--samples", "100"
+        )
+        assert code == 3
+        assert out == ""
+
 
 class TestSweepCommands:
     def test_connectivity_format_and_properties(self, capsys):
@@ -653,6 +664,17 @@ class TestSettingsRecord:
         _, out, _ = run_cli(capsys, "sweep-entropy", "--n", "2", "--steps", "3")
         assert echoed_settings(out)["r0_stop"] == "1"
         assert echoed_settings(out)["abs_tol"] == "null"
+
+    def test_recorded_table_spec_runs_again(self, capsys, tmp_path):
+        knots = tmp_path / "knots.csv"
+        knots.write_text("r,p\n0,0.9\n0.25,0.7\n0.5,0.2\n0.8,0\n1,0\n")
+        code, first, _ = run_cli(capsys, "pmf", "--n", "3", "--model", f"table:@{knots}")
+        assert code == 0
+        spec = echoed_settings(first)["model"]
+        assert spec == "table:0:0.9;0.25:0.7;0.5:0.2;0.8:0;1:0"
+        code, again, _ = run_cli(capsys, "pmf", "--n", "3", "--model", spec)
+        assert code == 0
+        assert again == first
 
 
 class TestOutputFile:

@@ -157,6 +157,8 @@ class TestParseModel:
             HardDisk(r0=1 / 3),
             ExponentialSoft(r0=0.123456789, beta=2.0),
             ExponentialSoft(r0=1 / 3, beta=2.5),
+            Tabulated(((0, 0.9), (0.25, 0.7), (0.5, 0.2), (0.8, 0), (1, 0))),
+            Tabulated(((0, 1), (1 / 3, 0.5), (1, 0))),
         ],
     )
     def test_spec_string_round_trips(self, model):
@@ -178,7 +180,8 @@ class TestParseModel:
 
     @pytest.mark.parametrize(
         "bad",
-        ["hard", "hard:r0=x", "hard:r1=0.3", "exp:r0=0.3", "nope:r0=1", "table:file.csv"],
+        ["hard", "hard:r0=x", "hard:r1=0.3", "exp:r0=0.3", "nope:r0=1", "table:file.csv",
+         "table:", "table:0:1;1", "table:0:1;1:0:0", "table:0:x;1:0", "table:0:1;0:0"],
     )
     def test_malformed(self, bad):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Exact graph pmf, entropy, and connectivity events."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,23 +350,31 @@ class TestConnectivityEvents:
             if n <= 5:
                 assert mask.tolist() == [outcome_is_connected(n, c) for c in range(len(mask))]
 
-    def test_mask_built_once_and_read_only(self, monkeypatch):
-        builds = []
-        real = graphdist._outcome_edge_bits
+    def test_mask_built_once_and_read_only(self):
+        # The mask and the orbit map are read off one outcome table.
+        graphdist._outcomes.cache_clear()
+        mask, orbits = connected_outcome_mask(4), relabel_orbit_map(4)
+        assert graphdist._outcomes.cache_info().misses == 1
+        assert connected_outcome_mask(4) is mask
+        assert relabel_orbit_map(4) is orbits
+        edges = graphdist._outcomes(4).edges
+        assert edges.tolist() == [bin(code).count("1") for code in range(64)]
+        for vector in graphdist._outcomes(4):
+            with pytest.raises(ValueError):
+                vector[0] = vector[0]
 
-        def counting(n):
-            builds.append(n)
-            return real(n)
-
-        monkeypatch.setattr(graphdist, "_outcome_edge_bits", counting)
-        graphdist._connected_mask.cache_clear()
-        first = connected_outcome_mask(4)
-        second = connected_outcome_mask(4)
-        assert builds == [4]
-        assert second is first
-        with pytest.raises(ValueError):
-            first[0] = True
-        graphdist._connected_mask.cache_clear()
+    @pytest.mark.parametrize("reader", [connected_outcome_mask, relabel_orbit_map])
+    @pytest.mark.parametrize("n, error", [(7, UnsupportedError), (40, UnsupportedError),
+                                          (1, DomainError)])
+    def test_table_size_refused_before_allocation(self, reader, n, error):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                reader(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the n=7 codes alone would take 16 MiB
 
     def test_four_term_sum(self):
         pmf = pmf_n3(HardDisk(r0=0.6), DOMAIN)
