@@ -64,6 +64,12 @@ class BoundChain:
     monotonic: bool
 
 
+def _check_chain_n(n) -> None:
+    """Refuse a node count that no bound chain covers."""
+    if not isinstance(n, int) or n < 3:
+        raise DomainError(f"n must be an integer >= 3, got {n!r}")
+
+
 def bound_chain(
     n: int,
     h_values: Mapping[int, float],
@@ -75,8 +81,7 @@ def bound_chain(
     other m with 2 <= m < n is used as well.  Factors stay exact rationals
     until the final multiplication.
     """
-    if not isinstance(n, int) or n < 3:
-        raise DomainError(f"n must be an integer >= 3, got {n!r}")
+    _check_chain_n(n)
     if 2 not in h_values:
         raise DomainError("h_values must contain the two-node entropy (m=2)")
     for m, h in h_values.items():

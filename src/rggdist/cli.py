@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import bound_chain, shearer_factor
+from .bounds import _check_chain_n, bound_chain, shearer_factor
 from .connection import ExponentialSoft, HardDisk, parse_model
 from .distances import (
     classify_triple,
@@ -56,10 +56,10 @@ from .montecarlo import (
     _distance_counts,
     _in_threads,
     _outcome_bits,
+    _outcome_counts,
     distance_histogram3,
     estimate_entropy,
     estimate_entropy_sweep,
-    estimate_pmf,
     estimate_pmf_sweep,
 )
 from .quadrature import QuadratureSettings, integrate_many
@@ -223,8 +223,9 @@ def _exact_pmfs(models, domain, quad, with_pmf3):
 def _cmd_bounds(args) -> int:
     domain = DiskDomain(args.diameter)
     model = parse_model(args.model)
+    _check_chain_n(args.n)  # refused before the exact work, like an oversized table
     if args.samples is not None:
-        _outcome_bits(args.n)  # an oversized table is refused before the exact work
+        _outcome_bits(args.n)
     [(pmf2, pmf3)] = _exact_pmfs([model], domain, _quad_settings(args), args.n > 3)
     h_values = {2: entropy_bits(pmf2)}
     provenance = {2: "quadrature"}
@@ -363,7 +364,7 @@ def _validate_pair(args, domain) -> dict:
     settings = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
     masses, _ = integrate_many(
         lambda r, which: pair_pdf(r, domain),
-        [(edges[i], edges[i + 1]) for i in range(nbins)],
+        np.column_stack([edges[:-1], edges[1:]]),
         settings,
     )
     fit = _count_fit(counts, masses, mc.samples)
@@ -403,8 +404,7 @@ def _validate_condpdf(args, domain) -> dict:
 def _validate_pmf3(args, domain, model) -> dict:
     exact = pmf_n3(model, domain)
     mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
-    est = estimate_pmf(3, model, domain, mc)
-    counts = np.rint(est.probs * mc.samples)
+    counts = _outcome_counts(3, [model], domain, mc)[0]
     fit = _count_fit(counts, exact.probs, mc.samples, slack=exact.error_estimate)
     return {"name": "three-node pmf vs sampled outcome frequencies", **fit}
 

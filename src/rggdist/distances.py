@@ -91,7 +91,6 @@ from .geometry import (
     DiskDomain,
     TriangleSides,
     _phi_clipped,
-    triangle_quantities,
 )
 from .quadrature import (
     GK15_NODES,
@@ -99,6 +98,7 @@ from .quadrature import (
     _bisect,
     _gk15_sums,
     _panel_batch,
+    _pieces,
     integrate,
     integrate_many,
 )
@@ -494,31 +494,23 @@ def joint_pdf3_via_conditioning_many(
     the closed form.  Returns (values, error estimates); raises
     :class:`AccuracyError` if the quadrature cannot converge.
     """
-    a = _as_length_array("r12", r12).ravel()
-    b = _as_length_array("r13", r13).ravel()
-    c = _as_length_array("r23", r23).ravel()
-    if not (len(a) == len(b) == len(c)):
+    r12 = _as_length_array("r12", r12).ravel()
+    r13 = _as_length_array("r13", r13).ravel()
+    r23 = _as_length_array("r23", r23).ravel()
+    if not (len(r12) == len(r13) == len(r23)):
         raise DomainError("r12, r13, r23 must have equal lengths")
-    D = domain.diameter
+    a, b, c, q, _, _ = _sorted_sides(r12, r13, r23)
+    # [c, D] cut at the circumdiameter d; empty if c > D, and [c, 0] for a
+    # degenerate triple, whose d is infinite or NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 2.0 * a * b * c / np.sqrt(q)
+    hi = np.where(q > DEGENERATE_Q_EPS * (c * c) ** 2, domain.diameter, 0.0)
 
-    intervals = []
-    breaks = []
-    for k in range(len(a)):
-        tq = triangle_quantities(TriangleSides(a[k], b[k], c[k]))
-        if tq.circumdiameter is None or tq.longest > D:
-            intervals.append((0.0, 0.0))  # integrates to zero
-            breaks.append(())
-            continue
-        intervals.append((tq.longest, D))
-        d = tq.circumdiameter
-        breaks.append((d,) if tq.longest < d < D else ())
+    def integrand(s, which):
+        conditional = _cond_pdf3_batch(r12[which], r13[which], r23[which], s)
+        return conditional * enclosing_diameter_pdf(s, domain)
 
-    def integrand(svals, which):
-        return _cond_pdf3_batch(a[which], b[which], c[which], svals) * (
-            6.0 * svals**5 / D**6
-        )
-
-    return integrate_many(integrand, intervals, settings, breakpoints=breaks)
+    return integrate_many(integrand, np.column_stack([c, hi]), settings, d[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +545,14 @@ def _inner_breakpoint_candidates(p, q, D):
     return np.stack([right_lo, right_hi, t_d_lo, t_d_hi], axis=-1)
 
 
+def _u_of_t(t, a, span):
+    """``arccos(1 - 2*clip((t - a)/span, 0, 1))/pi``: the points ``t``, shape
+    ``(k, j)``, in u on the k lines ``a + span*(1 - cos(pi*u))/2``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.clip((t - a[:, None]) / span[:, None], 0.0, 1.0)
+    return np.arccos(np.subtract(1.0, 2.0 * frac, out=frac), out=frac) / math.pi
+
+
 def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
     """Refined pieces of the third-side integrals of the joint density.
 
@@ -564,29 +564,20 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
     ``1/sqrt`` blow-up of the density at a degenerate end (``a <= |p-q|``
     or ``b >= p+q``) on every piece, however small.  The case-boundary
     points and the per-line ``breaks`` (shape ``(k, j)``) are mapped into
-    u, ``u = arccos(1 - 2*(t - a)/(b - a))/pi``, and cut the line into
-    smooth pieces, which the plain GK15 rule integrates in u.  At a
+    u (:func:`_u_of_t`) and cut the line into smooth pieces, which the
+    plain GK15 rule integrates in u.  At a
     degenerate end the nodes keep ``_END_CLAMP_U`` away from it.  The
     pieces of lines above the per-line budget
     ``max(line_tol, 1e-13*|line value|)`` are bisected in u by
     :func:`rggdist.quadrature._bisect` for up to ``max_rounds`` rounds.
-    Returns the pieces as (t-lo, t-hi, owning line, value, error estimate)
+    Returns the pieces as (u-lo, u-hi, owning line, value, error estimate)
     arrays, and whether each line met its budget.
     """
     k = len(p)
     span = np.maximum(b - a, 0.0)
     cands = np.concatenate([_inner_breakpoint_candidates(p, q, D), breaks], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.clip((cands - a[:, None]) / span[:, None], 0.0, 1.0)
-    u_breaks = np.arccos(np.subtract(1.0, 2.0 * frac, out=frac), out=frac) / math.pi
-    zeros, ones = np.zeros((k, 1)), np.ones((k, 1))
-    edges = np.sort(np.concatenate([zeros, u_breaks, ones], axis=1), axis=1)
-
-    seg_lo = edges[:, :-1].ravel()
-    seg_hi = edges[:, 1:].ravel()
-    owner = np.repeat(np.arange(k), edges.shape[1] - 1)
-    keep = (seg_hi > seg_lo) & (span > 0.0)[owner]
-    seg_lo, seg_hi, owner = seg_lo[keep], seg_hi[keep], owner[keep]
+    # Each line runs over u in [0, 1], or [0, 0] if it is empty.
+    seg_lo, seg_hi, owner = _pieces(np.zeros(k), np.sign(span), _u_of_t(cands, a, span))
     # The nodes' range in u: [_END_CLAMP_U, 1 - _END_CLAMP_U] at degenerate ends.
     u_min = np.where(a <= np.abs(p - q), _END_CLAMP_U, 0.0)
     u_max = np.where(b >= p + q, 1.0 - _END_CLAMP_U, 1.0)
@@ -630,12 +621,10 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
             val[blk], err[blk] = _gk15_sums(g, scale[blk], terms)
         return val, err
 
-    u_lo, u_hi, owner, val, err, converged = _bisect(
+    return _bisect(
         eval_pieces, seg_lo, seg_hi, owner, k,
         lambda v: np.maximum(line_tol, 1e-13 * np.abs(v)), max_rounds=max_rounds,
     )
-    t_lo, t_hi = (a[owner] + half_span[owner] * (1.0 - np.cos(math.pi * u)) for u in (u_lo, u_hi))
-    return t_lo, t_hi, owner, val, err, converged
 
 
 @dataclass
@@ -700,11 +689,11 @@ def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions,
     D = domain.diameter
     his = np.asarray(his, float)
     values, errors = np.zeros(len(his)), np.zeros(len(his))
-    # Sorted without np.unique, whose first call imports numpy.ma (0.7 MB).
-    cuts = np.array(sorted({float(h) for h in his if h > 0.0}))
-    if len(cuts) == 0:
+    top = float(np.max(his, initial=0.0))
+    if top <= 0.0:
         return values, errors
-    top = cuts[-1]
+    axis = np.zeros(1), np.full(1, top)
+    _, cuts, _ = _pieces(*axis, his[None])  # the distinct positive ends, ascending
     tol_inner = 0.05 * abs_tol / (1.5 * top * top)
     mid_settings = QuadratureSettings(
         abs_tol=0.25 * abs_tol / (3.0 * top), rel_tol=0.0, max_subdivisions=max_subdivisions
@@ -718,9 +707,8 @@ def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions,
             )
             return vals if weight is None else vals * weight(q_flat)
 
-        mid_vals, _ = integrate_many(
-            mid_integrand, [(0.0, cv) for cv in c], mid_settings, [breaks] * len(c)
-        )
+        mid_vals, _ = integrate_many(mid_integrand, np.column_stack([np.zeros(len(c)), c]),
+                                     mid_settings, np.broadcast_to(breaks, (len(c), len(breaks))))
         return 3.0 * mid_vals if weight is None else 3.0 * mid_vals * weight(c)
 
     def panels(lo, hi, own):
@@ -730,9 +718,8 @@ def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions,
                 for k in range(len(lo))]
         return tuple(np.concatenate(part) for part in zip(*sums))
 
-    edges = np.array(sorted({0.0, *cuts, *(b for b in breaks if 0.0 < b < top)}))
     lo, hi, _, val, err, converged = _bisect(
-        panels, edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=np.int64), 1,
+        panels, *_pieces(*axis, np.concatenate([his, breaks])[None]), 1,
         lambda v: np.full(1, 0.5 * abs_tol), max_splits=max_subdivisions,
     )
     if not converged[0]:
@@ -783,10 +770,9 @@ def _arc_integrals(rho, R, weight, breaks, settings):
     """
     k = len(rho)
     a = R - rho
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.clip((np.array(breaks)[:, None] - a) / (2.0 * rho), 0.0, 1.0)
-    u_breaks = np.arccos(1.0 - 2.0 * frac).T / math.pi
-    intervals = [(0.0, d) for d in a] + [(0.0, 1.0 if r > 0.0 else 0.0) for r in rho]
+    breaks = np.broadcast_to(breaks, (k, len(breaks)))
+    # t over [0, a], then u over [0, 1] (empty at rho = 0).
+    ends = np.column_stack([np.zeros(2 * k), np.concatenate([a, np.where(rho > 0.0, 1.0, 0.0)])])
 
     def integrand(x, which):
         arc = which >= k
@@ -800,7 +786,7 @@ def _arc_integrals(rho, R, weight, breaks, settings):
         return weight(t) * np.where(arc, arc_len, 2.0 * math.pi * t)
 
     values, _ = integrate_many(
-        integrand, intervals, settings, breakpoints=[breaks] * k + list(u_breaks)
+        integrand, ends, settings, np.concatenate([breaks, _u_of_t(breaks, a, 2.0 * rho)])
     )
     return values[:k] + values[k:]
 
@@ -868,13 +854,11 @@ def _per_cell_line_integrals(p, q, edges, D):
     k = len(p)
     nb = len(edges) - 1
     grid = np.broadcast_to(edges[1:-1], (k, nb - 1))
-    seg_lo, seg_hi, owner, seg_val, _, _ = _line_segments(
-        p, q, np.abs(p - q), np.minimum(p + q, min(edges[-1], D)), D,
-        grid, None, _CELL_LINE_TOL, 4,
-    )
-    cell = np.clip(
-        np.searchsorted(edges, 0.5 * (seg_lo + seg_hi), side="right") - 1, 0, nb - 1
-    )
+    a, b = np.abs(p - q), np.minimum(p + q, min(edges[-1], D))
+    u_lo, u_hi, owner, seg_val, _, _ = _line_segments(p, q, a, b, D, grid, None, _CELL_LINE_TOL, 4)
+    half_span = 0.5 * np.maximum(b - a, 0.0)
+    t_lo, t_hi = (a[owner] + half_span[owner] * (1.0 - np.cos(math.pi * u)) for u in (u_lo, u_hi))
+    cell = np.clip(np.searchsorted(edges, 0.5 * (t_lo + t_hi), side="right") - 1, 0, nb - 1)
     out = np.zeros((k, nb))
     np.add.at(out, (owner, cell), seg_val)
     return out
@@ -913,11 +897,8 @@ def joint_pdf3_cell_masses(domain: DiskDomain, edges) -> np.ndarray:
             pv = float(p_pts[i, u])
             # Cut the middle axis at the grid edges and where |p - q| or
             # p + q crosses one: the per-cell mass has square-root kinks there.
-            cand = np.concatenate([pv - edges, pv + edges, edges - pv, [pv]])
-            # Sorted union without np.union1d, whose first call imports numpy.ma.
-            qedges = np.sort(np.concatenate([edges, cand[(cand > edges[0]) & (cand < edges[-1])]]))
-            qedges = qedges[np.concatenate([[True], qedges[1:] != qedges[:-1]])]
-            piece_lo, piece_hi = qedges[:-1], qedges[1:]
+            cand = np.concatenate([edges, pv - edges, pv + edges, edges - pv, [pv]])
+            piece_lo, piece_hi, _ = _pieces(edges[:1], edges[-1:], cand[None])
             piece_j = np.searchsorted(edges, piece_lo, side="right") - 1
 
             ph = 0.5 * (piece_hi - piece_lo)

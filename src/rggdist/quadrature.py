@@ -5,8 +5,9 @@ Gauss rule; the difference of the two estimates on a panel is the panel's
 error estimate.  Each panel adds its 15 weighted node values in node
 order, without BLAS (:func:`_gk15_sums`), so its sums depend only on its
 own integrand values, not on its batch or the BLAS threads.  Supplied
-breakpoints become initial panel edges, which restores fast convergence
-on piecewise-smooth integrands.
+breakpoints, a NaN-padded ``(k, j)`` array for k intervals, become initial
+panel edges (:func:`_pieces` cuts every adaptive integral at them), which
+restores fast convergence on piecewise-smooth integrands.
 
 One bisection loop (:func:`_bisect`) refines every adaptive integral:
 the lockstep integrals of :func:`integrate_many` and the third-side lines
@@ -192,50 +193,61 @@ def _bisect(rule, lo, hi, owner, count, budget_of, max_rounds=None, max_splits=N
     return lo, hi, owner, val, err, ~over
 
 
+def _pieces(lo, hi, breaks):
+    """Intervals ``[lo[i], hi[i]]`` cut at the points in row i of the
+    ``(k, j)`` array ``breaks``: (lo, hi, owner) arrays of the pieces,
+    interval by interval, ascending within each.  Points not strictly
+    inside their interval (NaN padding too), repeated points and intervals
+    with ``hi <= lo`` make no piece."""
+    lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
+    # A point outside its interval moves onto the upper end: an empty piece.
+    cuts = np.where((breaks > lo) & (breaks < hi), breaks, hi)
+    edges = np.sort(np.concatenate([lo, cuts, hi], axis=1), axis=1)
+    owner = np.repeat(np.arange(len(lo)), edges.shape[1] - 1)
+    piece_lo, piece_hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    keep = (piece_hi > piece_lo) & (hi > lo)[owner, 0]
+    return piece_lo[keep], piece_hi[keep], owner[keep]
+
+
 def integrate_many(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    intervals: Sequence[tuple[float, float]],
+    intervals: np.ndarray,
     settings: QuadratureSettings = QuadratureSettings(),
-    breakpoints: Sequence[Sequence[float]] | None = None,
+    breakpoints: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adaptively integrate many 1-d integrals in lockstep.
 
-    ``f(x, which)`` receives a flat batch of abscissae together with the
-    index of the integral each abscissa belongs to and must return the
-    integrand values.  ``breakpoints``, when given, supplies one sequence
-    per integral.  Every round of :func:`_bisect` evaluates the bisected
-    panels of all integrals in one call of ``f``; each integral is the
-    ``np.bincount`` sum of its panels.  Returns (values, error_estimates)
-    arrays.
+    ``intervals`` holds the k integrals' ends, shape ``(k, 2)``, and
+    ``breakpoints``, if given, the points :func:`_pieces` cuts them at,
+    shape ``(k, j)``, NaN-padded.  ``f(x, which)`` receives a flat batch of
+    abscissae together with the index of the integral each abscissa
+    belongs to and must return the integrand values.  Every round of
+    :func:`_bisect` evaluates the bisected panels of all integrals in one
+    call of ``f``; each integral is the ``np.bincount`` sum of its panels.
+    Returns (values, error_estimates) arrays.
 
-    Raises :class:`AccuracyError` (carrying the values and estimates) if
-    any integral would need more than ``max_subdivisions`` bisections to
-    meet ``max(abs_tol, rel_tol * |value|)``.
+    Raises :class:`DomainError` for misshapen (ragged) input or non-finite
+    ends, and :class:`AccuracyError` (carrying the values and estimates)
+    if any integral would need more than ``max_subdivisions`` bisections
+    to meet ``max(abs_tol, rel_tol * |value|)``.
     """
     m = len(intervals)
-    init_owner, init_lo, init_hi = [], [], []
-    for idx, (lo, hi) in enumerate(intervals):
-        lo = float(lo)
-        hi = float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError(f"interval {idx} has non-finite bounds ({lo}, {hi})")
-        if hi <= lo:
-            continue  # empty interval integrates to zero
-        edges = [lo]
-        if breakpoints is not None and breakpoints[idx] is not None:
-            edges.extend(b for b in sorted(breakpoints[idx]) if lo < b < hi)
-        edges.append(hi)
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b > a:
-                init_owner.append(idx)
-                init_lo.append(a)
-                init_hi.append(b)
-    if not init_owner:
+    try:
+        ends = np.asarray(intervals, dtype=float).reshape(m, 2)
+        breaks = np.asarray(np.zeros((m, 0)) if breakpoints is None else breakpoints, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"intervals must be (k, 2) ends and breakpoints (k, j): {exc}") from None
+    if breaks.ndim != 2 or len(breaks) != m:
+        raise DomainError(f"breakpoints must have shape ({m}, j), got {breaks.shape}")
+    if not np.isfinite(ends).all():
+        raise DomainError(f"interval ends must be finite, got {ends[~np.isfinite(ends)][0]}")
+    init_lo, init_hi, init_owner = _pieces(ends[:, 0], ends[:, 1], breaks)
+    if not len(init_owner):
         return np.zeros(m), np.zeros(m)
 
     _, _, owner, val, err, converged = _bisect(
         lambda lo, hi, own: _panel_batch(f, own, lo, hi),
-        np.asarray(init_lo), np.asarray(init_hi), np.asarray(init_owner), m,
+        init_lo, init_hi, init_owner, m,
         lambda v: np.maximum(settings.abs_tol, settings.rel_tol * np.abs(v)),
         max_splits=settings.max_subdivisions,
     )

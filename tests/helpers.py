@@ -14,8 +14,12 @@ forms), ``marginal_pair_density``, the double integral of the joint
 density that must reproduce the two-point density, and the two moment
 oracles of the exact pmf: ``triple_m2``, M2 as a triple integral of the
 joint density, and ``full_cube_m3``, M3 of any model over the full cube of
-its three edge axes."""
+its three edge axes.  ``pieces_reference`` is the per-interval loop that
+cut integrals at their breakpoints, and ``same_rounding`` marks the byte
+pins that hold only where numpy's transcendental functions round as
+where they were recorded."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -25,6 +29,7 @@ from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 import rggdist
 from rggdist import (
@@ -48,6 +53,25 @@ from rggdist.distances import (
 from rggdist.geometry import DEGENERATE_Q_EPS, pair_array
 from rggdist.montecarlo import _count_fit
 from rggdist.quadrature import integrate_many
+
+
+# ---------------------------------------------------------------------------
+# the rounding the byte pins were recorded with
+# ---------------------------------------------------------------------------
+
+def rounding_fingerprint():
+    x = np.linspace(0.0, 1.0, 1001)
+    digest = hashlib.sha256()
+    for arr in (np.arccos(x), np.exp(-x), np.cos(np.pi * x), np.sin(np.pi * x)):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+RECORDED_FINGERPRINT = "628dae195863577d6ca36033966855ca3e3a2a25548970f67f935030cd7a6cbd"
+same_rounding = pytest.mark.skipif(
+    rounding_fingerprint() != RECORDED_FINGERPRINT,
+    reason="arccos, exp, cos or sin round differently here than where the pins were recorded",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +454,24 @@ def run_python_process(*args):
         timeout=600,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def pieces_reference(lo, hi, breaks):
+    """Intervals ``[lo[i], hi[i]]`` cut at the points of row ``i`` of
+    ``breaks``, one interval at a time: (lo, hi, owner) lists.  An interval
+    with ``hi <= lo`` has no pieces; a point counts only strictly inside
+    its interval (so NaN never does), and a repeated one only once."""
+    pieces = ([], [], [])
+    for idx, (a, b) in enumerate(zip(lo, hi)):
+        a, b = float(a), float(b)
+        if b <= a:
+            continue
+        edges = [a, *sorted(float(x) for x in breaks[idx] if a < x < b), b]
+        for x, y in zip(edges[:-1], edges[1:]):
+            if y > x:
+                for out, v in zip(pieces, (x, y, idx)):
+                    out.append(v)
+    return pieces
 
 
 def integrate_nd(f, box, settings):

@@ -193,6 +193,23 @@ class TestBoundsCommand:
         h2 = json.loads(out)["entries"][-1]["h_m_bits"]
         assert h2 == float(format(entropy_bits(pmf_n2(model, DiskDomain(1.0))), ".12g"))
 
+    @pytest.mark.parametrize("n", ["2", "1", "-3"])
+    def test_too_few_nodes_refused_before_exact_work(self, capsys, monkeypatch, n):
+        def fail(*args):
+            raise AssertionError("pair integral computed before the node check")
+
+        monkeypatch.setattr(graphdist, "_pair_connect_prob", fail)
+        code, out, err = run_cli(
+            capsys, "bounds", "--n", n, "--model", "exp:r0=0.3,beta=2", "--samples", "100"
+        )
+        assert code == 2
+        assert out == ""
+        assert "n must be an integer >= 3" in err
+        code, out, err = run_cli(capsys, "bounds", "--n", n, "--model", "exp:r0=0.3,beta=2")
+        assert code == 2
+        assert out == ""
+        assert "n must be an integer >= 3" in err
+
     def test_oversized_sample_table_refused_before_exact_work(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("exact pmf computed before the table check")

@@ -15,9 +15,9 @@ exactly.  No pinned value passes through BLAS, so they do not depend on
 the BLAS library or its thread count.  They do depend on how numpy's
 ``arccos``/``exp`` and the ``cos``/``sin`` of the line substitution
 round, which varies with the CPU's SIMD features (with numpy's AVX-512
-loops disabled both the pins and the fingerprint below change), so the
-byte pins run only where that fingerprint matches the one recorded with
-them.
+loops disabled both the pins and the rounding fingerprint change), so
+the byte pins run only where ``helpers.same_rounding`` finds the
+fingerprint recorded with them.
 """
 
 import hashlib
@@ -38,22 +38,10 @@ from rggdist import (
 from rggdist import distances
 from rggdist.distances import _inner_lines, joint_pdf3_cell_masses
 
+from helpers import same_rounding
+
 DOMAIN = DiskDomain(1.0)
 
-
-def rounding_fingerprint():
-    x = np.linspace(0.0, 1.0, 1001)
-    digest = hashlib.sha256()
-    for arr in (np.arccos(x), np.exp(-x), np.cos(np.pi * x), np.sin(np.pi * x)):
-        digest.update(arr.tobytes())
-    return digest.hexdigest()
-
-
-RECORDED_FINGERPRINT = "628dae195863577d6ca36033966855ca3e3a2a25548970f67f935030cd7a6cbd"
-same_rounding = pytest.mark.skipif(
-    rounding_fingerprint() != RECORDED_FINGERPRINT,
-    reason="arccos, exp, cos or sin round differently here than where the pins were recorded",
-)
 
 PMF_PINS = {
     ("hard", None): (

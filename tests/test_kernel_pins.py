@@ -5,6 +5,7 @@ line integrator is pinned the same way: its results must not depend on
 the block size, on what an earlier call left in the workspace, or on
 another thread using the integrator at the same time."""
 
+import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rggdist import DiskDomain, ExponentialSoft, HardDisk, pmf_n3
+from rggdist import (
+    DiskDomain,
+    ExponentialSoft,
+    HardDisk,
+    joint_pdf3_via_conditioning_many,
+    pmf_n3,
+)
 from rggdist import distances
 from rggdist.distances import (
     _cond_pdf3_batch,
@@ -31,6 +38,8 @@ from helpers import (
     pdf3_batch_reference,
     phi_reference,
     right_triangles,
+    same_rounding,
+    valid_triple_grid,
 )
 
 lengths = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -123,6 +132,20 @@ class TestCondPdf3Pins:
     def test_zero_dimensional(self, x, y, z, s):
         args = (np.float64(x), np.float64(y), np.float64(z), s)
         assert_identical(_cond_pdf3_batch(*args), cond_pdf3_batch_reference(*args))
+
+
+    @same_rounding
+    def test_conditioning_oracle_digest(self):
+        # The values and errors of the oracle on the 1000 triples of
+        # ``validate condpdf``, recorded when each triple still went
+        # through ``triangle_quantities`` and a loop of its own cut the
+        # intervals.
+        r12, r13, r23 = valid_triple_grid().T
+        values, errors = joint_pdf3_via_conditioning_many(r12, r13, r23, DiskDomain(1.0))
+        assert (
+            hashlib.sha256(values.tobytes() + errors.tobytes()).hexdigest()
+            == "0faa9d89df0735866197b208c7e0a68e45d93f0ea47e7b9e6d7ac06e7c361db2"
+        )
 
 
 class TestPhiPins:

@@ -1,7 +1,11 @@
 """Adaptive quadrature: exactness, determinism, breakpoints, failure modes."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rggdist import AccuracyError, DiskDomain, DomainError, pair_pdf
 from rggdist.distances import joint_pdf3_values
@@ -9,11 +13,12 @@ from rggdist.quadrature import (
     _RULE_WEIGHTS,
     QuadratureSettings,
     _gk15_sums,
+    _pieces,
     integrate,
     integrate_many,
 )
 
-from helpers import integrate_nd
+from helpers import integrate_nd, pieces_reference
 
 TIGHT = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=50)
 
@@ -197,6 +202,45 @@ def test_integrate_many_per_interval_breakpoints():
     )
     assert values[0] == pytest.approx(0.5 * 0.25**2 + 0.5 * 0.75**2, abs=1e-13)
     assert values[1] == pytest.approx(0.25, abs=1e-13)
+
+
+# Ends and points from a few shared values, so that points land on the
+# ends, repeat and fall outside, and intervals come out empty or inverted.
+ends = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@given(st.lists(st.tuples(ends, ends, st.lists(ends | st.just(math.nan), max_size=6)), max_size=8))
+def test_pieces_match_the_per_interval_loop(rows):
+    lo = np.array([row[0] for row in rows])
+    hi = np.array([row[1] for row in rows])
+    breaks = np.full((len(rows), max((len(row[2]) for row in rows), default=0)), math.nan)
+    for i, row in enumerate(rows):
+        breaks[i, : len(row[2])] = row[2]
+    got = _pieces(lo, hi, breaks)
+    want = pieces_reference(lo, hi, breaks)
+    assert [part.tolist() for part in got] == list(want)
+    # NaN padding and extra columns change nothing.
+    padded = np.concatenate([breaks, np.full((len(rows), 2), math.nan), breaks], axis=1)
+    assert [part.tolist() for part in _pieces(lo, hi, padded)] == list(want)
+
+
+@pytest.mark.parametrize(
+    "intervals, breakpoints",
+    [
+        ([(0.0, 1.0), (0.0, 1.0)], [(0.5,), (0.2, 0.3)]),  # ragged rows
+        ([(0.0, 1.0), (0.0, 1.0)], [(0.5,), None]),  # a None row
+        ([(0.0, 1.0), (0.0, 1.0)], [None, None]),
+        ([(0.0, 1.0), (0.0, 1.0)], [0.5, 0.3]),  # a point per interval, not (k, j)
+        ([(0.0, 1.0), (0.0, 1.0)], [(0.5,)]),  # one row for two intervals
+        ([(0.0, 1.0, 2.0)], None),  # three ends
+        ([(0.0, 1.0), (0.0,)], None),  # ragged ends
+        ([(0.0, 1.0), (0.0, math.inf)], None),  # non-finite ends
+        ([(math.nan, 1.0)], None),
+    ],
+)
+def test_integrate_many_refuses_misshapen_input(intervals, breakpoints):
+    with pytest.raises(DomainError):
+        integrate_many(lambda x, which: x, intervals, TIGHT, breakpoints)
 
 
 def test_joint_density_normalization_generic_path():
