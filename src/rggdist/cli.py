@@ -3,11 +3,16 @@
 Single evaluations print JSON with a ``settings`` record; sweeps print
 CSV under a ``# seed=...`` comment line holding the same record.  The
 record echoes every option the command parsed except ``--out``, in parser
-order, with the model as the spec string of the model that ran (it reads
-back through ``parse_model`` as the same model).  All numeric output uses
+order, each as it was resolved: the model as the spec string of the model
+that ran (it reads back through ``parse_model`` as the same model) and a
+sweep's ``r0-stop`` as the grid's last point.  All numeric output uses
 12 significant digits with a plain decimal point, and every command is a
 deterministic function of its flags (including ``--seed``), so repeated
 runs are byte-identical.
+
+Every command resolves and checks all its flags before any work
+(:func:`_resolve`), so a run that samples nothing still refuses a bad
+``--samples``, and a sweep refuses more than ``MAX_STEPS`` (4096) steps.
 
 Exit codes: 0 success, 1 validation/accuracy failure, 2 usage error,
 3 unsupported request.
@@ -92,12 +97,68 @@ def _write(out_path: str, text: str) -> None:
 # Names that route the output or pick the command, not settings.
 _UNECHOED = ("command", "handler", "out", "target")
 
+# Most grid points of one sweep: 16 times CI's widest sweep (256 steps),
+# and small enough that the grid, its models and its rows stay below a
+# megabyte, so a mistyped --steps is refused instead of allocated.
+MAX_STEPS = 4096
 
-def _settings(args, ran) -> dict:
-    """Every option ``args`` holds, in parser order, with ``ran``'s values
-    in place of the raw flags they resolve, and ``rng`` where the command
-    takes ``--samples``."""
-    settings = {k: ran.get(k, v) for k, v in vars(args).items() if k not in _UNECHOED}
+
+def _sweep_stop(args, D) -> float:
+    """A sweep's effective ``--r0-stop``, its node count and grid checked."""
+    if args.mc:
+        if args.n < 2:
+            raise UnsupportedError(f"Monte Carlo sweeps need n >= 2, got n={args.n}")
+        # One outcome table per grid point, each of at most
+        # 2**MAX_OUTCOME_BITS entries (n <= 6).
+        _outcome_bits(args.n, args.steps)
+    elif args.n not in (2, 3):
+        raise UnsupportedError(f"exact sweeps support n in (2, 3); pass --mc for n={args.n}")
+    start = args.r0_start
+    stop = args.r0_stop if args.r0_stop is not None else D
+    if not (0.0 <= start < stop <= D):
+        raise DomainError(
+            f"need 0 <= r0-start < r0-stop <= diameter, got [{start}, {stop}] with D={D}"
+        )
+    if not 2 <= args.steps <= MAX_STEPS:
+        raise DomainError(f"steps must be between 2 and {MAX_STEPS}, got {args.steps}")
+    if args.model_kind == "exp" and start <= 0.0:
+        raise DomainError("exponential sweeps need --r0-start > 0")
+    return stop
+
+
+def _resolve(args):
+    """The domain, model, ``--abs-tol`` quadrature settings and (where the
+    command takes ``--samples``) Monte Carlo settings a command runs on,
+    each built and checked, with node counts and a sweep's grid, before any
+    work.  ``args`` then holds the model's spec string (``validate pmf3``'s
+    default is ``hard:r0=0.4*D``) and a sweep's effective ``r0-stop``."""
+    target = getattr(args, "target", None)
+    if target not in (None, "pmf3") and args.model is not None:
+        raise DomainError(f"--model applies to the pmf3 target only, not to {target}")
+    domain = DiskDomain(args.diameter)
+    model = quad = mc = None
+    if target == "pmf3" and not args.model:
+        model = HardDisk(r0=0.4 * domain.diameter)
+    elif getattr(args, "model", None) is not None:
+        model = parse_model(args.model)
+    if model is not None:
+        args.model = model.spec_string()
+    if args.command == "bounds":
+        _check_chain_n(args.n)
+        if args.samples is not None:
+            _outcome_bits(args.n)
+    elif args.command.startswith("sweep-"):
+        args.r0_stop = _sweep_stop(args, domain.diameter)
+    if getattr(args, "abs_tol", None) is not None:
+        quad = QuadratureSettings(abs_tol=args.abs_tol, rel_tol=0.0, max_subdivisions=600)
+    if getattr(args, "samples", None) is not None:
+        mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
+    return domain, model, quad, mc
+
+
+def _settings(args) -> dict:
+    """Every option in ``args``, in parser order, and ``rng`` if it takes ``--samples``."""
+    settings = {k: v for k, v in vars(args).items() if k not in _UNECHOED}
     if "samples" in settings:
         settings["rng"] = RNG_NAME
     return settings
@@ -111,14 +172,14 @@ def _token(value) -> str:
     return str(value)
 
 
-def _emit_json(args, record, **ran) -> None:
-    settings = _settings(args, ran)
+def _emit_json(args, record) -> None:
+    settings = _settings(args)
     record["settings"] = {k: _jnum(v) if isinstance(v, float) else v for k, v in settings.items()}
     _write(args.out, json.dumps(record, indent=2) + "\n")
 
 
-def _emit_csv(args, header, rows, **ran) -> None:
-    settings = _settings(args, ran)
+def _emit_csv(args, header, rows) -> None:
+    settings = _settings(args)
     pairs = [("seed", settings.pop("seed")), *settings.items()]
     comment = "# " + " ".join(f"{k.replace('_', '-')}={_token(v)}" for k, v in pairs)
     lines = [comment, ",".join(header)]
@@ -127,18 +188,11 @@ def _emit_csv(args, header, rows, **ran) -> None:
     _write(args.out, "\n".join(lines) + "\n")
 
 
-def _quad_settings(args):
-    if getattr(args, "abs_tol", None) is None:
-        return None
-    return QuadratureSettings(abs_tol=args.abs_tol, rel_tol=0.0, max_subdivisions=600)
-
-
 # ---------------------------------------------------------------------------
 # single evaluations
 # ---------------------------------------------------------------------------
 
-def _cmd_pdf3(args) -> int:
-    domain = DiskDomain(args.diameter)
+def _cmd_pdf3(args, domain, model, quad, mc) -> int:
     sides = TriangleSides(args.r12, args.r13, args.r23)
     tq = triangle_quantities(sides)
     record = {
@@ -152,16 +206,13 @@ def _cmd_pdf3(args) -> int:
     return EXIT_OK
 
 
-def _cmd_pairpdf(args) -> int:
-    domain = DiskDomain(args.diameter)
+def _cmd_pairpdf(args, domain, model, quad, mc) -> int:
     _emit_json(args, {"r": _jnum(args.r), "density": _jnum(pair_pdf(args.r, domain))})
     return EXIT_OK
 
 
-def _cmd_pmf(args) -> int:
-    domain = DiskDomain(args.diameter)
-    model = parse_model(args.model)
-    pmf = exact_pmf(args.n, model, domain, _quad_settings(args))
+def _cmd_pmf(args, domain, model, quad, mc) -> int:
+    pmf = exact_pmf(args.n, model, domain, quad)
     record = {
         "n": args.n,
         "method": pmf.method,
@@ -171,28 +222,23 @@ def _cmd_pmf(args) -> int:
         "p_complete": _jnum(prob_complete(pmf)),
         "entropy_bits": _jnum(entropy_bits(pmf)),
     }
-    _emit_json(args, record, model=model.spec_string())
+    _emit_json(args, record)
     return EXIT_OK
 
 
-def _cmd_entropy(args) -> int:
-    domain = DiskDomain(args.diameter)
-    model = parse_model(args.model)
-    pmf = exact_pmf(args.n, model, domain, _quad_settings(args))
+def _cmd_entropy(args, domain, model, quad, mc) -> int:
+    pmf = exact_pmf(args.n, model, domain, quad)
     record = {
         "n": args.n,
         "entropy_bits": _jnum(entropy_bits(pmf)),
         "error_bound_bits": _jnum(entropy_error_bound(pmf)),
         "method": pmf.method,
     }
-    _emit_json(args, record, model=model.spec_string())
+    _emit_json(args, record)
     return EXIT_OK
 
 
-def _cmd_entropy_mc(args) -> int:
-    domain = DiskDomain(args.diameter)
-    model = parse_model(args.model)
-    mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
+def _cmd_entropy_mc(args, domain, model, quad, mc) -> int:
     est = estimate_entropy(
         args.n, model, domain, mc, bias_correction=not args.no_bias_correction
     )
@@ -202,7 +248,7 @@ def _cmd_entropy_mc(args) -> int:
         "std_error": _jnum(est.std_error),
         "bias_correction": not args.no_bias_correction,
     }
-    _emit_json(args, record, model=model.spec_string())
+    _emit_json(args, record)
     return EXIT_OK
 
 
@@ -220,13 +266,8 @@ def _exact_pmfs(models, domain, quad, with_pmf3):
     return list(zip(pmf2s, pmf3s))
 
 
-def _cmd_bounds(args) -> int:
-    domain = DiskDomain(args.diameter)
-    model = parse_model(args.model)
-    _check_chain_n(args.n)  # refused before the exact work, like an oversized table
-    if args.samples is not None:
-        _outcome_bits(args.n)
-    [(pmf2, pmf3)] = _exact_pmfs([model], domain, _quad_settings(args), args.n > 3)
+def _cmd_bounds(args, domain, model, quad, mc) -> int:
+    [(pmf2, pmf3)] = _exact_pmfs([model], domain, quad, args.n > 3)
     h_values = {2: entropy_bits(pmf2)}
     provenance = {2: "quadrature"}
     if pmf3 is not None:
@@ -247,12 +288,11 @@ def _cmd_bounds(args) -> int:
         "tightest_bound_bits": _jnum(chain.tightest_bound_bits),
         "monotonic": chain.monotonic,
     }
-    if args.samples is not None:
-        mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
+    if mc is not None:
         est = estimate_entropy(args.n, model, domain, mc)
         record["h_n_estimate_bits"] = _jnum(est.bits)
         record["h_n_std_error"] = _jnum(est.std_error)
-    _emit_json(args, record, model=model.spec_string())
+    _emit_json(args, record)
     return EXIT_OK
 
 
@@ -260,78 +300,40 @@ def _cmd_bounds(args) -> int:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_grid(args, D):
-    start = args.r0_start
-    stop = args.r0_stop if args.r0_stop is not None else D
-    if not (0.0 <= start < stop <= D):
-        raise DomainError(
-            f"need 0 <= r0-start < r0-stop <= diameter, got [{start}, {stop}] with D={D}"
-        )
-    if args.steps < 2:
-        raise DomainError(f"steps must be at least 2, got {args.steps}")
-    return np.linspace(start, stop, args.steps)
-
-
-def _sweep_model(args, r0):
+def _sweep_models(args):
+    """The checked grid of a sweep and its connection models."""
+    grid = np.linspace(args.r0_start, args.r0_stop, args.steps)
     if args.model_kind == "hard":
-        return HardDisk(r0=r0)
-    if r0 <= 0.0:
-        raise DomainError("exponential sweeps need --r0-start > 0")
-    return ExponentialSoft(r0=r0, beta=args.beta)
+        return grid, [HardDisk(r0=float(r0)) for r0 in grid]
+    return grid, [ExponentialSoft(r0=float(r0), beta=args.beta) for r0 in grid]
 
 
-def _check_sweep_n(args) -> None:
+def _cmd_sweep_connectivity(args, domain, model, quad, mc) -> int:
+    grid, models = _sweep_models(args)
     if args.mc:
-        if args.n < 2:
-            raise UnsupportedError(f"Monte Carlo sweeps need n >= 2, got n={args.n}")
-        # One outcome table per grid point, each of at most
-        # 2**MAX_OUTCOME_BITS entries (n <= 6), refused before any work.
-        _outcome_bits(args.n, args.steps)
-    elif args.n not in (2, 3):
-        raise UnsupportedError(
-            f"exact sweeps support n in (2, 3); pass --mc for n={args.n}"
-        )
-
-
-def _cmd_sweep_connectivity(args) -> int:
-    domain = DiskDomain(args.diameter)
-    _check_sweep_n(args)
-    grid = _sweep_grid(args, domain.diameter)
-    models = [_sweep_model(args, float(r0)) for r0 in grid]
-    if args.mc:
-        mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
         pmfs = estimate_pmf_sweep(args.n, models, domain, mc)
     elif args.n == 3:
-        pmfs = _pmf_n3_many(models, domain, _quad_settings(args))
+        pmfs = _pmf_n3_many(models, domain, quad)
     else:
-        quad = _quad_settings(args)
         pmfs = [pmf_n2(model, domain, quad) for model in models]
     rows = [
         (float(r0), prob_connected(pmf), prob_complete(pmf), pmf.method, float(pmf.error_estimate))
         for r0, pmf in zip(grid, pmfs)
     ]
-    # ``np.linspace`` ends the grid exactly at the effective stop.
-    _emit_csv(
-        args, ("r0", "p_connected", "p_complete", "method", "err_est"), rows,
-        r0_stop=float(grid[-1]),
-    )
+    _emit_csv(args, ("r0", "p_connected", "p_complete", "method", "err_est"), rows)
     return EXIT_OK
 
 
-def _cmd_sweep_entropy(args) -> int:
-    domain = DiskDomain(args.diameter)
-    _check_sweep_n(args)
-    grid = _sweep_grid(args, domain.diameter)
+def _cmd_sweep_entropy(args, domain, model, quad, mc) -> int:
+    grid, models = _sweep_models(args)
     n = args.n
-    models = [_sweep_model(args, float(r0)) for r0 in grid]
 
     def exact_pmfs():
-        return _exact_pmfs(models, domain, _quad_settings(args), n >= 3)
+        return _exact_pmfs(models, domain, quad, n >= 3)
 
     if args.mc:
         # The exact bound columns are computed on this thread while the
         # sampler runs on others; a sampler error is raised first.
-        mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
         estimates, pmfs = _in_threads(
             [lambda: estimate_entropy_sweep(n, models, domain, mc), exact_pmfs]
         )
@@ -344,10 +346,7 @@ def _cmd_sweep_entropy(args) -> int:
         bound3 = float(shearer_factor(n, 3) * Fraction(entropy_bits(pmf3))) if n > 3 else np.nan
         bound2 = float(shearer_factor(n, 2) * Fraction(entropy_bits(pmf2))) if n > 2 else np.nan
         rows.append((float(r0), h, std, bound3, bound2))
-    _emit_csv(
-        args, ("r0", "H_exact_or_mc", "H_std_err", "bound_from_G3", "bound_from_G2"), rows,
-        r0_stop=float(grid[-1]),
-    )
+    _emit_csv(args, ("r0", "H_exact_or_mc", "H_std_err", "bound_from_G3", "bound_from_G2"), rows)
     return EXIT_OK
 
 
@@ -355,10 +354,9 @@ def _cmd_sweep_entropy(args) -> int:
 # validation oracles
 # ---------------------------------------------------------------------------
 
-def _validate_pair(args, domain) -> dict:
+def _validate_pair(domain, model, mc) -> dict:
     nbins = 50
     edges = np.linspace(0.0, domain.diameter, nbins + 1)
-    mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
     counts = _distance_counts(2, domain, mc, nbins)
 
     settings = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
@@ -371,15 +369,14 @@ def _validate_pair(args, domain) -> dict:
     return {"name": "pair-distance histogram vs density", **fit}
 
 
-def _validate_pdf3(args, domain) -> dict:
-    mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
+def _validate_pdf3(domain, model, mc) -> dict:
     hist = distance_histogram3(domain, mc, bins=20)
     fit = _count_fit(hist.counts, joint_pdf3_cell_masses(domain, hist.bin_edges), mc.samples)
     return {"name": "three-distance histogram vs joint density", **fit}
 
 
-def _validate_condpdf(args, domain) -> dict:
-    D = domain.diameter
+def _condpdf_triples(D) -> np.ndarray:
+    """The 1000 side triples ``validate condpdf`` checks on a disk of diameter D."""
     grid = np.linspace(0.1, 0.9, 10) * D
     triples = []
     for a in grid:
@@ -388,42 +385,37 @@ def _validate_condpdf(args, domain) -> dict:
             margin = 0.04 * (hi - lo)
             for c in np.linspace(lo + margin, hi - margin, 10):
                 triples.append((a, b, c))
-    arr = np.asarray(triples)
-    direct = joint_pdf3_values(arr[:, 0], arr[:, 1], arr[:, 2], domain)
-    via, _ = joint_pdf3_via_conditioning_many(arr[:, 0], arr[:, 1], arr[:, 2], domain)
+    return np.asarray(triples)
+
+
+def _validate_condpdf(domain, model, mc) -> dict:
+    r12, r13, r23 = _condpdf_triples(domain.diameter).T
+    direct = joint_pdf3_values(r12, r13, r23, domain)
+    via, _ = joint_pdf3_via_conditioning_many(r12, r13, r23, domain)
     scale = np.maximum(np.abs(direct), 1e-12)
     rel = np.abs(via - direct) / scale
     return {
         "name": "conditional reconstruction vs closed form",
         "pass": bool(np.all(rel <= 1e-6)),
-        "triples_checked": len(arr),
+        "triples_checked": len(r12),
         "worst_rel_dev": float(np.max(rel)),
     }
 
 
-def _validate_pmf3(args, domain, model) -> dict:
+def _validate_pmf3(domain, model, mc) -> dict:
     exact = pmf_n3(model, domain)
-    mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
     counts = _outcome_counts(3, [model], domain, mc)[0]
     fit = _count_fit(counts, exact.probs, mc.samples, slack=exact.error_estimate)
     return {"name": "three-node pmf vs sampled outcome frequencies", **fit}
 
 
-def _cmd_validate(args) -> int:
-    if args.model is not None and args.target != "pmf3":
-        raise DomainError(f"--model applies to the pmf3 target only, not to {args.target}")
-    domain = DiskDomain(args.diameter)
-    ran = {}
-    if args.target == "pmf3":
-        model = parse_model(args.model) if args.model else HardDisk(r0=0.4 * domain.diameter)
-        ran["model"] = model.spec_string()
-        check = _validate_pmf3(args, domain, model)
-    else:
-        runners = {"pair": _validate_pair, "pdf3": _validate_pdf3, "condpdf": _validate_condpdf}
-        check = runners[args.target](args, domain)
+def _cmd_validate(args, domain, model, quad, mc) -> int:
+    runners = {"pair": _validate_pair, "pdf3": _validate_pdf3,
+               "condpdf": _validate_condpdf, "pmf3": _validate_pmf3}
+    check = runners[args.target](domain, model, mc)
     check = {k: _jnum(v) if isinstance(v, float) else v for k, v in check.items()}
     report = {"target": args.target, "pass": check["pass"], "checks": [check]}
-    _emit_json(args, report, **ran)
+    _emit_json(args, report)
     return EXIT_OK if check["pass"] else EXIT_VALIDATION
 
 
@@ -531,7 +523,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        return args.handler(args, *_resolve(args))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

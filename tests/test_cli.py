@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -40,7 +41,12 @@ from rggdist.distances import joint_pdf3_cell_masses
 from rggdist.montecarlo import MAX_WORKERS, substream
 from rggdist.quadrature import integrate_many
 
-from helpers import distance_sq_blocks_reference, run_cli_process, run_python_process
+from helpers import (
+    distance_sq_blocks_reference,
+    run_cli_process,
+    run_python_process,
+    valid_triple_grid,
+)
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +216,20 @@ class TestBoundsCommand:
         assert out == ""
         assert "n must be an integer >= 3" in err
 
+    @pytest.mark.parametrize("flags", [("--samples", "10", "--workers", "5000"),
+                                       ("--samples", "0")])
+    def test_bad_sampling_flags_refused_before_exact_work(self, capsys, monkeypatch, flags):
+        def fail(*args):
+            raise AssertionError("pair integral computed before the sampling flags were checked")
+
+        monkeypatch.setattr(graphdist, "_pair_connect_prob", fail)
+        code, out, err = run_cli(
+            capsys, "bounds", "--n", "4", "--model", "exp:r0=0.3,beta=2", *flags
+        )
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
+
     def test_oversized_sample_table_refused_before_exact_work(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("exact pmf computed before the table check")
@@ -368,6 +388,46 @@ class TestSweepCommands:
             rows.append(f"{r0_},{pconn},{pcomp},monte_carlo,{err}")
         assert out.split("\n")[1:] == rows + [""]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep-connectivity", "--n", "3"),
+            ("sweep-entropy", "--n", "3"),
+            ("sweep-connectivity", "--n", "4", "--mc", "--samples", "1000"),
+            ("sweep-entropy", "--n", "4", "--mc", "--samples", "1000"),
+        ],
+    )
+    def test_too_many_steps_refused_before_the_grid(self, capsys, monkeypatch, argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("grid allocated before the step count was checked")
+
+        monkeypatch.setattr(np, "linspace", fail)
+        code, out, err = run_cli(capsys, *argv, "--steps", str(cli.MAX_STEPS + 1))
+        assert code == 2
+        assert out == ""
+        assert f"steps must be between 2 and {cli.MAX_STEPS}" in err
+
+    def test_bad_tolerance_refused_before_sampling(self, capsys, monkeypatch):
+        # The tolerance was built on the exact thread while the sampler ran.
+        def sampler(*args, **kwargs):
+            raise AssertionError("sampled before the tolerance was checked")
+
+        monkeypatch.setattr(cli, "estimate_entropy_sweep", sampler)
+        code, out, err = run_cli(
+            capsys, "sweep-entropy", "--n", "4", "--mc", "--samples", "1000", "--steps", "3",
+            "--abs-tol", "nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerances must be finite" in err
+
+    @pytest.mark.parametrize("command", ["sweep-connectivity", "sweep-entropy"])
+    def test_sampling_flags_checked_where_nothing_samples(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--n", "3", "--steps", "3", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
     def test_invalid_grid(self, capsys):
         code, _, _ = run_cli(
             capsys, "sweep-connectivity", "--r0-start", "0.9", "--r0-stop", "0.5"
@@ -426,6 +486,29 @@ class TestValidateCommand:
         ))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"False False\n"
+
+    @pytest.mark.parametrize("flags", [("--samples", "0"), ("--workers", "5000")])
+    def test_pmf3_bad_sampling_flags_refused_before_exact_work(self, capsys, monkeypatch, flags):
+        def fail(*args, **kwargs):
+            raise AssertionError("exact pmf computed before the sampling flags were checked")
+
+        monkeypatch.setattr(cli, "pmf_n3", fail)
+        code, out, err = run_cli(capsys, "validate", "pmf3", *flags)
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
+
+    def test_condpdf_triples_match_their_copies(self):
+        # The benchmark probe and the test helpers keep their own copies of
+        # the grid; all three must cover the same triples.
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "probes.py")
+        spec = importlib.util.spec_from_file_location("perfbench_probes", path)
+        probes = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(probes)
+        triples = cli._condpdf_triples(1.0)
+        assert triples.shape == (1000, 3)
+        assert triples.tobytes() == valid_triple_grid().tobytes()
+        assert triples.tobytes() == probes._condpdf_triples(1.0).tobytes()
 
     @pytest.mark.parametrize("target", ["pair", "pdf3", "condpdf"])
     def test_model_refused_where_unused(self, capsys, monkeypatch, target):
