@@ -97,9 +97,9 @@ def _write(out_path: str, text: str) -> None:
 # Names that route the output or pick the command, not settings.
 _UNECHOED = ("command", "handler", "out", "target")
 
-# Most grid points of one sweep: 16 times CI's widest sweep (256 steps),
-# and small enough that the grid, its models and its rows stay below a
-# megabyte, so a mistyped --steps is refused instead of allocated.
+# Most grid points of one sweep: 16 times CI's widest sweep (256 steps).
+# It is checked before np.linspace, so a mistyped --steps is refused
+# instead of allocated.
 MAX_STEPS = 4096
 
 

@@ -40,10 +40,10 @@ no block makes a soft temporary.  The pair stage is pair-major
 (coordinates ``(n, block)``, squared distances ``(m, block)``), so each
 pair is a difference of two contiguous rows and each block is yielded as
 a ``(rows, m)`` view that is valid until the next block.  Outcome codes
-and distance cells are table indices taken in float64 by one rule
-(:class:`_Encoder`): every partial sum is an integer below
-``MAX_TABLE_ENTRIES``, so the product is exact in any summation order
-and does not depend on the BLAS or its threads.  Threads are capped at
+are ``bits @ 2**arange(m)`` taken in float64 (:class:`_Encoder`): every
+partial sum is an integer below ``2**graphdist.MAX_OUTCOME_BITS``, far
+below ``2**53``, so the product is exact in any summation order and does not
+depend on the BLAS or its threads.  Threads are capped at
 ``os.cpu_count()`` and each folds its workers' results into its own
 running total, so peak memory grows with the cores in use, not with
 ``workers`` (at most ``MAX_WORKERS``).
@@ -287,42 +287,33 @@ def _distance_sq_chunks(n, domain, rng, count):
 
 
 class _Encoder:
-    """Table indices of integer digit rows through buffers reused block
-    after block.
+    """Outcome codes of 0/1 edge rows through buffers reused block after
+    block.
 
-    The caller writes a block's digits as float64 integers into
-    ``digits(rows)``, a ``(rows, m)`` view of a pair-major ``(m, width)``
-    buffer, or into any ``(rows, m)`` array; ``count(digits, table)`` adds
-    one to ``table`` at each index ``digits @ places``: places ``2**s`` for
-    outcome codes, ``bins**(m-1-s)`` for distance cells.  The product runs
-    in float64 and is exact in any summation order: every partial sum is an
-    integer below the table size, far below ``2**53``.  So the indices equal
-    the integer product whatever the BLAS and its thread count do.
+    The caller writes a block's edge indicators as float64 0/1 values into
+    ``bits(rows)``, a ``(rows, m)`` view of a pair-major ``(m, width)``
+    buffer; ``codes(bits)`` returns ``bits @ 2**arange(m)`` as int64.  The
+    product runs in float64 as one matrix-vector product, and it is exact
+    in any summation order: every partial sum is an integer below
+    ``2**m <= 2**MAX_OUTCOME_BITS``, far below ``2**53``.  So the codes
+    equal the integer product whatever the BLAS and its thread count do.
     """
 
-    def __init__(self, places, width):
-        self.places = places
-        self._digits = np.empty((len(self.places), width))
+    def __init__(self, m, width):
+        self.pows = np.ldexp(1.0, np.arange(m))
+        self._bits = np.empty((m, width))
         self._sums = np.empty(width)
         self._codes = np.empty(width, dtype=np.int64)
 
-    def digits(self, rows):
-        return self._digits[:, :rows].T
+    def bits(self, rows):
+        return self._bits[:, :rows].T
 
-    def codes(self, digits):
-        rows = len(digits)
-        sums = self._sums[:rows]
-        if len(self.places) == 1:
-            # numpy's matmul takes a loop ten times slower for one column.
-            np.multiply(digits[:, 0], self.places[0], out=sums)
-        else:
-            np.matmul(digits, self.places, out=sums)
+    def codes(self, bits):
+        rows = len(bits)
+        sums = np.matmul(bits, self.pows, out=self._sums[:rows])
         codes = self._codes[:rows]
         np.copyto(codes, sums, casting="unsafe")
         return codes
-
-    def count(self, digits, table):
-        np.add.at(table, self.codes(digits), 1)
 
 
 def _outcome_bits(n: int, tables: int = 1) -> int:
@@ -355,7 +346,7 @@ def _outcome_counts(n, models, domain, mc: McSettings) -> np.ndarray:
     def work(rng, count):
         counts = np.zeros((len(models), 1 << m), dtype=np.int64)
         width = min(_BLOCK, count)
-        encoder = _Encoder(np.ldexp(1.0, np.arange(m)), width)
+        encoder = _Encoder(m, width)
         if not hard:
             # Row-major like the stream's per-edge uniforms: comparing into
             # the pair-major encoder buffer instead is four times slower.  A
@@ -368,7 +359,7 @@ def _outcome_counts(n, models, domain, mc: McSettings) -> np.ndarray:
         for dist_sq in _distance_sq_chunks(n, domain, rng, count):
             rows = len(dist_sq)
             if hard:
-                bits = encoder.digits(rows)
+                bits = encoder.bits(rows)
             else:
                 # Drawn once per block for all models.
                 u = rng.random(out=uniforms[:rows])
@@ -382,7 +373,8 @@ def _outcome_counts(n, models, domain, mc: McSettings) -> np.ndarray:
                     np.less(dist_sq, model.r0 * model.r0, out=bits)
                 else:
                     np.less(u, model.probability(r, out=p), out=bits)
-                encoder.count(bits, counts[k])
+                # Counted in place: no per-block table of 2**m entries.
+                np.add.at(counts[k], encoder.codes(bits), 1)
         return counts
 
     return _fan_out(mc, work)
@@ -505,13 +497,18 @@ def _distance_counts(n, domain, mc: McSettings, bins) -> np.ndarray:
 
     def work(rng, count):
         counts = np.zeros(bins**m, dtype=np.int64)
-        encoder = _Encoder(float(bins) ** np.arange(m - 1, -1, -1), min(_BLOCK, count))
+        cells = np.empty((m, min(_BLOCK, count)), dtype=np.int64)
         for dist_sq in _distance_sq_chunks(n, domain, rng, count):
             dists = np.sqrt(dist_sq, out=dist_sq)
             np.multiply(np.divide(dists, D, out=dists), bins, out=dists)
-            cells = np.floor(dists, out=encoder.digits(len(dists)))
-            np.minimum(cells, bins - 1, out=cells)
-            encoder.count(cells, counts)
+            idx = cells[:, :len(dists)]
+            np.copyto(idx, dists.T, casting="unsafe")
+            np.minimum(idx, bins - 1, out=idx)
+            flat = idx[0]
+            for k in range(1, m):
+                flat *= bins
+                flat += idx[k]
+            np.add.at(counts, flat, 1)
         return counts
 
     return _fan_out(mc, work)
