@@ -18,16 +18,13 @@ from .connection import (
 )
 from .distances import (
     JointPdfCase,
-    angle_pdf_trapezoid,
     classify_triple,
-    enclosing_diameter_cdf,
     enclosing_diameter_pdf,
     joint_pdf3,
     joint_pdf3_cell_masses,
     joint_pdf3_values,
     joint_pdf3_via_conditioning_many,
     pair_pdf,
-    pair_pdf_on_circle,
 )
 from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import (
@@ -35,7 +32,6 @@ from .geometry import (
     TriangleQuantities,
     TriangleSides,
     pair_count,
-    phi,
     sample_points_in_disk,
     triangle_quantities,
 )
@@ -86,12 +82,10 @@ __all__ = [
     "TriangleQuantities",
     "TriangleSides",
     "UnsupportedError",
-    "angle_pdf_trapezoid",
     "bound_chain",
     "classify_triple",
     "connected_outcome_mask",
     "distance_histogram3",
-    "enclosing_diameter_cdf",
     "enclosing_diameter_pdf",
     "entropy_bits",
     "entropy_error_bound",
@@ -108,9 +102,7 @@ __all__ = [
     "joint_pdf3_via_conditioning_many",
     "pair_count",
     "pair_pdf",
-    "pair_pdf_on_circle",
     "parse_model",
-    "phi",
     "pmf_n2",
     "pmf_n3",
     "prob_complete",

@@ -405,7 +405,8 @@ def _validate_condpdf(domain, model, mc) -> dict:
 def _validate_pmf3(domain, model, mc) -> dict:
     exact = pmf_n3(model, domain)
     counts = _outcome_counts(3, [model], domain, mc)[0]
-    fit = _count_fit(counts, exact.probs, mc.samples, slack=exact.error_estimate)
+    slack = np.asarray(exact.ingredients["entry_errors"])
+    fit = _count_fit(counts, exact.probs, mc.samples, slack=slack)
     return {"name": "three-node pmf vs sampled outcome frequencies", **fit}
 
 

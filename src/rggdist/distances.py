@@ -2,13 +2,14 @@
 
 Covers the density of the distance between two uniform points, the joint
 density of the three pairwise distances among three uniform points, and
-the conditional machinery behind it: the distance density when one point
-sits on a circle, the trapezoidal density of the angle at that point, the
-density of the smallest concentric circle enclosing all three points, and
-the conditional joint density given that diameter.  Integrating the
-conditional form against the enclosing-diameter density reproduces the
-closed form exactly, which makes :func:`joint_pdf3_via_conditioning_many`
-an independent numerical oracle for :func:`joint_pdf3`.
+the conditional form behind it: the density of the smallest concentric
+circle enclosing all three points, and the conditional joint density
+given that diameter.  Integrating the conditional form against the
+enclosing-diameter density reproduces the closed form exactly, which
+makes :func:`joint_pdf3_via_conditioning_many` an independent numerical
+oracle for :func:`joint_pdf3`.  The paper's lemmas behind the
+conditional form, the distance density from a point on a circle and the
+trapezoidal angle density, live with the tests as reference code.
 
 The joint density splits into four cases.  Writing ``rbar`` for the
 longest side and ``d`` for the circumscribed-circle diameter
@@ -367,55 +368,8 @@ def joint_pdf3_values(r12, r13, r23, domain: DiskDomain) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# conditional machinery (point on a circle of diameter s)
+# conditional form (given the enclosing diameter s)
 # ---------------------------------------------------------------------------
-
-def pair_pdf_on_circle(r, s):
-    """Density of the distance from a point on a circle of diameter ``s``
-    to a uniform point inside it: ``(8r / (pi*s**2)) * arccos(r/s)`` on
-    [0, s], zero beyond."""
-    if not (np.isscalar(s) and math.isfinite(float(s)) and float(s) > 0):
-        raise DomainError(f"s must be a positive length, got {s!r}")
-    s = float(s)
-    arr = _as_length_array("r", r)
-    inside = arr <= s
-    ratio = np.clip(np.where(inside, arr / s, 1.0), 0.0, 1.0)
-    out = np.where(inside, 8.0 * arr / (math.pi * s * s) * np.arccos(ratio), 0.0)
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def angle_pdf_trapezoid(theta, half_range_a, half_range_b):
-    """Density of the difference of two independent uniform angles.
-
-    The two angles are uniform on ``(-half_range_a, half_range_a)`` and
-    ``(-half_range_b, half_range_b)`` with both half-ranges in
-    (0, pi/2); the difference has the trapezoidal density
-
-    * ``1 / (2*max(ha, hb))``            for |theta| <= |ha - hb|,
-    * ``(ha + hb - |theta|)/(4*ha*hb)``  for |ha - hb| <= |theta| < ha + hb,
-    * 0                                  for ha + hb <= |theta| < pi.
-    """
-    ha = float(half_range_a)
-    hb = float(half_range_b)
-    for name, h in (("half_range_a", ha), ("half_range_b", hb)):
-        if not math.isfinite(h) or not (0.0 < h < 0.5 * math.pi):
-            raise DomainError(f"{name} must lie in (0, pi/2), got {h!r}")
-    arr = np.abs(np.asarray(theta, dtype=float))
-    if np.any(~np.isfinite(arr)) or np.any(arr >= math.pi):
-        raise DomainError(f"theta must satisfy |theta| < pi, got {theta!r}")
-    lo = abs(ha - hb)
-    hi = ha + hb
-    out = np.where(
-        arr <= lo,
-        1.0 / (2.0 * max(ha, hb)),
-        np.where(arr < hi, (hi - arr) / (4.0 * ha * hb), 0.0),
-    )
-    if np.isscalar(theta) or arr.ndim == 0:
-        return float(out)
-    return out
-
 
 def enclosing_diameter_pdf(s, domain: DiskDomain):
     """Density of the smallest concentric-circle diameter enclosing three
@@ -425,18 +379,6 @@ def enclosing_diameter_pdf(s, domain: DiskDomain):
     if np.any(~np.isfinite(arr)) or np.any(arr < 0) or np.any(arr > D):
         raise DomainError(f"s must lie in [0, D], got {s!r}")
     out = 6.0 * arr**5 / D**6
-    if np.isscalar(s) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def enclosing_diameter_cdf(s, domain: DiskDomain):
-    """Distribution function matching :func:`enclosing_diameter_pdf`: (s/D)**6."""
-    arr = np.asarray(s, dtype=float)
-    D = domain.diameter
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0) or np.any(arr > D):
-        raise DomainError(f"s must lie in [0, D], got {s!r}")
-    out = (arr / D) ** 6
     if np.isscalar(s) or arr.ndim == 0:
         return float(out)
     return out

@@ -1,10 +1,10 @@
 """Geometric and combinatorial primitives shared by the whole package.
 
 Everything here is a pure function of its inputs: the circular-segment
-function ``phi``, triangle quantities derived from three side lengths
-(the quartic positivity form, the circumscribed-circle diameter, the
-obtuseness test), uniform sampling inside a disk, and the node pairs of
-an edge vector in slot order.
+function ``phi`` of the density kernels, triangle quantities derived
+from three side lengths (the quartic positivity form, the
+circumscribed-circle diameter, the obtuseness test), uniform sampling
+inside a disk, and the node pairs of an edge vector in slot order.
 """
 
 from __future__ import annotations
@@ -17,12 +17,8 @@ import numpy as np
 
 from .errors import DomainError
 
-# Absolute slack applied before rejecting phi() inputs: ratios such as
-# r / d may exceed 1 by a few ulp when r mathematically equals d.
-PHI_SLACK = 1e-12
-
 # Relative threshold below which Q is treated as degenerate (collinear
-# points): Q <= eps * rbar**4 means the circumdiameter is undefined.
+# points): Q <= eps * (rbar*rbar)**2 means the circumdiameter is undefined.
 DEGENERATE_Q_EPS = 1e-14
 
 
@@ -87,30 +83,15 @@ class TriangleQuantities(NamedTuple):
     obtuse: bool
 
 
-def phi(x):
-    """arccos(x) - x*sqrt(1 - x**2) for x in [0, 1].
-
-    Equals twice the area of the circular segment of a unit circle cut off
-    by a chord at distance x from the center.  Nonincreasing, with
-    phi(0) = pi/2 and phi(1) = 0.  Inputs within ``PHI_SLACK`` of the
-    interval are clamped; anything further out raises :class:`DomainError`.
-    Accepts scalars or arrays.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < -PHI_SLACK) or np.any(arr > 1.0 + PHI_SLACK):
-        raise DomainError(f"phi argument must lie in [0, 1], got {x!r}")
-    out = _phi_clipped(arr)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def _phi_clipped(x, out=None, tmp=None):
-    # Hot path used by the density evaluators: clamps silently.  Works in
-    # two buffers, ``out`` (the clipped copy of x, which may be x itself)
-    # and ``tmp``, both arrays of the shape of x.  Either one left out is
-    # allocated, as an array so that 0-d and scalar input work too (numpy
-    # scalars take no ``out=``).  Returns ``out``.
+    # phi(x) = arccos(x) - x*sqrt(1 - x**2) with x clamped to [0, 1]: twice
+    # the area of the circular segment of a unit circle cut off by a chord
+    # at distance x from the centre, falling from pi/2 to 0.  The density
+    # kernels' hot path.  Works in two buffers, ``out`` (the clipped copy
+    # of x, which may be x itself) and ``tmp``, both arrays of the shape of
+    # x.  Either one left out is allocated, as an array so that 0-d and
+    # scalar input work too (numpy scalars take no ``out=``).  Returns
+    # ``out``.
     if out is None:
         out = np.empty(np.shape(x))
     if tmp is None:
@@ -125,9 +106,7 @@ def _phi_clipped(x, out=None, tmp=None):
     return np.subtract(x, t, out=x)
 
 
-def triangle_quantities(
-    sides: TriangleSides, degenerate_eps: float = DEGENERATE_Q_EPS
-) -> TriangleQuantities:
+def triangle_quantities(sides: TriangleSides) -> TriangleQuantities:
     """Quartic form Q, longest side, circumdiameter, and obtuseness.
 
     Q is computed in the factored form
@@ -137,15 +116,16 @@ def triangle_quantities(
     (it equals 16 times the squared triangle area).
 
     The circumdiameter ``2*a*b*c / sqrt(Q)`` is reported as ``None`` when
-    ``Q <= degenerate_eps * longest**4``; the triple is then treated as
-    degenerate.  The obtuseness flag compares the squared longest side with
-    the sum of the other two squares and is reported regardless of
-    degeneracy.
+    ``Q <= DEGENERATE_Q_EPS * (longest*longest)**2``, the rule of the
+    density kernels; the triple is then treated as degenerate.  The
+    obtuseness flag compares the squared longest side with the sum of the
+    other two squares and is reported regardless of degeneracy.
     """
     a, b, c = sides.sorted()
     q = (a + b + c) * (b + c - a) * (a + c - b) * (a + b - c)
-    obtuse = c * c > a * a + b * b
-    if q <= degenerate_eps * c**4 or c == 0.0:
+    c2 = c * c
+    obtuse = c2 > a * a + b * b
+    if q <= DEGENERATE_Q_EPS * (c2 * c2) or c == 0.0:
         return TriangleQuantities(q=q, longest=c, circumdiameter=None, obtuse=obtuse)
     d = 2.0 * a * b * c / math.sqrt(q)
     return TriangleQuantities(q=q, longest=c, circumdiameter=d, obtuse=obtuse)

@@ -157,8 +157,10 @@ def pmf_n3(
     longest, three times, in one pass over that side; for a hard disk it
     is the distribution function of the longest side at ``min(r0, D)``.
     ``ingredients`` holds the moments, their error estimates ``e1``,
-    ``e2``, ``e3``, and the third-side ``lines`` behind M3 with the number
-    left above their budget (``lines_over_budget``).
+    ``e2``, ``e3``, the per-entry estimates ``entry_errors`` (a tuple in
+    outcome order, summing to ``error_estimate``), and the third-side
+    ``lines`` behind M3 with the number left above their budget
+    (``lines_over_budget``).
 
     This is the one-model case of :func:`_pmf_n3_many`, where every hard
     disk's M3 comes from one pass over the longest side cut at all their
@@ -251,6 +253,7 @@ def _pmf_from_moments(moments, errors, stats) -> GraphPmf:
         error_estimate=float(np.sum(entry_errs)),
         ingredients={
             "m1": m1, "m2": m2, "m3": m3, "e1": e1, "e2": e2, "e3": e3,
+            "entry_errors": tuple(entry_errs.tolist()),
             "lines": stats.lines, "lines_over_budget": stats.over_budget,
         },
     )

@@ -128,7 +128,8 @@ def _count_fit(counts, probs, samples, slack=0.0) -> dict:
     ``samples`` multinomial counts against the closed form ``probs``.
 
     Each expected count e = probs * samples first moves toward its count c
-    by at most ``slack * samples``, the closed form's deterministic error.
+    by at most ``slack * samples``, the closed form's deterministic error
+    (``slack`` is one number, or an array of one per entry).
     Its |z| is the root of the binomial deviance of c against e, near
     normal even for small e (0 where c = e, infinite where c differs from
     an e of 0 or N).  The table passes when its largest e reaches 10 and

@@ -7,7 +7,9 @@ closed-form density kernels with their per-branch terms.
 
 Also here, because only tests call them: the 1-based pair codec
 (``pair_index``, ``pair_from_index``), the ``EdgeVector`` edge-indicator
-record, the scalar ``connect_prob``, the scalar conditional density
+record, the scalar ``connect_prob``, the paper's lemmas behind the
+conditional density (``pair_pdf_on_circle``, ``angle_pdf_trapezoid``,
+``enclosing_diameter_cdf``), the scalar conditional density
 ``conditional_joint_pdf3`` and density oracle
 ``joint_pdf3_via_conditioning`` (thin wrappers over the library's batch
 forms), ``marginal_pair_density``, the double integral of the joint
@@ -148,6 +150,69 @@ def connect_prob(model, r: float) -> float:
     if not math.isfinite(rf) or rf < 0:
         raise DomainError(f"distance must be a finite nonnegative length, got {r!r}")
     return float(model.probability(rf))
+
+
+# ---------------------------------------------------------------------------
+# the paper's lemmas behind the conditional density
+# ---------------------------------------------------------------------------
+
+def pair_pdf_on_circle(r, s):
+    """Density of the distance from a point on a circle of diameter ``s``
+    to a uniform point inside it: ``(8r / (pi*s**2)) * arccos(r/s)`` on
+    [0, s], zero beyond."""
+    if not (np.isscalar(s) and math.isfinite(float(s)) and float(s) > 0):
+        raise DomainError(f"s must be a positive length, got {s!r}")
+    s = float(s)
+    arr = _as_length_array("r", r)
+    inside = arr <= s
+    ratio = np.clip(np.where(inside, arr / s, 1.0), 0.0, 1.0)
+    out = np.where(inside, 8.0 * arr / (math.pi * s * s) * np.arccos(ratio), 0.0)
+    if np.isscalar(r) or arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def angle_pdf_trapezoid(theta, half_range_a, half_range_b):
+    """Density of the difference of two independent uniform angles.
+
+    The two angles are uniform on ``(-half_range_a, half_range_a)`` and
+    ``(-half_range_b, half_range_b)`` with both half-ranges in
+    (0, pi/2); the difference has the trapezoidal density
+
+    * ``1 / (2*max(ha, hb))``            for |theta| <= |ha - hb|,
+    * ``(ha + hb - |theta|)/(4*ha*hb)``  for |ha - hb| <= |theta| < ha + hb,
+    * 0                                  for ha + hb <= |theta| < pi.
+    """
+    ha = float(half_range_a)
+    hb = float(half_range_b)
+    for name, h in (("half_range_a", ha), ("half_range_b", hb)):
+        if not math.isfinite(h) or not (0.0 < h < 0.5 * math.pi):
+            raise DomainError(f"{name} must lie in (0, pi/2), got {h!r}")
+    arr = np.abs(np.asarray(theta, dtype=float))
+    if np.any(~np.isfinite(arr)) or np.any(arr >= math.pi):
+        raise DomainError(f"theta must satisfy |theta| < pi, got {theta!r}")
+    lo = abs(ha - hb)
+    hi = ha + hb
+    out = np.where(
+        arr <= lo,
+        1.0 / (2.0 * max(ha, hb)),
+        np.where(arr < hi, (hi - arr) / (4.0 * ha * hb), 0.0),
+    )
+    if np.isscalar(theta) or arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def enclosing_diameter_cdf(s, domain: DiskDomain):
+    """Distribution function matching ``enclosing_diameter_pdf``: (s/D)**6."""
+    arr = np.asarray(s, dtype=float)
+    D = domain.diameter
+    if np.any(~np.isfinite(arr)) or np.any(arr < 0) or np.any(arr > D):
+        raise DomainError(f"s must lie in [0, D], got {s!r}")
+    out = (arr / D) ** 6
+    if np.isscalar(s) or arr.ndim == 0:
+        return float(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +676,10 @@ def sorted_sides_reference(r12, r13, r23):
     return a, b, c, q, shape
 
 
-def pdf3_batch_reference(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with_case=False):
+def pdf3_batch_reference(r12, r13, r23, D, with_case=False):
     """Four-branch joint density evaluated on the gathered support only."""
     a, b, c, q, shape = sorted_sides_reference(r12, r13, r23)
-    valid = (c > 0.0) & (c <= D) & (q > degenerate_eps * (c * c) ** 2)
+    valid = (c > 0.0) & (c <= D) & (q > DEGENERATE_Q_EPS * (c * c) ** 2)
 
     out = np.zeros(len(a))
     codes = np.zeros(len(a), dtype=np.uint8)
@@ -644,12 +709,12 @@ def pdf3_batch_reference(r12, r13, r23, D, degenerate_eps=DEGENERATE_Q_EPS, with
     return out
 
 
-def cond_pdf3_batch_reference(r12, r13, r23, s, degenerate_eps=DEGENERATE_Q_EPS):
+def cond_pdf3_batch_reference(r12, r13, r23, s):
     """Conditional joint density given the enclosing diameter s, evaluated
     on the gathered support only."""
     a, b, c, q, shape = sorted_sides_reference(r12, r13, r23)
     s_arr = np.broadcast_to(np.asarray(s, float), shape).reshape(-1)
-    valid = (c > 0.0) & (c <= s_arr) & (q > degenerate_eps * (c * c) ** 2)
+    valid = (c > 0.0) & (c <= s_arr) & (q > DEGENERATE_Q_EPS * (c * c) ** 2)
 
     out = np.zeros(len(a))
     if np.any(valid):

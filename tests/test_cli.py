@@ -20,9 +20,11 @@ from rggdist import (
     DomainError,
     ExponentialSoft,
     HardDisk,
+    JointPdfCase,
     McSettings,
     TriangleSides,
     UnsupportedError,
+    classify_triple,
     entropy_bits,
     estimate_entropy_sweep,
     estimate_pmf,
@@ -34,6 +36,7 @@ from rggdist import (
     parse_model,
     prob_connected,
     shearer_factor,
+    triangle_quantities,
 )
 from rggdist import cli, graphdist, montecarlo
 from rggdist.cli import main
@@ -79,6 +82,30 @@ class TestPdf3Command:
         lib = joint_pdf3(TriangleSides(0.5, 0.5, 0.5), DiskDomain(1.0))
         assert rec["density"] == pytest.approx(lib, rel=1e-11)
         assert rec["case_tag"] == "acute_inscribed"
+
+    @pytest.mark.parametrize("a, b", [(0.3, 0.5), (0.05, 0.9), (0.45, 0.45)])
+    def test_d_and_case_tag_follow_one_degeneracy_rule(self, capsys, a, b):
+        # Near-collinear triples are obtuse with d > D, so they are ZERO only
+        # when degenerate.  The longest side walks down from a + b one float
+        # at a time, across the threshold Q = DEGENERATE_Q_EPS*(c*c)**2.
+        domain = DiskDomain(1.0)
+        c, degenerate = a + b, {}
+        for _ in range(400):
+            sides = TriangleSides(a, b, c)
+            degenerate[c] = triangle_quantities(sides).circumdiameter is None
+            assert degenerate[c] == (classify_triple(sides, domain) is JointPdfCase.ZERO)
+            c = math.nextafter(c, 0.0)
+        assert set(degenerate.values()) == {True, False}
+        # The command, on the triples either side of the threshold.
+        last_degenerate = min(c for c, d in degenerate.items() if d)
+        first_regular = max(c for c, d in degenerate.items() if not d)
+        for c, flag in ((last_degenerate, True), (first_regular, False)):
+            code, out, _ = run_cli(
+                capsys, "pdf3", "--r12", repr(a), "--r13", repr(b), "--r23", repr(c)
+            )
+            rec = json.loads(out)
+            assert code == 0
+            assert (rec["d"] is None, rec["case_tag"] == "zero") == (flag, flag)
 
     def test_negative_length_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -456,6 +483,26 @@ class TestValidateCommand:
         )
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    def test_pmf3_slack_is_each_entrys_own_error(self, capsys, monkeypatch):
+        # Each expected count moves by its own entry's error estimate, not
+        # by the whole table's.
+        slacks = []
+
+        def fit(counts, probs, samples, slack=0.0):
+            slacks.append(slack)
+            return montecarlo._count_fit(counts, probs, samples, slack)
+
+        monkeypatch.setattr(cli, "_count_fit", fit)
+        model = ExponentialSoft(r0=0.3, beta=2.0)
+        code, _, _ = run_cli(
+            capsys, "validate", "pmf3", "--model", model.spec_string(), "--samples", "20000"
+        )
+        exact = pmf_n3(model, DiskDomain(1.0))
+        [slack] = slacks
+        assert code == 0
+        assert np.asarray(slack).tolist() == list(exact.ingredients["entry_errors"])
+        assert len(set(exact.ingredients["entry_errors"])) == 4
 
     def test_pdf3_insufficient_samples_fails(self, capsys):
         code, out, _ = run_cli(

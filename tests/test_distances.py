@@ -11,16 +11,13 @@ from rggdist import (
     DomainError,
     JointPdfCase,
     TriangleSides,
-    angle_pdf_trapezoid,
     classify_triple,
-    enclosing_diameter_cdf,
     enclosing_diameter_pdf,
     joint_pdf3,
     joint_pdf3_cell_masses,
     joint_pdf3_values,
     joint_pdf3_via_conditioning_many,
     pair_pdf,
-    pair_pdf_on_circle,
     sample_points_in_disk,
 )
 from rggdist import HardDisk, distances, pmf_n3
@@ -32,11 +29,14 @@ from helpers import (
     _density_inscribed,
     _density_obtuse_extra,
     _density_outscribed,
+    angle_pdf_trapezoid,
     cell_masses_reference,
     conditional_joint_pdf3,
+    enclosing_diameter_cdf,
     joint_pdf3_via_conditioning,
     marginal_pair_density,
     obtuse_boundary_triples,
+    pair_pdf_on_circle,
     right_triangles,
     valid_triple_grid,
 )
@@ -159,7 +159,7 @@ class TestEnclosingDiameter:
             radii[:, k] = np.hypot(pts[:, 0], pts[:, 1])
         sbar = 2.0 * radii.max(axis=1)
         frac = np.mean(sbar <= 0.5)
-        p = 0.5**6
+        p = enclosing_diameter_cdf(0.5, DOMAIN)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(frac - p) <= 3 * se
 

