@@ -58,7 +58,7 @@ from .montecarlo import (
     estimate_pmf_sweep,
     substream,
 )
-from .quadrature import QuadratureResult, QuadratureSettings, integrate, integrate_many
+from .quadrature import QuadratureSettings, integrate_many
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "Histogram3",
     "JointPdfCase",
     "McSettings",
-    "QuadratureResult",
     "QuadratureSettings",
     "Tabulated",
     "TriangleQuantities",
@@ -94,7 +93,6 @@ __all__ = [
     "estimate_pmf",
     "estimate_pmf_sweep",
     "exact_pmf",
-    "integrate",
     "integrate_many",
     "joint_pdf3",
     "joint_pdf3_cell_masses",

@@ -44,7 +44,7 @@ from .geometry import (
     triangle_quantities,
 )
 from .graphdist import (
-    _edge_pmf,
+    _pmf_from_moments,
     _pmf_n3_many,
     entropy_bits,
     entropy_error_bound,
@@ -259,7 +259,7 @@ def _exact_pmfs(models, domain, quad, with_pmf3):
     it, ``pmf_n2`` integrates M1 at that tolerance."""
     pmf3s = _pmf_n3_many(models, domain, quad) if with_pmf3 else [None] * len(models)
     pmf2s = [
-        _edge_pmf(pmf3.ingredients["m1"], pmf3.ingredients["e1"])
+        _pmf_from_moments(2, (pmf3.ingredients["m1"],), (pmf3.ingredients["e1"],))
         if pmf3 is not None and quad is None else pmf_n2(model, domain, quad)
         for model, pmf3 in zip(models, pmf3s)
     ]

@@ -100,7 +100,6 @@ from .quadrature import (
     _gk15_sums,
     _panel_batch,
     _pieces,
-    integrate,
     integrate_many,
 )
 
@@ -495,7 +494,7 @@ def _u_of_t(t, a, span):
     return np.arccos(np.subtract(1.0, 2.0 * frac, out=frac), out=frac) / math.pi
 
 
-def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
+def _line_segments(p, q, a, b, D, breaks, weight, line_tol):
     """Refined pieces of the third-side integrals of the joint density.
 
     One line per (p, q) pair, integrated over [a, b]; a line with
@@ -511,7 +510,8 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
     degenerate end the nodes keep ``_END_CLAMP_U`` away from it.  The
     pieces of lines above the per-line budget
     ``max(line_tol, 1e-13*|line value|)`` are bisected in u by
-    :func:`rggdist.quadrature._bisect` for up to ``max_rounds`` rounds.
+    :func:`rggdist.quadrature._bisect` for up to 6 rounds, the one cap of
+    every line, those of M3 and of the cell masses alike.
     Returns the pieces as (u-lo, u-hi, owning line, value, error estimate)
     arrays, and whether each line met its budget.
     """
@@ -565,7 +565,7 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol, max_rounds):
 
     return _bisect(
         eval_pieces, seg_lo, seg_hi, owner, k,
-        lambda v: np.maximum(line_tol, 1e-13 * np.abs(v)), max_rounds=max_rounds,
+        lambda v: np.maximum(line_tol, 1e-13 * np.abs(v)), max_rounds=6,
     )
 
 
@@ -585,9 +585,9 @@ def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11, 
     One line per (p, q) pair, integrated over [lo, hi] intersected with
     the triangle-inequality interval and [0, D], by :func:`_line_segments`
     (one cosine map per line, cut at the case boundaries and at
-    ``extra_breaks``) with up to 6 refinement rounds.  Returns
-    (values, error_estimates); a :class:`_LineStats` ``stats`` counts the
-    lines and those left above budget.
+    ``extra_breaks``).  Returns (values, error_estimates); a
+    :class:`_LineStats` ``stats`` counts the lines and those left above
+    budget.
     """
     p = np.asarray(p, float).ravel()
     q = np.asarray(q, float).ravel()
@@ -598,7 +598,7 @@ def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11, 
     b = np.minimum(np.minimum(hi, p + q), D)
     breaks = np.broadcast_to(np.asarray(extra_breaks, float), (k, len(extra_breaks)))
     _, _, owner, seg_val, seg_err, converged = _line_segments(
-        p, q, a, b, D, breaks, weight, line_tol, 6
+        p, q, a, b, D, breaks, weight, line_tol
     )
     if stats is not None:
         stats.lines += k
@@ -764,15 +764,17 @@ def _coverage_moment(domain, hi, weight, breaks, abs_tol, max_subdivisions):
         def coverage(rho):
             return _arc_integrals(rho, R, weight, breaks, inner) / area
 
-    def integrand(rho):
+    def integrand(rho, _):
         g = coverage(rho)
         return g * g * (2.0 / (R * R)) * rho
 
     outer = QuadratureSettings(
         abs_tol=0.5 * abs_tol, rel_tol=0.0, max_subdivisions=max_subdivisions
     )
-    value, err = integrate(integrand, [(0.0, R)], outer, [abs(R - b) for b in (hi, *breaks)])
-    return value, err + 2.0 * g_tol
+    values, errors = integrate_many(
+        integrand, [(0.0, R)], outer, [[abs(R - b) for b in (hi, *breaks)]]
+    )
+    return float(values[0]), float(errors[0]) + 2.0 * g_tol
 
 
 # joint_pdf3_cell_masses: Gauss nodes per cell on the first axis, and the
@@ -786,10 +788,9 @@ def _per_cell_line_integrals(p, q, edges, D):
 
     Like :func:`_inner_lines` over the full admissible interval, but with
     the grid edges added as breaks (mapped into u like the case
-    boundaries), each line's budget ``_CELL_LINE_TOL`` and 4 refinement
-    rounds, and each segment's contribution accumulated into the cell
-    holding its midpoint in t.  Returns an array of shape
-    ``(len(p), len(edges) - 1)``.
+    boundaries), each line's budget ``_CELL_LINE_TOL``, and each segment's
+    contribution accumulated into the cell holding its midpoint in t.
+    Returns an array of shape ``(len(p), len(edges) - 1)``.
     """
     p = np.asarray(p, float).ravel()
     q = np.asarray(q, float).ravel()
@@ -797,7 +798,7 @@ def _per_cell_line_integrals(p, q, edges, D):
     nb = len(edges) - 1
     grid = np.broadcast_to(edges[1:-1], (k, nb - 1))
     a, b = np.abs(p - q), np.minimum(p + q, min(edges[-1], D))
-    u_lo, u_hi, owner, seg_val, _, _ = _line_segments(p, q, a, b, D, grid, None, _CELL_LINE_TOL, 4)
+    u_lo, u_hi, owner, seg_val, _, _ = _line_segments(p, q, a, b, D, grid, None, _CELL_LINE_TOL)
     half_span = 0.5 * np.maximum(b - a, 0.0)
     t_lo, t_hi = (a[owner] + half_span[owner] * (1.0 - np.cos(math.pi * u)) for u in (u_lo, u_hi))
     cell = np.clip(np.searchsorted(edges, 0.5 * (t_lo + t_hi), side="right") - 1, 0, nb - 1)

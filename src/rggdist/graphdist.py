@@ -12,16 +12,17 @@ Per-outcome facts come from one cached, read-only table per n
 (n >= 7) is refused with :class:`UnsupportedError` before anything is
 allocated.
 
-For n = 3 the eight outcome probabilities are assembled from three
-product moments of the joint distance density,
+Both exact pmfs are assembled by one inclusion-exclusion
+(:func:`_pmf_from_moments`) from the product moments of the edges,
 
     M1 = E[p(R12)],  M2 = E[p(R12) p(R13)],  M3 = E[p(R12) p(R13) p(R23)],
 
-via inclusion-exclusion; the density is exchangeable in its three
-arguments, so these three numbers determine everything.  Two consequences
-are used deliberately: the probabilities sum to one up to floating-point
-rounding (not up to quadrature error), and outcomes related by a node
-relabeling get exactly equal probabilities.  M1 reduces to a
+M1 alone for n = 2 and all three for n = 3; the joint density is
+exchangeable in its three arguments, so these three numbers determine
+everything.  Two consequences are used deliberately: the probabilities
+sum to one up to floating-point rounding (not up to quadrature error),
+and outcomes related by a node relabeling get exactly equal
+probabilities.  M1 reduces to a
 one-dimensional integral against the two-point density, and M2 to one
 over the coverage function of one node (a lens area for a hard disk).
 M3 of every model comes from one pass over the longest side of the
@@ -38,6 +39,7 @@ estimates.
 from __future__ import annotations
 
 import functools
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -52,7 +54,7 @@ from .distances import (
 )
 from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import DiskDomain, pair_array, pair_count
-from .quadrature import QuadratureSettings, integrate
+from .quadrature import QuadratureSettings, integrate_many
 
 # Absolute tolerance per pmf entry used when no settings are supplied.
 DEFAULT_PMF_ENTRY_TOL = 1e-4
@@ -107,11 +109,12 @@ def _pair_connect_prob(model, domain, settings) -> tuple[float, float]:
     if hi <= 0.0:
         return 0.0, 0.0
 
-    def integrand(r):
+    def integrand(r, _):
         vals = pair_pdf(r, domain)
         return vals if weight is None else vals * weight(r)
 
-    return integrate(integrand, [(0.0, hi)], settings, breakpoints=breaks)
+    values, errors = integrate_many(integrand, [(0.0, hi)], settings, [breaks])
+    return float(values[0]), float(errors[0])
 
 
 _PAIR_SETTINGS = QuadratureSettings(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=400)
@@ -120,20 +123,14 @@ _PAIR_SETTINGS = QuadratureSettings(abs_tol=1e-11, rel_tol=1e-11, max_subdivisio
 def pmf_n2(
     model: ConnectionModel, domain: DiskDomain, quad: QuadratureSettings | None = None
 ) -> GraphPmf:
-    """Exact two-node pmf: a single Bernoulli edge."""
+    """Exact two-node pmf: a single Bernoulli edge of probability M1.
+
+    ``ingredients`` holds ``m1``, its error estimate ``e1`` and the
+    per-entry estimates ``entry_errors``, as :func:`pmf_n3` reports them.
+    """
     settings = quad if quad is not None else _PAIR_SETTINGS
-    return _edge_pmf(*_pair_connect_prob(model, domain, settings))
-
-
-def _edge_pmf(m1, e1) -> GraphPmf:
-    """The two-node pmf from the edge probability M1 and its error
-    estimate, as :func:`pmf_n3` reports them in its ingredients."""
-    p1 = min(max(m1, 0.0), 1.0)
-    probs = np.array([1.0 - p1, p1])
-    return GraphPmf(
-        n=2, probs=probs, method="quadrature", error_estimate=2.0 * e1,
-        ingredients={"edge_prob": p1},
-    )
+    m1, e1 = _pair_connect_prob(model, domain, settings)
+    return _pmf_from_moments(2, (m1,), (e1,))
 
 
 def pmf_n3(
@@ -205,34 +202,33 @@ def _pmf_n3_many(models, domain: DiskDomain, quad: QuadratureSettings | None = N
         m1, e1 = _pair_connect_prob(model, domain, _PAIR_SETTINGS)
         m2, e2 = _coverage_moment(domain, *axis, moment_tol, max_sub)
         m3, e3, stats = m3s[k]
-        pmfs.append(_pmf_from_moments((m1, m2, m3), (e1, e2, e3), stats))
+        pmfs.append(_pmf_from_moments(3, (m1, m2, m3), (e1, e2, e3), stats))
     return pmfs
 
 
-def _pmf_from_moments(moments, errors, stats) -> GraphPmf:
-    """The three-node pmf from M1, M2, M3 and their error estimates."""
-    m1, m2, m3 = moments
-    e1, e2, e3 = errors
-    # Inclusion-exclusion over the number of present edges; exchangeability
-    # of the distance density makes all outcomes of equal weight identical.
-    by_weight = {
-        3: m3,
-        2: m2 - m3,
-        1: m1 - 2.0 * m2 + m3,
-        0: 1.0 - 3.0 * m1 + 3.0 * m2 - m3,
-    }
-    err_by_weight = {
-        3: e3,
-        2: e2 + e3,
-        1: e1 + 2.0 * e2 + e3,
-        0: 3.0 * e1 + 3.0 * e2 + e3,
-    }
-    edges = _outcomes(3).edges
+def _pmf_from_moments(n, moments, errors, stats=None) -> GraphPmf:
+    """The n-node pmf (n = 2 or 3) from its k = ``pair_count(n)`` edge
+    moments M1..Mk and their error estimates; ``stats`` (n = 3) counts the
+    third-side lines behind Mk."""
+    k = pair_count(n)
+    m, e = (1.0, *moments), (0.0, *errors)
+    # Inclusion-exclusion over the number of present edges: an outcome of
+    # weight w has probability sum_{j>=w} (-1)**(j-w) C(k-w, j-w) M_j, with
+    # M0 = 1.  Exchangeability of the distance density makes all outcomes
+    # of equal weight identical.
+    by_weight, err_by_weight = {}, {}
+    for w in range(k, -1, -1):
+        by_weight[w], err_by_weight[w] = m[w], e[w]
+        for j in range(w + 1, k + 1):
+            c = math.comb(k - w, j - w)
+            by_weight[w] += (-1) ** (j - w) * c * m[j]
+            err_by_weight[w] += c * e[j]
+    edges = _outcomes(n).edges
     multiplicity = np.bincount(edges)
     for w, v in by_weight.items():
         if v < -err_by_weight[w] - 1e-9 or v > 1.0 + err_by_weight[w] + 1e-9:
             raise AccuracyError(
-                "three-node pmf entries left [0, 1] beyond their error estimates; "
+                f"{n}-node pmf entries left [0, 1] beyond their error estimates; "
                 "tighten the quadrature settings",
                 value=by_weight,
                 error_estimate=err_by_weight,
@@ -246,16 +242,16 @@ def _pmf_from_moments(moments, errors, stats) -> GraphPmf:
     w_star = max(by_weight, key=lambda w: by_weight[w])
     by_weight[w_star] -= (total - 1.0) / multiplicity[w_star]
 
-    probs = np.array([by_weight[w] for w in range(4)])[edges]
-    entry_errs = np.array([err_by_weight[w] for w in range(4)])[edges]
+    probs = np.array([by_weight[w] for w in range(k + 1)])[edges]
+    entry_errs = np.array([err_by_weight[w] for w in range(k + 1)])[edges]
+    ingredients = {f"m{j}": m[j] for j in range(1, k + 1)}
+    ingredients.update((f"e{j}", e[j]) for j in range(1, k + 1))
+    ingredients["entry_errors"] = tuple(entry_errs.tolist())
+    if stats is not None:
+        ingredients.update(lines=stats.lines, lines_over_budget=stats.over_budget)
     return GraphPmf(
-        n=3, probs=probs, method="quadrature",
-        error_estimate=float(np.sum(entry_errs)),
-        ingredients={
-            "m1": m1, "m2": m2, "m3": m3, "e1": e1, "e2": e2, "e3": e3,
-            "entry_errors": tuple(entry_errs.tolist()),
-            "lines": stats.lines, "lines_over_budget": stats.over_budget,
-        },
+        n=n, probs=probs, method="quadrature",
+        error_estimate=float(np.sum(entry_errs)), ingredients=ingredients,
     )
 
 
@@ -285,12 +281,31 @@ def entropy_bits(pmf: GraphPmf) -> float:
     return float(-np.sum(p[mask] * np.log2(p[mask]))) + 0.0
 
 
+def _entropy_terms(x):
+    """``-x*log2(x)`` elementwise, 0 at x <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0.0, -x * np.log2(x), 0.0)
+
+
 def entropy_error_bound(pmf: GraphPmf) -> float:
-    """Crude propagation of the pmf error estimate into the entropy."""
-    p = np.maximum(pmf.probs, 1e-300)
-    sens = np.abs(np.log2(p) + 1.0 / np.log(2.0))
-    per_entry = pmf.error_estimate / max(len(p), 1)
-    return float(per_entry * np.sum(sens))
+    """The largest change of the entropy, in bits, when each entry p_i
+    moves anywhere in ``[max(0, p_i - e_i), min(1, p_i + e_i)]``.
+
+    ``e_i`` is the entry's own error estimate (``entry_errors`` of an
+    exact pmf), or ``error_estimate`` for every entry of a pmf without
+    them.  The entropy is a sum of the concave ``-x*log2(x)`` over the
+    entries, so each entry's largest decrease lies at an end of its
+    interval and its largest increase at the point of the interval
+    nearest 1/e, its maximum.  Returns the larger of the summed increases
+    and the summed decreases.
+    """
+    p = pmf.probs
+    e = np.asarray(pmf.ingredients.get("entry_errors", pmf.error_estimate), dtype=float)
+    lo, hi = np.maximum(p - e, 0.0), np.minimum(p + e, 1.0)
+    h = _entropy_terms(p)
+    rise = _entropy_terms(np.clip(1.0 / math.e, lo, hi)) - h
+    fall = h - np.minimum(_entropy_terms(lo), _entropy_terms(hi))
+    return float(max(np.sum(rise), np.sum(fall)))
 
 
 def _outcome_slots(n: int) -> int:

@@ -87,18 +87,19 @@ FIT_ALPHA = 1e-4
 
 @dataclass(frozen=True)
 class McSettings:
-    """Sample count, seed, and worker split of one Monte Carlo run."""
+    """Sample count, seed, and worker split of one Monte Carlo run; each is
+    an ``int`` (a bool is refused)."""
 
     samples: int
     seed: int
     workers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.samples, int) or self.samples < 1:
+        if type(self.samples) is not int or self.samples < 1:
             raise DomainError(f"samples must be a positive integer, got {self.samples!r}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if type(self.seed) is not int or not (0 <= self.seed < 2**64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if type(self.workers) is not int or self.workers < 1:
             raise DomainError(f"workers must be a positive integer, got {self.workers!r}")
         if self.workers > MAX_WORKERS:
             raise DomainError(f"workers must be at most {MAX_WORKERS}, got {self.workers}")

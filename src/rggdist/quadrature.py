@@ -19,16 +19,18 @@ one order whatever shares the batch, so identical inputs give
 bit-identical results.  ``max_subdivisions`` caps the bisections of each
 integral, not of the batch.
 
-Integrands are evaluated in batches of abscissae.  Multi-dimensional
-integrals are built by nesting :func:`integrate_many` calls, as the
-density integrators in :mod:`rggdist.distances` do.
+:func:`integrate_many` is the one entry point: a lone integral is the
+case of one interval and one row of breakpoints.  Integrands are
+evaluated in batches of abscissae.  Multi-dimensional integrals are built
+by nesting :func:`integrate_many` calls, as the density integrators in
+:mod:`rggdist.distances` do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -85,11 +87,10 @@ _RULE_WEIGHTS = np.stack([GK15_WEIGHTS, GK15_WEIGHTS - G7_WEIGHTS], axis=1)[...,
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and refinement budget for :func:`integrate` and
-    :func:`integrate_many`.
+    """Tolerances and refinement budget for :func:`integrate_many`.
 
-    ``max_subdivisions`` bounds the number of panel bisections per
-    integral.
+    ``max_subdivisions``, an ``int`` (a bool is refused), bounds the
+    number of panel bisections per integral.
     """
 
     abs_tol: float = 1e-10
@@ -103,13 +104,10 @@ class QuadratureSettings:
             raise DomainError("tolerances must be nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise DomainError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
-
-
-class QuadratureResult(NamedTuple):
-    value: float
-    error_estimate: float
+        if type(self.max_subdivisions) is not int or self.max_subdivisions < 1:
+            raise DomainError(
+                f"max_subdivisions must be a positive integer, got {self.max_subdivisions!r}"
+            )
 
 
 def _gk15_sums(vals, scale, terms=None):
@@ -262,26 +260,3 @@ def integrate_many(
             error_estimate=errors,
         )
     return totals, errors
-
-
-def integrate(
-    f: Callable,
-    box: Sequence[tuple[float, float]],
-    settings: QuadratureSettings = QuadratureSettings(),
-    breakpoints: Sequence[float] = (),
-) -> QuadratureResult:
-    """Adaptive integration of ``f`` over a one-axis box ``[(lo, hi)]``.
-
-    ``f`` receives an array of abscissae; ``breakpoints`` supplies the
-    interior panel edges (values outside the box are ignored).
-    """
-    if len(box) != 1:
-        raise DomainError(f"box must have exactly 1 axis, got {len(box)}")
-    lo, hi = float(box[0][0]), float(box[0][1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        raise DomainError(f"box axis ({lo}, {hi}) is degenerate")
-    values, errors = integrate_many(
-        lambda x, which: np.asarray(f(x), dtype=float), [(lo, hi)], settings,
-        breakpoints=[breakpoints],
-    )
-    return QuadratureResult(float(values[0]), float(errors[0]))

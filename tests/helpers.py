@@ -38,7 +38,6 @@ from rggdist import (
     DiskDomain,
     DomainError,
     McSettings,
-    QuadratureResult,
     QuadratureSettings,
     TriangleSides,
     estimate_pmf,
@@ -539,6 +538,11 @@ def pieces_reference(lo, hi, breaks):
     return pieces
 
 
+class NdIntegral(NamedTuple):
+    value: float
+    error_estimate: float
+
+
 def integrate_nd(f, box, settings):
     """Iterated adaptive integration of ``f`` over an axis-aligned box.
 
@@ -569,7 +573,7 @@ def integrate_nd(f, box, settings):
 
     values, errors = level(np.empty((1, 0)), 0, settings)
     budget = (settings.abs_tol + settings.rel_tol * abs(values[0])) / 3.0
-    return QuadratureResult(float(values[0]), float(errors[0]) + budget)
+    return NdIntegral(float(values[0]), float(errors[0]) + budget)
 
 
 class Point2D(NamedTuple):

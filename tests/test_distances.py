@@ -23,7 +23,7 @@ from rggdist import (
 from rggdist import HardDisk, distances, pmf_n3
 from rggdist.distances import _inner_lines, _per_cell_line_integrals
 from rggdist.montecarlo import _count_fit, substream
-from rggdist.quadrature import QuadratureSettings, integrate, integrate_many
+from rggdist.quadrature import QuadratureSettings, integrate_many
 
 from helpers import (
     _density_inscribed,
@@ -58,8 +58,8 @@ class TestPairPdf:
             pair_pdf(float("nan"), DOMAIN)
 
     def test_normalization(self):
-        res = integrate(lambda r: pair_pdf(r, DOMAIN), [(0.0, 1.0)], TIGHT)
-        assert res.value == pytest.approx(1.0, abs=1e-9)
+        values, _ = integrate_many(lambda r, _: pair_pdf(r, DOMAIN), [(0.0, 1.0)], TIGHT)
+        assert values[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_histogram_oracle(self):
         # Ten million sampled pairs in fifty bins against their integrated
@@ -93,8 +93,8 @@ class TestPairPdfOnCircle:
         assert pair_pdf_on_circle(1.2, 1.0) == 0.0
 
     def test_normalization(self):
-        res = integrate(lambda r: pair_pdf_on_circle(r, 0.8), [(0.0, 0.8)], TIGHT)
-        assert res.value == pytest.approx(1.0, abs=1e-9)
+        values, _ = integrate_many(lambda r, _: pair_pdf_on_circle(r, 0.8), [(0.0, 0.8)], TIGHT)
+        assert values[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_invalid_scale(self):
         with pytest.raises(DomainError):
@@ -119,12 +119,12 @@ class TestTrapezoidAngle:
 
     def test_normalization(self):
         for ha, hb in [(0.3, 0.3), (0.7, 0.2), (1.2, 1.0)]:
-            res = integrate(
-                lambda t: angle_pdf_trapezoid(t, ha, hb),
+            values, _ = integrate_many(
+                lambda t, _: angle_pdf_trapezoid(t, ha, hb),
                 [(-math.pi, math.pi)],
                 TIGHT,
             )
-            assert res.value == pytest.approx(1.0, abs=1e-9)
+            assert values[0] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("bad", [0.0, math.pi / 2, -0.1, 2.0])
     def test_half_range_validation(self, bad):
@@ -285,20 +285,20 @@ class TestConditionalDensity:
         sides = TriangleSides(0.4, 0.4, 0.4)
         target = joint_pdf3(sides, DOMAIN)
 
-        def integrand(svals):
+        def integrand(svals, _):
             dens = np.array(
                 [conditional_joint_pdf3(sides, float(s)) for s in svals]
             )
             return dens * enclosing_diameter_pdf(svals, DOMAIN)
 
         d = 0.8 / math.sqrt(3.0)
-        res = integrate(
+        values, _ = integrate_many(
             integrand,
             [(0.4, 1.0)],
             QuadratureSettings(abs_tol=0.0, rel_tol=1e-9, max_subdivisions=300),
-            breakpoints=(d,),
+            [[d]],
         )
-        assert res.value == pytest.approx(target, rel=1e-6)
+        assert values[0] == pytest.approx(target, rel=1e-6)
 
 
 class TestViaConditioning:

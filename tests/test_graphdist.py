@@ -25,7 +25,7 @@ from rggdist import (
     prob_connected,
     relabel_orbit_map,
 )
-from rggdist import graphdist
+from rggdist import cli, graphdist
 from rggdist.distances import _coverage_moment, _inner_lines, _LineStats, _longest_side_moment
 from rggdist.quadrature import QuadratureSettings
 
@@ -40,6 +40,9 @@ from helpers import (
 )
 
 DOMAIN = DiskDomain(1.0)
+
+# The pinned table of tests/test_exact_pins.py: a breakpoint at every knot.
+TABLE = Tabulated(((0.0, 0.9), (0.25, 0.7), (0.5, 0.2), (0.8, 0.0), (1.0, 0.0)))
 
 
 class TestEdgeVector:
@@ -89,6 +92,22 @@ class TestPmfN2:
         samples = 10_000_000
         est = sample_pmf(2, model, seed=101, samples=samples)
         assert pmf_fit(est, pmf)["pass"]
+
+    @pytest.mark.parametrize("model", [
+        HardDisk(r0=0.0), HardDisk(r0=0.4), HardDisk(r0=1.0), HardDisk(r0=2.0),
+        ExponentialSoft(r0=0.3, beta=2.0), TABLE,
+    ], ids=["hard0", "hard0.4", "hardD", "hard2D", "exp", "table"])
+    def test_one_assembly(self, model):
+        # The two-node pmf is the inclusion-exclusion of the three-node one
+        # at k = 1: a Bernoulli edge, whose entry errors sum to the total.
+        pmf = pmf_n2(model, DOMAIN)
+        p1 = min(max(pmf.ingredients["m1"], 0.0), 1.0)
+        assert pmf.probs.tobytes() == np.array([1.0 - p1, p1]).tobytes()
+        assert sum(pmf.ingredients["entry_errors"]) == pmf.error_estimate
+        # The bound chain's G2 pmf, built from the M1 of its three-node pmf.
+        [(pmf2, _)] = cli._exact_pmfs([model], DOMAIN, None, True)
+        assert pmf2.probs.tobytes() == pmf.probs.tobytes()
+        assert pmf2.error_estimate == pmf.error_estimate
 
 
 class TestPmfN3:
@@ -168,10 +187,6 @@ class TestExactPmfDispatch:
     def test_refuses_larger_graphs(self, n):
         with pytest.raises(UnsupportedError):
             exact_pmf(n, HardDisk(r0=0.5), DOMAIN)
-
-
-# The pinned table of tests/test_exact_pins.py: a breakpoint at every knot.
-TABLE = Tabulated(((0.0, 0.9), (0.25, 0.7), (0.5, 0.2), (0.8, 0.0), (1.0, 0.0)))
 
 
 # Models of the M3 oracle test, by id: hard disks (the pass's cumulative
@@ -322,6 +337,49 @@ class TestEntropy:
             h = entropy_bits(pmf)
             assert 0.0 <= h <= 3.0
             assert entropy_error_bound(pmf) >= 0.0
+
+    def test_error_bound_covers_the_extreme_vertices(self):
+        # Hard and soft pmfs for n = 2 and 3 at two tolerances: moving every
+        # entry to the same end of its error interval changes the entropy
+        # by no more than the bound, which is the per-entry supremum.  The
+        # Monte Carlo-like pmf has one error for both entries, and its
+        # first entry's interval holds 1/e, where -x*log2(x) peaks.
+        r0s = (0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9, 0.97, 1.0)
+        pmfs = [GraphPmf(n=2, probs=np.array([0.37, 0.63]), method="monte_carlo",
+                         error_estimate=0.02)]
+        for quad in (None, QuadratureSettings(abs_tol=1e-6, rel_tol=0.0, max_subdivisions=600)):
+            for models in ([HardDisk(r0=r0) for r0 in r0s],
+                           [ExponentialSoft(r0=r0, beta=2.0) for r0 in r0s]):
+                pmfs += graphdist._pmf_n3_many(models, DOMAIN, quad)
+                pmfs += [pmf_n2(model, DOMAIN, quad) for model in models]
+        assert len(pmfs) == 73
+
+        def terms(x):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(x > 0.0, -x * np.log2(x), 0.0)
+
+        for pmf in pmfs:
+            p = pmf.probs
+            e = np.asarray(pmf.ingredients.get("entry_errors", pmf.error_estimate))
+            lo, hi = np.maximum(p - e, 0.0), np.minimum(p + e, 1.0)
+            bound = entropy_error_bound(pmf)
+            # Two sums of at most 3 bits each round by well under 1e-14.
+            for vertex in (lo, hi):
+                assert abs(np.sum(terms(vertex)) - np.sum(terms(p))) <= bound + 1e-14
+            grid = lo + (hi - lo) * np.linspace(0.0, 1.0, 2001)[:, None]
+            change = terms(grid) - terms(p)
+            rise, fall = np.sum(change.max(axis=0)), np.sum(-change.min(axis=0))
+            assert bound == pytest.approx(max(rise, fall), rel=1e-6, abs=1e-14)
+
+    @pytest.mark.parametrize("model", [
+        HardDisk(r0=0.4), HardDisk(r0=0.9), ExponentialSoft(r0=0.3, beta=2.0), TABLE,
+    ], ids=["hard0.4", "hard0.9", "exp", "table"])
+    def test_error_bound_covers_a_tighter_tolerance(self, model):
+        tight = pmf_n3(model, DOMAIN, QuadratureSettings(abs_tol=1e-9, rel_tol=0.0,
+                                                         max_subdivisions=600))
+        default = pmf_n3(model, DOMAIN)
+        gap = abs(entropy_bits(tight) - entropy_bits(default))
+        assert gap <= entropy_error_bound(tight) + entropy_error_bound(default)
 
     def test_zero_iff_point_mass(self):
         pmf = pmf_n3(HardDisk(r0=0.0), DOMAIN)

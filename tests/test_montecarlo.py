@@ -130,6 +130,9 @@ class TestMcSettings:
             dict(samples=10, seed=2**64),
             dict(samples=10, seed=1, workers=0),
             dict(samples=10, seed=1, workers=montecarlo.MAX_WORKERS + 1),
+            dict(samples=True, seed=1),
+            dict(samples=10, seed=False),
+            dict(samples=10, seed=1, workers=True),
         ],
     )
     def test_validation(self, kwargs):
