@@ -44,12 +44,10 @@ from .geometry import (
     triangle_quantities,
 )
 from .graphdist import (
-    _pmf_from_moments,
-    _pmf_n3_many,
+    _exact_pmfs,
     entropy_bits,
     entropy_error_bound,
     exact_pmf,
-    pmf_n2,
     pmf_n3,
     prob_complete,
     prob_connected,
@@ -129,9 +127,10 @@ def _sweep_stop(args, D) -> float:
 def _resolve(args):
     """The domain, model, ``--abs-tol`` quadrature settings and (where the
     command takes ``--samples``) Monte Carlo settings a command runs on,
-    each built and checked, with node counts and a sweep's grid, before any
-    work.  ``args`` then holds the model's spec string (``validate pmf3``'s
-    default is ``hard:r0=0.4*D``) and a sweep's effective ``r0-stop``."""
+    each built and checked, with node counts, a sweep's grid and a
+    writable ``--out``, before any work.  ``args`` then holds the model's
+    spec string (``validate pmf3``'s default is ``hard:r0=0.4*D``) and a
+    sweep's effective ``r0-stop``."""
     target = getattr(args, "target", None)
     if target not in (None, "pmf3") and args.model is not None:
         raise DomainError(f"--model applies to the pmf3 target only, not to {target}")
@@ -153,6 +152,12 @@ def _resolve(args):
         quad = QuadratureSettings(abs_tol=args.abs_tol, rel_tol=0.0, max_subdivisions=600)
     if getattr(args, "samples", None) is not None:
         mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
+    if args.out != "-":
+        # Append mode creates the file and truncates nothing.
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     return domain, model, quad, mc
 
 
@@ -252,28 +257,10 @@ def _cmd_entropy_mc(args, domain, model, quad, mc) -> int:
     return EXIT_OK
 
 
-def _exact_pmfs(models, domain, quad, with_pmf3):
-    """Each model's exact two-node pmf and three-node pmf (None unless
-    ``with_pmf3``).  Without ``quad`` the two-node pmf is the M1 the
-    three-node pmf already holds, integrated at the same settings; with
-    it, ``pmf_n2`` integrates M1 at that tolerance."""
-    pmf3s = _pmf_n3_many(models, domain, quad) if with_pmf3 else [None] * len(models)
-    pmf2s = [
-        _pmf_from_moments(2, (pmf3.ingredients["m1"],), (pmf3.ingredients["e1"],))
-        if pmf3 is not None and quad is None else pmf_n2(model, domain, quad)
-        for model, pmf3 in zip(models, pmf3s)
-    ]
-    return list(zip(pmf2s, pmf3s))
-
-
 def _cmd_bounds(args, domain, model, quad, mc) -> int:
-    [(pmf2, pmf3)] = _exact_pmfs([model], domain, quad, args.n > 3)
-    h_values = {2: entropy_bits(pmf2)}
-    provenance = {2: "quadrature"}
-    if pmf3 is not None:
-        h_values[3] = entropy_bits(pmf3)
-        provenance[3] = "quadrature"
-    chain = bound_chain(args.n, h_values, provenance)
+    exact = _exact_pmfs({m for m in (2, 3) if m < args.n}, [model], domain, quad)
+    h_values = {m: entropy_bits(pmf) for m, [pmf] in exact.items()}
+    chain = bound_chain(args.n, h_values, dict.fromkeys(exact, "quadrature"))
     record = {
         "n": args.n,
         "entries": [
@@ -312,10 +299,8 @@ def _cmd_sweep_connectivity(args, domain, model, quad, mc) -> int:
     grid, models = _sweep_models(args)
     if args.mc:
         pmfs = estimate_pmf_sweep(args.n, models, domain, mc)
-    elif args.n == 3:
-        pmfs = _pmf_n3_many(models, domain, quad)
     else:
-        pmfs = [pmf_n2(model, domain, quad) for model in models]
+        pmfs = _exact_pmfs({args.n}, models, domain, quad)[args.n]
     rows = [
         (float(r0), prob_connected(pmf), prob_complete(pmf), pmf.method, float(pmf.error_estimate))
         for r0, pmf in zip(grid, pmfs)
@@ -327,25 +312,26 @@ def _cmd_sweep_connectivity(args, domain, model, quad, mc) -> int:
 def _cmd_sweep_entropy(args, domain, model, quad, mc) -> int:
     grid, models = _sweep_models(args)
     n = args.n
-
-    def exact_pmfs():
-        return _exact_pmfs(models, domain, quad, n >= 3)
-
+    sizes = {m for m in (2, 3) if m < n}  # the G_m that bound H(G_n)
     if args.mc:
         # The exact bound columns are computed on this thread while the
         # sampler runs on others; a sampler error is raised first.
-        estimates, pmfs = _in_threads(
-            [lambda: estimate_entropy_sweep(n, models, domain, mc), exact_pmfs]
-        )
+        estimates, exact = _in_threads([
+            lambda: estimate_entropy_sweep(n, models, domain, mc),
+            lambda: _exact_pmfs(sizes, models, domain, quad),
+        ])
     else:
-        pmfs = exact_pmfs()
-        exact = [pmf2 if n == 2 else pmf3 for pmf2, pmf3 in pmfs]
-        estimates = [(entropy_bits(pmf), entropy_error_bound(pmf)) for pmf in exact]
-    rows = []
-    for r0, (pmf2, pmf3), (h, std) in zip(grid, pmfs, estimates):
-        bound3 = float(shearer_factor(n, 3) * Fraction(entropy_bits(pmf3))) if n > 3 else np.nan
-        bound2 = float(shearer_factor(n, 2) * Fraction(entropy_bits(pmf2))) if n > 2 else np.nan
-        rows.append((float(r0), h, std, bound3, bound2))
+        exact = _exact_pmfs(sizes | {n}, models, domain, quad)
+        estimates = [(entropy_bits(pmf), entropy_error_bound(pmf)) for pmf in exact[n]]
+    bound3, bound2 = (
+        [float(shearer_factor(n, m) * Fraction(entropy_bits(pmf))) for pmf in exact[m]]
+        if m < n else [np.nan] * len(grid)
+        for m in (3, 2)
+    )
+    rows = [
+        (float(r0), h, std, b3, b2)
+        for r0, (h, std), b3, b2 in zip(grid, estimates, bound3, bound2)
+    ]
     _emit_csv(args, ("r0", "H_exact_or_mc", "H_std_err", "bound_from_G3", "bound_from_G2"), rows)
     return EXIT_OK
 

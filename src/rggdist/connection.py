@@ -172,8 +172,11 @@ def _parse_fields(params: str, required):
         if "=" not in item:
             raise DomainError(f"malformed model parameter {item!r}")
         key, _, value = item.partition("=")
+        key = key.strip()
+        if key in fields:
+            raise DomainError(f"model parameter {key!r} given twice")
         try:
-            fields[key.strip()] = float(value)
+            fields[key] = float(value)
         except ValueError as exc:
             raise DomainError(f"non-numeric model parameter {item!r}") from exc
     missing = [k for k in required if k not in fields]

@@ -28,12 +28,12 @@ over the coverage function of one node (a lens area for a hard disk).
 M3 of every model comes from one pass over the longest side of the
 triangle, with the edge's connection probability as the weight of all
 three axes; a hard disk's M3 is then the distribution function of the
-longest side, so :func:`_pmf_n3_many`, the exact sweeps' entry, reads
-every hard disk's M3 from one shared pass.  Near-zero
-entries may come out epsilon-negative from quadrature noise; they are
-clipped to zero and the deficit is folded into the largest entry, which
-keeps the exact unit total while staying inside the per-entry error
-estimates.
+longest side, so :func:`_exact_pmfs`, the one exact entry behind
+:func:`exact_pmf` and every command, reads every hard disk's M3 from one
+shared pass.  Near-zero entries may come out epsilon-negative from
+quadrature noise; they are clipped to zero and the deficit is folded into
+the largest entry, which keeps the exact unit total while staying inside
+the per-entry error estimates.
 """
 
 from __future__ import annotations
@@ -128,9 +128,7 @@ def pmf_n2(
     ``ingredients`` holds ``m1``, its error estimate ``e1`` and the
     per-entry estimates ``entry_errors``, as :func:`pmf_n3` reports them.
     """
-    settings = quad if quad is not None else _PAIR_SETTINGS
-    m1, e1 = _pair_connect_prob(model, domain, settings)
-    return _pmf_from_moments(2, (m1,), (e1,))
+    return exact_pmf(2, model, domain, quad)
 
 
 def pmf_n3(
@@ -147,62 +145,81 @@ def pmf_n3(
     Every edge axis is set up by one rule (:func:`_edge_axis`): a hard
     disk truncates it at ``min(r0, D)``, any other model weights it by its
     connection probability, and it splits at the model's breakpoints.
-    M1 is the two-node edge probability.  M2 comes from the coverage
-    function of one node (a lens area for a hard disk), with no
-    three-distance density.  M3 integrates the joint density times the
-    three edges' weights over the region where a chosen side is the
-    longest, three times, in one pass over that side; for a hard disk it
-    is the distribution function of the longest side at ``min(r0, D)``.
+    M1 is the two-node edge probability at :func:`pmf_n2`'s default
+    settings.  M2 comes from the coverage function of one node (a lens
+    area for a hard disk), with no three-distance density.  M3 integrates
+    the joint density times the three edges' weights over the region
+    where a chosen side is the longest, three times, in one pass over that
+    side; for a hard disk it is the distribution function of the longest
+    side at ``min(r0, D)``.
     ``ingredients`` holds the moments, their error estimates ``e1``,
     ``e2``, ``e3``, the per-entry estimates ``entry_errors`` (a tuple in
     outcome order, summing to ``error_estimate``), and the third-side
     ``lines`` behind M3 with the number left above their budget
     (``lines_over_budget``).
 
-    This is the one-model case of :func:`_pmf_n3_many`, where every hard
+    This is the one-model case of :func:`_exact_pmfs`, where every hard
     disk's M3 comes from one pass over the longest side cut at all their
     ranges.  A row of such a sweep can therefore differ from a lone
     ``pmf_n3`` at its range, within their error estimates, and its line
     counts are those of the whole pass.
     """
-    return _pmf_n3_many([model], domain, quad)[0]
+    return exact_pmf(3, model, domain, quad)
 
 
-def _pmf_n3_many(models, domain: DiskDomain, quad: QuadratureSettings | None = None):
-    """Exact three-node pmfs of ``models``, in their order (see
-    :func:`pmf_n3`).
+def _exact_pmfs(sizes, models, domain: DiskDomain, quad: QuadratureSettings | None = None):
+    """``{n: [exact n-node pmf of each model, in order]}`` for each node
+    count n in ``sizes`` (see :func:`pmf_n2` and :func:`pmf_n3`); refuses
+    any n other than 2 and 3.
 
     Every M3 comes from one longest-side pass
     (:func:`rggdist.distances._longest_side_moment`).  The hard disks share
     one pass, cut at every truncation ``min(r0, D)``; every other model
-    has its own, cut at D.  Raises on the first integral that cannot
-    converge, returning no partial table.
+    has its own, cut at D.  The three-node M1 is integrated at
+    ``_PAIR_SETTINGS``, so without ``quad`` the two-node pmfs reuse it;
+    otherwise their M1 is integrated at ``quad``, or at ``_PAIR_SETTINGS``
+    without it.  Raises on the first integral that cannot converge,
+    returning no partial table.
     """
-    if quad is not None and quad.abs_tol == 0:
-        raise DomainError("pmf_n3 needs a positive abs_tol; rel_tol is unused")
-    entry_tol = quad.abs_tol if quad is not None else DEFAULT_PMF_ENTRY_TOL
-    max_sub = quad.max_subdivisions if quad is not None else 400
-    moment_tol = entry_tol / 4.0
+    for n in sizes:
+        if n not in (2, 3):
+            raise UnsupportedError(
+                f"exact pmf is only available for n in (2, 3); got n={n}. "
+                "Use the Monte Carlo estimator for larger graphs."
+            )
+    pmfs = {}
+    if 3 in sizes:
+        if quad is not None and quad.abs_tol == 0:
+            raise DomainError("pmf_n3 needs a positive abs_tol; rel_tol is unused")
+        entry_tol = quad.abs_tol if quad is not None else DEFAULT_PMF_ENTRY_TOL
+        max_sub = quad.max_subdivisions if quad is not None else 400
+        moment_tol = entry_tol / 4.0
 
-    axes = [_edge_axis(model, domain.diameter) for model in models]
-    # One pass per group: all hard disks together, each weighted model alone.
-    groups = {}
-    for k, (_, weight, _) in enumerate(axes):
-        groups.setdefault(-1 if weight is None else k, []).append(k)
-    m3s = {}
-    for group in groups.values():
-        stats = _LineStats()
-        _, weight, breaks = axes[group[0]]
-        values, errors = _longest_side_moment(
-            domain, [axes[k][0] for k in group], weight, breaks, moment_tol, max_sub, stats
-        )
-        m3s.update((k, (float(v), float(e), stats)) for k, v, e in zip(group, values, errors))
-    pmfs = []
-    for k, (model, axis) in enumerate(zip(models, axes)):
-        m1, e1 = _pair_connect_prob(model, domain, _PAIR_SETTINGS)
-        m2, e2 = _coverage_moment(domain, *axis, moment_tol, max_sub)
-        m3, e3, stats = m3s[k]
-        pmfs.append(_pmf_from_moments(3, (m1, m2, m3), (e1, e2, e3), stats))
+        axes = [_edge_axis(model, domain.diameter) for model in models]
+        # One pass per group: all hard disks together, each weighted model alone.
+        groups = {}
+        for k, (_, weight, _) in enumerate(axes):
+            groups.setdefault(-1 if weight is None else k, []).append(k)
+        m3s = {}
+        for group in groups.values():
+            stats = _LineStats()
+            _, weight, breaks = axes[group[0]]
+            values, errors = _longest_side_moment(
+                domain, [axes[k][0] for k in group], weight, breaks, moment_tol, max_sub, stats
+            )
+            m3s.update((k, (float(v), float(e), stats)) for k, v, e in zip(group, values, errors))
+        pmfs[3] = []
+        for k, (model, axis) in enumerate(zip(models, axes)):
+            m1, e1 = _pair_connect_prob(model, domain, _PAIR_SETTINGS)
+            m2, e2 = _coverage_moment(domain, *axis, moment_tol, max_sub)
+            m3, e3, stats = m3s[k]
+            pmfs[3].append(_pmf_from_moments(3, (m1, m2, m3), (e1, e2, e3), stats))
+    if 2 in sizes:
+        if 3 in sizes and quad is None:
+            m1s = [(pmf.ingredients["m1"], pmf.ingredients["e1"]) for pmf in pmfs[3]]
+        else:
+            m1s = [_pair_connect_prob(model, domain, quad or _PAIR_SETTINGS) for model in models]
+        pmfs[2] = [_pmf_from_moments(2, (m1,), (e1,)) for m1, e1 in m1s]
     return pmfs
 
 
@@ -258,19 +275,12 @@ def _pmf_from_moments(n, moments, errors, stats=None) -> GraphPmf:
 def exact_pmf(
     n: int, model: ConnectionModel, domain: DiskDomain, quad: QuadratureSettings | None = None
 ) -> GraphPmf:
-    """Dispatch to the exact pmf; refuses n >= 4.
+    """The exact n-node pmf (:func:`pmf_n2`, :func:`pmf_n3`); refuses n >= 4.
 
     No closed form of the joint distance density is known beyond three
     nodes; use :func:`rggdist.montecarlo.estimate_pmf` instead.
     """
-    if n == 2:
-        return pmf_n2(model, domain, quad)
-    if n == 3:
-        return pmf_n3(model, domain, quad)
-    raise UnsupportedError(
-        f"exact pmf is only available for n in (2, 3); got n={n}. "
-        "Use the Monte Carlo estimator for larger graphs."
-    )
+    return _exact_pmfs({n}, [model], domain, quad)[n][0]
 
 
 def entropy_bits(pmf: GraphPmf) -> float:

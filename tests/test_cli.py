@@ -261,7 +261,7 @@ class TestBoundsCommand:
         def fail(*args):
             raise AssertionError("exact pmf computed before the table check")
 
-        monkeypatch.setattr(cli, "_pmf_n3_many", fail)
+        monkeypatch.setattr(cli, "_exact_pmfs", fail)
         code, out, _ = run_cli(
             capsys, "bounds", "--n", "7", "--model", "hard:r0=0.4", "--samples", "100"
         )
@@ -357,6 +357,44 @@ class TestSweepCommands:
         ]
         assert [line.split(",")[4] for line in out.strip().split("\n")[2:]] == want
 
+    @pytest.mark.parametrize("n, moments", [
+        ("2", ()),
+        ("3", ("_pair_connect_prob",)),
+    ], ids=["n2", "n3"])
+    def test_mc_entropy_sweep_computes_only_printed_exact_columns(
+        self, capsys, monkeypatch, n, moments
+    ):
+        # At n = 3 only the G2 column is exact: its pair integrals run and
+        # no three-node moment; at n = 2 no exact column is printed.
+        calls = {}
+        for name in ("_pair_connect_prob", "_coverage_moment", "_longest_side_moment"):
+            original = getattr(graphdist, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(graphdist, name, counted)
+        code, _, _ = run_cli(
+            capsys, "sweep-entropy", "--n", n, "--mc", "--samples", "2000", "--steps", "4",
+        )
+        assert code == 0
+        assert calls == dict.fromkeys(moments, 4)
+
+    @pytest.mark.parametrize("kind", [("--model-kind", "hard"),
+                                      ("--model-kind", "exp", "--r0-start", "0.05")],
+                             ids=["hard", "exp"])
+    @pytest.mark.parametrize("tol", [(), ("--abs-tol", "1e-6")], ids=["default", "abs_tol=1e-6"])
+    def test_mc_entropy_sweep_g2_column_is_the_exact_sweeps(self, capsys, kind, tol):
+        argv = ("sweep-entropy", "--n", "3", "--steps", "4", *kind, *tol)
+        columns = []
+        for mc in ((), ("--mc", "--samples", "2000")):
+            code, out, _ = run_cli(capsys, *argv, *mc)
+            assert code == 0
+            columns.append([line.split(",")[4] for line in out.strip().split("\n")[2:]])
+        assert columns[0] == columns[1]
+        assert "nan" not in columns[0]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -383,8 +421,7 @@ class TestSweepCommands:
             raise AssertionError("worked before refusing the table")
 
         monkeypatch.setattr(montecarlo, "_fan_out", refuse)
-        monkeypatch.setattr(cli, "pmf_n2", refuse)
-        monkeypatch.setattr(cli, "_pmf_n3_many", refuse)
+        monkeypatch.setattr(cli, "_exact_pmfs", refuse)
         code, out, err = run_cli(
             capsys, command, "--n", "6", "--mc", "--samples", "1000", "--steps", "257",
         )
@@ -686,7 +723,7 @@ def serial_sweep_entropy(kind, r0_start, samples, steps, seed, workers):
     ]
     # The CLI builds the G3 column with one many-model call: the hard disks
     # share one longest-side pass.
-    pmf3s = graphdist._pmf_n3_many(models, domain)
+    pmf3s = graphdist._exact_pmfs({3}, models, domain)[3]
     for r0, model, pmf3, (h, std) in zip(grid, models, pmf3s, estimates):
         bound3 = float(shearer_factor(4, 3) * Fraction(entropy_bits(pmf3)))
         bound2 = float(shearer_factor(4, 2) * Fraction(entropy_bits(pmf_n2(model, domain))))
@@ -740,7 +777,7 @@ class TestSweepEntropyOverlap:
         def quadrature(*args, **kwargs):
             raise AccuracyError("quadrature failed")
 
-        monkeypatch.setattr(cli, "_pmf_n3_many", quadrature)
+        monkeypatch.setattr(cli, "_exact_pmfs", quadrature)
         threads = threading.active_count()
         code, out, err = self.run(capsys, kind, r0_start)
         assert code == 1
@@ -757,7 +794,7 @@ class TestSweepEntropyOverlap:
             raise AccuracyError("quadrature failed")
 
         monkeypatch.setattr(cli, "estimate_entropy_sweep", sampler)
-        monkeypatch.setattr(cli, "_pmf_n3_many", quadrature)
+        monkeypatch.setattr(cli, "_exact_pmfs", quadrature)
         code, out, err = self.run(capsys, "hard", 0.0)
         assert code == 2
         assert out == ""
@@ -833,6 +870,20 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["r"] == 0.3
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_refused_before_work(self, tmp_path, capsys, monkeypatch, where):
+        def fail(*args):
+            raise AssertionError("pair integral computed before --out was checked")
+
+        monkeypatch.setattr(graphdist, "_pair_connect_prob", fail)
+        target = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+        code, out, err = run_cli(
+            capsys, "sweep-entropy", "--n", "3", "--steps", "4", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out")
 
 
 class TestByteDeterminism:

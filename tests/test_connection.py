@@ -181,7 +181,8 @@ class TestParseModel:
     @pytest.mark.parametrize(
         "bad",
         ["hard", "hard:r0=x", "hard:r1=0.3", "exp:r0=0.3", "nope:r0=1", "table:file.csv",
-         "table:", "table:0:1;1", "table:0:1;1:0:0", "table:0:x;1:0", "table:0:1;0:0"],
+         "table:", "table:0:1;1", "table:0:1;1:0:0", "table:0:x;1:0", "table:0:1;0:0",
+         "hard:r0=0.3,r0=0.9", "exp:r0=0.3,beta=2,beta=3"],
     )
     def test_malformed(self, bad):
         with pytest.raises(DomainError):

@@ -25,7 +25,7 @@ from rggdist import (
     prob_connected,
     relabel_orbit_map,
 )
-from rggdist import cli, graphdist
+from rggdist import graphdist
 from rggdist.distances import _coverage_moment, _inner_lines, _LineStats, _longest_side_moment
 from rggdist.quadrature import QuadratureSettings
 
@@ -43,6 +43,11 @@ DOMAIN = DiskDomain(1.0)
 
 # The pinned table of tests/test_exact_pins.py: a breakpoint at every knot.
 TABLE = Tabulated(((0.0, 0.9), (0.25, 0.7), (0.5, 0.2), (0.8, 0.0), (1.0, 0.0)))
+
+
+def pmfs_n3(models, quad=None):
+    """The exact three-node pmfs of ``models`` from the one exact entry."""
+    return graphdist._exact_pmfs({3}, models, DOMAIN, quad)[3]
 
 
 class TestEdgeVector:
@@ -105,9 +110,33 @@ class TestPmfN2:
         assert pmf.probs.tobytes() == np.array([1.0 - p1, p1]).tobytes()
         assert sum(pmf.ingredients["entry_errors"]) == pmf.error_estimate
         # The bound chain's G2 pmf, built from the M1 of its three-node pmf.
-        [(pmf2, _)] = cli._exact_pmfs([model], DOMAIN, None, True)
+        [pmf2] = graphdist._exact_pmfs({2, 3}, [model], DOMAIN)[2]
         assert pmf2.probs.tobytes() == pmf.probs.tobytes()
         assert pmf2.error_estimate == pmf.error_estimate
+
+
+class TestExactPmfs:
+    @pytest.mark.parametrize("quad", [
+        None, QuadratureSettings(abs_tol=1e-6, rel_tol=0.0, max_subdivisions=600),
+    ], ids=["default", "abs_tol=1e-6"])
+    def test_two_node_pmfs_are_pmf_n2s(self, quad):
+        models = [HardDisk(r0=0.0), HardDisk(r0=0.4), ExponentialSoft(r0=0.3, beta=2.0), TABLE]
+        pmfs = graphdist._exact_pmfs({2, 3}, models, DOMAIN, quad)
+        assert sorted(pmfs) == [2, 3]
+        for model, pmf2 in zip(models, pmfs[2]):
+            lone = pmf_n2(model, DOMAIN, quad)
+            assert pmf2.probs.tobytes() == lone.probs.tobytes()
+            assert pmf2.ingredients == lone.ingredients
+
+    @pytest.mark.parametrize("sizes", [{4}, {3, 4}, {1, 2}], ids=["4", "3,4", "1,2"])
+    def test_other_sizes_refused_before_any_integral(self, monkeypatch, sizes):
+        def fail(*args):
+            raise AssertionError("integral computed before the node counts were checked")
+
+        for name in ("_pair_connect_prob", "_coverage_moment", "_longest_side_moment"):
+            monkeypatch.setattr(graphdist, name, fail)
+        with pytest.raises(UnsupportedError, match=r"only available for n in \(2, 3\)"):
+            graphdist._exact_pmfs(sizes, [HardDisk(r0=0.4)], DOMAIN)
 
 
 class TestPmfN3:
@@ -237,7 +266,7 @@ class TestMomentOracles:
         # Each row of a 40-point sweep shares one longest-side pass; a lone
         # pmf_n3 makes its own.  M1 and M2 are per model and equal bytes.
         grid = np.linspace(0.0, 1.0, 40)
-        sweep = graphdist._pmf_n3_many([HardDisk(r0=float(r0)) for r0 in grid], DOMAIN)
+        sweep = pmfs_n3([HardDisk(r0=float(r0)) for r0 in grid])
         for r0, row in zip(grid, sweep):
             lone = pmf_n3(HardDisk(r0=float(r0)), DOMAIN)
             for key in ("m1", "e1", "m2", "e2"):
@@ -250,14 +279,14 @@ class TestMomentOracles:
 
 class TestPmfN3Many:
     def test_zero_range_rows_are_point_masses(self):
-        rows = graphdist._pmf_n3_many([HardDisk(r0=0.0), HardDisk(r0=0.4), HardDisk(r0=0.0)], DOMAIN)
+        rows = pmfs_n3([HardDisk(r0=0.0), HardDisk(r0=0.4), HardDisk(r0=0.0)])
         for row in (rows[0], rows[2]):
             assert row.probs.tolist() == [1.0] + [0.0] * 7
             assert row.ingredients["m3"] == 0.0 and row.ingredients["e3"] == 0.0
         assert rows[1].probs.tobytes() == pmf_n3(HardDisk(r0=0.4), DOMAIN).probs.tobytes()
 
     def test_ranges_beyond_the_diameter_share_the_last_cut(self):
-        rows = graphdist._pmf_n3_many([HardDisk(r0=1.5), HardDisk(r0=1.0)], DOMAIN)
+        rows = pmfs_n3([HardDisk(r0=1.5), HardDisk(r0=1.0)])
         assert rows[0].probs.tobytes() == rows[1].probs.tobytes()
         m3, e3 = rows[0].ingredients["m3"], rows[0].ingredients["e3"]
         assert abs(m3 - 1.0) <= e3
@@ -265,16 +294,16 @@ class TestPmfN3Many:
 
     def test_duplicate_and_unsorted_ranges(self):
         # The pass is cut at the set of ranges, whatever their order.
-        shuffled = graphdist._pmf_n3_many([HardDisk(r0=r0) for r0 in (0.6, 0.2, 0.6, 0.4)], DOMAIN)
-        ordered = graphdist._pmf_n3_many([HardDisk(r0=r0) for r0 in (0.2, 0.4, 0.6)], DOMAIN)
+        shuffled = pmfs_n3([HardDisk(r0=r0) for r0 in (0.6, 0.2, 0.6, 0.4)])
+        ordered = pmfs_n3([HardDisk(r0=r0) for r0 in (0.2, 0.4, 0.6)])
         for row, k in zip(shuffled, (2, 0, 2, 1)):
             assert row.probs.tobytes() == ordered[k].probs.tobytes()
             assert row.error_estimate == ordered[k].error_estimate
 
     def test_mixed_hard_and_weighted_models(self):
         exp = ExponentialSoft(r0=0.3, beta=2.0)
-        mixed = graphdist._pmf_n3_many([HardDisk(r0=0.4), exp, HardDisk(r0=0.2), TABLE], DOMAIN)
-        hard = graphdist._pmf_n3_many([HardDisk(r0=0.4), HardDisk(r0=0.2)], DOMAIN)
+        mixed = pmfs_n3([HardDisk(r0=0.4), exp, HardDisk(r0=0.2), TABLE])
+        hard = pmfs_n3([HardDisk(r0=0.4), HardDisk(r0=0.2)])
         assert mixed[0].probs.tobytes() == hard[0].probs.tobytes()
         assert mixed[2].probs.tobytes() == hard[1].probs.tobytes()
         for row, model in ((mixed[1], exp), (mixed[3], TABLE)):
@@ -289,7 +318,7 @@ class TestPmfN3Many:
     def test_starved_settings_raise_instead_of_a_partial_table(self, models):
         quad = QuadratureSettings(abs_tol=1e-10, rel_tol=0.0, max_subdivisions=1)
         with pytest.raises(AccuracyError):
-            graphdist._pmf_n3_many(models, DOMAIN, quad)
+            pmfs_n3(models, quad)
 
     def test_ingredients_carry_estimates_and_line_counts(self):
         for model in (HardDisk(r0=0.4), ExponentialSoft(r0=0.3, beta=2.0)):
@@ -350,7 +379,7 @@ class TestEntropy:
         for quad in (None, QuadratureSettings(abs_tol=1e-6, rel_tol=0.0, max_subdivisions=600)):
             for models in ([HardDisk(r0=r0) for r0 in r0s],
                            [ExponentialSoft(r0=r0, beta=2.0) for r0 in r0s]):
-                pmfs += graphdist._pmf_n3_many(models, DOMAIN, quad)
+                pmfs += pmfs_n3(models, quad)
                 pmfs += [pmf_n2(model, DOMAIN, quad) for model in models]
         assert len(pmfs) == 73
 
