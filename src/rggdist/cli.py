@@ -12,7 +12,8 @@ runs are byte-identical.
 
 Every command resolves and checks all its flags before any work
 (:func:`_resolve`), so a run that samples nothing still refuses a bad
-``--samples``, and a sweep refuses more than ``MAX_STEPS`` (4096) steps.
+``--samples``, ``--seed`` or ``--workers``, and a sweep refuses more
+than ``MAX_STEPS`` (4096) steps.
 
 Exit codes: 0 success, 1 validation/accuracy failure, 2 usage error,
 3 unsupported request.
@@ -128,9 +129,10 @@ def _resolve(args):
     """The domain, model, ``--abs-tol`` quadrature settings and (where the
     command takes ``--samples``) Monte Carlo settings a command runs on,
     each built and checked, with node counts, a sweep's grid and a
-    writable ``--out``, before any work.  ``args`` then holds the model's
-    spec string (``validate pmf3``'s default is ``hard:r0=0.4*D``) and a
-    sweep's effective ``r0-stop``."""
+    writable ``--out``, before any work; :class:`McSettings`' rules check
+    ``--seed`` and ``--workers`` on every command that has them.  ``args``
+    then holds the model's spec string (``validate pmf3``'s default is
+    ``hard:r0=0.4*D``) and a sweep's effective ``r0-stop``."""
     target = getattr(args, "target", None)
     if target not in (None, "pmf3") and args.model is not None:
         raise DomainError(f"--model applies to the pmf3 target only, not to {target}")
@@ -150,8 +152,9 @@ def _resolve(args):
         args.r0_stop = _sweep_stop(args, domain.diameter)
     if getattr(args, "abs_tol", None) is not None:
         quad = QuadratureSettings(abs_tol=args.abs_tol, rel_tol=0.0, max_subdivisions=600)
-    if getattr(args, "samples", None) is not None:
-        mc = McSettings(samples=args.samples, seed=args.seed, workers=args.workers)
+    samples = getattr(args, "samples", None)
+    sampling = McSettings(1 if samples is None else samples, args.seed, getattr(args, "workers", 1))
+    mc = None if samples is None else sampling
     if args.out != "-":
         # Append mode creates the file and truncates nothing.
         try:

@@ -29,7 +29,9 @@ and ``p+q`` of every third-side line.  The line integrator below
 therefore maps each whole line once through a cosine substitution whose
 Jacobian vanishes at both ends and absorbs the rim singularity, and cuts
 the substituted line at the analytic case-boundary points, which keeps
-every piece smooth however finely it is bisected.
+every piece smooth however finely it is bisected.  A line meets its
+budget within ``_LINE_MAX_SPLITS`` bisections, or the computation raises
+:class:`AccuracyError` naming the line's p and q.
 
 The exact three-node pmf needs two product moments,
 ``M2 = E[p(R12) p(R13)]`` and ``M3 = E[p(R12) p(R13) p(R23)]``, with every
@@ -122,6 +124,10 @@ _NODES = len(GK15_NODES)
 # Q <= DEGENERATE_Q_EPS*c**4 and returns 0, so a sliver piece at the end
 # loses its mass (up to 1e-7) and reports an error of 0.
 _END_CLAMP_U = 1e-5
+
+# Bisections each third-side line may make: the benchmark and CI commands
+# need at most 5, ``--abs-tol 1e-10`` 13 and the 41-edge cell grid 22.
+_LINE_MAX_SPLITS = 64
 
 # Pieces (lines of 15 GK15 nodes) per density-kernel block of the line
 # integrator: 1024 keeps each workspace buffer at 15,360 doubles (120 KiB),
@@ -510,10 +516,11 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol):
     degenerate end the nodes keep ``_END_CLAMP_U`` away from it.  The
     pieces of lines above the per-line budget
     ``max(line_tol, 1e-13*|line value|)`` are bisected in u by
-    :func:`rggdist.quadrature._bisect` for up to 6 rounds, the one cap of
-    every line, those of M3 and of the cell masses alike.
-    Returns the pieces as (u-lo, u-hi, owning line, value, error estimate)
-    arrays, and whether each line met its budget.
+    :func:`rggdist.quadrature._bisect` for up to ``_LINE_MAX_SPLITS``
+    bisections, the one cap of every line, those of M3 and of the cell
+    masses alike.  Returns the pieces as (u-lo, u-hi, owning line, value,
+    error estimate) arrays; a line that needs more bisections raises
+    :class:`AccuracyError` naming the worst such line's p and q.
     """
     k = len(p)
     span = np.maximum(b - a, 0.0)
@@ -563,20 +570,23 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol):
             val[blk], err[blk] = _gk15_sums(g, scale[blk], terms)
         return val, err
 
-    return _bisect(
-        eval_pieces, seg_lo, seg_hi, owner, k,
-        lambda v: np.maximum(line_tol, 1e-13 * np.abs(v)), max_rounds=6,
-    )
+    def budget_of(v):
+        return np.maximum(line_tol, 1e-13 * np.abs(v))
+
+    try:
+        return _bisect(eval_pieces, seg_lo, seg_hi, owner, k, budget_of, _LINE_MAX_SPLITS)
+    except AccuracyError as exc:
+        err = exc.error_estimate
+        worst = np.argmax(np.where(err > budget_of(exc.value), err, -np.inf))
+        msg = f"third-side lines: {exc}; worst line p={float(p[worst])!r}, q={float(q[worst])!r}"
+        raise AccuracyError(msg, exc.value, err) from None
 
 
 @dataclass
 class _LineStats:
-    """Counts of the third-side lines one computation integrated: all of
-    them, and those still above their budget after the last refinement
-    round."""
+    """The number of third-side lines one computation integrated."""
 
     lines: int = 0
-    over_budget: int = 0
 
 
 def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11, stats=None):
@@ -586,8 +596,7 @@ def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11, 
     the triangle-inequality interval and [0, D], by :func:`_line_segments`
     (one cosine map per line, cut at the case boundaries and at
     ``extra_breaks``).  Returns (values, error_estimates); a
-    :class:`_LineStats` ``stats`` counts the lines and those left above
-    budget.
+    :class:`_LineStats` ``stats`` counts the lines.
     """
     p = np.asarray(p, float).ravel()
     q = np.asarray(q, float).ravel()
@@ -597,12 +606,9 @@ def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11, 
     a = np.maximum(lo, np.abs(p - q))
     b = np.minimum(np.minimum(hi, p + q), D)
     breaks = np.broadcast_to(np.asarray(extra_breaks, float), (k, len(extra_breaks)))
-    _, _, owner, seg_val, seg_err, converged = _line_segments(
-        p, q, a, b, D, breaks, weight, line_tol
-    )
+    _, _, owner, seg_val, seg_err = _line_segments(p, q, a, b, D, breaks, weight, line_tol)
     if stats is not None:
         stats.lines += k
-        stats.over_budget += int(np.count_nonzero(~converged))
     values = np.bincount(owner, weights=seg_val, minlength=k)
     errors = np.bincount(owner, weights=seg_err, minlength=k)
     return values, errors
@@ -625,8 +631,8 @@ def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions,
     cumulative sums give M3 at every ``h`` and every point's cumulative
     error stays within the one outer budget.  Returns (values, error
     estimates) in the order of ``his``; each estimate adds the budgets
-    allotted to the inner levels.  Raises :class:`AccuracyError` if the
-    outer axis would need more than ``max_subdivisions`` bisections.
+    allotted to the inner levels.  Raises :class:`AccuracyError` if an
+    integral of any of the three axes would pass its bisection cap.
     """
     D = domain.diameter
     his = np.asarray(his, float)
@@ -660,17 +666,10 @@ def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions,
                 for k in range(len(lo))]
         return tuple(np.concatenate(part) for part in zip(*sums))
 
-    lo, hi, _, val, err, converged = _bisect(
+    lo, hi, _, val, err = _bisect(
         panels, *_pieces(*axis, np.concatenate([his, breaks])[None]), 1,
-        lambda v: np.full(1, 0.5 * abs_tol), max_splits=max_subdivisions,
+        lambda v: np.full(1, 0.5 * abs_tol), max_subdivisions,
     )
-    if not converged[0]:
-        raise AccuracyError(
-            f"the longest-side integral did not converge within {max_subdivisions} "
-            f"subdivisions (error estimate {np.sum(err):.3e})",
-            value=float(np.sum(val)),
-            error_estimate=float(np.sum(err)),
-        )
     cell = np.searchsorted(cuts, 0.5 * (lo + hi))
     cum_val = np.cumsum(np.bincount(cell, weights=val, minlength=len(cuts)))
     cum_err = np.cumsum(np.bincount(cell, weights=err, minlength=len(cuts)))
@@ -798,7 +797,7 @@ def _per_cell_line_integrals(p, q, edges, D):
     nb = len(edges) - 1
     grid = np.broadcast_to(edges[1:-1], (k, nb - 1))
     a, b = np.abs(p - q), np.minimum(p + q, min(edges[-1], D))
-    u_lo, u_hi, owner, seg_val, _, _ = _line_segments(p, q, a, b, D, grid, None, _CELL_LINE_TOL)
+    u_lo, u_hi, owner, seg_val, _ = _line_segments(p, q, a, b, D, grid, None, _CELL_LINE_TOL)
     half_span = 0.5 * np.maximum(b - a, 0.0)
     t_lo, t_hi = (a[owner] + half_span[owner] * (1.0 - np.cos(math.pi * u)) for u in (u_lo, u_hi))
     cell = np.clip(np.searchsorted(edges, 0.5 * (t_lo + t_hi), side="right") - 1, 0, nb - 1)

@@ -8,8 +8,10 @@ class DomainError(ValueError):
 class AccuracyError(RuntimeError):
     """Adaptive integration exhausted its budget before reaching tolerance.
 
-    Carries the best value and error estimate achieved so callers can decide
-    whether the partial result is still usable.
+    Carries every integral's best value and error estimate, as arrays with
+    one entry per integral, so callers can decide whether the partial
+    result is still usable.  An exact pmf whose entries leave [0, 1]
+    beyond their estimates raises it with both keyed by edge count.
     """
 
     def __init__(self, message, value=None, error_estimate=None):

@@ -154,9 +154,9 @@ def pmf_n3(
     side at ``min(r0, D)``.
     ``ingredients`` holds the moments, their error estimates ``e1``,
     ``e2``, ``e3``, the per-entry estimates ``entry_errors`` (a tuple in
-    outcome order, summing to ``error_estimate``), and the third-side
-    ``lines`` behind M3 with the number left above their budget
-    (``lines_over_budget``).
+    outcome order, summing to ``error_estimate``), and the number of
+    third-side ``lines`` behind M3, each of which met its budget (a line
+    that cannot raises :class:`AccuracyError`).
 
     This is the one-model case of :func:`_exact_pmfs`, where every hard
     disk's M3 comes from one pass over the longest side cut at all their
@@ -265,7 +265,7 @@ def _pmf_from_moments(n, moments, errors, stats=None) -> GraphPmf:
     ingredients.update((f"e{j}", e[j]) for j in range(1, k + 1))
     ingredients["entry_errors"] = tuple(entry_errs.tolist())
     if stats is not None:
-        ingredients.update(lines=stats.lines, lines_over_budget=stats.over_budget)
+        ingredients["lines"] = stats.lines
     return GraphPmf(
         n=n, probs=probs, method="quadrature",
         error_estimate=float(np.sum(entry_errs)), ingredients=ingredients,

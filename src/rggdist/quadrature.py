@@ -16,8 +16,9 @@ with ``np.bincount`` and bisects, in one batch, the panels of every
 integral above its error budget whose error exceeds their share of it.
 There is no heap and no recombination pass: an integral's panels stay in
 one order whatever shares the batch, so identical inputs give
-bit-identical results.  ``max_subdivisions`` caps the bisections of each
-integral, not of the batch.
+bit-identical results.  It is also the one stop rule: each integral,
+not the batch, has a cap on its bisections, and one still above its
+budget when they run out raises the one :class:`AccuracyError`.
 
 :func:`integrate_many` is the one entry point: a lone integral is the
 case of one interval and one row of breakpoints.  Integrands are
@@ -138,46 +139,50 @@ def _panel_batch(f, owners, los, his):
     return _gk15_sums(vals.reshape(pts.shape), half)
 
 
-def _bisect(rule, lo, hi, owner, count, budget_of, max_rounds=None, max_splits=None):
+def _bisect(rule, lo, hi, owner, count, budget_of, max_splits):
     """Refine the pieces ``[lo, hi]`` of ``count`` integrals by bisection.
 
     ``owner`` holds each piece's integral and ``rule(lo, hi, owner)``
     returns the pieces' values and error estimates.  Each round sums every
     integral's pieces with ``np.bincount``; an integral whose error exceeds
     ``budget_of(values)`` bisects each piece whose error exceeds that budget
-    divided by its piece count.  An integral whose bisections would pass
-    ``max_splits`` in all bisects only as many of those pieces as it has
-    bisections left, largest error first, and the loop ends after
-    ``max_rounds`` rounds or when no integral needs work.  Kept pieces come
-    first, then the new lower halves, then the upper halves, so each
+    divided by its piece count.  ``max_splits`` caps each integral's
+    bisections: one that would pass it bisects only as many of those
+    pieces as it has bisections left, largest error first.  Kept pieces
+    come first, then the new lower halves, then the upper halves, so each
     integral's pieces come in the same order whatever shares the batch.
 
-    Returns the pieces as (lo, hi, owner, value, error) arrays and whether
-    each integral met its budget.
+    Returns the pieces as (lo, hi, owner, value, error) arrays once every
+    integral meets its budget.  Raises :class:`AccuracyError`, carrying
+    every integral's value and error estimate, once those above it have
+    no bisections left.
     """
     val, err = rule(lo, hi, owner)
     splits = np.zeros(count, dtype=np.int64)
-    rounds = 0
     while True:
-        total_err = np.bincount(owner, weights=err, minlength=count)
-        budget = budget_of(np.bincount(owner, weights=val, minlength=count))
-        over = total_err > budget
-        if rounds == max_rounds or not np.any(over):
-            break
-        rounds += 1
+        values = np.bincount(owner, weights=val, minlength=count)
+        errors = np.bincount(owner, weights=err, minlength=count)
+        budget = budget_of(values)
+        over = errors > budget
+        if not np.any(over):
+            return lo, hi, owner, val, err
         npieces = np.bincount(owner, minlength=count)
         split = over[owner] & (err > budget[owner] / np.maximum(npieces[owner], 1))
-        if max_splits is not None:
-            # Rank each integral's wanted pieces, largest error first (ties
-            # in piece order), and keep the ranks below its bisections left.
-            wanted = np.flatnonzero(split)
-            wanted = wanted[np.lexsort((-err[wanted], owner[wanted]))]
-            own = owner[wanted]
-            rank = np.arange(len(wanted)) - np.searchsorted(own, own)
-            split[wanted[rank >= max_splits - splits[own]]] = False
-            splits += np.bincount(owner[split], minlength=count)
+        # Rank each integral's wanted pieces, largest error first (ties in
+        # piece order), and keep the ranks below its bisections left.
+        wanted = np.flatnonzero(split)
+        wanted = wanted[np.lexsort((-err[wanted], owner[wanted]))]
+        own = owner[wanted]
+        rank = np.arange(len(wanted)) - np.searchsorted(own, own)
+        split[wanted[rank >= max_splits - splits[own]]] = False
         if not np.any(split):
-            break
+            raise AccuracyError(
+                f"{np.count_nonzero(over)} of {count} integrals did not converge within "
+                f"{max_splits} subdivisions (worst error estimate {errors[over].max():.3e})",
+                value=values,
+                error_estimate=errors,
+            )
+        splits += np.bincount(owner[split], minlength=count)
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
@@ -188,7 +193,6 @@ def _bisect(rule, lo, hi, owner, count, budget_of, max_rounds=None, max_splits=N
         owner = np.concatenate([owner[~split], new_own])
         val = np.concatenate([val[~split], new_val])
         err = np.concatenate([err[~split], new_err])
-    return lo, hi, owner, val, err, ~over
 
 
 def _pieces(lo, hi, breaks):
@@ -225,9 +229,9 @@ def integrate_many(
     Returns (values, error_estimates) arrays.
 
     Raises :class:`DomainError` for misshapen (ragged) input or non-finite
-    ends, and :class:`AccuracyError` (carrying the values and estimates)
-    if any integral would need more than ``max_subdivisions`` bisections
-    to meet ``max(abs_tol, rel_tol * |value|)``.
+    ends, and (from :func:`_bisect`) :class:`AccuracyError`, carrying the
+    values and estimates, if any integral would need more than
+    ``max_subdivisions`` bisections to meet ``max(abs_tol, rel_tol * |value|)``.
     """
     m = len(intervals)
     try:
@@ -243,20 +247,11 @@ def integrate_many(
     if not len(init_owner):
         return np.zeros(m), np.zeros(m)
 
-    _, _, owner, val, err, converged = _bisect(
+    _, _, owner, val, err = _bisect(
         lambda lo, hi, own: _panel_batch(f, own, lo, hi),
         init_lo, init_hi, init_owner, m,
         lambda v: np.maximum(settings.abs_tol, settings.rel_tol * np.abs(v)),
-        max_splits=settings.max_subdivisions,
+        settings.max_subdivisions,
     )
     totals = np.bincount(owner, weights=val, minlength=m)
-    errors = np.bincount(owner, weights=err, minlength=m)
-    if not np.all(converged):
-        raise AccuracyError(
-            f"{np.count_nonzero(~converged)} of {m} integrals did not converge within "
-            f"{settings.max_subdivisions} subdivisions "
-            f"(worst error estimate {errors[~converged].max():.3e})",
-            value=totals,
-            error_estimate=errors,
-        )
-    return totals, errors
+    return totals, np.bincount(owner, weights=err, minlength=m)

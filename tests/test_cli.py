@@ -244,7 +244,7 @@ class TestBoundsCommand:
         assert "n must be an integer >= 3" in err
 
     @pytest.mark.parametrize("flags", [("--samples", "10", "--workers", "5000"),
-                                       ("--samples", "0")])
+                                       ("--samples", "0"), ("--workers", "5000")])
     def test_bad_sampling_flags_refused_before_exact_work(self, capsys, monkeypatch, flags):
         def fail(*args):
             raise AssertionError("pair integral computed before the sampling flags were checked")
@@ -485,12 +485,27 @@ class TestSweepCommands:
         assert out == ""
         assert "tolerances must be finite" in err
 
-    @pytest.mark.parametrize("command", ["sweep-connectivity", "sweep-entropy"])
-    def test_sampling_flags_checked_where_nothing_samples(self, capsys, command):
-        code, out, err = run_cli(capsys, command, "--n", "3", "--steps", "3", "--seed", "-1")
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(("sweep-connectivity", "--n", "3", "--steps", "3", "--seed", "-1"), "seed",
+                     id="sweep-connectivity"),
+        pytest.param(("sweep-entropy", "--n", "3", "--steps", "3", "--seed", "-1"), "seed",
+                     id="sweep-entropy"),
+        pytest.param(("bounds", "--n", "3", "--model", "hard:r0=0.4", "--workers", "0"), "workers",
+                     id="bounds-workers-0"),
+        pytest.param(("bounds", "--n", "3", "--model", "hard:r0=0.4", "--workers", "5000"),
+                     "workers", id="bounds-workers-5000"),
+        pytest.param(("bounds", "--n", "3", "--model", "hard:r0=0.4", "--seed", "-3"), "seed",
+                     id="bounds-seed"),
+        pytest.param(("pmf", "--n", "2", "--model", "hard:r0=0.4", "--seed", "-1"), "seed",
+                     id="pmf-seed"),
+        pytest.param(("pdf3", "--r12", "0.3", "--r13", "0.4", "--r23", "0.5",
+                      "--seed", "99999999999999999999999"), "seed", id="pdf3-seed"),
+    ])
+    def test_sampling_flags_checked_where_nothing_samples(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "seed" in err
+        assert err.startswith("error:") and flag in err
 
     def test_invalid_grid(self, capsys):
         code, _, _ = run_cli(

@@ -329,20 +329,18 @@ class TestPmfN3Many:
             assert isinstance(errs, tuple) and len(errs) == 8
             assert sum(errs) == pytest.approx(pmf.error_estimate, rel=1e-12)
             assert ing["lines"] > 0
-            assert 0 <= ing["lines_over_budget"] <= 0.01 * ing["lines"]
 
-    def test_line_counter_matches_the_lines_above_budget(self):
-        # A budget no line can meet in 6 rounds, and one most lines meet.
+    def test_lines_above_budget_raise_and_name_the_worst(self):
+        # A budget no line can meet: the lines fail loudly, naming the
+        # worst line above its budget, with one estimate per line.
         p, q = np.random.default_rng(5).uniform(0.0, 1.0, (2, 200))
-        counts = []
-        for line_tol in (1e-16, 1e-9):
-            stats = _LineStats()
-            values, errors = _inner_lines(p, q, 0.0, 1.0, 1.0, line_tol=line_tol, stats=stats)
-            over = errors > np.maximum(line_tol, 1e-13 * np.abs(values))
-            assert stats.lines == 200
-            assert stats.over_budget == np.count_nonzero(over)
-            counts.append(stats.over_budget)
-        assert counts[0] > counts[1]
+        with pytest.raises(AccuracyError) as excinfo:
+            _inner_lines(p, q, 0.0, 1.0, 1.0, line_tol=1e-16)
+        values, errors = excinfo.value.value, excinfo.value.error_estimate
+        assert errors.shape == (200,)
+        over = errors > np.maximum(1e-16, 1e-13 * np.abs(values))
+        worst = np.argmax(np.where(over, errors, -np.inf))
+        assert f"p={float(p[worst])!r}, q={float(q[worst])!r}" in str(excinfo.value)
 
 
 class TestEntropy:
