@@ -58,7 +58,6 @@ from .montecarlo import (
     McSettings,
     _count_fit,
     _distance_counts,
-    _in_threads,
     _outcome_bits,
     _outcome_counts,
     distance_histogram3,
@@ -317,12 +316,10 @@ def _cmd_sweep_entropy(args, domain, model, quad, mc) -> int:
     n = args.n
     sizes = {m for m in (2, 3) if m < n}  # the G_m that bound H(G_n)
     if args.mc:
-        # The exact bound columns are computed on this thread while the
-        # sampler runs on others; a sampler error is raised first.
-        estimates, exact = _in_threads([
-            lambda: estimate_entropy_sweep(n, models, domain, mc),
-            lambda: _exact_pmfs(sizes, models, domain, quad),
-        ])
+        # The sampler runs first, so a sampler error is the one reported;
+        # the exact bound columns follow on this thread.
+        estimates = estimate_entropy_sweep(n, models, domain, mc)
+        exact = _exact_pmfs(sizes, models, domain, quad)
     else:
         exact = _exact_pmfs(sizes | {n}, models, domain, quad)
         estimates = [(entropy_bits(pmf), entropy_error_bound(pmf)) for pmf in exact[n]]

@@ -11,7 +11,7 @@ class AccuracyError(RuntimeError):
     Carries every integral's best value and error estimate, as arrays with
     one entry per integral, so callers can decide whether the partial
     result is still usable.  An exact pmf whose entries leave [0, 1]
-    beyond their estimates raises it with both keyed by edge count.
+    beyond their estimates raises it with one entry per edge count.
     """
 
     def __init__(self, message, value=None, error_estimate=None):

@@ -242,14 +242,15 @@ def _pmf_from_moments(n, moments, errors, stats=None) -> GraphPmf:
             err_by_weight[w] += c * e[j]
     edges = _outcomes(n).edges
     multiplicity = np.bincount(edges)
-    for w, v in by_weight.items():
-        if v < -err_by_weight[w] - 1e-9 or v > 1.0 + err_by_weight[w] + 1e-9:
-            raise AccuracyError(
-                f"{n}-node pmf entries left [0, 1] beyond their error estimates; "
-                "tighten the quadrature settings",
-                value=by_weight,
-                error_estimate=err_by_weight,
-            )
+    class_values = np.array([by_weight[w] for w in range(k + 1)])
+    class_errs = np.array([err_by_weight[w] for w in range(k + 1)])
+    if np.any((class_values < -class_errs - 1e-9) | (class_values > 1.0 + class_errs + 1e-9)):
+        raise AccuracyError(
+            f"{n}-node pmf entries left [0, 1] beyond their error estimates; "
+            "tighten the quadrature settings",
+            value=class_values,
+            error_estimate=class_errs,
+        )
     # Quadrature noise can push near-zero classes epsilon-negative; clip
     # them and fold the (sub-error-estimate) deficit into the largest
     # class, so the table remains an exact, exactly exchangeable
@@ -260,7 +261,7 @@ def _pmf_from_moments(n, moments, errors, stats=None) -> GraphPmf:
     by_weight[w_star] -= (total - 1.0) / multiplicity[w_star]
 
     probs = np.array([by_weight[w] for w in range(k + 1)])[edges]
-    entry_errs = np.array([err_by_weight[w] for w in range(k + 1)])[edges]
+    entry_errs = class_errs[edges]
     ingredients = {f"m{j}": m[j] for j in range(1, k + 1)}
     ingredients.update((f"e{j}", e[j]) for j in range(1, k + 1))
     ingredients["entry_errors"] = tuple(entry_errs.tolist())

@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from statistics import NormalDist
 from threading import Event, Thread
 from typing import NamedTuple
@@ -159,74 +158,58 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64DXSM(seed).jumped(index))
 
 
-def _in_threads(calls, stop=None):
-    """``[call() for call in calls]``, the calls run at once: the last on
-    this thread, each other one on a thread of its own.
-
-    All have finished when this returns or raises.  The error raised is
-    that of the first call, in list order, that failed.  If given, the
-    event ``stop`` is set as soon as a call fails or the wait for the
-    others is interrupted, so that calls which check it can end early.
-    """
-    results, errors = [None] * len(calls), [None] * len(calls)
-
-    def run(k):
-        try:
-            results[k] = calls[k]()
-        except BaseException as exc:
-            errors[k] = exc
-            if stop is not None:
-                stop.set()
-
-    threads = [Thread(target=run, args=(k,)) for k in range(len(calls) - 1)]
-    for thread in threads:
-        thread.start()
-    run(len(calls) - 1)
-    try:
-        for thread in threads:
-            thread.join()
-    except BaseException:
-        if stop is not None:
-            stop.set()
-        for thread in threads:
-            thread.join()
-        raise
-    for error in errors:
-        if error is not None:
-            raise error
-    return results
-
-
 def _fan_out(mc: McSettings, work):
     """Sum of ``work(substream(mc.seed, w), share_w)`` over the workers.
 
     Worker ``w`` gets its own substream and its share of ``mc.samples``.
-    At most ``os.cpu_count()`` threads run the workers: thread t runs
+    At most ``os.cpu_count()`` threads run the workers, the last on this
+    thread and each other one on a thread of its own: thread t runs
     workers t, t + T, ... in turn and folds each part into its own running
     total, the first part being that total, so at most one table per
     thread is held besides the part in progress.  The parts are integer
     counts, so their sum does not depend on the order of the additions or
-    on scheduling.  Once a worker fails, each thread ends after the worker
-    it is running.
+    on scheduling.  This is the package's one place that starts threads.
+
+    Once a worker fails, or the wait for the threads is interrupted, each
+    thread ends after the worker it is running.  All threads have finished
+    when this returns or raises, and the error raised is that of the
+    lowest-numbered thread that failed.
     """
     base, extra = divmod(mc.samples, mc.workers)
     shares = [base + (1 if w < extra else 0) for w in range(mc.workers)]
     threads = min(mc.workers, os.cpu_count() or 1)
     stop = Event()
+    totals, errors = [None] * threads, [None] * threads
 
     def run(t):
-        total = None
-        for w in range(t, mc.workers, threads):
-            if stop.is_set():
-                break
-            part = work(substream(mc.seed, w), shares[w])
-            if total is None:
-                total = part
-            else:
-                total += part
-        return total
+        try:
+            for w in range(t, mc.workers, threads):
+                if stop.is_set():
+                    break
+                part = work(substream(mc.seed, w), shares[w])
+                if totals[t] is None:
+                    totals[t] = part
+                else:
+                    totals[t] += part
+        except BaseException as exc:
+            errors[t] = exc
+            stop.set()
 
-    totals = _in_threads([partial(run, t) for t in range(threads)], stop)
+    others = [Thread(target=run, args=(t,)) for t in range(threads - 1)]
+    for thread in others:
+        thread.start()
+    run(threads - 1)
+    try:
+        for thread in others:
+            thread.join()
+    except BaseException:
+        stop.set()
+        for thread in others:
+            thread.join()
+        raise
+    for error in errors:
+        if error is not None:
+            raise error
     total = totals[0]
     for part in totals[1:]:
         total += part

@@ -472,7 +472,8 @@ class TestSweepCommands:
         assert f"steps must be between 2 and {cli.MAX_STEPS}" in err
 
     def test_bad_tolerance_refused_before_sampling(self, capsys, monkeypatch):
-        # The tolerance was built on the exact thread while the sampler ran.
+        # The tolerance is checked before the sampler, which runs before
+        # the exact bound columns that use it.
         def sampler(*args, **kwargs):
             raise AssertionError("sampled before the tolerance was checked")
 
@@ -576,8 +577,9 @@ class TestValidateCommand:
         assert proc.stdout == b"False\n"
 
     def test_cli_import_leaves_futures_and_logging_unimported(self):
-        # Both fan-outs run on plain threads: concurrent.futures, which
-        # imports logging, costs about 0.7 MB of resident memory.
+        # The sampler's fan-out, the one place that starts threads, runs
+        # on plain threads: concurrent.futures, which imports logging,
+        # costs about 0.7 MB of resident memory.
         proc = run_python_process("-c", (
             "import sys\n"
             "import rggdist.cli\n"
@@ -747,8 +749,9 @@ def serial_sweep_entropy(kind, r0_start, samples, steps, seed, workers):
 
 
 class TestSweepEntropyOverlap:
-    """The Monte Carlo column runs on a second thread beside the exact
-    bound columns; the output and the errors are those of a serial run."""
+    """The Monte Carlo column is sampled first and the exact bound columns
+    are computed after it, on the calling thread; the output and the
+    errors are those of the library calls made one after the other."""
 
     ARGV = ("sweep-entropy", "--n", "4", "--mc", "--samples", "20000", "--steps", "3",
             "--seed", "13", "--workers", "2")
@@ -800,8 +803,30 @@ class TestSweepEntropyOverlap:
         assert "quadrature failed" in err
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("workers, started", [(1, 0), (2, 1)])
+    def test_only_the_sampler_starts_threads(self, capsys, monkeypatch, workers, started):
+        # The sampler's fan-out starts one thread per core in use besides
+        # the calling one, and nothing else starts any: the exact bound
+        # columns run on the calling thread.
+        made = []
+
+        class CountedThread(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(montecarlo, "Thread", CountedThread)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        code, out, _ = run_cli(
+            capsys, "sweep-entropy", "--n", "4", "--mc", "--samples", "2000", "--steps", "3",
+            "--workers", str(workers),
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 5
+        assert len(made) == started
+
     def test_hard_sampler_error_reported_first(self, capsys, monkeypatch):
-        # As when the shared pool was sampled before the exact columns.
+        # The shared pool is sampled before the exact columns.
         def sampler(*args, **kwargs):
             raise DomainError("sampler failed")
 

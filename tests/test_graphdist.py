@@ -341,6 +341,23 @@ class TestPmfN3Many:
         over = errors > np.maximum(1e-16, 1e-13 * np.abs(values))
         worst = np.argmax(np.where(over, errors, -np.inf))
         assert f"p={float(p[worst])!r}, q={float(q[worst])!r}" in str(excinfo.value)
+        # The counts are those of this one batch of lines, and say so.
+        assert f"{np.count_nonzero(over)} of a batch of 200 third-side lines" in str(excinfo.value)
+
+    def test_entries_outside_unit_interval_raise_arrays_by_edge_count(self, monkeypatch):
+        # An M2 far off its true value (0.9 where a hard disk of range 0.3
+        # has about 0.077) puts the one-edge class at about -1.48: the pmf
+        # is refused, and the error carries the class values and estimates
+        # as arrays indexed by edge count, the shape every AccuracyError has.
+        monkeypatch.setattr(graphdist, "_coverage_moment", lambda *args: (0.9, 1e-12))
+        with pytest.raises(AccuracyError, match="left \\[0, 1\\]") as excinfo:
+            pmf_n3(HardDisk(r0=0.3), DOMAIN)
+        value, error = excinfo.value.value, excinfo.value.error_estimate
+        for payload in (value, error):
+            assert isinstance(payload, np.ndarray)
+            assert payload.dtype == np.float64
+            assert payload.shape == (4,)
+        assert value[1] < -1.0 < 1.0 < value[0]
 
 
 class TestEntropy:
