@@ -123,12 +123,16 @@ class Tabulated(ConnectionModel):
             if not math.isfinite(p) or not (0.0 <= p <= 1.0):
                 raise DomainError(f"knot probability {p!r} outside [0, 1]")
         object.__setattr__(self, "knots", knots)
+        # The knot arrays, built once; read-only and not fields, so equality
+        # and hashing still use ``knots`` alone.
+        for name, column in (("_rs", rs), ("_ps", [p for _, p in knots])):
+            array = np.asarray(column, dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def probability(self, r, out=None):
         r = np.asarray(r, dtype=float)
-        rs = np.asarray([k[0] for k in self.knots])
-        ps = np.asarray([k[1] for k in self.knots])
-        p = np.interp(r, rs, ps)  # np.interp clamps to the end values
+        p = np.interp(r, self._rs, self._ps)  # np.interp clamps to the end values
         if out is None:
             return p
         np.copyto(out, p)

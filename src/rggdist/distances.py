@@ -787,21 +787,21 @@ _CELL_GAUSS_ORDER = 5
 _CELL_LINE_TOL = 1e-9
 
 
-def _per_cell_line_integrals(p, q, edges, D):
+def _per_cell_line_integrals(p, q, edges, D, start):
     """Third-side integrals of the joint density bucketed per grid cell.
 
-    Like :func:`_inner_lines` over the full admissible interval, but with
-    the grid edges added as breaks (mapped into u like the case
-    boundaries), each line's budget ``_CELL_LINE_TOL``, and each segment's
-    contribution accumulated into the cell holding its midpoint in t.
-    Returns an array of shape ``(len(p), len(edges) - 1)``.
+    Like :func:`_inner_lines`, over ``[max(start, |p-q|), min(p+q, D)]``
+    within the grid, but with the grid edges added as breaks (mapped into
+    u like the case boundaries), each line's budget ``_CELL_LINE_TOL``,
+    and each segment's contribution accumulated into the cell holding its
+    midpoint in t.  Returns an array of shape ``(len(p), len(edges) - 1)``.
     """
     p = np.asarray(p, float).ravel()
     q = np.asarray(q, float).ravel()
     k = len(p)
     nb = len(edges) - 1
     grid = np.broadcast_to(edges[1:-1], (k, nb - 1))
-    a, b = np.abs(p - q), np.minimum(p + q, min(edges[-1], D))
+    a, b = np.maximum(start, np.abs(p - q)), np.minimum(p + q, min(edges[-1], D))
     u_lo, u_hi, owner, seg_val, _ = _line_segments(p, q, a, b, D, grid, None, _CELL_LINE_TOL)
     half_span = 0.5 * np.maximum(b - a, 0.0)
     t_lo, t_hi = (a[owner] + half_span[owner] * (1.0 - np.cos(math.pi * u)) for u in (u_lo, u_hi))
@@ -814,20 +814,32 @@ def _per_cell_line_integrals(p, q, edges, D):
 def joint_pdf3_cell_masses(domain: DiskDomain, edges) -> np.ndarray:
     """Probability mass of the joint density in every cell of a cubic grid.
 
-    The third axis is integrated by :func:`_per_cell_line_integrals`,
-    one cosine-mapped line per (p, q) cut at the grid edges, and bucketed
-    per cell.  The middle axis is split exactly where the admissible
-    third-side interval crosses a grid edge (the per-cell mass has
-    square-root edges there), and each of its pieces is mapped through its
-    own cosine substitution ``q = mid - half*cos(pi*u)`` under a 5-point
-    Gauss rule; the first axis uses a per-cell Gauss rule, its kinks
-    having been smoothed by the inner integrations.  Used to build
-    expected histogram counts for Monte Carlo validation.
+    The density is symmetric in its three sides and the grid is the same
+    on all three axes, so only the cells (i, j, k) with i <= j <= k are
+    integrated; every other cell takes the mass of the cell its sorted
+    index triple names, and the masses are symmetric under all six axis
+    permutations by construction.  Each integrated cell is integrated
+    whole.  The first axis uses a per-cell Gauss rule, its kinks having
+    been smoothed by the inner integrations.  For the nodes p of cell i
+    the middle axis runs over the cells j >= i only; it is split exactly
+    at the grid edges and where the admissible third-side interval
+    crosses one (the per-cell mass has square-root edges there), and each
+    of its pieces is mapped through its own cosine substitution
+    ``q = mid - half*cos(pi*u)`` under a 5-point Gauss rule.  The third
+    axis is integrated by :func:`_per_cell_line_integrals`, one
+    cosine-mapped line per (p, q) cut at the grid edges and bucketed per
+    cell, each line starting at the lower edge of its q piece's cell (or
+    at ``|p - q|`` if that is higher), so it covers the cells k >= j
+    only.  Used to build expected histogram counts for Monte Carlo
+    validation.
 
     It reports no error estimate.  Its lines meet their budget, but the
     two outer Gauss rules are fixed, so the masses of a full grid over
-    [0, D] sum to 1 only to within 5.3e-7 at 20 cells per axis and
-    8.8e-6 at 5; ``validate pdf3`` takes them as exact.
+    [0, D] sum to 1 only to within 7.5e-7 at 20 cells per axis and
+    1.8e-5 at 5.  That is a little further than the same rules integrated
+    over every cell (5.3e-7 and 8.8e-6), which leave the masses
+    asymmetric by up to 2.3e-8 and 2.5e-6.  ``validate pdf3`` takes them
+    as exact.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
@@ -847,10 +859,11 @@ def joint_pdf3_cell_masses(domain: DiskDomain, edges) -> np.ndarray:
     for i in range(nb):
         for u in range(_CELL_GAUSS_ORDER):
             pv = float(p_pts[i, u])
-            # Cut the middle axis at the grid edges and where |p - q| or
-            # p + q crosses one: the per-cell mass has square-root kinks there.
+            # Cut the middle axis, from cell i on, at the grid edges and where
+            # |p - q| or p + q crosses one: the per-cell mass has square-root
+            # kinks there.
             cand = np.concatenate([edges, pv - edges, pv + edges, edges - pv, [pv]])
-            piece_lo, piece_hi, _ = _pieces(edges[:1], edges[-1:], cand[None])
+            piece_lo, piece_hi, _ = _pieces(edges[i : i + 1], edges[-1:], cand[None])
             piece_j = np.searchsorted(edges, piece_lo, side="right") - 1
 
             ph = 0.5 * (piece_hi - piece_lo)
@@ -858,10 +871,14 @@ def joint_pdf3_cell_masses(domain: DiskDomain, edges) -> np.ndarray:
             qs = pm[:, None] - ph[:, None] * np.cos(math.pi * u01[None, :])
             wq = ph[:, None] * math.pi * np.sin(math.pi * u01[None, :]) * w01[None, :]
 
+            line_j = np.repeat(piece_j, _CELL_GAUSS_ORDER)
             q_flat = qs.ravel()
-            per_cell = _per_cell_line_integrals(np.full(len(q_flat), pv), q_flat, edges, D)
+            per_cell = _per_cell_line_integrals(
+                np.full(len(q_flat), pv), q_flat, edges, D, edges[line_j]
+            )
             weighted = per_cell * wq.ravel()[:, None]
             rows = np.zeros((nb, nb))
-            np.add.at(rows, np.repeat(piece_j, _CELL_GAUSS_ORDER), weighted)
+            np.add.at(rows, line_j, weighted)
             masses[i] += p_wts[i, u] * rows
-    return masses
+    # Every cell takes the mass of its sorted index triple.
+    return masses[tuple(np.sort(np.indices((nb, nb, nb)), axis=0))]

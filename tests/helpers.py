@@ -27,7 +27,7 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -342,9 +342,12 @@ def full_cube_m3(
 
 
 def cell_masses_reference(domain: DiskDomain, edges, gauss_order=5):
-    """Loop form of :func:`rggdist.joint_pdf3_cell_masses`: the middle axis
-    is cut cell by cell, at the grid edges and at the kink candidates
-    inside each cell, with the same arithmetic otherwise."""
+    """Loop form of :func:`rggdist.joint_pdf3_cell_masses`: for the p nodes
+    of cell i the middle axis is cut cell by cell over the cells j >= i, at
+    the grid edges and at the kink candidates inside each cell, each
+    third-side line starts at the lower edge of its q cell, and every cell
+    (i, j, k) is then copied from the sorted one, with the same arithmetic
+    otherwise."""
     edges = np.asarray(edges, dtype=float)
     D = domain.diameter
     nb = len(edges) - 1
@@ -355,14 +358,14 @@ def cell_masses_reference(domain: DiskDomain, edges, gauss_order=5):
     half = 0.5 * np.diff(edges)
     p_pts = mid[:, None] + half[:, None] * nodes[None, :]
     p_wts = half[:, None] * weights[None, :]
-    masses = np.zeros((nb, nb, nb))
+    sorted_masses = np.zeros((nb, nb, nb))
     for i in range(nb):
         for u in range(gauss_order):
             pv = float(p_pts[i, u])
             cand = np.concatenate([pv - edges, pv + edges, edges - pv, [pv]])
             cand = np.unique(cand[(cand > edges[0]) & (cand < edges[-1])])
             piece_lo, piece_hi, piece_j = [], [], []
-            for j in range(nb):
+            for j in range(i, nb):
                 qa, qb = edges[j], edges[j + 1]
                 inner = cand[(cand > qa) & (cand < qb)]
                 qedges = np.concatenate([[qa], inner, [qb]])
@@ -376,10 +379,16 @@ def cell_masses_reference(domain: DiskDomain, edges, gauss_order=5):
             qs = pm[:, None] - ph[:, None] * np.cos(math.pi * u01[None, :])
             wq = ph[:, None] * math.pi * np.sin(math.pi * u01[None, :]) * w01[None, :]
             q_flat = qs.ravel()
-            per_cell = _per_cell_line_integrals(np.full(len(q_flat), pv), q_flat, edges, D)
+            line_j = np.repeat(piece_j, gauss_order)
+            per_cell = _per_cell_line_integrals(
+                np.full(len(q_flat), pv), q_flat, edges, D, edges[line_j]
+            )
             rows = np.zeros((nb, nb))
-            np.add.at(rows, np.repeat(piece_j, gauss_order), per_cell * wq.ravel()[:, None])
-            masses[i] += p_wts[i, u] * rows
+            np.add.at(rows, line_j, per_cell * wq.ravel()[:, None])
+            sorted_masses[i] += p_wts[i, u] * rows
+    masses = np.empty((nb, nb, nb))
+    for cell in product(range(nb), repeat=3):
+        masses[cell] = sorted_masses[tuple(sorted(cell))]
     return masses
 
 

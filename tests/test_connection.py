@@ -75,6 +75,16 @@ class TestTabulated:
         m = Tabulated(knots=((0.0, 1.0), (0.3, 0.5), (1.0, 0.0)))
         assert m.breakpoints() == (0.0, 0.3, 1.0)
 
+    def test_equality_uses_the_knots_alone(self):
+        # The knot arrays probability() interpolates in are built once and
+        # are not fields: models with equal knots are equal and hash alike.
+        a = Tabulated(knots=((0, 1), (0.3, 0.5), (1, 0)))
+        b = Tabulated(knots=((0.0, 1.0), (0.3, 0.5), (1.0, 0.0)))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a != Tabulated(knots=((0.0, 1.0), (0.3, 0.6), (1.0, 0.0)))
+        r = np.array([0.1, 0.3, 0.65])
+        assert a.probability(r).tobytes() == np.interp(r, [0.0, 0.3, 1.0], [1.0, 0.5, 0.0]).tobytes()
+
 
 @given(
     st.floats(min_value=0.0, max_value=5.0),

@@ -119,7 +119,7 @@ class TestExactOutputPins:
         assert masses.dtype == np.float64 and masses.shape == (5, 5, 5)
         assert (
             hashlib.sha256(masses.tobytes()).hexdigest()
-            == "14d936d27af816628bd5ea9ccc5ccd757bf8df9a7a161f6a2c072998567016df"
+            == "0ced734eefc4dd16203c4f8fdd2b7043726bba360f2f6a4e65c949a2703d4ef2"
         )
 
     def test_inner_lines(self):

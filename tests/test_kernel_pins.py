@@ -182,7 +182,7 @@ class TestBlockedLinePins:
         p, q = rng.uniform(0.0, 1.0, (2, 40))
         weight = ExponentialSoft(r0=0.3, beta=2.0).probability
         inner = _inner_lines(p, q, 0.0, 1.0, 1.0, weight=weight, extra_breaks=(0.3,))
-        cells = _per_cell_line_integrals(p, q, np.linspace(0.0, 1.0, 6), 1.0)
+        cells = _per_cell_line_integrals(p, q, np.linspace(0.0, 1.0, 6), 1.0, 0.0)
         return inner, cells
 
     @pytest.mark.parametrize("block", [1, 7, 8192])
