@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,7 @@ from .geometry import (
     triangle_quantities,
 )
 from .graphdist import (
+    DEFAULT_PMF_SETTINGS,
     _exact_pmfs,
     entropy_bits,
     entropy_error_bound,
@@ -150,7 +152,7 @@ def _resolve(args):
     elif args.command.startswith("sweep-"):
         args.r0_stop = _sweep_stop(args, domain.diameter)
     if getattr(args, "abs_tol", None) is not None:
-        quad = QuadratureSettings(abs_tol=args.abs_tol, rel_tol=0.0, max_subdivisions=600)
+        quad = replace(DEFAULT_PMF_SETTINGS, abs_tol=args.abs_tol)
     samples = getattr(args, "samples", None)
     sampling = McSettings(1 if samples is None else samples, args.seed, getattr(args, "workers", 1))
     mc = None if samples is None else sampling

@@ -33,12 +33,14 @@ every piece smooth however finely it is bisected.  A line meets its
 budget within ``_LINE_MAX_SPLITS`` bisections, or the computation raises
 :class:`AccuracyError` naming the line's p and q.
 
-The exact three-node pmf needs two product moments,
-``M2 = E[p(R12) p(R13)]`` and ``M3 = E[p(R12) p(R13) p(R23)]``, with every
-edge axis set up by one rule that the caller derives from the connection
-model (:func:`rggdist.graphdist._edge_axis`): a hard disk truncates it at
-``min(r0, D)``, any other model weights [0, D] by its connection
-probability, and it splits at the model's breakpoints.
+The exact pmfs' edge moments ``M1 = E[p(R12)]``, ``M2 = E[p(R12)
+p(R13)]`` and ``M3 = E[p(R12) p(R13) p(R23)]`` are integrated here, behind
+one entry (:func:`_edge_moments`); :mod:`rggdist.graphdist` only
+assembles pmfs from them.  Every edge axis is set up by one rule
+(:func:`_edge_axis`): a hard disk truncates it at ``min(r0, D)``, any
+other model weights [0, D] by its connection probability, and it splits
+at the model's breakpoints.  M1 is one integral against the two-point
+density (:func:`_pair_connect_prob`).
 
 * M2 needs no three-distance density.  Given node 1 at distance rho from
   the centre, nodes 2 and 3 connect to it independently with probability
@@ -51,8 +53,8 @@ probability, and it splits at the model's breakpoints.
   sides, so M3 is three times its integral over the region where a chosen
   side is the longest, with the edge weight on all three axes.  For a
   hard disk that is the distribution function of the longest side at
-  ``min(r0, D)``; one pass, cut at every range a sweep asks for, reads M3
-  at each from the cumulative panel sums.
+  ``min(r0, D)``; the hard disks of one call share one pass, cut at every
+  range, which reads M3 at each from the cumulative panel sums.
 
 Both closed-form kernels (:func:`_pdf3_batch` and the conditional
 :func:`_cond_pdf3_batch`) run in one straight-line pass.  A 3-element
@@ -83,11 +85,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import replace
 from enum import Enum
 
 import numpy as np
 
+from .connection import HardDisk
 from .errors import AccuracyError, DomainError
 from .geometry import (
     DEGENERATE_Q_EPS,
@@ -587,21 +590,13 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol):
         raise AccuracyError(msg, exc.value, err) from None
 
 
-@dataclass
-class _LineStats:
-    """The number of third-side lines one computation integrated."""
-
-    lines: int = 0
-
-
-def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11, stats=None):
+def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11):
     """Integrals over the third side t of joint density times weight.
 
     One line per (p, q) pair, integrated over [lo, hi] intersected with
     the triangle-inequality interval and [0, D], by :func:`_line_segments`
     (one cosine map per line, cut at the case boundaries and at
-    ``extra_breaks``).  Returns (values, error_estimates); a
-    :class:`_LineStats` ``stats`` counts the lines.
+    ``extra_breaks``).  Returns (values, error_estimates).
     """
     p = np.asarray(p, float).ravel()
     q = np.asarray(q, float).ravel()
@@ -612,14 +607,12 @@ def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11, 
     b = np.minimum(np.minimum(hi, p + q), D)
     breaks = np.broadcast_to(np.asarray(extra_breaks, float), (k, len(extra_breaks)))
     _, _, owner, seg_val, seg_err = _line_segments(p, q, a, b, D, breaks, weight, line_tol)
-    if stats is not None:
-        stats.lines += k
     values = np.bincount(owner, weights=seg_val, minlength=k)
     errors = np.bincount(owner, weights=seg_err, minlength=k)
     return values, errors
 
 
-def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions, stats=None):
+def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions):
     """``M3 = E[p(R12) p(R13) p(R23)]`` at every edge-axis end ``h`` in
     ``his``, from one pass over the longest side.
 
@@ -628,40 +621,47 @@ def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions,
     t) w(t) dt dq dc``, where ``w`` is the edge's ``weight`` (``None`` for
     1).  A hard disk is the case ``w = 1`` up to ``h = min(r0, D)``, where
     M3 is the distribution function of the longest side.  The innermost
-    axis is :func:`_inner_lines` (whose lines ``stats`` counts), the middle
-    one runs in lockstep across the outer nodes, and ``breaks`` split all
-    three.  The outer c axis starts from panels cut at every requested
-    ``h`` and at ``breaks``, and is refined by
-    :func:`rggdist.quadrature._bisect` as one integral, so the panels'
-    cumulative sums give M3 at every ``h`` and every point's cumulative
-    error stays within the one outer budget.  Returns (values, error
-    estimates) in the order of ``his``; each estimate adds the budgets
-    allotted to the inner levels.  Raises :class:`AccuracyError` if an
-    integral of any of the three axes would pass its bisection cap.
+    axis is :func:`_inner_lines`, the middle one runs in lockstep across
+    the outer nodes, and ``breaks`` split all three (the middle one also
+    at ``q = c - b``, where a line's lower end crosses b).  The outer c
+    axis starts from panels cut at every requested ``h`` and at ``breaks``,
+    and is refined by :func:`rggdist.quadrature._bisect` as one integral,
+    so the panels' cumulative sums give M3 at every ``h`` and every
+    point's cumulative error stays within the one outer budget.  Returns
+    (values, error estimates) in the order of ``his``, each estimate adding
+    the budgets allotted to the inner levels, and the pass's number of
+    third-side lines.  Raises :class:`AccuracyError` if an integral of any
+    of the three axes would pass its bisection cap.
     """
     D = domain.diameter
     his = np.asarray(his, float)
+    breaks = np.asarray(breaks, float)
     values, errors = np.zeros(len(his)), np.zeros(len(his))
     top = float(np.max(his, initial=0.0))
     if top <= 0.0:
-        return values, errors
+        return values, errors, 0
     axis = np.zeros(1), np.full(1, top)
     _, cuts, _ = _pieces(*axis, his[None])  # the distinct positive ends, ascending
     tol_inner = 0.05 * abs_tol / (1.5 * top * top)
     mid_settings = QuadratureSettings(
         abs_tol=0.25 * abs_tol / (3.0 * top), rel_tol=0.0, max_subdivisions=max_subdivisions
     )
+    lines = 0
 
     def longest_side_pdf(c, _):
         def mid_integrand(q_flat, own):
+            nonlocal lines
+            lines += len(q_flat)
             vals, _ = _inner_lines(
                 c[own], q_flat, 0.0, c[own], D,
-                weight=weight, extra_breaks=breaks, line_tol=tol_inner, stats=stats,
+                weight=weight, extra_breaks=breaks, line_tol=tol_inner,
             )
             return vals if weight is None else vals * weight(q_flat)
 
+        mid_breaks = np.concatenate([np.broadcast_to(breaks, (len(c), len(breaks))),
+                                     c[:, None] - breaks], axis=1)
         mid_vals, _ = integrate_many(mid_integrand, np.column_stack([np.zeros(len(c)), c]),
-                                     mid_settings, np.broadcast_to(breaks, (len(c), len(breaks))))
+                                     mid_settings, mid_breaks)
         return 3.0 * mid_vals if weight is None else 3.0 * mid_vals * weight(c)
 
     def panels(lo, hi, own):
@@ -682,7 +682,7 @@ def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions,
     at = np.searchsorted(cuts, his[pos])
     values[pos] = cum_val[at]
     errors[pos] = cum_err[at] + 0.3 * abs_tol
-    return values, errors
+    return values, errors, lines
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +779,81 @@ def _coverage_moment(domain, hi, weight, breaks, abs_tol, max_subdivisions):
         integrand, [(0.0, R)], outer, [[abs(R - b) for b in (hi, *breaks)]]
     )
     return float(values[0]), float(errors[0]) + 2.0 * g_tol
+
+
+# ---------------------------------------------------------------------------
+# the edge moments of the exact pmfs
+# ---------------------------------------------------------------------------
+
+# M1's settings, tight enough for both pmf sizes at any usual tolerance.
+_PAIR_SETTINGS = QuadratureSettings(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=400)
+
+
+def _edge_axis(model, D):
+    """How an edge's distance axis is integrated: (upper end, weight,
+    breakpoints).
+
+    A hard disk's indicator truncates the axis at ``min(r0, D)`` and leaves
+    no weight; any other model weights [0, D] by its connection
+    probability.  The breakpoints are the model's strictly inside the
+    axis, so a hard disk has none.
+    """
+    if isinstance(model, HardDisk):
+        hi, weight = min(model.r0, D), None
+    else:
+        hi, weight = D, model.probability
+    return hi, weight, tuple(b for b in model.breakpoints() if 0.0 < b < hi)
+
+
+def _pair_connect_prob(domain, hi, weight, breaks, settings) -> tuple[float, float]:
+    """``M1 = E[p(R12)]``: the two-point density times the edge's ``weight``
+    (``None`` for 1) over [0, ``hi``], split at ``breaks``.  Returns
+    (value, error estimate)."""
+    if hi <= 0.0:
+        return 0.0, 0.0
+
+    def integrand(r, _):
+        vals = pair_pdf(r, domain)
+        return vals if weight is None else vals * weight(r)
+
+    values, errors = integrate_many(integrand, [(0.0, hi)], settings, [breaks])
+    return float(values[0]), float(errors[0])
+
+
+def _edge_moments(models, domain, k, abs_tol, max_subdivisions):
+    """Per model, in order: (M1..Mk, their error estimates, the number of
+    third-side lines behind M3), for k = 1 or 3 (no lines: 0).
+
+    M1 is integrated at ``_PAIR_SETTINGS``, its tolerances lowered to
+    ``abs_tol`` only where that is lower, so it does not depend on k; M2
+    and M3 to ``abs_tol``, with at most ``max_subdivisions`` bisections per
+    integral.  The hard disks share one longest-side pass (and its line
+    count), every other model has its own.  The passes run first; raises
+    on the first integral that cannot converge.
+    """
+    axes = [_edge_axis(model, domain.diameter) for model in models]
+    m3s, lines = [None] * len(models), [0] * len(models)
+    if k == 3:
+        # One pass per group: all hard disks together, each weighted model alone.
+        groups = {}
+        for j, (_, weight, _) in enumerate(axes):
+            groups.setdefault(-1 if weight is None else j, []).append(j)
+        for group in groups.values():
+            _, weight, breaks = axes[group[0]]
+            values, errors, count = _longest_side_moment(
+                domain, [axes[j][0] for j in group], weight, breaks, abs_tol, max_subdivisions
+            )
+            for j, v, e in zip(group, values, errors):
+                m3s[j], lines[j] = (float(v), float(e)), count
+    tol = min(_PAIR_SETTINGS.abs_tol, abs_tol)
+    pair = replace(_PAIR_SETTINGS, abs_tol=tol, rel_tol=tol)
+    rows = []
+    for axis, m3, count in zip(axes, m3s, lines):
+        moments = [_pair_connect_prob(domain, *axis, pair)]
+        if k == 3:
+            moments += [_coverage_moment(domain, *axis, abs_tol, max_subdivisions), m3]
+        rows.append((*zip(*moments), count))
+    return rows
 
 
 # joint_pdf3_cell_masses: Gauss nodes per cell on the first axis, and the

@@ -22,15 +22,11 @@ exchangeable in its three arguments, so these three numbers determine
 everything.  Two consequences are used deliberately: the probabilities
 sum to one up to floating-point rounding (not up to quadrature error),
 and outcomes related by a node relabeling get exactly equal
-probabilities.  M1 reduces to a
-one-dimensional integral against the two-point density, and M2 to one
-over the coverage function of one node (a lens area for a hard disk).
-M3 of every model comes from one pass over the longest side of the
-triangle, with the edge's connection probability as the weight of all
-three axes; a hard disk's M3 is then the distribution function of the
-longest side, so :func:`_exact_pmfs`, the one exact entry behind
-:func:`exact_pmf` and every command, reads every hard disk's M3 from one
-shared pass.  Near-zero entries may come out epsilon-negative from
+probabilities.  This module only assembles pmfs: the moments are
+integrated in :mod:`rggdist.distances`, behind one entry
+(:func:`rggdist.distances._edge_moments`), which :func:`_exact_pmfs`, the
+one exact entry behind :func:`exact_pmf` and every command, calls once.
+Near-zero entries may come out epsilon-negative from
 quadrature noise; they are clipped to zero and the deficit is folded into
 the largest entry, which keeps the exact unit total while staying inside
 the per-entry error estimates.
@@ -45,19 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import ConnectionModel, HardDisk
-from .distances import (
-    _coverage_moment,
-    _LineStats,
-    _longest_side_moment,
-    pair_pdf,
-)
+from .connection import ConnectionModel
+from .distances import _edge_moments
 from .errors import AccuracyError, DomainError, UnsupportedError
 from .geometry import DiskDomain, pair_array, pair_count
-from .quadrature import QuadratureSettings, integrate_many
+from .quadrature import QuadratureSettings
 
-# Absolute tolerance per pmf entry used when no settings are supplied.
-DEFAULT_PMF_ENTRY_TOL = 1e-4
+# Settings of the exact pmfs when none are given: the tolerance per pmf
+# entry and the bisections per integral.  ``--abs-tol`` replaces the first.
+DEFAULT_PMF_SETTINGS = QuadratureSettings(abs_tol=1e-4, rel_tol=0.0, max_subdivisions=600)
 
 # Largest number of edge slots of an outcome table (2**20 codes, n <= 6).
 MAX_OUTCOME_BITS = 20
@@ -87,46 +79,14 @@ class GraphPmf:
         object.__setattr__(self, "probs", probs)
 
 
-def _edge_axis(model, D):
-    """How an edge's distance axis is integrated: (upper end, weight,
-    breakpoints).
-
-    A hard disk's indicator truncates the axis at ``min(r0, D)`` and leaves
-    no weight; any other model weights [0, D] by its connection
-    probability.  The breakpoints are the model's strictly inside the
-    axis, so a hard disk has none.
-    """
-    if isinstance(model, HardDisk):
-        hi, weight = min(model.r0, D), None
-    else:
-        hi, weight = D, model.probability
-    return hi, weight, tuple(b for b in model.breakpoints() if 0.0 < b < hi)
-
-
-def _pair_connect_prob(model, domain, settings) -> tuple[float, float]:
-    """P(edge) for one pair: integral of pair density times connection prob."""
-    hi, weight, breaks = _edge_axis(model, domain.diameter)
-    if hi <= 0.0:
-        return 0.0, 0.0
-
-    def integrand(r, _):
-        vals = pair_pdf(r, domain)
-        return vals if weight is None else vals * weight(r)
-
-    values, errors = integrate_many(integrand, [(0.0, hi)], settings, [breaks])
-    return float(values[0]), float(errors[0])
-
-
-_PAIR_SETTINGS = QuadratureSettings(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=400)
-
-
 def pmf_n2(
     model: ConnectionModel, domain: DiskDomain, quad: QuadratureSettings | None = None
 ) -> GraphPmf:
     """Exact two-node pmf: a single Bernoulli edge of probability M1.
 
-    ``ingredients`` holds ``m1``, its error estimate ``e1`` and the
-    per-entry estimates ``entry_errors``, as :func:`pmf_n3` reports them.
+    ``quad`` is read as by :func:`pmf_n3`, whose M1 this is at any
+    settings.  ``ingredients`` holds ``m1``, its error estimate ``e1`` and
+    the per-entry estimates ``entry_errors``, as :func:`pmf_n3` reports them.
     """
     return exact_pmf(2, model, domain, quad)
 
@@ -137,21 +97,15 @@ def pmf_n3(
     """Exact three-node pmf over the eight edge-vector outcomes.
 
     The per-entry absolute tolerance is ``quad.abs_tol`` (default
-    ``DEFAULT_PMF_ENTRY_TOL``); ``quad.rel_tol`` is unused, so settings
-    with ``abs_tol == 0`` are refused.  The reported ``error_estimate`` is
+    ``DEFAULT_PMF_SETTINGS``), and ``quad.max_subdivisions`` caps each
+    integral's bisections; ``quad.rel_tol`` is unused, so settings with
+    ``abs_tol == 0`` are refused.  The reported ``error_estimate`` is
     the sum of the per-entry estimates.  Entries are clipped to [0, 1];
     clipping never exceeds the per-entry estimate.
 
-    Every edge axis is set up by one rule (:func:`_edge_axis`): a hard
-    disk truncates it at ``min(r0, D)``, any other model weights it by its
-    connection probability, and it splits at the model's breakpoints.
-    M1 is the two-node edge probability at :func:`pmf_n2`'s default
-    settings.  M2 comes from the coverage function of one node (a lens
-    area for a hard disk), with no three-distance density.  M3 integrates
-    the joint density times the three edges' weights over the region
-    where a chosen side is the longest, three times, in one pass over that
-    side; for a hard disk it is the distribution function of the longest
-    side at ``min(r0, D)``.
+    The moments come from :func:`rggdist.distances._edge_moments`: M1 at
+    tight pair settings whatever ``quad`` says, so it is :func:`pmf_n2`'s,
+    and M2 and M3 each to a quarter of the entry tolerance.
     ``ingredients`` holds the moments, their error estimates ``e1``,
     ``e2``, ``e3``, the per-entry estimates ``entry_errors`` (a tuple in
     outcome order, summing to ``error_estimate``), and the number of
@@ -169,17 +123,10 @@ def pmf_n3(
 
 def _exact_pmfs(sizes, models, domain: DiskDomain, quad: QuadratureSettings | None = None):
     """``{n: [exact n-node pmf of each model, in order]}`` for each node
-    count n in ``sizes`` (see :func:`pmf_n2` and :func:`pmf_n3`); refuses
-    any n other than 2 and 3.
-
-    Every M3 comes from one longest-side pass
-    (:func:`rggdist.distances._longest_side_moment`).  The hard disks share
-    one pass, cut at every truncation ``min(r0, D)``; every other model
-    has its own, cut at D.  The three-node M1 is integrated at
-    ``_PAIR_SETTINGS``, so without ``quad`` the two-node pmfs reuse it;
-    otherwise their M1 is integrated at ``quad``, or at ``_PAIR_SETTINGS``
-    without it.  Raises on the first integral that cannot converge,
-    returning no partial table.
+    count n in ``sizes`` (see :func:`pmf_n2` and :func:`pmf_n3`), from one
+    call of :func:`rggdist.distances._edge_moments`.  Refuses any n other
+    than 2 and 3, and ``abs_tol == 0``, before any integral; raises on the
+    first integral that cannot converge, returning no partial table.
     """
     for n in sizes:
         if n not in (2, 3):
@@ -187,48 +134,22 @@ def _exact_pmfs(sizes, models, domain: DiskDomain, quad: QuadratureSettings | No
                 f"exact pmf is only available for n in (2, 3); got n={n}. "
                 "Use the Monte Carlo estimator for larger graphs."
             )
-    pmfs = {}
-    if 3 in sizes:
-        if quad is not None and quad.abs_tol == 0:
-            raise DomainError("pmf_n3 needs a positive abs_tol; rel_tol is unused")
-        entry_tol = quad.abs_tol if quad is not None else DEFAULT_PMF_ENTRY_TOL
-        max_sub = quad.max_subdivisions if quad is not None else 400
-        moment_tol = entry_tol / 4.0
-
-        axes = [_edge_axis(model, domain.diameter) for model in models]
-        # One pass per group: all hard disks together, each weighted model alone.
-        groups = {}
-        for k, (_, weight, _) in enumerate(axes):
-            groups.setdefault(-1 if weight is None else k, []).append(k)
-        m3s = {}
-        for group in groups.values():
-            stats = _LineStats()
-            _, weight, breaks = axes[group[0]]
-            values, errors = _longest_side_moment(
-                domain, [axes[k][0] for k in group], weight, breaks, moment_tol, max_sub, stats
-            )
-            m3s.update((k, (float(v), float(e), stats)) for k, v, e in zip(group, values, errors))
-        pmfs[3] = []
-        for k, (model, axis) in enumerate(zip(models, axes)):
-            m1, e1 = _pair_connect_prob(model, domain, _PAIR_SETTINGS)
-            m2, e2 = _coverage_moment(domain, *axis, moment_tol, max_sub)
-            m3, e3, stats = m3s[k]
-            pmfs[3].append(_pmf_from_moments(3, (m1, m2, m3), (e1, e2, e3), stats))
-    if 2 in sizes:
-        if 3 in sizes and quad is None:
-            m1s = [(pmf.ingredients["m1"], pmf.ingredients["e1"]) for pmf in pmfs[3]]
-        else:
-            m1s = [_pair_connect_prob(model, domain, quad or _PAIR_SETTINGS) for model in models]
-        pmfs[2] = [_pmf_from_moments(2, (m1,), (e1,)) for m1, e1 in m1s]
-    return pmfs
+    quad = DEFAULT_PMF_SETTINGS if quad is None else quad
+    if quad.abs_tol == 0:
+        raise DomainError("exact pmfs need a positive abs_tol; rel_tol is unused")
+    if not sizes:
+        return {}
+    k = max(pair_count(n) for n in sizes)
+    rows = _edge_moments(models, domain, k, quad.abs_tol / 4.0, quad.max_subdivisions)
+    return {n: [_pmf_from_moments(n, *row) for row in rows] for n in sorted(sizes, reverse=True)}
 
 
-def _pmf_from_moments(n, moments, errors, stats=None) -> GraphPmf:
-    """The n-node pmf (n = 2 or 3) from its k = ``pair_count(n)`` edge
-    moments M1..Mk and their error estimates; ``stats`` (n = 3) counts the
-    third-side lines behind Mk."""
+def _pmf_from_moments(n, moments, errors, lines) -> GraphPmf:
+    """The n-node pmf (n = 2 or 3) from the first k = ``pair_count(n)`` of
+    the edge moments M1, M2, ... and their error estimates; ``lines``
+    counts the third-side lines behind M3."""
     k = pair_count(n)
-    m, e = (1.0, *moments), (0.0, *errors)
+    m, e = (1.0, *moments[:k]), (0.0, *errors[:k])
     # Inclusion-exclusion over the number of present edges: an outcome of
     # weight w has probability sum_{j>=w} (-1)**(j-w) C(k-w, j-w) M_j, with
     # M0 = 1.  Exchangeability of the distance density makes all outcomes
@@ -265,8 +186,8 @@ def _pmf_from_moments(n, moments, errors, stats=None) -> GraphPmf:
     ingredients = {f"m{j}": m[j] for j in range(1, k + 1)}
     ingredients.update((f"e{j}", e[j]) for j in range(1, k + 1))
     ingredients["entry_errors"] = tuple(entry_errs.tolist())
-    if stats is not None:
-        ingredients["lines"] = stats.lines
+    if k == 3:
+        ingredients["lines"] = lines
     return GraphPmf(
         n=n, probs=probs, method="quadrature",
         error_estimate=float(np.sum(entry_errs)), ingredients=ingredients,

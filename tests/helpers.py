@@ -302,29 +302,31 @@ def triple_m2(domain: DiskDomain, hi, weight, breaks, abs_tol, max_subdivisions=
     return float(values[0]), float(errors[0]) + 0.3 * abs_tol
 
 
-def full_cube_m3(
-    domain: DiskDomain, hi, weight, breaks, abs_tol, max_subdivisions=1000, stats=None
-):
+def full_cube_m3(domain: DiskDomain, hi, weight, breaks, abs_tol, max_subdivisions=1000):
     """``M3 = E[p(R12) p(R13) p(R23)]`` as the integral of the joint density
     over the full cube of three edge axes, the oracle of the longest-side
     pass.  Every side runs over [0, hi] times ``weight`` (``None`` for 1)
     and splits at ``breaks``; the middle axis also splits where the third
-    side's interval ``[|p - q|, min(p + q, hi, D)]`` kinks.  A
-    ``_LineStats`` ``stats`` counts the third-side lines.  Returns (value,
-    error estimate), the estimate including the inner levels' budgets."""
+    side's interval ``[|p - q|, min(p + q, hi, D)]`` kinks.  Returns
+    (value, error estimate, third-side lines), the estimate including the
+    inner levels' budgets."""
     D = domain.diameter
     if hi <= 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0
     tol_inner = 0.05 * abs_tol / (hi * hi)
     mid_settings = QuadratureSettings(
         abs_tol=0.25 * abs_tol / hi, rel_tol=0.0, max_subdivisions=max_subdivisions
     )
 
+    lines = 0
+
     def outer_integrand(p_batch, _):
         def mid_integrand(q_flat, own):
+            nonlocal lines
+            lines += len(q_flat)
             vals, _ = _inner_lines(
                 p_batch[own], q_flat, 0.0, hi, D,
-                weight=weight, extra_breaks=breaks, line_tol=tol_inner, stats=stats,
+                weight=weight, extra_breaks=breaks, line_tol=tol_inner,
             )
             return vals if weight is None else vals * weight(q_flat)
 
@@ -338,7 +340,7 @@ def full_cube_m3(
         abs_tol=0.5 * abs_tol, rel_tol=0.0, max_subdivisions=max_subdivisions
     )
     values, errors = integrate_many(outer_integrand, [(0.0, hi)], outer_settings, [breaks])
-    return float(values[0]), float(errors[0]) + 0.3 * abs_tol
+    return float(values[0]), float(errors[0]) + 0.3 * abs_tol, lines
 
 
 def cell_masses_reference(domain: DiskDomain, edges, gauss_order=5):

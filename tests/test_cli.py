@@ -26,6 +26,7 @@ from rggdist import (
     UnsupportedError,
     classify_triple,
     entropy_bits,
+    entropy_error_bound,
     estimate_entropy_sweep,
     estimate_pmf,
     joint_pdf3,
@@ -38,11 +39,11 @@ from rggdist import (
     shearer_factor,
     triangle_quantities,
 )
-from rggdist import cli, graphdist, montecarlo
+from rggdist import cli, distances, graphdist, montecarlo
 from rggdist.cli import main
 from rggdist.distances import joint_pdf3_cell_masses
 from rggdist.montecarlo import MAX_WORKERS, substream
-from rggdist.quadrature import integrate_many
+from rggdist.quadrature import QuadratureSettings, integrate_many
 
 from helpers import (
     distance_sq_blocks_reference,
@@ -209,15 +210,20 @@ class TestBoundsCommand:
         assert b3 <= b2
         assert rec["tightest_bound_bits"] == pytest.approx(b3)
 
-    @pytest.mark.parametrize("argv", [("--n", "6", "--model", "exp:r0=0.3,beta=2"),
-                                      ("--n", "5", "--model", "hard:r0=0.4")])
+    @pytest.mark.parametrize("argv", [
+        ("--n", "6", "--model", "exp:r0=0.3,beta=2"),
+        ("--n", "5", "--model", "hard:r0=0.4"),
+        ("--n", "6", "--model", "exp:r0=0.3,beta=2", "--abs-tol", "1e-6"),
+        ("--n", "5", "--model", "hard:r0=0.4", "--abs-tol", "1e-6"),
+    ])
     def test_g2_from_the_three_node_m1(self, capsys, monkeypatch, argv):
-        # Without --abs-tol the G2 entry takes the M1 its three-node pmf
-        # holds: one pair integral, not one more for pmf_n2.
+        # At any tolerance the G2 entry takes the M1 its three-node pmf
+        # holds: one pair integral, not one more for pmf_n2, and the same
+        # M1 as pmf_n2's at the default settings.
         calls = []
-        pair = graphdist._pair_connect_prob
+        pair = distances._pair_connect_prob
         monkeypatch.setattr(
-            graphdist, "_pair_connect_prob", lambda *args: calls.append(args) or pair(*args)
+            distances, "_pair_connect_prob", lambda *args: calls.append(args) or pair(*args)
         )
         code, out, _ = run_cli(capsys, "bounds", *argv)
         assert code == 0
@@ -231,7 +237,7 @@ class TestBoundsCommand:
         def fail(*args):
             raise AssertionError("pair integral computed before the node check")
 
-        monkeypatch.setattr(graphdist, "_pair_connect_prob", fail)
+        monkeypatch.setattr(distances, "_pair_connect_prob", fail)
         code, out, err = run_cli(
             capsys, "bounds", "--n", n, "--model", "exp:r0=0.3,beta=2", "--samples", "100"
         )
@@ -249,7 +255,7 @@ class TestBoundsCommand:
         def fail(*args):
             raise AssertionError("pair integral computed before the sampling flags were checked")
 
-        monkeypatch.setattr(graphdist, "_pair_connect_prob", fail)
+        monkeypatch.setattr(distances, "_pair_connect_prob", fail)
         code, out, err = run_cli(
             capsys, "bounds", "--n", "4", "--model", "exp:r0=0.3,beta=2", *flags
         )
@@ -329,33 +335,42 @@ class TestSweepCommands:
         )
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[2:]]
-        for row in rows:
+        quad = QuadratureSettings(abs_tol=1e-4, rel_tol=0.0)
+        for r0, row in zip(np.linspace(0.0, 1.0, 4), rows):
             assert row[3] == "nan"  # no three-node bound on itself
-            h = float(row[1])
-            bound2 = float(row[4])
-            assert h <= bound2 + 1e-9
+            h, h_err, bound2 = float(row[1]), float(row[2]), float(row[4])
+            # Both columns are quadrature results, so H(G3) <= bound holds
+            # within their reported bounds: the row's own, and the G2
+            # entropy's bound times the Shearer factor.  At r0 = D, H(G3)
+            # reads 4.0e-6 within 0.0016 and the G2 bound 4.3e-12.
+            pmf2 = pmf_n2(HardDisk(r0=float(r0)), DiskDomain(1.0), quad)
+            allowance = h_err + float(shearer_factor(3, 2)) * entropy_error_bound(pmf2)
+            assert h <= bound2 + allowance
 
     def test_entropy_sweep_takes_g2_from_the_three_node_m1(self, capsys, monkeypatch):
-        # Without --abs-tol each row's M1 is integrated once, at the pair
-        # settings, and serves both columns: the G2 column is pmf_n2's.
+        # At any tolerance each row's M1 is integrated once, at the pair
+        # settings, and serves both columns: the G2 column is pmf_n2's at
+        # the default settings.
         calls = []
-        pair = graphdist._pair_connect_prob
+        pair = distances._pair_connect_prob
         monkeypatch.setattr(
-            graphdist, "_pair_connect_prob", lambda *args: calls.append(args) or pair(*args)
+            distances, "_pair_connect_prob", lambda *args: calls.append(args) or pair(*args)
         )
-        code, out, _ = run_cli(
-            capsys, "sweep-entropy", "--n", "3", "--steps", "4", "--model-kind", "exp",
-            "--r0-start", "0.1",
-        )
-        assert code == 0
-        assert len(calls) == 4
         domain = DiskDomain(1.0)
         want = [
             format(float(shearer_factor(3, 2) * Fraction(entropy_bits(pmf_n2(model, domain)))),
                    ".12g")
             for model in (ExponentialSoft(r0=float(r0), beta=2.0) for r0 in np.linspace(0.1, 1, 4))
         ]
-        assert [line.split(",")[4] for line in out.strip().split("\n")[2:]] == want
+        for tol in ((), ("--abs-tol", "1e-6")):
+            calls.clear()
+            code, out, _ = run_cli(
+                capsys, "sweep-entropy", "--n", "3", "--steps", "4", "--model-kind", "exp",
+                "--r0-start", "0.1", *tol,
+            )
+            assert code == 0
+            assert len(calls) == 4
+            assert [line.split(",")[4] for line in out.strip().split("\n")[2:]] == want
 
     @pytest.mark.parametrize("n, moments", [
         ("2", ()),
@@ -368,13 +383,13 @@ class TestSweepCommands:
         # no three-node moment; at n = 2 no exact column is printed.
         calls = {}
         for name in ("_pair_connect_prob", "_coverage_moment", "_longest_side_moment"):
-            original = getattr(graphdist, name)
+            original = getattr(distances, name)
 
             def counted(*args, name=name, original=original):
                 calls[name] = calls.get(name, 0) + 1
                 return original(*args)
 
-            monkeypatch.setattr(graphdist, name, counted)
+            monkeypatch.setattr(distances, name, counted)
         code, _, _ = run_cli(
             capsys, "sweep-entropy", "--n", n, "--mc", "--samples", "2000", "--steps", "4",
         )
@@ -916,7 +931,7 @@ class TestOutputFile:
         def fail(*args):
             raise AssertionError("pair integral computed before --out was checked")
 
-        monkeypatch.setattr(graphdist, "_pair_connect_prob", fail)
+        monkeypatch.setattr(distances, "_pair_connect_prob", fail)
         target = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
         code, out, err = run_cli(
             capsys, "sweep-entropy", "--n", "3", "--steps", "4", "--out", str(target)

@@ -25,8 +25,8 @@ from rggdist import (
     prob_connected,
     relabel_orbit_map,
 )
-from rggdist import graphdist
-from rggdist.distances import _coverage_moment, _inner_lines, _LineStats, _longest_side_moment
+from rggdist import distances, graphdist
+from rggdist.distances import _coverage_moment, _edge_axis, _inner_lines, _longest_side_moment
 from rggdist.quadrature import QuadratureSettings
 
 from helpers import (
@@ -134,7 +134,7 @@ class TestExactPmfs:
             raise AssertionError("integral computed before the node counts were checked")
 
         for name in ("_pair_connect_prob", "_coverage_moment", "_longest_side_moment"):
-            monkeypatch.setattr(graphdist, name, fail)
+            monkeypatch.setattr(distances, name, fail)
         with pytest.raises(UnsupportedError, match=r"only available for n in \(2, 3\)"):
             graphdist._exact_pmfs(sizes, [HardDisk(r0=0.4)], DOMAIN)
 
@@ -199,12 +199,19 @@ class TestPmfN3:
         assert pmf.error_estimate < default.error_estimate
         assert np.all(np.abs(pmf.probs - default.probs) <= default.error_estimate)
 
-    def test_relative_tolerance_alone_refused(self):
-        # Only abs_tol sets the entry tolerance: settings that leave it at
-        # zero are refused rather than replaced by the default.
+    def test_relative_tolerance_alone_refused(self, monkeypatch):
+        # Only abs_tol sets the entry tolerance, for both sizes: settings
+        # that leave it at zero are refused, before any integral, rather
+        # than replaced by the default.
+        def fail(*args):
+            raise AssertionError("integral computed before the settings were checked")
+
+        for name in ("_pair_connect_prob", "_coverage_moment", "_longest_side_moment"):
+            monkeypatch.setattr(distances, name, fail)
         quad = QuadratureSettings(abs_tol=0.0, rel_tol=1e-9)
-        with pytest.raises(DomainError, match="abs_tol"):
-            pmf_n3(HardDisk(r0=0.4), DOMAIN, quad)
+        for pmf in (pmf_n2, pmf_n3):
+            with pytest.raises(DomainError, match="abs_tol"):
+                pmf(HardDisk(r0=0.4), DOMAIN, quad)
 
 
 class TestExactPmfDispatch:
@@ -238,7 +245,7 @@ class TestMomentOracles:
         ids=str,
     )
     def test_coverage_m2_matches_triple_integral(self, model):
-        axis = graphdist._edge_axis(model, DOMAIN.diameter)
+        axis = _edge_axis(model, DOMAIN.diameter)
         oracle, oracle_err = triple_m2(DOMAIN, *axis, 1e-9)
         value, err = _coverage_moment(DOMAIN, *axis, 1e-9, 1000)
         assert abs(value - oracle) <= err + oracle_err
@@ -249,18 +256,19 @@ class TestMomentOracles:
     @pytest.mark.parametrize("key", M3_MODELS)
     def test_longest_side_m3_matches_full_cube(self, key):
         model = M3_MODELS[key]
-        hi, weight, breaks = graphdist._edge_axis(model, DOMAIN.diameter)
-        oracle, oracle_err = full_cube_m3(DOMAIN, hi, weight, breaks, 1e-8)
-        (value,), (err,) = _longest_side_moment(DOMAIN, [hi], weight, breaks, 1e-8, 1000)
+        hi, weight, breaks = _edge_axis(model, DOMAIN.diameter)
+        oracle, oracle_err, _ = full_cube_m3(DOMAIN, hi, weight, breaks, 1e-8)
+        (value,), (err,), _ = _longest_side_moment(DOMAIN, [hi], weight, breaks, 1e-8, 1000)
         assert abs(value - oracle) <= err + oracle_err
         # The default pmf's M3 lies within its own estimate of the oracle,
         # from fewer third-side lines than the full cube at its tolerance
-        # (the table's pass with its q axis unsplit takes 8,700, the cube 6,570).
+        # (the table's pass takes 3,600, the cube 6,570).
         pmf = pmf_n3(model, DOMAIN)
         assert abs(pmf.ingredients["m3"] - oracle) <= pmf.ingredients["e3"]
-        cube = _LineStats()
-        full_cube_m3(DOMAIN, hi, weight, breaks, graphdist.DEFAULT_PMF_ENTRY_TOL / 4, 400, cube)
-        assert pmf.ingredients["lines"] < cube.lines
+        *_, cube_lines = full_cube_m3(
+            DOMAIN, hi, weight, breaks, graphdist.DEFAULT_PMF_SETTINGS.abs_tol / 4, 400
+        )
+        assert pmf.ingredients["lines"] < cube_lines
 
     def test_sweep_rows_match_lone_pmfs(self):
         # Each row of a 40-point sweep shares one longest-side pass; a lone
@@ -349,7 +357,7 @@ class TestPmfN3Many:
         # has about 0.077) puts the one-edge class at about -1.48: the pmf
         # is refused, and the error carries the class values and estimates
         # as arrays indexed by edge count, the shape every AccuracyError has.
-        monkeypatch.setattr(graphdist, "_coverage_moment", lambda *args: (0.9, 1e-12))
+        monkeypatch.setattr(distances, "_coverage_moment", lambda *args: (0.9, 1e-12))
         with pytest.raises(AccuracyError, match="left \\[0, 1\\]") as excinfo:
             pmf_n3(HardDisk(r0=0.3), DOMAIN)
         value, error = excinfo.value.value, excinfo.value.error_estimate
