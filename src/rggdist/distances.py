@@ -40,7 +40,10 @@ assembles pmfs from them.  Every edge axis is set up by one rule
 (:func:`_edge_axis`): a hard disk truncates it at ``min(r0, D)``, any
 other model weights [0, D] by its connection probability, and it splits
 at the model's breakpoints.  M1 is one integral against the two-point
-density (:func:`_pair_connect_prob`).
+density (:func:`_pair_connect_prob`).  The M1s of all the models of one
+call run as one lockstep :func:`rggdist.quadrature.integrate_many`, and
+their M2s as lockstep calls of eight models; a lockstep integral equals
+the one its model gets alone.
 
 * M2 needs no three-distance density.  Given node 1 at distance rho from
   the centre, nodes 2 and 3 connect to it independently with probability
@@ -54,7 +57,13 @@ density (:func:`_pair_connect_prob`).
   side is the longest, with the edge weight on all three axes.  For a
   hard disk that is the distribution function of the longest side at
   ``min(r0, D)``; the hard disks of one call share one pass, cut at every
-  range, which reads M3 at each from the cumulative panel sums.
+  range, which reads M3 at each from the cumulative panel sums.  Every
+  other model of the call is a column of one more pass over [0, D], cut at
+  the union of their breakpoints: the density is evaluated once per node,
+  each column multiplies in its own weight, and a piece is refined while
+  any column is above its budget, each column's budget being that of its
+  model's pass alone.  So a model's M3 in a call of several can differ
+  from its M3 alone, within their error estimates.
 
 Both closed-form kernels (:func:`_pdf3_batch` and the conditional
 :func:`_cond_pdf3_batch`) run in one straight-line pass.  A 3-element
@@ -72,10 +81,15 @@ each block's GK15 rules (:func:`rggdist.quadrature._gk15_sums`) right
 after evaluating it, so it keeps no integrand values beyond the block.
 Every block runs in one :class:`_Workspace` of preallocated buffers: nine
 float and four bool arrays for the kernel, the block's abscissae and its
-weighted rule terms, about 1.5 MiB per thread in all.
+weighted rule terms, about 1.5 MiB per thread in all.  The columns of a
+block pass one at a time through two kernel buffers that its result
+leaves free, beside the substitution's Jacobian.  Beyond the block, the
+integrator keeps a value and an error per piece and column, for at most
+``_LINE_CELLS`` lines times columns at a time.
 Each thread keeps its own workspace (``threading.local``) and reuses it
 across blocks, refinement rounds and calls, so the integrator allocates
-nothing of block size.  A kernel result computed in a workspace is a view into it and
+nothing of block size beyond the values a weight returns, one column at a
+time.  A kernel result computed in a workspace is a view into it and
 stays valid only until the next kernel call on that thread.  Without a
 workspace (``joint_pdf3_values`` and the scalar entry points) the kernel
 allocates its buffers per call.
@@ -103,6 +117,7 @@ from .quadrature import (
     QuadratureSettings,
     _bisect,
     _gk15_sums,
+    _owner_sums,
     _panel_batch,
     _pieces,
     integrate_many,
@@ -136,6 +151,11 @@ _LINE_MAX_SPLITS = 64
 # integrator: 1024 keeps each workspace buffer at 15,360 doubles (120 KiB),
 # under glibc's default 128 KiB mmap threshold.
 _LINE_BLOCK = 1024
+
+# Lines times weight columns per call of the line integrator: it keeps a
+# value and an error per (piece, column) while it refines, so
+# :func:`_inner_lines` hands it at most this many at a time.
+_LINE_CELLS = 2048
 
 
 class JointPdfCase(Enum):
@@ -195,8 +215,9 @@ class _Workspace:
 
     ``floats``/``flags`` serve the density kernel (see :func:`_buffers`),
     ``nodes`` and ``terms`` hold a block's third sides and weighted rule
-    terms (and, until the rule sums, the substitution's Jacobian);
-    :func:`_line_segments` sums each block before the next.
+    terms (and, until the kernel has run, the substitution's angle);
+    :func:`_line_segments` sums each block, column by column, before the
+    next.
     """
 
     def __init__(self, lines):
@@ -205,6 +226,12 @@ class _Workspace:
         self.flags = [np.empty(lines * _NODES, bool) for _ in range(_KERNEL_FLAGS)]
         self.nodes = np.empty(lines * _NODES)
         self.terms = np.empty(lines * _NODES * 2)
+
+    def spares(self, result):
+        """Two kernel float buffers that the kernel ``result`` does not
+        use: free until the next kernel call."""
+        free = [buf for buf in self.floats if not np.may_share_memory(buf, result)]
+        return free[0], free[1]
 
 
 _local = threading.local()
@@ -503,10 +530,13 @@ def _u_of_t(t, a, span):
     return np.arccos(np.subtract(1.0, 2.0 * frac, out=frac), out=frac) / math.pi
 
 
-def _line_segments(p, q, a, b, D, breaks, weight, line_tol):
+def _line_segments(p, q, a, b, D, breaks, weights, line_tol):
     """Refined pieces of the third-side integrals of the joint density.
 
-    One line per (p, q) pair, integrated over [a, b]; a line with
+    One line per (p, q) pair, integrated over [a, b], with one column per
+    entry of ``weights``: the density times that weight of the third side
+    (``None`` for 1).  The density is evaluated once per node and each
+    column multiplies in its weight, then the Jacobian.  A line with
     ``a >= b`` is empty and gets no pieces.  Each whole line is mapped
     once, by ``t = a + (b - a)*(1 - cos(pi*u))/2`` for u in [0, 1], whose
     Jacobian ``(b - a)*(pi/2)*sin(pi*u)`` vanishes like ``sqrt(t - a)``
@@ -517,13 +547,14 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol):
     u (:func:`_u_of_t`) and cut the line into smooth pieces, which the
     plain GK15 rule integrates in u.  At a
     degenerate end the nodes keep ``_END_CLAMP_U`` away from it.  The
-    pieces of lines above the per-line budget
-    ``max(line_tol, 1e-13*|line value|)`` are bisected in u by
+    pieces of a line with a column above its per-line budget
+    ``max(line_tol, 1e-13*|column value|)`` are bisected in u by
     :func:`rggdist.quadrature._bisect` for up to ``_LINE_MAX_SPLITS``
     bisections, the one cap of every line, those of M3 and of the cell
     masses alike.  Returns the pieces as (u-lo, u-hi, owning line, value,
-    error estimate) arrays; a line that needs more bisections raises
-    :class:`AccuracyError` naming the worst such line's p and q.
+    error estimate) arrays, the last two of shape (pieces, columns); a line
+    that needs more bisections raises :class:`AccuracyError` naming the
+    worst such line's p and q over all columns.
     """
     k = len(p)
     span = np.maximum(b - a, 0.0)
@@ -535,6 +566,7 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol):
     u_max = np.where(b >= p + q, 1.0 - _END_CLAMP_U, 1.0)
     half_span = 0.5 * span
     ws = _workspace()
+    cols = len(weights)
 
     def eval_pieces(u_lo, u_hi, own):
         # Node-major (15, pieces) blocks.  The Jacobian splits: sin(pi*u)
@@ -546,14 +578,13 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol):
         p_own, q_own = p[own], q[own]
         a_own, half_span_own = a[own], half_span[own]
         u_min_own, u_max_own = u_min[own], u_max[own]
-        val, err = np.empty((2, len(u_lo)))
+        val, err = np.empty((2, len(u_lo), cols))
         for lo in range(0, len(u_lo), _LINE_BLOCK):
             blk = slice(lo, lo + _LINE_BLOCK)
             m = len(val[blk])
-            # pi*u, then t = a + (b-a)*(1 - cos)/2 in ``nodes``, then
-            # sin(pi*u) in place.  The angle and sine borrow the first half
-            # of ``terms``, which the rule sums fill only after the sine
-            # has been applied.
+            # pi*u in the first half of ``terms``, which the rule sums fill
+            # only after the kernel, then t = a + (b-a)*(1 - cos)/2 in
+            # ``nodes``.
             angle = ws.terms[: _NODES * m].reshape(_NODES, m)
             np.multiply(GK15_NODES[:, None], half[blk], out=angle)
             angle += mid[blk]
@@ -564,13 +595,22 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol):
             np.subtract(1.0, t, out=t)
             t *= half_span_own[blk]
             t += a_own[blk]
-            jacobian = np.sin(angle, out=angle)
             g = _pdf3_batch(p_own[None, blk], q_own[None, blk], t, D, ws=ws)
-            if weight is not None:
-                g *= weight(t)
-            g *= jacobian
+            # sin(pi*u) and one column at a time in two of the kernel's
+            # spare buffers, so that a block of many columns holds one
+            # weighted copy of the kernel values.
+            jacobian, column = (buf[: _NODES * m].reshape(_NODES, m) for buf in ws.spares(g))
+            np.sin(angle, out=jacobian)
             terms = ws.terms[: 2 * _NODES * m].reshape(_NODES, 2, m)
-            val[blk], err[blk] = _gk15_sums(g, scale[blk], terms)
+            for j, weight in enumerate(weights):
+                if weight is None:
+                    np.multiply(g, jacobian, out=column)
+                else:
+                    # A weight is called as ``probability(r)``, which every
+                    # subclass of a connection model keeps.
+                    np.multiply(g, weight(t), out=column)
+                    column *= jacobian
+                val[blk, j], err[blk, j] = _gk15_sums(column, scale[blk], terms)
         return val, err
 
     def budget_of(v):
@@ -581,22 +621,26 @@ def _line_segments(p, q, a, b, D, breaks, weight, line_tol):
     except AccuracyError as exc:
         err = exc.error_estimate
         over = err > budget_of(exc.value)
-        worst = np.argmax(np.where(over, err, -np.inf))
+        line, col = np.unravel_index(np.argmax(np.where(over, err, -np.inf)), err.shape)
         msg = (
-            f"{np.count_nonzero(over)} of a batch of {k} third-side lines did not converge "
-            f"within {_LINE_MAX_SPLITS} bisections (worst error estimate {err[worst]:.3e}, "
-            f"at p={float(p[worst])!r}, q={float(q[worst])!r})"
+            f"{np.count_nonzero(over.any(axis=1))} of a batch of {k} third-side lines did not "
+            f"converge within {_LINE_MAX_SPLITS} bisections (worst error estimate "
+            f"{err[line, col]:.3e}, at p={float(p[line])!r}, q={float(q[line])!r})"
         )
         raise AccuracyError(msg, exc.value, err) from None
 
 
-def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11):
-    """Integrals over the third side t of joint density times weight.
+def _inner_lines(p, q, lo, hi, D, weights=(None,), extra_breaks=(), line_tol=1e-11):
+    """Integrals over the third side t of joint density times each weight.
 
     One line per (p, q) pair, integrated over [lo, hi] intersected with
     the triangle-inequality interval and [0, D], by :func:`_line_segments`
     (one cosine map per line, cut at the case boundaries and at
-    ``extra_breaks``).  Returns (values, error_estimates).
+    ``extra_breaks``), with one column per entry of ``weights`` (``None``
+    for 1), in batches of at most ``_LINE_CELLS`` lines times columns; a
+    line integral does not depend on its batch.  Returns (values,
+    error_estimates), each of shape (lines, columns); raises the
+    :class:`AccuracyError` of the first batch that fails.
     """
     p = np.asarray(p, float).ravel()
     q = np.asarray(q, float).ravel()
@@ -606,21 +650,31 @@ def _inner_lines(p, q, lo, hi, D, weight=None, extra_breaks=(), line_tol=1e-11):
     a = np.maximum(lo, np.abs(p - q))
     b = np.minimum(np.minimum(hi, p + q), D)
     breaks = np.broadcast_to(np.asarray(extra_breaks, float), (k, len(extra_breaks)))
-    _, _, owner, seg_val, seg_err = _line_segments(p, q, a, b, D, breaks, weight, line_tol)
-    values = np.bincount(owner, weights=seg_val, minlength=k)
-    errors = np.bincount(owner, weights=seg_err, minlength=k)
+    values, errors = np.zeros((2, k, len(weights)))
+    step = max(1, _LINE_CELLS // len(weights))
+    for start in range(0, k, step):
+        part = slice(start, start + step)
+        _, _, owner, seg_val, seg_err = _line_segments(
+            p[part], q[part], a[part], b[part], D, breaks[part], weights, line_tol
+        )
+        count = min(step, k - start)
+        values[part], errors[part] = _owner_sums(owner, seg_val, seg_err, count)
     return values, errors
 
 
-def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions):
+def _longest_side_moment(domain, his, weights, breaks, abs_tol, max_subdivisions):
     """``M3 = E[p(R12) p(R13) p(R23)]`` at every edge-axis end ``h`` in
-    ``his``, from one pass over the longest side.
+    ``his`` and for every edge weight in ``weights``, from one pass over the
+    longest side.
 
     The joint density is symmetric in its three sides, so with c the
     longest side ``M3(h) = 3*int_0^h w(c) int_0^c w(q) int_{c-q}^c f(c, q,
-    t) w(t) dt dq dc``, where ``w`` is the edge's ``weight`` (``None`` for
-    1).  A hard disk is the case ``w = 1`` up to ``h = min(r0, D)``, where
-    M3 is the distribution function of the longest side.  The innermost
+    t) w(t) dt dq dc``, where ``w`` is one of ``weights`` (``None`` for 1).
+    A hard disk is the case ``w = 1`` up to ``h = min(r0, D)``, where M3 is
+    the distribution function of the longest side.  Every weight is a
+    column of the same three integrals: the density is evaluated once per
+    node, and each integral is refined while any column is above its
+    budget, which is the budget of that weight's pass alone.  The innermost
     axis is :func:`_inner_lines`, the middle one runs in lockstep across
     the outer nodes, and ``breaks`` split all three (the middle one also
     at ``q = c - b``, where a line's lower end crosses b).  The outer c
@@ -628,15 +682,16 @@ def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions)
     and is refined by :func:`rggdist.quadrature._bisect` as one integral,
     so the panels' cumulative sums give M3 at every ``h`` and every
     point's cumulative error stays within the one outer budget.  Returns
-    (values, error estimates) in the order of ``his``, each estimate adding
-    the budgets allotted to the inner levels, and the pass's number of
-    third-side lines.  Raises :class:`AccuracyError` if an integral of any
-    of the three axes would pass its bisection cap.
+    (values, error estimates) of shape ``(len(his), len(weights))``, each
+    estimate adding the budgets allotted to the inner levels, and the
+    pass's number of third-side lines, over all columns.  Raises
+    :class:`AccuracyError` if an integral of any of the three axes would
+    pass its bisection cap.
     """
     D = domain.diameter
     his = np.asarray(his, float)
     breaks = np.asarray(breaks, float)
-    values, errors = np.zeros(len(his)), np.zeros(len(his))
+    values, errors = np.zeros((2, len(his), len(weights)))
     top = float(np.max(his, initial=0.0))
     if top <= 0.0:
         return values, errors, 0
@@ -648,21 +703,28 @@ def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions)
     )
     lines = 0
 
+    def weighted(vals, x):
+        # Each column times its weight at x, in place.
+        for j, weight in enumerate(weights):
+            if weight is not None:
+                vals[:, j] *= weight(x)
+        return vals
+
     def longest_side_pdf(c, _):
         def mid_integrand(q_flat, own):
             nonlocal lines
             lines += len(q_flat)
             vals, _ = _inner_lines(
                 c[own], q_flat, 0.0, c[own], D,
-                weight=weight, extra_breaks=breaks, line_tol=tol_inner,
+                weights=weights, extra_breaks=breaks, line_tol=tol_inner,
             )
-            return vals if weight is None else vals * weight(q_flat)
+            return weighted(vals, q_flat)
 
         mid_breaks = np.concatenate([np.broadcast_to(breaks, (len(c), len(breaks))),
                                      c[:, None] - breaks], axis=1)
         mid_vals, _ = integrate_many(mid_integrand, np.column_stack([np.zeros(len(c)), c]),
                                      mid_settings, mid_breaks)
-        return 3.0 * mid_vals if weight is None else 3.0 * mid_vals * weight(c)
+        return weighted(3.0 * mid_vals, c)
 
     def panels(lo, hi, own):
         # One outer panel (15 longest sides) at a time: every panel of a
@@ -673,11 +735,10 @@ def _longest_side_moment(domain, his, weight, breaks, abs_tol, max_subdivisions)
 
     lo, hi, _, val, err = _bisect(
         panels, *_pieces(*axis, np.concatenate([his, breaks])[None]), 1,
-        lambda v: np.full(1, 0.5 * abs_tol), max_subdivisions,
+        lambda v: np.full(v.shape, 0.5 * abs_tol), max_subdivisions,
     )
     cell = np.searchsorted(cuts, 0.5 * (lo + hi))
-    cum_val = np.cumsum(np.bincount(cell, weights=val, minlength=len(cuts)))
-    cum_err = np.cumsum(np.bincount(cell, weights=err, minlength=len(cuts)))
+    cum_val, cum_err = (np.cumsum(x, axis=0) for x in _owner_sums(cell, val, err, len(cuts)))
     pos = his > 0.0
     at = np.searchsorted(cuts, his[pos])
     values[pos] = cum_val[at]
@@ -702,21 +763,22 @@ def _lens_area(rho, r, R):
     return np.where(r >= R + rho, math.pi * R * R, area)
 
 
-def _arc_integrals(rho, R, weight, breaks, settings):
-    """``int weight(t)*L(rho, t) dt`` at each ``rho``, where ``L`` is the
-    arc of the circle of radius t about a point at distance ``rho`` from
-    the centre that lies inside the disk of radius ``R``.
+def _arc_integrals(rho, R, weights, model, breaks, settings):
+    """``int w(t)*L(rho, t) dt`` at each ``rho``, where ``w`` is the weight
+    ``weights[model]`` of that point's model and ``L`` is the arc of the
+    circle of radius t about a point at distance ``rho`` from the centre
+    that lies inside the disk of radius ``R``.
 
     ``L`` is ``2*pi*t`` up to ``t = R - rho``, integrated directly; beyond
     it is ``2*t*arccos((rho**2 + t**2 - R**2)/(2*rho*t))`` up to ``R + rho``,
     with a square-root end on either side, so that part is integrated in
     u through ``t = R - rho + rho*(1 - cos(pi*u))``, whose Jacobian absorbs
-    both ends, with ``breaks`` mapped into u.  A weighted edge axis runs
-    over [0, D], which holds every such circle.
+    both ends, with each point's row of ``breaks`` (NaN-padded) mapped into
+    u.  A weighted edge axis runs over [0, D], which holds every such
+    circle.  All points' integrals run in lockstep.
     """
     k = len(rho)
     a = R - rho
-    breaks = np.broadcast_to(breaks, (k, len(breaks)))
     # t over [0, a], then u over [0, 1] (empty at rho = 0).
     ends = np.column_stack([np.zeros(2 * k), np.concatenate([a, np.where(rho > 0.0, 1.0, 0.0)])])
 
@@ -729,7 +791,7 @@ def _arc_integrals(rho, R, weight, breaks, settings):
         with np.errstate(divide="ignore", invalid="ignore"):
             cos_arc = np.clip((r * r + t * t - R * R) / (2.0 * r * t), -1.0, 1.0)
             arc_len = 2.0 * t * np.arccos(cos_arc) * (math.pi * r * np.sin(angle))
-        return weight(t) * np.where(arc, arc_len, 2.0 * math.pi * t)
+        return _weights_at(weights, model[j], t) * np.where(arc, arc_len, 2.0 * math.pi * t)
 
     values, _ = integrate_many(
         integrand, ends, settings, np.concatenate([breaks, _u_of_t(breaks, a, 2.0 * rho)])
@@ -737,8 +799,9 @@ def _arc_integrals(rho, R, weight, breaks, settings):
     return values[:k] + values[k:]
 
 
-def _coverage_moment(domain, hi, weight, breaks, abs_tol, max_subdivisions):
-    """``E[p(R12) p(R13)]`` from the coverage function of one node.
+def _coverage_moment(domain, axes, abs_tol, max_subdivisions):
+    """``E[p(R12) p(R13)]`` of every edge axis ``(hi, weight, breaks)`` in
+    ``axes``, from the coverage function of one node, all in lockstep.
 
     Given node 1 at distance rho from the centre, the other two connect to
     it independently with probability ``g(rho)``, the integral of the
@@ -747,38 +810,38 @@ def _coverage_moment(domain, hi, weight, breaks, abs_tol, max_subdivisions):
     :func:`_arc_integrals`) divided by the disk's area.  So the moment is
     ``int_0^R g(rho)**2 * 2*rho/R**2 d rho``, split where ``g`` kinks: at
     ``|R - b|`` for b in ``hi`` and ``breaks``.  ``g`` is at most 1, so an
-    error of e in ``g`` moves the moment by at most 2e.  Returns (value,
-    error estimate); the estimate includes the budget allotted to ``g``.
+    error of e in ``g`` moves the moment by at most 2e.  Every axis's
+    integrals are those of its own call.  Returns (values, error
+    estimates) arrays; an estimate includes the budget allotted to ``g``.
     """
     R = 0.5 * domain.diameter
-    if hi <= 0.0:
-        return 0.0, 0.0
     area = math.pi * R * R
-    if weight is None:
-        g_tol = 0.0
+    his = np.array([hi for hi, _, _ in axes], float)
+    weights = [weight for _, weight, _ in axes]
+    soft = np.array([weight is not None for weight in weights], bool)
+    breaks = _padded([axis_breaks for *_, axis_breaks in axes])
+    g_tol = np.where(soft, 0.125 * abs_tol, 0.0)
+    inner = QuadratureSettings(
+        abs_tol=0.125 * abs_tol * area, rel_tol=0.0, max_subdivisions=max_subdivisions
+    )
 
-        def coverage(rho):
-            return _lens_area(rho, hi, R) / area
-    else:
-        g_tol = 0.125 * abs_tol
-        inner = QuadratureSettings(
-            abs_tol=g_tol * area, rel_tol=0.0, max_subdivisions=max_subdivisions
-        )
-
-        def coverage(rho):
-            return _arc_integrals(rho, R, weight, breaks, inner) / area
-
-    def integrand(rho, _):
-        g = coverage(rho)
+    def integrand(rho, which):
+        g = np.empty(len(rho))
+        arc = soft[which]
+        lens = ~arc
+        if lens.any():
+            g[lens] = _lens_area(rho[lens], his[which[lens]], R) / area
+        if arc.any():
+            g[arc] = _arc_integrals(rho[arc], R, weights, which[arc], breaks[which[arc]], inner) / area
         return g * g * (2.0 / (R * R)) * rho
 
     outer = QuadratureSettings(
         abs_tol=0.5 * abs_tol, rel_tol=0.0, max_subdivisions=max_subdivisions
     )
-    values, errors = integrate_many(
-        integrand, [(0.0, R)], outer, [[abs(R - b) for b in (hi, *breaks)]]
-    )
-    return float(values[0]), float(errors[0]) + 2.0 * g_tol
+    ends = np.column_stack([np.zeros(len(axes)), np.where(his > 0.0, R, 0.0)])
+    kinks = np.abs(R - np.concatenate([his[:, None], breaks], axis=1))
+    values, errors = integrate_many(integrand, ends, outer, kinks)
+    return values, errors + 2.0 * g_tol
 
 
 # ---------------------------------------------------------------------------
@@ -805,19 +868,43 @@ def _edge_axis(model, D):
     return hi, weight, tuple(b for b in model.breakpoints() if 0.0 < b < hi)
 
 
-def _pair_connect_prob(domain, hi, weight, breaks, settings) -> tuple[float, float]:
-    """``M1 = E[p(R12)]``: the two-point density times the edge's ``weight``
-    (``None`` for 1) over [0, ``hi``], split at ``breaks``.  Returns
-    (value, error estimate)."""
-    if hi <= 0.0:
-        return 0.0, 0.0
+def _padded(rows):
+    """The rows of numbers as a NaN-padded 2-d array."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
+    for row, values in zip(out, rows):
+        row[: len(values)] = values
+    return out
 
-    def integrand(r, _):
-        vals = pair_pdf(r, domain)
-        return vals if weight is None else vals * weight(r)
 
-    values, errors = integrate_many(integrand, [(0.0, hi)], settings, [breaks])
-    return float(values[0]), float(errors[0])
+def _weights_at(weights, model, x):
+    """``weights[model[i]](x[i])`` at every i, 1 where the weight is None."""
+    out = np.ones(len(x))
+    for j in np.flatnonzero(np.bincount(model, minlength=len(weights))):
+        if weights[j] is not None:
+            mine = model == j
+            out[mine] = weights[j](x[mine])
+    return out
+
+
+def _pair_connect_prob(domain, axes, settings):
+    """``M1 = E[p(R12)]`` of every edge axis ``(hi, weight, breaks)`` in
+    ``axes``: the two-point density times the axis's ``weight`` (``None``
+    for 1) over [0, ``hi``], split at ``breaks``, all in one lockstep
+    :func:`rggdist.quadrature.integrate_many` call, whose integrals are
+    those of separate calls.  Returns (values, error estimates) arrays."""
+    weights = [weight for _, weight, _ in axes]
+    ends = np.column_stack([np.zeros(len(axes)), [hi for hi, _, _ in axes]])
+
+    def integrand(r, which):
+        return pair_pdf(r, domain) * _weights_at(weights, which, r)
+
+    return integrate_many(integrand, ends, settings, _padded([b for *_, b in axes]))
+
+
+# Models per lockstep M2 call: the arc integrals of every (model, rho) of
+# a call run in one batch, so eight keep most of the gain of one call over
+# separate ones at a fifth of a 40-model call's peak memory.
+_M2_GROUP = 8
 
 
 def _edge_moments(models, domain, k, abs_tol, max_subdivisions):
@@ -825,35 +912,46 @@ def _edge_moments(models, domain, k, abs_tol, max_subdivisions):
     third-side lines behind M3), for k = 1 or 3 (no lines: 0).
 
     M1 is integrated at ``_PAIR_SETTINGS``, its tolerances lowered to
-    ``abs_tol`` only where that is lower, so it does not depend on k; M2
-    and M3 to ``abs_tol``, with at most ``max_subdivisions`` bisections per
-    integral.  The hard disks share one longest-side pass (and its line
-    count), every other model has its own.  The passes run first; raises
-    on the first integral that cannot converge.
+    ``abs_tol`` only where that is lower, so it does not depend on k, and
+    every model's M1 in one lockstep call; M2 and M3 to ``abs_tol``, with
+    at most ``max_subdivisions`` bisections per integral, M2 in lockstep
+    calls of ``_M2_GROUP`` models.  Lockstep M1s and M2s equal the ones
+    their models get alone, byte for byte.  M3 comes from at
+    most two longest-side passes: one for the hard disks, cut at every
+    range, and one for every other model, one column each, cut at the union
+    of their breakpoints.  A model's line count is its pass's.  So an M3
+    can differ from the one its model gets alone, within their error
+    estimates.  The passes run first; raises on the first integral that
+    cannot converge.
     """
-    axes = [_edge_axis(model, domain.diameter) for model in models]
-    m3s, lines = [None] * len(models), [0] * len(models)
+    D = domain.diameter
+    axes = [_edge_axis(model, D) for model in models]
+    m3, lines = np.zeros((2, len(models))), [0] * len(models)
     if k == 3:
-        # One pass per group: all hard disks together, each weighted model alone.
-        groups = {}
-        for j, (_, weight, _) in enumerate(axes):
-            groups.setdefault(-1 if weight is None else j, []).append(j)
-        for group in groups.values():
-            _, weight, breaks = axes[group[0]]
-            values, errors, count = _longest_side_moment(
-                domain, [axes[j][0] for j in group], weight, breaks, abs_tol, max_subdivisions
-            )
-            for j, v, e in zip(group, values, errors):
-                m3s[j], lines[j] = (float(v), float(e)), count
+        hard = [j for j, (_, weight, _) in enumerate(axes) if weight is None]
+        soft = [j for j, (_, weight, _) in enumerate(axes) if weight is not None]
+        # The hard disks' pass has a row per range, the other models' pass
+        # over [0, D] a column per weight.
+        for group, his, weights in (
+            (hard, [axes[j][0] for j in hard], [None]),
+            (soft, [D], [axes[j][1] for j in soft]),
+        ):
+            if group:
+                breaks = sorted({b for j in group for b in axes[j][2]})
+                values, errors, count = _longest_side_moment(
+                    domain, his, weights, breaks, abs_tol, max_subdivisions
+                )
+                m3[:, group] = values.ravel(), errors.ravel()
+                for j in group:
+                    lines[j] = count
     tol = min(_PAIR_SETTINGS.abs_tol, abs_tol)
-    pair = replace(_PAIR_SETTINGS, abs_tol=tol, rel_tol=tol)
-    rows = []
-    for axis, m3, count in zip(axes, m3s, lines):
-        moments = [_pair_connect_prob(domain, *axis, pair)]
-        if k == 3:
-            moments += [_coverage_moment(domain, *axis, abs_tol, max_subdivisions), m3]
-        rows.append((*zip(*moments), count))
-    return rows
+    moments = [_pair_connect_prob(domain, axes, replace(_PAIR_SETTINGS, abs_tol=tol, rel_tol=tol))]
+    if k == 3:
+        m2 = [_coverage_moment(domain, axes[i : i + _M2_GROUP], abs_tol, max_subdivisions)
+              for i in range(0, len(axes), _M2_GROUP)]
+        moments += [tuple(map(np.concatenate, zip(*m2))), m3]
+    values, errors = (np.column_stack(part).tolist() for part in zip(*moments))
+    return [(tuple(v), tuple(e), n) for v, e, n in zip(values, errors, lines)]
 
 
 # joint_pdf3_cell_masses: Gauss nodes per cell on the first axis, and the
@@ -877,12 +975,12 @@ def _per_cell_line_integrals(p, q, edges, D, start):
     nb = len(edges) - 1
     grid = np.broadcast_to(edges[1:-1], (k, nb - 1))
     a, b = np.maximum(start, np.abs(p - q)), np.minimum(p + q, min(edges[-1], D))
-    u_lo, u_hi, owner, seg_val, _ = _line_segments(p, q, a, b, D, grid, None, _CELL_LINE_TOL)
+    u_lo, u_hi, owner, seg_val, _ = _line_segments(p, q, a, b, D, grid, (None,), _CELL_LINE_TOL)
     half_span = 0.5 * np.maximum(b - a, 0.0)
     t_lo, t_hi = (a[owner] + half_span[owner] * (1.0 - np.cos(math.pi * u)) for u in (u_lo, u_hi))
     cell = np.clip(np.searchsorted(edges, 0.5 * (t_lo + t_hi), side="right") - 1, 0, nb - 1)
     out = np.zeros((k, nb))
-    np.add.at(out, (owner, cell), seg_val)
+    np.add.at(out, (owner, cell), seg_val[:, 0])
     return out
 
 

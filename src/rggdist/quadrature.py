@@ -11,9 +11,11 @@ restores fast convergence on piecewise-smooth integrands.
 
 One bisection loop (:func:`_bisect`) refines every adaptive integral:
 the lockstep integrals of :func:`integrate_many` and the third-side lines
-of :mod:`rggdist.distances`.  Each round it sums every integral's panels
-with ``np.bincount`` and bisects, in one batch, the panels of every
-integral above its error budget whose error exceeds their share of it.
+of :mod:`rggdist.distances`.  An integral may carry several columns,
+integrands that share its panels, each with its own value, error and
+budget.  Each round it sums every integral's panels with ``np.bincount``
+and bisects, in one batch, the panels whose error in a column above its
+error budget exceeds their share of it.
 There is no heap and no recombination pass: an integral's panels stay in
 one order whatever shares the batch, so identical inputs give
 bit-identical results.  It is also the one stop rule: each integral,
@@ -130,69 +132,124 @@ def _gk15_sums(vals, scale, terms=None):
 def _panel_batch(f, owners, los, his):
     """Evaluate the embedded rule on a batch of panels in one integrand call.
 
-    Returns per-panel Kronrod values and |Kronrod - Gauss| error estimates.
+    ``f`` returns one value per abscissa, or a row of one value per column
+    (integrands that share their abscissae).  Returns per-panel Kronrod
+    values and |Kronrod - Gauss| error estimates, shape (panels,) or
+    (panels, columns); each column's sums are those it gets alone.
     """
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
     pts = mid + half * GK15_NODES[:, None]  # node-major: (15, panels)
     vals = np.asarray(f(pts.ravel(), np.tile(owners, len(GK15_NODES))), dtype=float)
-    return _gk15_sums(vals.reshape(pts.shape), half)
+    if vals.ndim == 1:
+        return _gk15_sums(vals.reshape(pts.shape), half)
+    # The columns of a panel sit side by side, as panels of their own.
+    cols = vals.shape[1]
+    val, err = _gk15_sums(vals.reshape(len(GK15_NODES), -1), np.repeat(half, cols))
+    return val.reshape(-1, cols), err.reshape(-1, cols)
+
+
+def _owner_sums(owner, val, err, count):
+    """Sums of the pieces' values and errors, each of shape (pieces,) or
+    (pieces, columns), per integral (and column): ``np.bincount`` over one
+    bin per (integral, column), so each adds its pieces in piece order."""
+    if val.ndim == 1:
+        return tuple(np.bincount(owner, weights=x, minlength=count) for x in (val, err))
+    cols = val.shape[1]
+    bins = (owner[:, None] * cols + np.arange(cols)).ravel()
+    return tuple(np.bincount(bins, weights=x.ravel(), minlength=count * cols).reshape(count, cols)
+                 for x in (val, err))
 
 
 def _bisect(rule, lo, hi, owner, count, budget_of, max_splits):
     """Refine the pieces ``[lo, hi]`` of ``count`` integrals by bisection.
 
     ``owner`` holds each piece's integral and ``rule(lo, hi, owner)``
-    returns the pieces' values and error estimates.  Each round sums every
-    integral's pieces with ``np.bincount``; an integral whose error exceeds
-    ``budget_of(values)`` bisects each piece whose error exceeds that budget
-    divided by its piece count.  ``max_splits`` caps each integral's
-    bisections: one that would pass it bisects only as many of those
-    pieces as it has bisections left, largest error first.  Kept pieces
-    come first, then the new lower halves, then the upper halves, so each
-    integral's pieces come in the same order whatever shares the batch.
+    returns the pieces' values and error estimates: one per piece, or one
+    row per piece of one per column, for integrals of several integrands
+    that share their pieces.  Each round sums every integral's pieces per
+    column (:func:`_owner_sums`); each column of an integral whose error
+    exceeds its budget, ``budget_of(values)`` of the values' shape, asks
+    to bisect the pieces whose error in
+    that column exceeds its budget divided by the integral's piece count,
+    and a piece is bisected when any column asks.  ``max_splits`` caps each
+    integral's bisections, over all its columns: one that would pass it
+    bisects only as many of those pieces as it has bisections left, largest
+    error in an asking column first.  Kept pieces come first, then the new
+    lower halves, then the upper halves, so each integral's pieces come in
+    the same order whatever shares the batch.
 
     Returns the pieces as (lo, hi, owner, value, error) arrays once every
-    integral meets its budget.  Raises :class:`AccuracyError`, carrying
-    every integral's value and error estimate, once those above it have
-    no bisections left.
+    column of every integral meets its budget.  Raises
+    :class:`AccuracyError`, carrying every integral's values and error
+    estimates (shape (count,) or (count, columns)), once those above it
+    have no bisections left.
     """
     val, err = rule(lo, hi, owner)
     splits = np.zeros(count, dtype=np.int64)
     while True:
-        values = np.bincount(owner, weights=val, minlength=count)
-        errors = np.bincount(owner, weights=err, minlength=count)
-        budget = budget_of(values)
-        over = errors > budget
-        if not np.any(over):
+        split = _bisections(owner, val, err, count, budget_of, max_splits, splits)
+        if split is None:
             return lo, hi, owner, val, err
-        npieces = np.bincount(owner, minlength=count)
-        split = over[owner] & (err > budget[owner] / np.maximum(npieces[owner], 1))
-        # Rank each integral's wanted pieces, largest error first (ties in
-        # piece order), and keep the ranks below its bisections left.
+        # ``np.compress`` selects rows faster than a boolean index, most of
+        # all rows of several columns.
+        split_lo, split_hi, split_own = (np.compress(split, x) for x in (lo, hi, owner))
+        splits += np.bincount(split_own, minlength=count)
+        mid = 0.5 * (split_lo + split_hi)
+        new_lo = np.concatenate([split_lo, mid])
+        new_hi = np.concatenate([mid, split_hi])
+        new_own = np.concatenate([split_own, split_own])
+        kept = ~split
+        lo, hi, owner = (np.concatenate([np.compress(kept, x), new])
+                         for x, new in ((lo, new_lo), (hi, new_hi), (owner, new_own)))
+        # Only the kept pieces' sums stay while the new pieces are evaluated.
+        val, err = (np.compress(kept, x, axis=0) for x in (val, err))
+        new_val, new_err = rule(new_lo, new_hi, new_own)
+        val = np.concatenate([val, new_val])
+        err = np.concatenate([err, new_err])
+
+
+def _bisections(owner, val, err, count, budget_of, max_splits, splits):
+    """Which pieces :func:`_bisect` bisects this round, as a bool mask, or
+    None once every column of every integral meets its budget.
+
+    Each column of an integral above its budget asks for the pieces whose
+    error in it exceeds the budget's share per piece; an integral with
+    ``max_splits - splits`` bisections left takes that many of its asked
+    pieces at most, largest error in an asking column first (ties in piece
+    order).  Raises :class:`AccuracyError` when no integral above its
+    budget has a bisection left.  The round's per-(integral, column) and
+    per-(piece, column) temporaries die here, before the bisected pieces
+    are evaluated.
+    """
+    values, errors = _owner_sums(owner, val, err, count)
+    budget = budget_of(values)
+    over = errors > budget
+    if not np.any(over):
+        return None
+    left = max_splits - splits
+    asking = over.reshape(count, -1)
+    npieces = np.maximum(np.bincount(owner, minlength=count), 1)
+    share = np.where(asking, budget.reshape(count, -1) / npieces[:, None], np.inf)
+    piece_err = err.reshape(len(err), -1)
+    asks = piece_err > np.take(share, owner, axis=0)
+    split = asks.any(axis=1)
+    if np.any(np.bincount(owner[split], minlength=count) > left):
         wanted = np.flatnonzero(split)
-        wanted = wanted[np.lexsort((-err[wanted], owner[wanted]))]
+        largest = np.where(asks[wanted], piece_err[wanted], -np.inf).max(axis=1)
+        wanted = wanted[np.lexsort((-largest, owner[wanted]))]
         own = owner[wanted]
         rank = np.arange(len(wanted)) - np.searchsorted(own, own)
-        split[wanted[rank >= max_splits - splits[own]]] = False
-        if not np.any(split):
-            raise AccuracyError(
-                f"{np.count_nonzero(over)} of {count} integrals did not converge within "
-                f"{max_splits} subdivisions (worst error estimate {errors[over].max():.3e})",
-                value=values,
-                error_estimate=errors,
-            )
-        splits += np.bincount(owner[split], minlength=count)
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_own = np.concatenate([owner[split], owner[split]])
-        new_val, new_err = rule(new_lo, new_hi, new_own)
-        lo = np.concatenate([lo[~split], new_lo])
-        hi = np.concatenate([hi[~split], new_hi])
-        owner = np.concatenate([owner[~split], new_own])
-        val = np.concatenate([val[~split], new_val])
-        err = np.concatenate([err[~split], new_err])
+        split[wanted[rank >= left[own]]] = False
+    if not np.any(split):
+        raise AccuracyError(
+            f"{np.count_nonzero(asking.any(axis=1))} of {count} integrals "
+            f"did not converge within {max_splits} subdivisions "
+            f"(worst error estimate {errors[over].max():.3e})",
+            value=values,
+            error_estimate=errors,
+        )
+    return split
 
 
 def _pieces(lo, hi, breaks):
@@ -223,15 +280,19 @@ def integrate_many(
     ``breakpoints``, if given, the points :func:`_pieces` cuts them at,
     shape ``(k, j)``, NaN-padded.  ``f(x, which)`` receives a flat batch of
     abscissae together with the index of the integral each abscissa
-    belongs to and must return the integrand values.  Every round of
-    :func:`_bisect` evaluates the bisected panels of all integrals in one
-    call of ``f``; each integral is the ``np.bincount`` sum of its panels.
-    Returns (values, error_estimates) arrays.
+    belongs to and must return the integrand values, one per abscissa or
+    one row of C columns per abscissa.  Every round of :func:`_bisect`
+    evaluates the bisected panels of all integrals in one call of ``f``;
+    each integral is the ``np.bincount`` sum of its panels, per column, and
+    is refined while any of its columns is above its budget.  Returns
+    (values, error_estimates) arrays of shape (k,) or (k, C); (k,) zeros
+    when no interval has a panel.
 
     Raises :class:`DomainError` for misshapen (ragged) input or non-finite
     ends, and (from :func:`_bisect`) :class:`AccuracyError`, carrying the
     values and estimates, if any integral would need more than
-    ``max_subdivisions`` bisections to meet ``max(abs_tol, rel_tol * |value|)``.
+    ``max_subdivisions`` bisections to meet ``max(abs_tol, rel_tol * |value|)``
+    in every column.
     """
     m = len(intervals)
     try:
@@ -253,5 +314,4 @@ def integrate_many(
         lambda v: np.maximum(settings.abs_tol, settings.rel_tol * np.abs(v)),
         settings.max_subdivisions,
     )
-    totals = np.bincount(owner, weights=val, minlength=m)
-    return totals, np.bincount(owner, weights=err, minlength=m)
+    return _owner_sums(owner, val, err, m)

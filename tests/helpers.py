@@ -259,7 +259,7 @@ def marginal_pair_density(r12_values, domain: DiskDomain, abs_tol: float = 1e-6)
     def mid_integrand(q_flat, own):
         pp = p_arr[own]
         vals, _ = _inner_lines(pp, q_flat, 0.0, D, D, line_tol=tol_inner)
-        return vals
+        return vals[:, 0]
 
     settings = QuadratureSettings(abs_tol=tol_mid, rel_tol=0.0, max_subdivisions=400)
     breaks = [tuple(x for x in (pv, D - pv) if 0.0 < x < D) for pv in p_arr]
@@ -286,7 +286,7 @@ def triple_m2(domain: DiskDomain, hi, weight, breaks, abs_tol, max_subdivisions=
 
     def outer_integrand(p_batch, _):
         def mid_integrand(q_flat, own):
-            vals, _ = _inner_lines(p_batch[own], q_flat, 0.0, D, D, line_tol=tol_inner)
+            vals = _inner_lines(p_batch[own], q_flat, 0.0, D, D, line_tol=tol_inner)[0][:, 0]
             return vals if weight is None else vals * weight(q_flat)
 
         mid_vals, _ = integrate_many(
@@ -324,10 +324,10 @@ def full_cube_m3(domain: DiskDomain, hi, weight, breaks, abs_tol, max_subdivisio
         def mid_integrand(q_flat, own):
             nonlocal lines
             lines += len(q_flat)
-            vals, _ = _inner_lines(
+            vals = _inner_lines(
                 p_batch[own], q_flat, 0.0, hi, D,
-                weight=weight, extra_breaks=breaks, line_tol=tol_inner,
-            )
+                weights=(weight,), extra_breaks=breaks, line_tol=tol_inner,
+            )[0][:, 0]
             return vals if weight is None else vals * weight(q_flat)
 
         mid_vals, _ = integrate_many(

@@ -348,9 +348,9 @@ class TestSweepCommands:
             assert h <= bound2 + allowance
 
     def test_entropy_sweep_takes_g2_from_the_three_node_m1(self, capsys, monkeypatch):
-        # At any tolerance each row's M1 is integrated once, at the pair
-        # settings, and serves both columns: the G2 column is pmf_n2's at
-        # the default settings.
+        # At any tolerance every row's M1 is integrated once, at the pair
+        # settings and in one lockstep call, and serves both columns: the
+        # G2 column is pmf_n2's at the default settings.
         calls = []
         pair = distances._pair_connect_prob
         monkeypatch.setattr(
@@ -369,7 +369,7 @@ class TestSweepCommands:
                 "--r0-start", "0.1", *tol,
             )
             assert code == 0
-            assert len(calls) == 4
+            assert len(calls) == 1 and len(calls[0][1]) == 4
             assert [line.split(",")[4] for line in out.strip().split("\n")[2:]] == want
 
     @pytest.mark.parametrize("n, moments", [
@@ -379,8 +379,9 @@ class TestSweepCommands:
     def test_mc_entropy_sweep_computes_only_printed_exact_columns(
         self, capsys, monkeypatch, n, moments
     ):
-        # At n = 3 only the G2 column is exact: its pair integrals run and
-        # no three-node moment; at n = 2 no exact column is printed.
+        # At n = 3 only the G2 column is exact: its pair integrals run, in
+        # one lockstep call, and no three-node moment; at n = 2 no exact
+        # column is printed.
         calls = {}
         for name in ("_pair_connect_prob", "_coverage_moment", "_longest_side_moment"):
             original = getattr(distances, name)
@@ -394,7 +395,7 @@ class TestSweepCommands:
             capsys, "sweep-entropy", "--n", n, "--mc", "--samples", "2000", "--steps", "4",
         )
         assert code == 0
-        assert calls == dict.fromkeys(moments, 4)
+        assert calls == dict.fromkeys(moments, 1)
 
     @pytest.mark.parametrize("kind", [("--model-kind", "hard"),
                                       ("--model-kind", "exp", "--r0-start", "0.05")],

@@ -341,7 +341,7 @@ class TestLineIntegrals:
         p = np.concatenate([rng.uniform(0.01, 0.99, 40), [0.5, 0.3, 0.7071, 0.9]])
         q = np.concatenate([rng.uniform(0.01, 0.99, 40), [0.5, 0.4, 0.7071, 0.2]])
         cells = _per_cell_line_integrals(p, q, np.linspace(0.0, 1.0, 21), 1.0, 0.0)
-        whole, _ = _inner_lines(p, q, 0.0, 1.0, 1.0, line_tol=1e-11)
+        whole = _inner_lines(p, q, 0.0, 1.0, 1.0, line_tol=1e-11)[0][:, 0]
         assert np.all(whole > 0.0)
         assert np.max(np.abs(cells.sum(axis=1) - whole)) <= 1e-9 + 1e-11
 

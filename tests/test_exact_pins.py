@@ -38,7 +38,7 @@ from rggdist import (
     pmf_n2,
     pmf_n3,
 )
-from rggdist import distances
+from rggdist import distances, graphdist
 from rggdist.distances import _inner_lines, joint_pdf3_cell_masses
 
 from helpers import same_rounding
@@ -130,7 +130,7 @@ class TestExactOutputPins:
         # a weight and one extra break.
         p, q = np.random.default_rng(7).uniform(0.0, 1.0, (2, 300))
         values, errors = _inner_lines(
-            p, q, 0.0, 1.0, 1.0, weight=MODELS["exp"].probability, extra_breaks=(0.45,)
+            p, q, 0.0, 1.0, 1.0, weights=(MODELS["exp"].probability,), extra_breaks=(0.45,)
         )
         assert (
             hashlib.sha256(values.tobytes() + errors.tobytes()).hexdigest()
@@ -150,8 +150,8 @@ class TestEmptyLines:
         monkeypatch.setattr(distances, "_pdf3_batch", recording_kernel)
         values, errors = _inner_lines([0.1, 0.2, 0.3], [0.2, 0.1, 0.4], 0.5, 1.0, 1.0)
         assert np.all(np.concatenate(seen) >= 0.5)
-        assert values[:2].tolist() == [0.0, 0.0] and errors[:2].tolist() == [0.0, 0.0]
-        assert values[2] > 0.0
+        assert values[:2].tolist() == [[0.0], [0.0]] and errors[:2].tolist() == [[0.0], [0.0]]
+        assert values[2, 0] > 0.0
 
 
 class TestLineIntegratorMemory:
@@ -165,6 +165,22 @@ class TestLineIntegratorMemory:
         tracemalloc.start()
         try:
             pmf_n3(model, DOMAIN, quad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_shared_pass_peak_memory_after_warm_up(self):
+        # The 40 models of an exp sweep are the columns of one pass; each
+        # kernel block weighs them one at a time in the workspace, so only
+        # the per-(piece, column) sums grow with the columns, and those of
+        # at most ``_LINE_CELLS`` lines times columns at a time (about
+        # 0.6 MiB here).
+        models = [ExponentialSoft(r0=float(r0), beta=2.0) for r0 in np.linspace(0.05, 1.0, 40)]
+        graphdist._exact_pmfs({3}, models, DOMAIN)
+        tracemalloc.start()
+        try:
+            graphdist._exact_pmfs({3}, models, DOMAIN)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

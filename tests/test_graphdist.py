@@ -247,7 +247,7 @@ class TestMomentOracles:
     def test_coverage_m2_matches_triple_integral(self, model):
         axis = _edge_axis(model, DOMAIN.diameter)
         oracle, oracle_err = triple_m2(DOMAIN, *axis, 1e-9)
-        value, err = _coverage_moment(DOMAIN, *axis, 1e-9, 1000)
+        (value,), (err,) = _coverage_moment(DOMAIN, [axis], 1e-9, 1000)
         assert abs(value - oracle) <= err + oracle_err
         # The default pmf's M2 lies within its own estimate of the oracle.
         pmf = pmf_n3(model, DOMAIN)
@@ -258,7 +258,7 @@ class TestMomentOracles:
         model = M3_MODELS[key]
         hi, weight, breaks = _edge_axis(model, DOMAIN.diameter)
         oracle, oracle_err, _ = full_cube_m3(DOMAIN, hi, weight, breaks, 1e-8)
-        (value,), (err,), _ = _longest_side_moment(DOMAIN, [hi], weight, breaks, 1e-8, 1000)
+        ((value,),), ((err,),), _ = _longest_side_moment(DOMAIN, [hi], [weight], breaks, 1e-8, 1000)
         assert abs(value - oracle) <= err + oracle_err
         # The default pmf's M3 lies within its own estimate of the oracle,
         # from fewer third-side lines than the full cube at its tolerance
@@ -271,18 +271,24 @@ class TestMomentOracles:
         assert pmf.ingredients["lines"] < cube_lines
 
     def test_sweep_rows_match_lone_pmfs(self):
-        # Each row of a 40-point sweep shares one longest-side pass; a lone
-        # pmf_n3 makes its own.  M1 and M2 are per model and equal bytes.
-        grid = np.linspace(0.0, 1.0, 40)
-        sweep = pmfs_n3([HardDisk(r0=float(r0)) for r0 in grid])
-        for r0, row in zip(grid, sweep):
-            lone = pmf_n3(HardDisk(r0=float(r0)), DOMAIN)
-            for key in ("m1", "e1", "m2", "e2"):
-                assert row.ingredients[key] == lone.ingredients[key]
-            m3_gap = abs(row.ingredients["m3"] - lone.ingredients["m3"])
-            assert m3_gap <= row.ingredients["e3"] + lone.ingredients["e3"]
-            gap = np.abs(row.probs - lone.probs)
-            assert np.all(gap <= row.error_estimate + lone.error_estimate)
+        # The rows of a sweep share one longest-side pass: the hard disks'
+        # is cut at every range, the weighted models' has a column each and
+        # is cut at the union of their knots.  A lone pmf_n3 makes its own.
+        # M1 and M2 are per model and equal bytes.
+        sweeps = (
+            [HardDisk(r0=float(r0)) for r0 in np.linspace(0.0, 1.0, 40)],
+            [ExponentialSoft(r0=float(r0), beta=2.0) for r0 in np.linspace(0.05, 1.0, 40)],
+            [TABLE, Tabulated(((0.0, 1.0), (0.3, 0.7), (0.6, 0.1), (1.0, 0.0)))],
+        )
+        for models in sweeps:
+            for model, row in zip(models, pmfs_n3(models)):
+                lone = pmf_n3(model, DOMAIN)
+                for key in ("m1", "e1", "m2", "e2"):
+                    assert row.ingredients[key] == lone.ingredients[key]
+                m3_gap = abs(row.ingredients["m3"] - lone.ingredients["m3"])
+                assert m3_gap <= row.ingredients["e3"] + lone.ingredients["e3"]
+                gap = np.abs(row.probs - lone.probs)
+                assert np.all(gap <= row.error_estimate + lone.error_estimate)
 
 
 class TestPmfN3Many:
@@ -308,16 +314,42 @@ class TestPmfN3Many:
             assert row.probs.tobytes() == ordered[k].probs.tobytes()
             assert row.error_estimate == ordered[k].error_estimate
 
+    def test_weights_called_with_the_distance_alone(self):
+        # A model subclass may override ``probability(r)`` without the
+        # base class's ``out``; the shared pass calls it so, and its rows
+        # keep the base class's bytes.
+        class Plain(ExponentialSoft):
+            def probability(self, r):
+                return super().probability(r)
+
+        grid = (0.3, 0.7)
+        plain = pmfs_n3([Plain(r0=r0, beta=2.0) for r0 in grid])
+        base = pmfs_n3([ExponentialSoft(r0=r0, beta=2.0) for r0 in grid])
+        for a, b in zip(plain, base):
+            assert a.probs.tobytes() == b.probs.tobytes()
+            assert a.ingredients == b.ingredients
+
     def test_mixed_hard_and_weighted_models(self):
+        # The hard disks share their cumulative pass, the weighted models
+        # are the columns of one pass of their own, whatever their order
+        # among the hard disks.
         exp = ExponentialSoft(r0=0.3, beta=2.0)
         mixed = pmfs_n3([HardDisk(r0=0.4), exp, HardDisk(r0=0.2), TABLE])
         hard = pmfs_n3([HardDisk(r0=0.4), HardDisk(r0=0.2)])
         assert mixed[0].probs.tobytes() == hard[0].probs.tobytes()
         assert mixed[2].probs.tobytes() == hard[1].probs.tobytes()
-        for row, model in ((mixed[1], exp), (mixed[3], TABLE)):
+        weighted = pmfs_n3([exp, TABLE])
+        for row, alone, model in ((mixed[1], weighted[0], exp), (mixed[3], weighted[1], TABLE)):
+            assert row.probs.tobytes() == alone.probs.tobytes()
+            assert row.ingredients == alone.ingredients
+            # M1 and M2 are each model's own; M3 comes from the shared pass.
             lone = pmf_n3(model, DOMAIN)
-            assert row.probs.tobytes() == lone.probs.tobytes()
-            assert row.ingredients == lone.ingredients
+            for key in ("m1", "e1", "m2", "e2"):
+                assert row.ingredients[key] == lone.ingredients[key]
+            m3_gap = abs(row.ingredients["m3"] - lone.ingredients["m3"])
+            assert m3_gap <= row.ingredients["e3"] + lone.ingredients["e3"]
+            gap = np.abs(row.probs - lone.probs)
+            assert np.all(gap <= row.error_estimate + lone.error_estimate)
 
     @pytest.mark.parametrize("models", [
         [HardDisk(r0=float(r0)) for r0 in np.linspace(0.0, 1.0, 8)],
@@ -340,12 +372,12 @@ class TestPmfN3Many:
 
     def test_lines_above_budget_raise_and_name_the_worst(self):
         # A budget no line can meet: the lines fail loudly, naming the
-        # worst line above its budget, with one estimate per line.
+        # worst line above its budget, with one estimate per line and column.
         p, q = np.random.default_rng(5).uniform(0.0, 1.0, (2, 200))
         with pytest.raises(AccuracyError) as excinfo:
             _inner_lines(p, q, 0.0, 1.0, 1.0, line_tol=1e-16)
         values, errors = excinfo.value.value, excinfo.value.error_estimate
-        assert errors.shape == (200,)
+        assert errors.shape == (200, 1)
         over = errors > np.maximum(1e-16, 1e-13 * np.abs(values))
         worst = np.argmax(np.where(over, errors, -np.inf))
         assert f"p={float(p[worst])!r}, q={float(q[worst])!r}" in str(excinfo.value)
@@ -357,7 +389,9 @@ class TestPmfN3Many:
         # has about 0.077) puts the one-edge class at about -1.48: the pmf
         # is refused, and the error carries the class values and estimates
         # as arrays indexed by edge count, the shape every AccuracyError has.
-        monkeypatch.setattr(distances, "_coverage_moment", lambda *args: (0.9, 1e-12))
+        monkeypatch.setattr(
+            distances, "_coverage_moment", lambda *args: (np.array([0.9]), np.array([1e-12]))
+        )
         with pytest.raises(AccuracyError, match="left \\[0, 1\\]") as excinfo:
             pmf_n3(HardDisk(r0=0.3), DOMAIN)
         value, error = excinfo.value.value, excinfo.value.error_estimate

@@ -181,7 +181,7 @@ class TestBlockedLinePins:
         rng = np.random.default_rng(11)
         p, q = rng.uniform(0.0, 1.0, (2, 40))
         weight = ExponentialSoft(r0=0.3, beta=2.0).probability
-        inner = _inner_lines(p, q, 0.0, 1.0, 1.0, weight=weight, extra_breaks=(0.3,))
+        inner = _inner_lines(p, q, 0.0, 1.0, 1.0, weights=(weight,), extra_breaks=(0.3,))
         cells = _per_cell_line_integrals(p, q, np.linspace(0.0, 1.0, 6), 1.0, 0.0)
         return inner, cells
 
@@ -211,7 +211,7 @@ class TestBlockedLinePins:
         weight = ExponentialSoft(r0=0.3, beta=2.0).probability
 
         def lines(pp, qq):
-            return _inner_lines(pp, qq, 0.0, 1.0, 1.0, weight=weight, line_tol=1e-10)
+            return _inner_lines(pp, qq, 0.0, 1.0, 1.0, weights=(weight,), line_tol=1e-10)
 
         values, errors = lines(p, q)
         order = rng.permutation(len(p))

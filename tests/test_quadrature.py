@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rggdist import AccuracyError, DiskDomain, DomainError, pair_pdf
+from rggdist import AccuracyError, DiskDomain, DomainError, ExponentialSoft, pair_pdf
+from rggdist import distances
 from rggdist.distances import joint_pdf3_values
 from rggdist.quadrature import (
     _RULE_WEIGHTS,
     QuadratureSettings,
+    _bisect,
     _gk15_sums,
+    _panel_batch,
     _pieces,
     integrate_many,
 )
@@ -249,3 +252,114 @@ def test_joint_density_normalization_generic_path():
         QuadratureSettings(abs_tol=1e-3, rel_tol=0.0, max_subdivisions=2000),
     )
     assert res.value == pytest.approx(1.0, abs=1e-3)
+
+
+# Integrands of the tests above, as (f, intervals): one column each.
+COLUMN_CASES = [
+    (lambda x, _: np.sin(13.0 * x) * np.exp(x), [(0.0, 1.0)]),
+    (lambda x, which: x ** (which + 1), [(0.0, 1.0), (0.0, 2.0), (1.0, 1.0), (0.0, 0.5)]),
+    (lambda x, which: np.exp(-(which + 0.5) * x) * np.cos((which + 0.5) * x),
+     [(0.0, 1.0 + 0.01 * k) for k in range(20)]),
+    (lambda x, which: np.abs(x - 0.25 * (which + 1)), [(0.0, 1.0), (0.0, 1.0)]),
+]
+
+
+def _bisect_panels(f, intervals, budget_of, max_splits=50):
+    ends = np.asarray(intervals, float)
+    lo, hi, owner = _pieces(ends[:, 0], ends[:, 1], np.zeros((len(ends), 0)))
+    return _bisect(
+        lambda lo, hi, own: _panel_batch(f, own, lo, hi), lo, hi, owner, len(ends),
+        budget_of, max_splits,
+    )
+
+
+def _tight(v):
+    return np.maximum(1e-12, 1e-12 * np.abs(v))
+
+
+@pytest.mark.parametrize("case", range(len(COLUMN_CASES)))
+def test_one_column_bisects_like_a_scalar_integrand(case):
+    # A rule of one column per piece refines exactly as the scalar rule:
+    # the same pieces, and the same value and error bytes.
+    f, intervals = COLUMN_CASES[case]
+    scalar = _bisect_panels(f, intervals, _tight)
+    column = _bisect_panels(lambda x, which: f(x, which)[:, None], intervals, _tight)
+    assert column[3].shape == (len(scalar[3]), 1)
+    for a, b in zip(scalar, column):
+        assert a.tobytes() == b.tobytes()
+    values, errors = integrate_many(lambda x, which: f(x, which)[:, None], intervals, TIGHT)
+    alone = integrate_many(f, intervals, TIGHT)
+    assert values.tobytes() + errors.tobytes() == alone[0].tobytes() + alone[1].tobytes()
+
+
+def test_a_column_inside_its_budget_bisects_nothing():
+    # Beside an integrand that needs bisections, a column already inside
+    # its own budget asks for none: the pieces are the first column's
+    # alone, and so are its bytes.
+    hard = lambda x, _: np.sin(13.0 * x) * np.exp(x)  # noqa: E731
+    easy = lambda x, _: 1e-3 * np.sin(3.0 * x)  # noqa: E731
+    alone = _bisect_panels(hard, [(0.0, 1.0)], _tight)
+    easy_alone = _bisect_panels(easy, [(0.0, 1.0)], lambda v: np.full(v.shape, 1e-2))
+    assert len(easy_alone[0]) == 1 and len(alone[0]) > 1
+
+    def both(x, which):
+        return np.column_stack([hard(x, which), easy(x, which)])
+
+    lo, hi, owner, val, err = _bisect_panels(
+        both, [(0.0, 1.0)], lambda v: np.where(np.arange(2) == 0, _tight(v), 1e-2)
+    )
+    for a, b in zip(alone[:3], (lo, hi, owner)):
+        assert a.tobytes() == b.tobytes()
+    assert val[:, 0].tobytes() == alone[3].tobytes()
+    assert err[:, 0].tobytes() == alone[4].tobytes()
+
+
+def test_capped_columns_raise_per_integral_and_column():
+    # Two integrals of two columns; one column of the first is singular
+    # and runs out of bisections.  The error carries a (2, 2) value and
+    # estimate, and the second integral's columns keep their own bytes.
+    settings = QuadratureSettings(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=4)
+
+    def columns(x, which):
+        singular = np.where(which == 0, 1.0 / np.sqrt(np.abs(x - 0.3)), np.exp(x))
+        return np.column_stack([np.exp(5.0 * x), singular])
+
+    with pytest.raises(AccuracyError, match="1 of 2 integrals") as excinfo:
+        integrate_many(columns, [(0.0, 1.0), (0.0, 1.0)], settings)
+    value, error = excinfo.value.value, excinfo.value.error_estimate
+    assert value.shape == error.shape == (2, 2)
+    over = error > np.maximum(1e-13, 1e-13 * np.abs(value))
+    assert over.tolist() == [[False, True], [False, False]]
+    alone = integrate_many(lambda x, _: columns(x, np.ones(len(x))), [(0.0, 1.0)], settings)
+    assert value[1].tobytes() + error[1].tobytes() == alone[0].tobytes() + alone[1].tobytes()
+
+
+def test_shared_pass_failure_names_the_worst_line_over_all_columns(monkeypatch):
+    # With no bisections allowed, the third-side lines of a pass with two
+    # weight columns fail; the error names the line whose error, in any
+    # column, is the largest above its budget.
+    monkeypatch.setattr(distances, "_LINE_MAX_SPLITS", 0)
+    failed = []
+    line_segments = distances._line_segments
+
+    def recording(p, q, a, b, D, breaks, weights, line_tol):
+        try:
+            return line_segments(p, q, a, b, D, breaks, weights, line_tol)
+        except AccuracyError as exc:
+            failed.append((p, q, line_tol, exc))
+            raise
+
+    monkeypatch.setattr(distances, "_line_segments", recording)
+    weights = [ExponentialSoft(r0=0.8, beta=2.0).probability,
+               ExponentialSoft(r0=0.05, beta=2.0).probability]
+    with pytest.raises(AccuracyError, match="third-side lines did not converge"):
+        distances._longest_side_moment(DiskDomain(1.0), [1.0], weights, (), 1e-8, 600)
+    (p, q, line_tol, exc), = failed
+    assert exc.error_estimate.shape == (len(p), 2)
+    over = exc.error_estimate > np.maximum(line_tol, 1e-13 * np.abs(exc.value))
+    line, column = np.unravel_index(
+        np.argmax(np.where(over, exc.error_estimate, -np.inf)), over.shape
+    )
+    assert column == 1 and over[:, 0].any()
+    assert f"p={float(p[line])!r}, q={float(q[line])!r}" in str(exc)
+    assert f"{np.count_nonzero(over.any(axis=1))} of a batch of {len(p)}" in str(exc)
