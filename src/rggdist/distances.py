@@ -54,16 +54,16 @@ the one its model gets alone.
 * M3 of every model is one pass over the longest side
   (:func:`_longest_side_moment`): the density is symmetric in its three
   sides, so M3 is three times its integral over the region where a chosen
-  side is the longest, with the edge weight on all three axes.  For a
-  hard disk that is the distribution function of the longest side at
-  ``min(r0, D)``; the hard disks of one call share one pass, cut at every
-  range, which reads M3 at each from the cumulative panel sums.  Every
-  other model of the call is a column of one more pass over [0, D], cut at
-  the union of their breakpoints: the density is evaluated once per node,
-  each column multiplies in its own weight, and a piece is refined while
-  any column is above its budget, each column's budget being that of its
-  model's pass alone.  So a model's M3 in a call of several can differ
-  from its M3 alone, within their error estimates.
+  side is the longest, with the edge weight on all three axes.  Every
+  model of one call is a column of the same pass, cut at the union of the
+  models' breakpoints: the density is evaluated once per node, each column
+  multiplies in its own weight, and a piece is refined while any column
+  is above its budget.  For a hard disk M3 is the distribution function
+  of the longest side at ``min(r0, D)``, which only the outer axis sees:
+  the hard disks share one unweighted column on the two inner axes, and
+  each one's outer column ends at its range, where that axis is cut.  So
+  a model's M3 in a call of several can differ from its M3 alone, within
+  their error estimates.
 
 Both closed-form kernels (:func:`_pdf3_batch` and the conditional
 :func:`_cond_pdf3_batch`) run in one straight-line pass.  A 3-element
@@ -662,50 +662,54 @@ def _inner_lines(p, q, lo, hi, D, weights=(None,), extra_breaks=(), line_tol=1e-
     return values, errors
 
 
-def _longest_side_moment(domain, his, weights, breaks, abs_tol, max_subdivisions):
-    """``M3 = E[p(R12) p(R13) p(R23)]`` at every edge-axis end ``h`` in
-    ``his`` and for every edge weight in ``weights``, from one pass over the
-    longest side.
+def _longest_side_moment(domain, axes, abs_tol, max_subdivisions):
+    """``M3 = E[p(R12) p(R13) p(R23)]`` of every edge axis ``(hi, weight,
+    breaks)`` in ``axes``, from one pass over the longest side.
 
     The joint density is symmetric in its three sides, so with c the
-    longest side ``M3(h) = 3*int_0^h w(c) int_0^c w(q) int_{c-q}^c f(c, q,
-    t) w(t) dt dq dc``, where ``w`` is one of ``weights`` (``None`` for 1).
-    A hard disk is the case ``w = 1`` up to ``h = min(r0, D)``, where M3 is
-    the distribution function of the longest side.  Every weight is a
-    column of the same three integrals: the density is evaluated once per
-    node, and each integral is refined while any column is above its
-    budget, which is the budget of that weight's pass alone.  The innermost
-    axis is :func:`_inner_lines`, the middle one runs in lockstep across
-    the outer nodes, and ``breaks`` split all three (the middle one also
-    at ``q = c - b``, where a line's lower end crosses b).  The outer c
-    axis starts from panels cut at every requested ``h`` and at ``breaks``,
-    and is refined by :func:`rggdist.quadrature._bisect` as one integral,
-    so the panels' cumulative sums give M3 at every ``h`` and every
-    point's cumulative error stays within the one outer budget.  Returns
-    (values, error estimates) of shape ``(len(his), len(weights))``, each
-    estimate adding the budgets allotted to the inner levels, and the
-    pass's number of third-side lines, over all columns.  Raises
-    :class:`AccuracyError` if an integral of any of the three axes would
-    pass its bisection cap.
+    longest side ``M3 = 3*int_0^hi w(c) int_0^c w(q) int_{c-q}^c f(c, q,
+    t) w(t) dt dq dc``, where ``w`` is the axis's weight (``None`` for 1).
+    A hard disk's axis ends at ``hi = min(r0, D)``, where M3 is the
+    distribution function of the longest side: q and t are at most c, so
+    only the outer axis sees the range.  Every axis is a column of the
+    same three integrals, and the density is evaluated once per node.  On
+    the two inner axes the hard disks share one unweighted column, ahead of
+    one column per weighted axis; on the outer axis a hard disk's column is
+    the shared one times ``c < hi``, each other one its inner column times
+    its weight.  The innermost axis is :func:`_inner_lines`, the middle one
+    runs in lockstep across the outer nodes, and the union of the axes'
+    ``breaks`` splits all three (the middle one also at ``q = c - b``,
+    where a line's lower end crosses b).  The outer c axis runs over [0,
+    the largest ``hi``], cut at every ``hi`` and break, so no node sits on
+    a cut, and is refined by :func:`rggdist.quadrature._bisect` as one
+    integral while any column is above the one outer budget.  Returns
+    (values, error estimates) arrays, each estimate adding the budgets
+    allotted to the inner levels, and the pass's number of third-side
+    lines, over all columns.  Raises :class:`AccuracyError` if an integral
+    of any of the three axes would pass its bisection cap.
     """
     D = domain.diameter
-    his = np.asarray(his, float)
-    breaks = np.asarray(breaks, float)
-    values, errors = np.zeros((2, len(his), len(weights)))
+    his = np.array([hi for hi, _, _ in axes], float)
+    weights = [weight for _, weight, _ in axes]
+    hard = np.array([weight is None for weight in weights], bool)
+    # The inner columns: one unweighted for every hard disk, if any, then
+    # one per weighted axis; and each axis's column among them.
+    shared = int(hard.any())
+    inner = [None] * shared + [weight for weight in weights if weight is not None]
+    column = np.where(hard, 0, np.cumsum(~hard) - 1 + shared)
+    breaks = np.array(sorted({b for *_, axis_breaks in axes for b in axis_breaks}), float)
     top = float(np.max(his, initial=0.0))
     if top <= 0.0:
-        return values, errors, 0
-    axis = np.zeros(1), np.full(1, top)
-    _, cuts, _ = _pieces(*axis, his[None])  # the distinct positive ends, ascending
+        return np.zeros(len(axes)), np.zeros(len(axes)), 0
     tol_inner = 0.05 * abs_tol / (1.5 * top * top)
     mid_settings = QuadratureSettings(
         abs_tol=0.25 * abs_tol / (3.0 * top), rel_tol=0.0, max_subdivisions=max_subdivisions
     )
     lines = 0
 
-    def weighted(vals, x):
+    def weighted(vals, columns, x):
         # Each column times its weight at x, in place.
-        for j, weight in enumerate(weights):
+        for j, weight in enumerate(columns):
             if weight is not None:
                 vals[:, j] *= weight(x)
         return vals
@@ -716,15 +720,17 @@ def _longest_side_moment(domain, his, weights, breaks, abs_tol, max_subdivisions
             lines += len(q_flat)
             vals, _ = _inner_lines(
                 c[own], q_flat, 0.0, c[own], D,
-                weights=weights, extra_breaks=breaks, line_tol=tol_inner,
+                weights=inner, extra_breaks=breaks, line_tol=tol_inner,
             )
-            return weighted(vals, q_flat)
+            return weighted(vals, inner, q_flat)
 
         mid_breaks = np.concatenate([np.broadcast_to(breaks, (len(c), len(breaks))),
                                      c[:, None] - breaks], axis=1)
         mid_vals, _ = integrate_many(mid_integrand, np.column_stack([np.zeros(len(c)), c]),
                                      mid_settings, mid_breaks)
-        return weighted(3.0 * mid_vals, c)
+        # Each column ends at its axis's hi; a weighted axis's is D, above
+        # every node.
+        return weighted(3.0 * mid_vals[:, column] * (c[:, None] < his), weights, c)
 
     def panels(lo, hi, own):
         # One outer panel (15 longest sides) at a time: every panel of a
@@ -733,17 +739,12 @@ def _longest_side_moment(domain, his, weights, breaks, abs_tol, max_subdivisions
                 for k in range(len(lo))]
         return tuple(np.concatenate(part) for part in zip(*sums))
 
-    lo, hi, _, val, err = _bisect(
-        panels, *_pieces(*axis, np.concatenate([his, breaks])[None]), 1,
+    _, _, owner, val, err = _bisect(
+        panels, *_pieces([0.0], [top], np.concatenate([his, breaks])[None]), 1,
         lambda v: np.full(v.shape, 0.5 * abs_tol), max_subdivisions,
     )
-    cell = np.searchsorted(cuts, 0.5 * (lo + hi))
-    cum_val, cum_err = (np.cumsum(x, axis=0) for x in _owner_sums(cell, val, err, len(cuts)))
-    pos = his > 0.0
-    at = np.searchsorted(cuts, his[pos])
-    values[pos] = cum_val[at]
-    errors[pos] = cum_err[at] + 0.3 * abs_tol
-    return values, errors, lines
+    (values,), (errors,) = _owner_sums(owner, val, err, 1)
+    return values, errors + np.where(his > 0.0, 0.3 * abs_tol, 0.0), lines
 
 
 # ---------------------------------------------------------------------------
@@ -916,34 +917,18 @@ def _edge_moments(models, domain, k, abs_tol, max_subdivisions):
     every model's M1 in one lockstep call; M2 and M3 to ``abs_tol``, with
     at most ``max_subdivisions`` bisections per integral, M2 in lockstep
     calls of ``_M2_GROUP`` models.  Lockstep M1s and M2s equal the ones
-    their models get alone, byte for byte.  M3 comes from at
-    most two longest-side passes: one for the hard disks, cut at every
-    range, and one for every other model, one column each, cut at the union
-    of their breakpoints.  A model's line count is its pass's.  So an M3
-    can differ from the one its model gets alone, within their error
-    estimates.  The passes run first; raises on the first integral that
-    cannot converge.
+    their models get alone, byte for byte.  Every M3 comes from one
+    longest-side pass with a column per model
+    (:func:`_longest_side_moment`), and every model's line count is that
+    pass's.  So an M3 can differ from the one its model gets alone, within
+    their error estimates.  The pass runs first; raises on the first
+    integral that cannot converge.
     """
     D = domain.diameter
     axes = [_edge_axis(model, D) for model in models]
-    m3, lines = np.zeros((2, len(models))), [0] * len(models)
+    m3, lines = np.zeros((2, len(models))), 0
     if k == 3:
-        hard = [j for j, (_, weight, _) in enumerate(axes) if weight is None]
-        soft = [j for j, (_, weight, _) in enumerate(axes) if weight is not None]
-        # The hard disks' pass has a row per range, the other models' pass
-        # over [0, D] a column per weight.
-        for group, his, weights in (
-            (hard, [axes[j][0] for j in hard], [None]),
-            (soft, [D], [axes[j][1] for j in soft]),
-        ):
-            if group:
-                breaks = sorted({b for j in group for b in axes[j][2]})
-                values, errors, count = _longest_side_moment(
-                    domain, his, weights, breaks, abs_tol, max_subdivisions
-                )
-                m3[:, group] = values.ravel(), errors.ravel()
-                for j in group:
-                    lines[j] = count
+        *m3, lines = _longest_side_moment(domain, axes, abs_tol, max_subdivisions)
     tol = min(_PAIR_SETTINGS.abs_tol, abs_tol)
     moments = [_pair_connect_prob(domain, axes, replace(_PAIR_SETTINGS, abs_tol=tol, rel_tol=tol))]
     if k == 3:
@@ -951,7 +936,7 @@ def _edge_moments(models, domain, k, abs_tol, max_subdivisions):
               for i in range(0, len(axes), _M2_GROUP)]
         moments += [tuple(map(np.concatenate, zip(*m2))), m3]
     values, errors = (np.column_stack(part).tolist() for part in zip(*moments))
-    return [(tuple(v), tuple(e), n) for v, e, n in zip(values, errors, lines)]
+    return [(tuple(v), tuple(e), lines) for v, e in zip(values, errors)]
 
 
 # joint_pdf3_cell_masses: Gauss nodes per cell on the first axis, and the

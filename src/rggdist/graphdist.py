@@ -112,13 +112,13 @@ def pmf_n3(
     third-side ``lines`` behind M3, each of which met its budget (a line
     that cannot raises :class:`AccuracyError`).
 
-    This is the one-model case of :func:`_exact_pmfs`, where the hard
-    disks' M3 come from one pass over the longest side cut at all their
-    ranges, and every other model's M3 from one more pass in which each
-    model is a weight column.  A row of such a sweep, hard or weighted,
-    can therefore differ from a lone ``pmf_n3`` of its model, within their
-    error estimates, and its ``lines`` count the whole pass's lines.  Its
-    M1 and M2 are those of the lone ``pmf_n3``, byte for byte.
+    This is the one-model case of :func:`_exact_pmfs`, where every
+    model's M3 comes from one pass over the longest side in which each
+    model is a column, cut at all their ranges and breakpoints.  A row of
+    such a sweep, hard or weighted, can therefore differ from a lone
+    ``pmf_n3`` of its model, within their error estimates, and its
+    ``lines`` count the whole pass's lines.  Its M1 and M2 are those of
+    the lone ``pmf_n3``, byte for byte.
     """
     return exact_pmf(3, model, domain, quad)
 

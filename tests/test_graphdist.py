@@ -225,9 +225,9 @@ class TestExactPmfDispatch:
             exact_pmf(n, HardDisk(r0=0.5), DOMAIN)
 
 
-# Models of the M3 oracle test, by id: hard disks (the pass's cumulative
-# distribution function), soft models that weight every axis, and the table,
-# whose knots split every axis.
+# Models of the M3 oracle test, by id: hard disks (the distribution
+# function of the longest side at their range), soft models that weight
+# every axis, and the table, whose knots split every axis.
 M3_MODELS = {
     **{str(r0): HardDisk(r0=r0) for r0 in (0.2, 0.4, 0.6, 0.9)},
     **{f"exp-{r0}": ExponentialSoft(r0=r0, beta=2.0) for r0 in (0.05, 0.3, 0.8)},
@@ -256,9 +256,9 @@ class TestMomentOracles:
     @pytest.mark.parametrize("key", M3_MODELS)
     def test_longest_side_m3_matches_full_cube(self, key):
         model = M3_MODELS[key]
-        hi, weight, breaks = _edge_axis(model, DOMAIN.diameter)
-        oracle, oracle_err, _ = full_cube_m3(DOMAIN, hi, weight, breaks, 1e-8)
-        ((value,),), ((err,),), _ = _longest_side_moment(DOMAIN, [hi], [weight], breaks, 1e-8, 1000)
+        axis = _edge_axis(model, DOMAIN.diameter)
+        oracle, oracle_err, _ = full_cube_m3(DOMAIN, *axis, 1e-8)
+        (value,), (err,), _ = _longest_side_moment(DOMAIN, [axis], 1e-8, 1000)
         assert abs(value - oracle) <= err + oracle_err
         # The default pmf's M3 lies within its own estimate of the oracle,
         # from fewer third-side lines than the full cube at its tolerance
@@ -266,15 +266,15 @@ class TestMomentOracles:
         pmf = pmf_n3(model, DOMAIN)
         assert abs(pmf.ingredients["m3"] - oracle) <= pmf.ingredients["e3"]
         *_, cube_lines = full_cube_m3(
-            DOMAIN, hi, weight, breaks, graphdist.DEFAULT_PMF_SETTINGS.abs_tol / 4, 400
+            DOMAIN, *axis, graphdist.DEFAULT_PMF_SETTINGS.abs_tol / 4, 400
         )
         assert pmf.ingredients["lines"] < cube_lines
 
     def test_sweep_rows_match_lone_pmfs(self):
-        # The rows of a sweep share one longest-side pass: the hard disks'
-        # is cut at every range, the weighted models' has a column each and
-        # is cut at the union of their knots.  A lone pmf_n3 makes its own.
-        # M1 and M2 are per model and equal bytes.
+        # The rows of a sweep share one longest-side pass, a column per
+        # model, whose outer axis is cut at every range and every axis at
+        # the union of the knots.  A lone pmf_n3 makes its own.  M1 and M2
+        # are per model and equal bytes.
         sweeps = (
             [HardDisk(r0=float(r0)) for r0 in np.linspace(0.0, 1.0, 40)],
             [ExponentialSoft(r0=float(r0), beta=2.0) for r0 in np.linspace(0.05, 1.0, 40)],
@@ -330,19 +330,13 @@ class TestPmfN3Many:
             assert a.ingredients == b.ingredients
 
     def test_mixed_hard_and_weighted_models(self):
-        # The hard disks share their cumulative pass, the weighted models
-        # are the columns of one pass of their own, whatever their order
-        # among the hard disks.
-        exp = ExponentialSoft(r0=0.3, beta=2.0)
-        mixed = pmfs_n3([HardDisk(r0=0.4), exp, HardDisk(r0=0.2), TABLE])
-        hard = pmfs_n3([HardDisk(r0=0.4), HardDisk(r0=0.2)])
-        assert mixed[0].probs.tobytes() == hard[0].probs.tobytes()
-        assert mixed[2].probs.tobytes() == hard[1].probs.tobytes()
-        weighted = pmfs_n3([exp, TABLE])
-        for row, alone, model in ((mixed[1], weighted[0], exp), (mixed[3], weighted[1], TABLE)):
-            assert row.probs.tobytes() == alone.probs.tobytes()
-            assert row.ingredients == alone.ingredients
-            # M1 and M2 are each model's own; M3 comes from the shared pass.
+        # Hard disks and weighted models, in any order, are the columns of
+        # one longest-side pass.  M1 and M2 are each model's own; every M3
+        # and every entry lies within its own and the lone pmf's estimates.
+        models = [HardDisk(r0=0.4), ExponentialSoft(r0=0.3, beta=2.0), HardDisk(r0=0.2), TABLE]
+        mixed = pmfs_n3(models)
+        assert len({row.ingredients["lines"] for row in mixed}) == 1
+        for row, model in zip(mixed, models):
             lone = pmf_n3(model, DOMAIN)
             for key in ("m1", "e1", "m2", "e2"):
                 assert row.ingredients[key] == lone.ingredients[key]
@@ -350,6 +344,26 @@ class TestPmfN3Many:
             assert m3_gap <= row.ingredients["e3"] + lone.ingredients["e3"]
             gap = np.abs(row.probs - lone.probs)
             assert np.all(gap <= row.error_estimate + lone.error_estimate)
+
+    def test_hard_disks_share_one_unweighted_inner_column(self, monkeypatch):
+        # A hard disk's range cuts only the outer axis: the third-side
+        # lines carry one unweighted column for every hard disk of a call,
+        # ahead of a column per weighted model, not a column per range.
+        seen = []
+        inner_lines = distances._inner_lines
+
+        def recording(*args, weights=(None,), **kwargs):
+            seen.append(list(weights))
+            return inner_lines(*args, weights=weights, **kwargs)
+
+        monkeypatch.setattr(distances, "_inner_lines", recording)
+        pmfs_n3([HardDisk(r0=float(r0)) for r0 in np.linspace(0.0, 1.0, 40)])
+        assert seen and all(weights == [None] for weights in seen)
+        seen.clear()
+        exp = ExponentialSoft(r0=0.3, beta=2.0)
+        pmfs_n3([HardDisk(r0=0.4), exp, HardDisk(r0=0.2), TABLE])
+        assert seen and all(weights == [None, exp.probability, TABLE.probability]
+                            for weights in seen)
 
     @pytest.mark.parametrize("models", [
         [HardDisk(r0=float(r0)) for r0 in np.linspace(0.0, 1.0, 8)],

@@ -350,10 +350,10 @@ def test_shared_pass_failure_names_the_worst_line_over_all_columns(monkeypatch):
             raise
 
     monkeypatch.setattr(distances, "_line_segments", recording)
-    weights = [ExponentialSoft(r0=0.8, beta=2.0).probability,
-               ExponentialSoft(r0=0.05, beta=2.0).probability]
+    axes = [(1.0, ExponentialSoft(r0=0.8, beta=2.0).probability, ()),
+            (1.0, ExponentialSoft(r0=0.05, beta=2.0).probability, ())]
     with pytest.raises(AccuracyError, match="third-side lines did not converge"):
-        distances._longest_side_moment(DiskDomain(1.0), [1.0], weights, (), 1e-8, 600)
+        distances._longest_side_moment(DiskDomain(1.0), axes, 1e-8, 600)
     (p, q, line_tol, exc), = failed
     assert exc.error_estimate.shape == (len(p), 2)
     over = exc.error_estimate > np.maximum(line_tol, 1e-13 * np.abs(exc.value))
